@@ -56,7 +56,8 @@ int main() {
   or_options.max_seed_starts = 4;
   or_options.max_climb_iterations = 24;
   or_options.neighbors_per_step = 48;
-  const auto orr = core::optimize_resources(ctx, or_options);
+  // Step 1 options equal profile.os_options(), so OR reuses the OS run.
+  const auto orr = core::optimize_resources(ctx, os, or_options);
   table.add_row({"OR", util::Table::fmt(orr.best_eval.mcs.analysis.graph_response[0]),
                  orr.best_eval.schedulable ? "yes" : "NO",
                  util::Table::fmt(orr.best_eval.s_total),

@@ -47,9 +47,10 @@ int main() {
                  util::Table::fmt(os.best_eval.s_total),
                  util::Table::fmt(static_cast<std::int64_t>(os.evaluations))});
 
-  // OR: buffer minimization from the OS seed solutions.
+  // OR: buffer minimization from the OS seed solutions.  OR's step 1 is
+  // OS with the same (default) options, so the OS result above is reused.
   core::OptimizeResourcesOptions or_options;
-  const auto orr = core::optimize_resources(ctx, or_options);
+  const auto orr = core::optimize_resources(ctx, os, or_options);
   table.add_row({"OR",
                  util::Table::fmt(orr.best_eval.mcs.analysis.graph_response[0]),
                  orr.best_eval.schedulable ? "yes" : "NO",

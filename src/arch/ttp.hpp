@@ -45,6 +45,8 @@ struct TtpBusParams {
 struct Slot {
   NodeId owner = NodeId::invalid();
   Time length = 0;
+
+  [[nodiscard]] bool operator==(const Slot&) const = default;
 };
 
 /// A TDMA round: the ordered slot sequence repeated periodically from

@@ -84,28 +84,9 @@ void assign_deadline_monotonic(const LocalDeadlines& ld,
   }
 }
 
-}  // namespace
-
-HopaResult initial_deadline_monotonic(const Application& app,
-                                      const arch::Platform& platform) {
-  HopaResult result;
-  const LocalDeadlines ld = initial_deadlines(app, platform);
-  assign_deadline_monotonic(ld, result.process_priorities,
-                            result.message_priorities);
-  return result;
-}
-
-HopaResult hopa_priorities(const Application& app, const arch::Platform& platform,
-                           const arch::TdmaRound& tdma,
-                           const model::ReachabilityIndex& reachability,
-                           const HopaOptions& options) {
-  AnalysisWorkspace workspace(app, platform, reachability);
-  return hopa_priorities(app, platform, tdma, workspace, options);
-}
-
-HopaResult hopa_priorities(const Application& app, const arch::Platform& platform,
-                           const arch::TdmaRound& tdma,
-                           AnalysisWorkspace& workspace, const HopaOptions& options) {
+HopaResult run_hopa(const Application& app, const arch::Platform& platform,
+                    const arch::TdmaRound& tdma, const McsOptions& mcs_options,
+                    AnalysisWorkspace& workspace, const HopaOptions& options) {
   const obs::Span hopa_span("hopa.run");
   LocalDeadlines ld = initial_deadlines(app, platform);
 
@@ -126,18 +107,11 @@ HopaResult hopa_priorities(const Application& app, const arch::Platform& platfor
       cfg.set_message_priority(MessageId(static_cast<MessageId::underlying_type>(i)),
                                msg_prio[i]);
     }
-    const McsResult mcs = multi_cluster_scheduling(
-        app, platform, cfg, sched::ScheduleConstraints::none(app), options.mcs,
+    McsResult mcs = multi_cluster_scheduling(
+        app, platform, cfg, sched::ScheduleConstraints::none(app), mcs_options,
         workspace);
+    ++best.runs;
     const Schedulability delta = degree_of_schedulability(app, mcs.analysis);
-
-    if (!have_best || delta < best.delta) {
-      best.process_priorities = std::move(proc_prio);
-      best.message_priorities = std::move(msg_prio);
-      best.delta = delta;
-      best.iterations = iter + 1;
-      have_best = true;
-    }
 
     // Redistribute: new local deadline = observed worst-case completion,
     // scaled so each graph's slowest activity lands on the graph deadline.
@@ -163,8 +137,49 @@ HopaResult hopa_priorities(const Application& app, const arch::Platform& platfor
                                 0.5 * std::max(1.0, delivery * scale);
       }
     }
+
+    // Kept last: the redistribution above still reads this round's analysis.
+    if (!have_best || delta < best.delta) {
+      best.process_priorities = std::move(proc_prio);
+      best.message_priorities = std::move(msg_prio);
+      best.delta = delta;
+      best.mcs = std::move(mcs);
+      best.best_iteration = iter + 1;
+      have_best = true;
+    }
   }
   return best;
+}
+
+}  // namespace
+
+HopaResult initial_deadline_monotonic(const Application& app,
+                                      const arch::Platform& platform) {
+  HopaResult result;
+  const LocalDeadlines ld = initial_deadlines(app, platform);
+  assign_deadline_monotonic(ld, result.process_priorities,
+                            result.message_priorities);
+  return result;
+}
+
+HopaResult hopa_priorities(const Application& app, const arch::Platform& platform,
+                           const arch::TdmaRound& tdma,
+                           const model::ReachabilityIndex& reachability,
+                           const HopaOptions& options) {
+  AnalysisWorkspace workspace(app, platform, reachability);
+  return hopa_priorities(app, platform, tdma, workspace, options);
+}
+
+HopaResult hopa_priorities(const Application& app, const arch::Platform& platform,
+                           const arch::TdmaRound& tdma,
+                           AnalysisWorkspace& workspace, const HopaOptions& options) {
+  return run_hopa(app, platform, tdma, McsOptions{}, workspace, options);
+}
+
+HopaResult hopa_priorities(const MoveContext& ctx, const arch::TdmaRound& tdma,
+                           const HopaOptions& options) {
+  return run_hopa(ctx.app(), ctx.platform(), tdma, ctx.mcs_options(),
+                  ctx.workspace(), options);
 }
 
 }  // namespace mcs::core

@@ -20,30 +20,38 @@ namespace mcs::core {
 
 struct HopaOptions {
   int max_iterations = 6;        ///< analysis/redistribution rounds
-  McsOptions mcs;                ///< analysis settings per round
 };
 
 struct HopaResult {
   std::vector<Priority> process_priorities;
   std::vector<Priority> message_priorities;
   Schedulability delta;          ///< of the best assignment found
-  int iterations = 0;
+  McsResult mcs;                 ///< analysis of the best assignment
+  int best_iteration = 0;        ///< 1-based round that produced it
+  int runs = 0;                  ///< MultiClusterScheduling runs performed
 };
 
 /// Computes priorities for the ETC processes and CAN messages under the
-/// given TDMA round.  TT activities keep their (unused) default priority.
+/// given TDMA round, analyzing under default McsOptions.  TT activities
+/// keep their (unused) default priority.
 [[nodiscard]] HopaResult hopa_priorities(const model::Application& app,
                                          const arch::Platform& platform,
                                          const arch::TdmaRound& tdma,
                                          const model::ReachabilityIndex& reachability,
                                          const HopaOptions& options = {});
 
-/// Hot-path overload: every analysis round reuses `workspace` (the
-/// optimizers run HOPA once per tried TDMA round).
+/// Same, but every analysis round reuses `workspace`.
 [[nodiscard]] HopaResult hopa_priorities(const model::Application& app,
                                          const arch::Platform& platform,
                                          const arch::TdmaRound& tdma,
                                          AnalysisWorkspace& workspace,
+                                         const HopaOptions& options = {});
+
+/// Hot-path overload for the optimizers: analyzes under the search's own
+/// `ctx.mcs_options()` on `ctx.workspace()`, so the returned `mcs` is the
+/// analysis `ctx.evaluate` would compute for the winning priorities.
+[[nodiscard]] HopaResult hopa_priorities(const MoveContext& ctx,
+                                         const arch::TdmaRound& tdma,
                                          const HopaOptions& options = {});
 
 /// The non-iterated initializer: local deadlines proportional to the

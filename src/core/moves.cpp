@@ -163,10 +163,21 @@ Evaluation MoveContext::evaluate(const Candidate& candidate) const {
 }
 
 Evaluation MoveContext::evaluate_uncached(const Candidate& candidate) const {
-  Evaluation eval;
   SystemConfig cfg = candidate.to_config(app_);
-  eval.mcs = multi_cluster_scheduling(app_, platform_, cfg, candidate.pins,
-                                      mcs_options_, workspace_);
+  return score(multi_cluster_scheduling(app_, platform_, cfg, candidate.pins,
+                                        mcs_options_, workspace_));
+}
+
+Evaluation MoveContext::adopt(const Candidate& candidate, McsResult mcs) const {
+  Evaluation eval = score(std::move(mcs));
+  encode_genotype(candidate, key_scratch_);
+  cache_.insert(util::fnv1a(key_scratch_), key_scratch_, eval);
+  return eval;
+}
+
+Evaluation MoveContext::score(McsResult mcs) const {
+  Evaluation eval;
+  eval.mcs = std::move(mcs);
   eval.delta = degree_of_schedulability(app_, eval.mcs.analysis);
   eval.s_total = eval.mcs.analysis.buffers.total();
   eval.schedulable = eval.mcs.schedulable(app_);

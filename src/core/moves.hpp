@@ -173,6 +173,12 @@ public:
   /// exposed for the cache-consistency tests and benches).
   [[nodiscard]] Evaluation evaluate_uncached(const Candidate& candidate) const;
 
+  /// Scores an analysis of `candidate` that the caller already ran under
+  /// mcs_options() on workspace() (HOPA's winning round), exactly as
+  /// evaluate_uncached would, and memoizes it: the result equals
+  /// evaluate(candidate) without a second fixed point.
+  [[nodiscard]] Evaluation adopt(const Candidate& candidate, McsResult mcs) const;
+
   /// Applies a move in place.  Returns false when the move is a no-op for
   /// this candidate (e.g. resizing to the current length).
   bool apply(const Move& move, Candidate& candidate) const;
@@ -201,6 +207,7 @@ private:
 
   void encode_genotype(const Candidate& candidate,
                        std::vector<std::int64_t>& out) const;
+  [[nodiscard]] Evaluation score(McsResult mcs) const;
   [[nodiscard]] sched::MobilityWindows mobility(const Evaluation& eval) const;
 };
 

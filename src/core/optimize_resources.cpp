@@ -76,15 +76,19 @@ OptimizeResourcesResult minimize_buffers_from(
 
 OptimizeResourcesResult optimize_resources(const MoveContext& ctx,
                                            const OptimizeResourcesOptions& options) {
-  const obs::Span span("or.run");
   // Step 1: find a schedulable system and collect seeds.
-  OptimizeScheduleResult schedule = optimize_schedule(ctx, options.schedule);
+  return optimize_resources(ctx, optimize_schedule(ctx, options.schedule), options);
+}
 
-  OptimizeResourcesResult result{schedule.best, schedule.best_eval, 0,
-                                 schedule.evaluations, 0};
-  result.s_total_before = schedule.best_eval.s_total;
+OptimizeResourcesResult optimize_resources(const MoveContext& ctx,
+                                           const OptimizeScheduleResult& step1,
+                                           const OptimizeResourcesOptions& options) {
+  const obs::Span span("or.run");
+  OptimizeResourcesResult result{step1.best, step1.best_eval, 0,
+                                 step1.evaluations, 0};
+  result.s_total_before = step1.best_eval.s_total;
 
-  if (!schedule.best_eval.schedulable) {
+  if (!step1.best_eval.schedulable) {
     // The paper would modify the mapping/architecture here; mapping is an
     // input to this library, so report the best effort.
     MCS_LOG(Warn) << "optimize_resources: no schedulable configuration found "
@@ -94,7 +98,7 @@ OptimizeResourcesResult optimize_resources(const MoveContext& ctx,
 
   // Step 2: hill climb from each seed.
   std::size_t starts = 0;
-  for (const SeedSolution& seed : schedule.seeds) {
+  for (const SeedSolution& seed : step1.seeds) {
     if (starts >= options.max_seed_starts) break;
     if (!seed.schedulable) continue;
     ++starts;

@@ -36,6 +36,14 @@ struct OptimizeResourcesResult {
 [[nodiscard]] OptimizeResourcesResult optimize_resources(
     const MoveContext& ctx, const OptimizeResourcesOptions& options = {});
 
+/// Step 2 alone, from a step-1 result the caller already holds: `step1`
+/// must be optimize_schedule(ctx, options.schedule) on this same `ctx`
+/// (OS is deterministic, so the result then equals the overload above,
+/// evaluations included, without running OS twice).
+[[nodiscard]] OptimizeResourcesResult optimize_resources(
+    const MoveContext& ctx, const OptimizeScheduleResult& step1,
+    const OptimizeResourcesOptions& options = {});
+
 /// Step 2 alone: hill-climb buffer minimization from a given start.
 /// Exposed for the ablation benches (seeded vs cold starts).
 [[nodiscard]] OptimizeResourcesResult minimize_buffers_from(

@@ -1,6 +1,7 @@
 #include "mcs/core/optimize_schedule.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "mcs/obs/trace.hpp"
 #include "mcs/util/log.hpp"
@@ -49,16 +50,26 @@ OptimizeScheduleResult optimize_schedule(const MoveContext& ctx,
   OptimizeScheduleResult result{Candidate::initial(app, platform), {}, {}, 0};
   Candidate current = result.best;
 
-  // Evaluate a candidate: HOPA priorities for its beta, then one full
-  // evaluation for the buffer/schedulability metrics.
+  // HOPA, and thus the whole evaluation, is a pure function of the TDMA
+  // round (OS never pins).  The only round OS proposes twice is the one
+  // it just bound: the next position's first trial leaves it unchanged.
+  // `bound_eval` is that round's evaluation, so the repeat skips HOPA.
+  std::optional<Evaluation> bound_eval;
+
+  // Evaluate a candidate: HOPA priorities for its beta; the analysis of
+  // HOPA's winning round is the evaluation (memoized in ctx's cache).
   auto evaluate_with_hopa = [&](Candidate& cand) -> Evaluation {
     if (options.cancel) options.cancel->throw_if_cancelled();
-    const HopaResult hopa = hopa_priorities(app, platform, cand.tdma,
-                                            ctx.workspace(), options.hopa);
-    cand.process_priorities = hopa.process_priorities;
-    cand.message_priorities = hopa.message_priorities;
-    result.evaluations += hopa.iterations + 1;
-    return ctx.evaluate(cand);
+    // Every trial starts as a copy of `current`, so an unchanged round
+    // means `cand` is `current`, priorities included.
+    if (bound_eval && std::ranges::equal(cand.tdma.slots(), current.tdma.slots())) {
+      return *bound_eval;
+    }
+    HopaResult hopa = hopa_priorities(ctx, cand.tdma, options.hopa);
+    cand.process_priorities = std::move(hopa.process_priorities);
+    cand.message_priorities = std::move(hopa.message_priorities);
+    result.evaluations += hopa.runs;
+    return ctx.adopt(cand, std::move(hopa.mcs));
   };
 
   bool have_best = false;
@@ -100,13 +111,16 @@ OptimizeScheduleResult optimize_schedule(const MoveContext& ctx,
         const bool better_here =
             !best_here_eval || eval.delta < best_here_eval->delta;
         if (better_here) {
-          best_here = sized;
-          best_here_eval = eval;
+          best_here = std::move(sized);
+          best_here_eval = std::move(eval);
         }
       }
     }
     // Make the binding for this position permanent (S_i = S_best).
-    if (best_here) current = *best_here;
+    if (best_here) {
+      current = std::move(*best_here);
+      bound_eval = std::move(best_here_eval);
+    }
   }
 
   MCS_LOG(Info) << "optimize_schedule: " << result.evaluations

@@ -81,6 +81,9 @@ constexpr const char* kSpecContext = "campaign spec";
   // setup: SAS refines OS, SAR refines OR), falling back to the initial
   // straightforward genotype when no earlier strategy ran.
   core::Candidate sa_start = core::Candidate::initial(sys.app, sys.platform);
+  // OR's step 1 is OS under the same options on the same ctx, so an OS
+  // result already computed for this job is handed to OR, not recomputed.
+  std::optional<core::OptimizeScheduleResult> os_result;
 
   for (std::size_t si = 0; si < spec.strategies.size(); ++si) {
     cancel.throw_if_cancelled();
@@ -100,7 +103,7 @@ constexpr const char* kSpecContext = "campaign spec";
         break;
       }
       case Strategy::Os: {
-        const auto os = core::optimize_schedule(ctx, os_options);
+        const auto& os = os_result.emplace(core::optimize_schedule(ctx, os_options));
         outcome.schedulable = os.best_eval.schedulable;
         outcome.delta = os.best_eval.delta;
         outcome.s_total = os.best_eval.s_total;
@@ -109,7 +112,9 @@ constexpr const char* kSpecContext = "campaign spec";
         break;
       }
       case Strategy::Or: {
-        const auto orr = core::optimize_resources(ctx, or_options);
+        const auto orr = os_result
+                             ? core::optimize_resources(ctx, *os_result, or_options)
+                             : core::optimize_resources(ctx, or_options);
         outcome.schedulable = orr.best_eval.schedulable;
         outcome.delta = orr.best_eval.delta;
         outcome.s_total = orr.best_eval.s_total;

@@ -277,7 +277,9 @@ TEST_F(TrajectoryInvariance, Hopa) {
   EXPECT_EQ(a.message_priorities, b.message_priorities);
   EXPECT_EQ(a.delta.f1, b.delta.f1);
   EXPECT_EQ(a.delta.f2, b.delta.f2);
-  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.best_iteration, b.best_iteration);
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_TRUE(bit_identical(a.mcs, b.mcs));
   EXPECT_GT(on_->delta_stats().delta_runs, 0u);
 }
 

@@ -175,6 +175,23 @@ TEST(Campaign, OrStrategyRecordsOsStepBuffers) {
   }
 }
 
+TEST(Campaign, OrAfterOsMatchesOrAlone) {
+  // OR reuses the job's OS result as its step 1; the outcome must be the
+  // one OR computes on its own, evaluation count included.
+  CampaignSpec with_os = tiny_spec(2);
+  with_os.strategies = {Strategy::Sf, Strategy::Os, Strategy::Or};
+  CampaignSpec alone = tiny_spec(2);
+  alone.strategies = {Strategy::Sf, Strategy::Or};
+  const CampaignResult a = run_campaign(with_os);
+  const CampaignResult b = run_campaign(alone);
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (std::size_t j = 0; j < a.jobs.size(); ++j) {
+    ASSERT_EQ(a.jobs[j].outcomes.size(), 3u);
+    ASSERT_EQ(b.jobs[j].outcomes.size(), 2u);
+    expect_outcome_eq(a.jobs[j].outcomes[2], b.jobs[j].outcomes[1], j, 2);
+  }
+}
+
 TEST(CampaignSpecParser, ParsesEveryKey) {
   std::istringstream in(R"(# a comment
 name = my-campaign
