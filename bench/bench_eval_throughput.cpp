@@ -22,15 +22,12 @@
 //   mixed walk — every move kind, so TDMA/TTC moves interleave cold
 //                fallbacks with delta runs (speedup_delta_mixed).
 //
-// Each walk runs in four configurations: `seed` (Reference kernel, delta
-// off — the pre-SoA, pre-delta miss path this PR started from), `full`
-// (packed kernel, delta off), `delta` (packed kernel, delta on) and
-// `simd` (vectorized kernel, delta on — the current default).
+// Each walk runs in three configurations: `seed` (Reference kernel, delta
+// off — the pre-SoA, pre-delta miss path), `full` (Packed kernel, delta
+// off) and `delta` (Packed kernel, delta on — the current default).
 // speedup_local_vs_seed / speedup_mixed_vs_seed are the before/after
 // numbers for the miss path as a whole; speedup_delta_* isolate the delta
-// machinery against the already-packed full analysis; speedup_simd_*
-// isolate the vectorized kernels (+ candidate caching + copy-on-dirty
-// capture) against the packed-scalar delta path.
+// machinery against the already-packed full analysis.
 //
 // Emits BENCH_eval_throughput.json (consumed by CI as a perf artifact) and
 // fails loudly if any two paths disagree on any evaluation, making the
@@ -206,8 +203,8 @@ struct InstanceReport {
   std::size_t messages = 0;
   std::size_t visits = 0;
   ModeResult baseline, workspace, workspace_cache;
-  ModeResult local_seed, local_full, local_delta, local_simd;
-  ModeResult mixed_seed, mixed_full, mixed_delta, mixed_simd;
+  ModeResult local_seed, local_full, local_delta;
+  ModeResult mixed_seed, mixed_full, mixed_delta;
   double cache_hit_rate = 0.0;
   bool consistent = false;
 };
@@ -241,41 +238,32 @@ InstanceReport run_instance(const Instance& inst, std::size_t num_visits) {
                                core::AnalysisKernel::Reference);
   report.local_full = run_walk(inst, local_walk, core::DeltaMode::Off);
   report.local_delta = run_walk(inst, local_walk, core::DeltaMode::On);
-  report.local_simd = run_walk(inst, local_walk, core::DeltaMode::On,
-                               core::AnalysisKernel::Simd);
   report.mixed_seed = run_walk(inst, mixed_walk, core::DeltaMode::Off,
                                core::AnalysisKernel::Reference);
   report.mixed_full = run_walk(inst, mixed_walk, core::DeltaMode::Off);
   report.mixed_delta = run_walk(inst, mixed_walk, core::DeltaMode::On);
-  report.mixed_simd = run_walk(inst, mixed_walk, core::DeltaMode::On,
-                               core::AnalysisKernel::Simd);
 
   report.consistent = report.baseline.checksum == report.workspace.checksum &&
                       report.baseline.checksum == report.workspace_cache.checksum &&
                       report.local_seed.checksum == report.local_full.checksum &&
                       report.local_full.checksum == report.local_delta.checksum &&
-                      report.local_delta.checksum == report.local_simd.checksum &&
                       report.mixed_seed.checksum == report.mixed_full.checksum &&
-                      report.mixed_full.checksum == report.mixed_delta.checksum &&
-                      report.mixed_delta.checksum == report.mixed_simd.checksum;
+                      report.mixed_full.checksum == report.mixed_delta.checksum;
 
   std::printf(
       "%-14s %4zu procs %4zu msgs | baseline %9.0f/s | workspace %9.0f/s (%.2fx) "
       "| +cache %9.0f/s (%.2fx, %.0f%% hits) | miss-path local %.2fx vs seed "
-      "(delta %.2fx, simd %.2fx) mixed %.2fx vs seed (delta %.2fx, simd %.2fx) "
-      "| %s\n",
+      "(delta %.2fx) mixed %.2fx vs seed (delta %.2fx) | %s\n",
       inst.name.c_str(), report.processes, report.messages,
       report.baseline.evals_per_sec, report.workspace.evals_per_sec,
       report.workspace.evals_per_sec / report.baseline.evals_per_sec,
       report.workspace_cache.evals_per_sec,
       report.workspace_cache.evals_per_sec / report.baseline.evals_per_sec,
       100.0 * report.cache_hit_rate,
-      report.local_simd.evals_per_sec / report.local_seed.evals_per_sec,
+      report.local_delta.evals_per_sec / report.local_seed.evals_per_sec,
       report.local_delta.evals_per_sec / report.local_full.evals_per_sec,
-      report.local_simd.evals_per_sec / report.local_delta.evals_per_sec,
-      report.mixed_simd.evals_per_sec / report.mixed_seed.evals_per_sec,
+      report.mixed_delta.evals_per_sec / report.mixed_seed.evals_per_sec,
       report.mixed_delta.evals_per_sec / report.mixed_full.evals_per_sec,
-      report.mixed_simd.evals_per_sec / report.mixed_delta.evals_per_sec,
       report.consistent ? "results identical" : "RESULTS DIFFER");
   return report;
 }
@@ -357,27 +345,21 @@ int main() {
     append_mode(out, "miss_local_seed", r.local_seed, true);
     append_mode(out, "miss_local_full", r.local_full, true);
     append_mode(out, "miss_local_delta", r.local_delta, true);
-    append_mode(out, "miss_local_simd", r.local_simd, true);
     append_mode(out, "miss_mixed_seed", r.mixed_seed, true);
     append_mode(out, "miss_mixed_full", r.mixed_full, true);
     append_mode(out, "miss_mixed_delta", r.mixed_delta, true);
-    append_mode(out, "miss_mixed_simd", r.mixed_simd, true);
     out << "      \"speedup_workspace\": "
         << r.workspace.evals_per_sec / r.baseline.evals_per_sec
         << ",\n      \"speedup_total\": "
         << r.workspace_cache.evals_per_sec / r.baseline.evals_per_sec
         << ",\n      \"speedup_local_vs_seed\": "
-        << r.local_simd.evals_per_sec / r.local_seed.evals_per_sec
+        << r.local_delta.evals_per_sec / r.local_seed.evals_per_sec
         << ",\n      \"speedup_mixed_vs_seed\": "
-        << r.mixed_simd.evals_per_sec / r.mixed_seed.evals_per_sec
+        << r.mixed_delta.evals_per_sec / r.mixed_seed.evals_per_sec
         << ",\n      \"speedup_delta_local\": "
         << r.local_delta.evals_per_sec / r.local_full.evals_per_sec
         << ",\n      \"speedup_delta_mixed\": "
         << r.mixed_delta.evals_per_sec / r.mixed_full.evals_per_sec
-        << ",\n      \"speedup_simd_local\": "
-        << r.local_simd.evals_per_sec / r.local_delta.evals_per_sec
-        << ",\n      \"speedup_simd_mixed\": "
-        << r.mixed_simd.evals_per_sec / r.mixed_delta.evals_per_sec
         << ",\n      \"cache_hit_rate\": " << r.cache_hit_rate
         << ",\n      \"consistent\": " << (r.consistent ? "true" : "false")
         << "\n    }" << (i + 1 < reports.size() ? "," : "") << "\n";

@@ -18,19 +18,10 @@ MessageRoute classify_route(const model::Application& app,
   return MessageRoute::EtToTt;
 }
 
-bool simd_compiled() noexcept {
-#if defined(MCS_SIMD_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
 const char* kernel_name(AnalysisKernel kernel) noexcept {
   switch (kernel) {
-    case AnalysisKernel::Packed: return "packed-scalar";
+    case AnalysisKernel::Packed: return "packed";
     case AnalysisKernel::Reference: return "reference";
-    case AnalysisKernel::Simd: return "simd";
   }
   return "?";
 }

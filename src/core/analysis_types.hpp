@@ -37,30 +37,19 @@ enum class TtpQueueModel {
 };
 
 /// Which implementation runs the quadratic recurrence passes (ETC node
-/// interference, CAN arbitration).  All are bit-identical by contract;
+/// interference, CAN arbitration).  Both are bit-identical by contract;
 /// `tests/core/soa_layout_test.cpp` enforces it.
 enum class AnalysisKernel {
   /// Structure-of-arrays kernel: per-pool state gathered into contiguous
-  /// parallel arrays with precomputed interference-pair classes, so the
-  /// inner summations are branch-light and vectorizable.
+  /// parallel arrays with precomputed interference-pair classes, cached
+  /// candidate lists and intra-run fixed-point skips (see DESIGN.md §2).
   Packed,
   /// The original scalar reference implementation, kept as the oracle
   /// baseline for differential tests.
   Reference,
-  /// Packed layout + vectorized ceiling-sum recurrences: branch-free
-  /// magic-number division over aligned, padded lanes (see DESIGN.md §2).
-  /// Requires an MCS_SIMD build and magic-encodable periods; otherwise it
-  /// silently resolves to Packed (always built, bit-identical).
-  Simd,
 };
 
-/// True when the library was compiled with the MCS_SIMD CMake switch on
-/// (the vectorized kernels exist in this binary).
-[[nodiscard]] bool simd_compiled() noexcept;
-
-/// Human-readable kernel name ("simd" / "packed-scalar" / "reference") —
-/// names the *requested* kernel.  Whether Simd actually runs vectorized
-/// additionally depends on AnalysisWorkspace::simd_supported().
+/// Human-readable kernel name ("packed" / "reference").
 [[nodiscard]] const char* kernel_name(AnalysisKernel kernel) noexcept;
 
 struct AnalysisOptions {
@@ -71,7 +60,7 @@ struct AnalysisOptions {
 
   TtpQueueModel ttp_queue_model = TtpQueueModel::Exact;
 
-  AnalysisKernel kernel = AnalysisKernel::Simd;
+  AnalysisKernel kernel = AnalysisKernel::Packed;
 
   /// Adds the gateway transfer process response time r_T to the OutTTP
   /// arrival of ETC->TTC messages.  The paper's worked example does not

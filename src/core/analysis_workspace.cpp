@@ -198,55 +198,10 @@ void AnalysisWorkspace::build() {
   packed_scratch_.prio.resize(max_pool);
   packed_scratch_.mask.resize(max_pool);
   packed_scratch_.vis.resize(max_pool);
-  packed_scratch_.cand_j.resize(max_pool);
-  packed_scratch_.cand_phase.resize(max_pool);
+  packed_scratch_.cand_a.resize(max_pool);
   packed_scratch_.cand_period.resize(max_pool);
-  packed_scratch_.cand_span.resize(max_pool);
   packed_scratch_.cand_cost.resize(max_pool);
-  // SIMD lanes: the largest candidate list rounded up to a full padding
-  // block (padding lanes contribute 0 by construction).
-  const std::size_t lanes =
-      (max_pool + PackedScratch::kLaneWidth) & ~(PackedScratch::kLaneWidth - 1);
-  packed_scratch_.lane_a.resize(lanes);
-  packed_scratch_.lane_cost.resize(lanes);
-  packed_scratch_.lane_mul.resize(lanes);
-  packed_scratch_.lane_sh.resize(lanes);
   prio_changed_scratch_.resize(app.num_processes());
-
-  // Magic-division tables: every divisor the recurrences use is a pool
-  // member's period, known here.  A period outside the encodable range
-  // (< 2 or > 2^62, never seen from the generator but representable in
-  // the model) downgrades AnalysisKernel::Simd to the packed-scalar
-  // kernel for this workspace — correctness never depends on the tables.
-  simd_supported_ = true;
-  for (const ProcPool& pool : proc_pools_) {
-    for (const Time t : pool.period) {
-      if (!util::MagicDiv::supports(t)) simd_supported_ = false;
-    }
-  }
-  for (const Time t : can_pool_.period) {
-    if (!util::MagicDiv::supports(t)) simd_supported_ = false;
-  }
-  if (simd_supported_) {
-    for (ProcPool& pool : proc_pools_) {
-      const std::size_t n = pool.period.size();
-      pool.mg_mul.resize(n);
-      pool.mg_shift.resize(n);
-      for (std::size_t x = 0; x < n; ++x) {
-        const util::MagicDiv m = util::MagicDiv::make(pool.period[x]);
-        pool.mg_mul[x] = m.mul;
-        pool.mg_shift[x] = m.shift;
-      }
-    }
-    const std::size_t n = can_pool_.period.size();
-    can_pool_.mg_mul.resize(n);
-    can_pool_.mg_shift.resize(n);
-    for (std::size_t x = 0; x < n; ++x) {
-      const util::MagicDiv m = util::MagicDiv::make(can_pool_.period[x]);
-      can_pool_.mg_mul[x] = m.mul;
-      can_pool_.mg_shift[x] = m.shift;
-    }
-  }
 
   // Candidate-list caches: sized for their pools up front so the steady
   // state never allocates; built lazily by the kernels (valid = false).

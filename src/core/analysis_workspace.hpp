@@ -53,8 +53,6 @@
 #include "mcs/core/analysis_types.hpp"
 #include "mcs/model/process_graph.hpp"
 #include "mcs/sched/list_scheduler.hpp"
-#include "mcs/util/aligned.hpp"
-#include "mcs/util/magic_div.hpp"
 
 namespace mcs::core {
 
@@ -173,10 +171,6 @@ public:
     std::vector<util::Time> period;
     /// pair[i*n + j]: class of pool member j interfering with member i.
     std::vector<std::uint8_t> pair;
-    /// Magic-division constants of `period` (see util/magic_div.hpp);
-    /// populated only when simd_supported().
-    std::vector<std::uint64_t> mg_mul;
-    std::vector<std::uint32_t> mg_shift;
   };
 
   /// The CAN arbitration pool (all CAN-borne messages, pool order).
@@ -193,9 +187,6 @@ public:
     std::vector<std::uint8_t> interfere;
     /// block[m*n + k]: class of k blocking m (lp non-preemptive start).
     std::vector<std::uint8_t> block;
-    /// Magic-division constants of `period` (as in ProcPool).
-    std::vector<std::uint64_t> mg_mul;
-    std::vector<std::uint32_t> mg_shift;
   };
 
   [[nodiscard]] const std::vector<ProcPool>& proc_pools() const noexcept {
@@ -203,55 +194,38 @@ public:
   }
   [[nodiscard]] const CanPool& can_pool() const noexcept { return can_pool_; }
 
-  /// Reusable gather buffers for the packed kernels (sized to the largest
-  /// pool at build time; every array is 64-byte aligned and padded to a
-  /// kLaneWidth multiple so the SIMD inner loops run without a scalar
-  /// tail — see DESIGN.md §2 "Analysis kernels").
+  /// Reusable gather buffers for the packed kernel (sized to the largest
+  /// pool at build time; see DESIGN.md §2 "Analysis kernels").
   struct PackedScratch {
-    /// Lanes per padding block.  Covers AVX-512 (8 x u64 per vector) and
-    /// divides evenly into narrower widths; padding lanes are written as
-    /// {a=0, cost=0, mul=0, shift=0} so they contribute exactly 0 to the
-    /// ceiling-sum regardless of vector width.
-    static constexpr std::size_t kLaneWidth = 8;
-
-    util::AlignedVec<util::Time> o, e, j, w, r, d;
-    util::AlignedVec<Priority> prio;
-    util::AlignedVec<std::uint8_t> mask;  ///< pass-2 recompute mask (1 = recompute)
+    std::vector<util::Time> o, e, j, w, r, d;
+    std::vector<Priority> prio;
+    std::vector<std::uint8_t> mask;  ///< pass-2 recompute mask (1 = recompute)
     /// Pool-local "visibly changed since the previous pass" flags of the
     /// intra-run fixed-point skip (inputs changed this pass, or outputs
     /// changed during the previous pass).
-    util::AlignedVec<std::uint8_t> vis;
+    std::vector<std::uint8_t> vis;
     /// Per-member compacted interference candidates.  The pruning
     /// predicates and each candidate's phase/span never read the member's
-    /// iterated w (its own window anchors are hoisted), so the kernels
-    /// resolve them ONCE per member and the w-recurrence reduces to a
-    /// tight ceiling-sum over these parallel arrays.
-    util::AlignedVec<util::Time> cand_j, cand_phase, cand_period, cand_span,
-        cand_cost;
-    /// SIMD lane arrays of the vectorized ceiling-sum: per candidate the
-    /// w-independent addend a = J_i + J_j - phase_j, the preemption cost,
-    /// and the magic-division constants of its period.  All lane math is
-    /// uint64 (two's-complement wraparound, no signed-overflow UB).
-    util::AlignedVec<std::uint64_t> lane_a, lane_cost, lane_mul, lane_sh;
+    /// iterated w (its own window anchors are hoisted), so the kernel
+    /// resolves them ONCE per member and the w-recurrence reduces to a
+    /// tight ceiling-sum over these parallel arrays: the w-independent
+    /// addend a = J_x + J_j - phase_j, the period and the cost.
+    std::vector<util::Time> cand_a, cand_period, cand_cost;
 
     /// Total heap bytes currently reserved by the scratch arrays; the
     /// memory-stability test asserts this stops growing after warmup.
     [[nodiscard]] std::size_t footprint_bytes() const noexcept {
       return (o.capacity() + e.capacity() + j.capacity() + w.capacity() +
-              r.capacity() + d.capacity() + cand_j.capacity() +
-              cand_phase.capacity() + cand_period.capacity() +
-              cand_span.capacity() + cand_cost.capacity()) *
+              r.capacity() + d.capacity() + cand_a.capacity() +
+              cand_period.capacity() + cand_cost.capacity()) *
                  sizeof(util::Time) +
-             (lane_a.capacity() + lane_cost.capacity() + lane_mul.capacity() +
-              lane_sh.capacity()) *
-                 sizeof(std::uint64_t) +
              prio.capacity() * sizeof(Priority) + mask.capacity() +
              vis.capacity();
     }
   };
   [[nodiscard]] PackedScratch& packed_scratch() noexcept { return packed_scratch_; }
 
-  // --- intra-run fixed-point skip bookkeeping (SIMD pass-2 kernel) ------
+  // --- intra-run fixed-point skip bookkeeping (packed pass-2 kernel) ----
   // Per-process values {o,e,j,r} as last seen by pass 2 within the current
   // analysis run, plus a flags byte (bit0 = outputs changed during the
   // previous pass, bit1 = outputs changed during the current pass).  A
@@ -259,7 +233,7 @@ public:
   // since the previous pass is already at its fixed point: recomputing
   // would evaluate the ceiling-sum once, observe next <= w, and keep w —
   // so the kernel skips the gather entirely.  Valid per pool only after
-  // the SIMD kernel has run a full bookkeeping pass in this analysis run.
+  // the packed kernel has run a full bookkeeping pass in this analysis run.
   [[nodiscard]] std::vector<util::Time>& intra_o() noexcept { return intra_o_; }
   [[nodiscard]] std::vector<util::Time>& intra_e() noexcept { return intra_e_; }
   [[nodiscard]] std::vector<util::Time>& intra_j() noexcept { return intra_j_; }
@@ -377,21 +351,6 @@ public:
     std::size_t total = packed_scratch_.footprint_bytes();
     for (const CandidateCache& c : proc_cand_cache_) total += c.footprint_bytes();
     return total + can_cand_cache_.footprint_bytes();
-  }
-
-  /// True when every pool period (and the divergence cap) fits the
-  /// branch-free magic-division encoding; decided once at build time.
-  /// False downgrades AnalysisKernel::Simd to the packed-scalar kernel.
-  [[nodiscard]] bool simd_supported() const noexcept { return simd_supported_; }
-
-  /// Name of the kernel that actually runs when `requested` is asked for
-  /// ("simd" only under an MCS_SIMD build with simd_supported()).
-  [[nodiscard]] const char* active_kernel_name(AnalysisKernel requested) const noexcept {
-    if (requested == AnalysisKernel::Simd &&
-        !(simd_compiled() && simd_supported_)) {
-      return kernel_name(AnalysisKernel::Packed);
-    }
-    return kernel_name(requested);
   }
 
   // --- reusable fixed-point state -------------------------------------
@@ -564,7 +523,6 @@ private:
   PackedScratch packed_scratch_;
   std::vector<CandidateCache> proc_cand_cache_;
   CandidateCache can_cand_cache_;
-  bool simd_supported_ = false;
 
   std::vector<util::Time> intra_o_, intra_e_, intra_j_, intra_r_;
   std::vector<std::uint8_t> intra_flags_;

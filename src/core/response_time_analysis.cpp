@@ -90,11 +90,6 @@ struct Ctx {
   int diverged = 0;
   bool changed = false;  ///< any state value grew in the current pass
 
-  /// Kernel that actually runs: AnalysisKernel::Simd downgrades to Packed
-  /// when the vectorized kernels are not compiled in or the workspace's
-  /// periods are not magic-encodable.  Resolved once per call.
-  AnalysisKernel eff_kernel = AnalysisKernel::Packed;
-
   /// Copy-on-dirty equality induction (DESIGN.md §2): entering_equal
   /// asserts the full state at the TOP of the current iteration bit-equals
   /// the base run's (anchored on the zeroed initial state + a memoized
@@ -263,11 +258,8 @@ void raise(Ctx& ctx, Time& slot, Time value) {
 /// members in between — those paths re-arm the graph's activity byte.
 void propagate(Ctx& ctx, State& s) {
   const Application& app = ctx.app;
-  // Only the SIMD kernels maintain the re-arm bookkeeping (change flags
-  // at writeback, compare-and-mark replays); the packed/reference paths
-  // write state without tracking, so they always sweep fully — which
-  // also keeps the differential oracle's reference side trivially exact.
-  const bool allow_skip = ctx.eff_kernel == AnalysisKernel::Simd;
+  // The Reference kernel does not re-arm graphs, so it always sweeps.
+  const bool allow_skip = ctx.opt.kernel != AnalysisKernel::Reference;
   std::uint8_t* active = ctx.ws.p1_active().data();
   for (std::size_t gi = 0; gi < ctx.topo.size(); ++gi) {
     if (allow_skip && active[gi] == 0) {
@@ -479,96 +471,7 @@ void pass2_pool_reference(Ctx& ctx, State& s,
   }
 }
 
-/// Packed kernel: pool state gathered into contiguous scratch arrays, the
-/// pruning predicates' static parts resolved to one pair-class byte, and
-/// the window anchors of the CURRENT member hoisted out of the recurrence
-/// (its own o/e/j/w/r only change after its recurrence finishes, so they
-/// are loop-invariant).  Bit-identical to the reference kernel.
-void pass2_pool_packed(Ctx& ctx, State& s,
-                       const AnalysisWorkspace::ProcPool& pool,
-                       const std::uint8_t* mask, const PassSnapshot* snap,
-                       PassSnapshot* cap) {
-  const std::size_t n = pool.pids.size();
-  AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    ps.o[x] = s.o_p[pi];
-    ps.e[x] = s.e_p[pi];
-    ps.j[x] = s.j_p[pi];
-    ps.w[x] = s.w_p[pi];
-    ps.r[x] = s.r_p[pi];
-    ps.prio[x] = ctx.cfg.process_priority(pool.pids[x]);
-  }
-  const bool prune = ctx.opt.offset_pruning;
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    if (mask != nullptr && mask[x] == 0) {
-      // Replay through the scratch slot so later recomputing members read
-      // the replayed values, exactly as they would read raised state.
-      raise(ctx, ps.w[x], snap->end.w_p[pi]);
-      raise(ctx, ps.r[x], snap->end.r_p[pi]);
-      ctx.diverged += snap->p2_div[pi];
-      if (cap != nullptr) cap->p2_div[pi] = snap->p2_div[pi];
-      continue;
-    }
-    const int div_before = ctx.diverged;
-    const Time c_i = pool.wcet[x];
-    const std::uint8_t* pair = pool.pair.data() + x * n;
-    const Time latest_x = ps.o[x] + ps.j[x] + std::max(ps.w[x], c_i);
-    // The pruning predicates and each survivor's phase/span never read the
-    // iterated w, so the candidate set is resolved once and the recurrence
-    // below is a straight ceiling-sum over the compact arrays.
-    std::size_t m = 0;
-    for (std::size_t jj = 0; jj < n; ++jj) {
-      if (jj == x) continue;
-      if (!(ps.prio[jj] < ps.prio[x])) continue;
-      if (prune) {
-        const std::uint8_t cls = pair[jj];
-        if (cls == AnalysisWorkspace::kPairPruned) continue;
-        if (cls == AnalysisWorkspace::kPairWindow) {
-          if (ps.o[jj] + ps.r[jj] <= ps.e[x]) continue;
-          if (ps.e[jj] >= latest_x) continue;
-        }
-      }
-      ps.cand_j[m] = ps.j[jj];
-      ps.cand_phase[m] = relative_phase(ps.o[jj], ps.o[x], pool.period[jj]);
-      ps.cand_period[m] = pool.period[jj];
-      ps.cand_span[m] = ps.j[jj] + std::max(ps.w[jj], pool.wcet[jj]);
-      ps.cand_cost[m] = pool.wcet[jj];
-      ++m;
-    }
-    Time w = std::max(ps.w[x], c_i);
-    for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
-      Time next = c_i;
-      for (std::size_t i = 0; i < m; ++i) {
-        next += interfering_activations(w, ps.j[x], ps.cand_j[i],
-                                        ps.cand_phase[i], ps.cand_period[i],
-                                        ps.cand_span[i]) *
-                ps.cand_cost[i];
-      }
-      if (next > ctx.cap) {
-        next = ctx.cap;
-        ++ctx.diverged;
-      }
-      if (next <= w) break;
-      w = next;
-    }
-    raise(ctx, ps.w[x], w);
-    raise(ctx, ps.r[x], ps.j[x] + ps.w[x]);
-    if (cap != nullptr) {
-      cap->p2_div[pi] = static_cast<std::int32_t>(ctx.diverged - div_before);
-    }
-  }
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    s.w_p[pi] = ps.w[x];
-    s.r_p[pi] = ps.r[x];
-  }
-}
-
-#if defined(MCS_SIMD_ENABLED)
-
-/// Refreshes one pool's cached candidate lists (tentpole 2).  The static
+/// Refreshes one pool's cached candidate lists.  The static
 /// candidate relation of member x — "jj != x and prio(jj) < prio(x)",
 /// annotated with the baked pair class — depends only on the priority
 /// vector, so the lists survive every evaluation that leaves this pool's
@@ -629,28 +532,80 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
   cc.valid = true;
 }
 
-/// Vectorized pass-2 kernel (tentpole 1).  Same structure as the packed
-/// kernel, with three changes: the candidate scan starts from the cached
-/// priority-compacted list, the per-candidate ceiling division uses the
-/// precomputed magic constants, and the recurrence body is a branch-free
-/// ceiling-sum over aligned, padded uint64 lanes:
-///
-///   lane_a[i]    = J_x + J_j - phase_j   (the w-independent addend)
-///   lane_cost[i] = C_j
-///   lane_mul/sh  = magic-division constants of T_j
-///   x    = w + a[i]                      (uint64; wraps == int64 bits)
-///   q    = magic_floor_div(x)            (exact for all x < 2^64)
-///   sum += ((q + 1) & nonneg_mask(x)) * cost[i]
-///
-/// The carry-in term of interfering_activations never reads the iterated
-/// w, so it is hoisted into a scalar added once per iteration.  Padding
-/// lanes are {a=0, cost=0, mul=0, sh=0} and contribute exactly 0.  All
-/// lane arithmetic is unsigned (no signed-overflow UB) and associative
-/// mod 2^64, so lane order cannot change the sum: bit-identical to the
-/// scalar kernels by construction, enforced by soa_layout_test.
-void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
-                     std::size_t pool_index, const std::uint8_t* mask,
-                     const PassSnapshot* snap, PassSnapshot* cap) {
+/// An intra-run skip must reproduce the divergence count of the recompute
+/// it elides, so a member only skips when that recompute would clamp
+/// nothing: its recurrence starts below the cap (so a fixed point is
+/// confirmed, not clamped) and its response raise stays within the cap.
+/// Pass 2 raises r to J + w.
+[[nodiscard]] bool proc_skip_clamp_free(const Ctx& ctx, Time j, Time w) {
+  return w != ctx.cap && j + w <= ctx.cap;
+}
+
+/// CAN pass: r is raised to J + w + C and, except for ET->TT messages
+/// (whose d the OutTTP drain owns), d to O + r.  At a confirmed fixed
+/// point r already covers J + w + C, so O + r is the d raise target.
+[[nodiscard]] bool can_skip_clamp_free(const Ctx& ctx, Time o, Time j, Time w,
+                                       Time r, Time tx, bool et_to_tt) {
+  return w != ctx.cap && j + w + tx <= ctx.cap && (et_to_tt || o + r <= ctx.cap);
+}
+
+/// Appends interferer j to member x's compact candidate arrays.  The
+/// carry-in term of interfering_activations never reads the iterated w,
+/// so it is summed once into `carry`; the rest of the term is stored as
+/// the w-independent addend a = J_x + J_j - phase_j, the period and the
+/// cost.
+void push_candidate(AnalysisWorkspace::PackedScratch& ps, std::size_t& m,
+                    Time& carry, Time j_x, Time o_x, Time o_j, Time j_j,
+                    Time span_j, Time t_j, Time c_j) {
+  const Time phase = relative_phase(o_j, o_x, t_j);
+  const Time distance = (phase == 0) ? t_j : t_j - phase;
+  if (span_j + j_x > distance) {
+    carry += util::ceil_div(span_j + j_x - distance, t_j) * c_j;
+  }
+  ps.cand_a[m] = j_x + j_j - phase;
+  ps.cand_period[m] = t_j;
+  ps.cand_cost[m] = c_j;
+  ++m;
+}
+
+/// Iterates w = base + sum_i (w + a_i < 0 ? 0 : (w + a_i) / T_i + 1) * C_i
+/// over the first `m` candidates from `w` up to its least fixed point
+/// (clamped at the divergence cap), exactly like the Reference recurrence.
+[[nodiscard]] Time ceiling_sum_fixed_point(Ctx& ctx,
+                                           const AnalysisWorkspace::PackedScratch& ps,
+                                           std::size_t m, Time base, Time w) {
+  const Time* a = ps.cand_a.data();
+  const Time* period = ps.cand_period.data();
+  const Time* cost = ps.cand_cost.data();
+  for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
+    Time next = base;
+    for (std::size_t i = 0; i < m; ++i) {
+      const Time x = w + a[i];
+      if (x >= 0) next += (x / period[i] + 1) * cost[i];
+    }
+    if (next > ctx.cap) {
+      next = ctx.cap;
+      ++ctx.diverged;
+    }
+    if (next <= w) break;
+    w = next;
+  }
+  return w;
+}
+
+/// Packed pass-2 kernel: pool state gathered into contiguous scratch
+/// arrays, the pruning predicates' static parts resolved to one pair-class
+/// byte, and the window anchors of the CURRENT member hoisted out of the
+/// recurrence (its own o/e/j/w/r only change after its recurrence
+/// finishes).  The candidate scan starts from the cached
+/// priority-compacted list, members at a confirmed intra-run fixed point
+/// are skipped, and the recurrence is ceiling_sum_fixed_point over the
+/// surviving candidates.  Splitting off the carry-in only regroups an
+/// exact integer sum, so the result is bit-identical to the Reference
+/// kernel (enforced by soa_layout_test).
+void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
+                       std::size_t pool_index, const std::uint8_t* mask,
+                       const PassSnapshot* snap, PassSnapshot* cap) {
   const std::size_t n = pool.pids.size();
   constexpr std::uint8_t kOutPrev = 1, kOutCur = 2;
   // Whole-pool fast path: when every member's pass-1 inputs are unchanged
@@ -673,7 +628,8 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
       const std::size_t pi = pool.pids[x].index();
       all_quiet = s.o_p[pi] == ipo[pi] && s.e_p[pi] == ipe[pi] &&
                   s.j_p[pi] == ipj[pi] && s.r_p[pi] == ipr[pi] &&
-                  intra[pi] == 0 && s.w_p[pi] != ctx.cap;
+                  intra[pi] == 0 &&
+                  proc_skip_clamp_free(ctx, s.j_p[pi], s.w_p[pi]);
     }
     if (all_quiet) {
       ctx.ws.delta_stats().intra_skips += n;
@@ -711,7 +667,7 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
   // the member's own w), and whose whole candidate read set is likewise
   // quiescent, is already at its fixed point — recomputing would evaluate
   // the ceiling-sum once with identical inputs, observe next <= w, and
-  // keep w with zero new divergences (guaranteed by w < cap, checked).
+  // keep w with zero new divergences (proc_skip_clamp_free, checked).
   // `vis[x]` = inputs changed this pass OR outputs changed last pass;
   // kCur marks outputs changed DURING this pass, set before any later
   // pool-order member consults it, mirroring the Gauss-Seidel order of a
@@ -723,7 +679,7 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
   Time* ipr = ctx.ws.intra_r().data();
   std::uint8_t& pool_valid = ctx.ws.intra_pool_valid(pool_index);
   const bool intra_ok = pool_valid != 0;
-  util::AlignedVec<std::uint8_t>& vis = ps.vis;
+  std::vector<std::uint8_t>& vis = ps.vis;
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
     // r is both raised by pass 1 (jitter propagation) and read by the
@@ -757,7 +713,7 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
       if (cap != nullptr) cap->p2_div[pi] = snap->p2_div[pi];
       continue;
     }
-    if (intra_ok && vis[x] == 0 && ps.w[x] != ctx.cap &&
+    if (intra_ok && vis[x] == 0 && proc_skip_clamp_free(ctx, ps.j[x], ps.w[x]) &&
         min_changed >= ps.prio[x]) {
       // No dirty candidate (all candidates have strictly lower priority
       // values), own inputs and outputs quiet: cap->p2_div[pi] stays 0
@@ -785,55 +741,12 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
           if (ps.e[jj] >= latest_x) continue;
         }
       }
-      const Time tj = pool.period[jj];
-      const util::MagicDiv mg{pool.mg_mul[jj], pool.mg_shift[jj]};
-      const Time phase = mg.floor_mod(ps.o[jj] - ps.o[x], tj);
-      const Time span = ps.j[jj] + std::max(ps.w[jj], pool.wcet[jj]);
-      // Hoisted carry-in (w-invariant part of interfering_activations).
-      const Time distance = (phase == 0) ? tj : tj - phase;
-      if (span + j_x > distance) {
-        const auto num = static_cast<std::uint64_t>(span + j_x - distance + tj - 1);
-        carry_total += static_cast<Time>(mg.divide(num)) * pool.wcet[jj];
-      }
-      ps.lane_a[m] = static_cast<std::uint64_t>(j_x + ps.j[jj] - phase);
-      ps.lane_cost[m] = static_cast<std::uint64_t>(pool.wcet[jj]);
-      ps.lane_mul[m] = pool.mg_mul[jj];
-      ps.lane_sh[m] = pool.mg_shift[jj];
-      ++m;
+      push_candidate(ps, m, carry_total, j_x, ps.o[x], ps.o[jj], ps.j[jj],
+                     ps.j[jj] + std::max(ps.w[jj], pool.wcet[jj]),
+                     pool.period[jj], pool.wcet[jj]);
     }
-    constexpr std::size_t kW = AnalysisWorkspace::PackedScratch::kLaneWidth;
-    const std::size_t mp = (m + kW - 1) & ~(kW - 1);
-    for (std::size_t i = m; i < mp; ++i) {
-      ps.lane_a[i] = 0;
-      ps.lane_cost[i] = 0;
-      ps.lane_mul[i] = 0;
-      ps.lane_sh[i] = 0;
-    }
-    const std::uint64_t* lane_a = ps.lane_a.data();
-    const std::uint64_t* lane_cost = ps.lane_cost.data();
-    const std::uint64_t* lane_mul = ps.lane_mul.data();
-    const std::uint64_t* lane_sh = ps.lane_sh.data();
-    Time w = std::max(ps.w[x], c_i);
-    for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
-      const auto wu = static_cast<std::uint64_t>(w);
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < mp; ++i) {
-        const std::uint64_t xv = wu + lane_a[i];
-        const std::uint64_t hi = util::mulhi_u64_limbs(xv, lane_mul[i]);
-        const std::uint64_t q = (((xv - hi) >> 1) + hi) >> lane_sh[i];
-        const std::uint64_t nonneg =
-            ~static_cast<std::uint64_t>(static_cast<std::int64_t>(xv) >> 63);
-        acc += ((q + 1) & nonneg) * lane_cost[i];
-      }
-      Time next = static_cast<Time>(
-          static_cast<std::uint64_t>(c_i + carry_total) + acc);
-      if (next > ctx.cap) {
-        next = ctx.cap;
-        ++ctx.diverged;
-      }
-      if (next <= w) break;
-      w = next;
-    }
+    const Time w = ceiling_sum_fixed_point(ctx, ps, m, c_i + carry_total,
+                                           std::max(ps.w[x], c_i));
     raise(ctx, ps.w[x], w);
     raise(ctx, ps.r[x], j_x + ps.w[x]);
     if (ps.w[x] != s.w_p[pi] || ps.r[x] != s.r_p[pi]) {
@@ -866,8 +779,6 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
   pool_valid = 1;
 }
 
-#endif  // MCS_SIMD_ENABLED
-
 /// Pass-2 driver: per pool, computes the recompute mask from the base
 /// snapshot (nullptr snap = cold: recompute everything) and dispatches to
 /// the selected kernel.
@@ -891,9 +802,9 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
     bool any_dirty = true;
     bool settled = prev != nullptr;
     if (snap != nullptr) {
-      util::AlignedVec<std::uint8_t>& buf = ctx.ws.packed_scratch().mask;
+      std::vector<std::uint8_t>& buf = ctx.ws.packed_scratch().mask;
       any_dirty = false;
-      // Refined mask (SIMD kernel only): the cached per-member lists ARE
+      // Refined mask (Packed kernel only): the cached per-member lists ARE
       // the exact read set of pass 2 — the kernel reads {o,e,j,w,r} of
       // precisely the listed members (pruned and window entries included,
       // since their dynamic predicates read o/r/e, all covered by the
@@ -913,7 +824,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       // readers consult it.  More than 16 priority changes (or a cold
       // cache) falls back to the coarser priority-band rule below.
       bool refine = false;
-#if defined(MCS_SIMD_ENABLED)
       const AnalysisWorkspace::CandidateCache& cc =
           ctx.ws.proc_cand_cache(pool_index);
       // Members whose priority differs from the cache fingerprint / from
@@ -923,7 +833,7 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       std::size_t base_changed[16];
       std::size_t n_cache_changed = 0;
       std::size_t n_base_changed = 0;
-      if (ctx.eff_kernel == AnalysisKernel::Simd && cc.valid) {
+      if (ctx.opt.kernel != AnalysisKernel::Reference && cc.valid) {
         refine = true;
         const bool have_base = delta != nullptr &&
                                delta->proc_prio_changed != nullptr &&
@@ -947,7 +857,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
           }
         }
       }
-#endif
       Priority p_star = 0;
       for (std::size_t x = 0; x < n; ++x) {
         const std::size_t pi = pool.pids[x].index();
@@ -966,7 +875,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
             (*delta->proc_prio_changed)[pi] != 0) {
           dirty = true;
         }
-#if defined(MCS_SIMD_ENABLED)
         if (refine && !dirty && (n_cache_changed + n_base_changed) != 0) {
           const Priority cur = ctx.cfg.process_priority(pool.pids[x]);
           // Stale cached row (the closure may not consult it).
@@ -992,7 +900,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
             }
           }
         }
-#endif
         buf[x] = dirty ? 1 : 0;
         if (dirty) {
           if (!refine) {
@@ -1010,7 +917,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
         }
       }
       if (any_dirty) {
-#if defined(MCS_SIMD_ENABLED)
         if (refine) {
           ++ctx.ws.delta_stats().mask_refinements;
           for (std::size_t t = 0; t < n; ++t) {
@@ -1025,9 +931,7 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
               }
             }
           }
-        } else
-#endif
-        {
+        } else {
           for (std::size_t x = 0; x < n; ++x) {
             if (buf[x] == 0 &&
                 ctx.cfg.process_priority(pool.pids[x]) > p_star) {
@@ -1063,16 +967,9 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       }
       continue;
     }
-#if defined(MCS_SIMD_ENABLED)
-    if (ctx.eff_kernel == AnalysisKernel::Simd) {
-      pass2_pool_simd(ctx, s, pool, pool_index, mask, snap, cap);
-    } else
-#endif
-    if (ctx.eff_kernel != AnalysisKernel::Reference) {
-      ctx.ws.intra_pool_valid(pool_index) = 0;
-      pass2_pool_packed(ctx, s, pool, mask, snap, cap);
+    if (ctx.opt.kernel != AnalysisKernel::Reference) {
+      pass2_pool_packed(ctx, s, pool, pool_index, mask, snap, cap);
     } else {
-      ctx.ws.intra_pool_valid(pool_index) = 0;
       pass2_pool_reference(ctx, s, pool, mask, snap, cap);
     }
     // Copy-on-dirty: recomputed members must land exactly on the base
@@ -1131,107 +1028,15 @@ void can_message_recurrences(Ctx& ctx, State& s) {
   }
 }
 
-/// Packed CAN kernel: same gather/hoist treatment as pass 2, with both
-/// the hp-interference and lp-blocking predicates resolved through the
-/// precomputed pair-class matrices.  Bit-identical to the reference.
+/// Packed CAN kernel: the pass-2 treatment (gathered scratch, hoisted
+/// window anchors, intra-run skips, the same ceiling-sum) with cached
+/// candidate AND blocking lists, both keyed on the message priority
+/// vector and resolved through the precomputed pair-class matrices.
 void can_recurrences_packed(Ctx& ctx, State& s) {
   const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
   const std::size_t n = cp.mids.size();
-  AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t mi = cp.mids[x].index();
-    ps.o[x] = s.o_m[mi];
-    ps.e[x] = s.e_m[mi];
-    ps.j[x] = s.j_m[mi];
-    ps.w[x] = s.w_m[mi];
-    ps.d[x] = s.d_m[mi];
-    ps.prio[x] = ctx.cfg.message_priority(cp.mids[x]);
-  }
-  const bool prune = ctx.opt.offset_pruning;
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::uint8_t* interfere = cp.interfere.data() + x * n;
-    const std::uint8_t* block_cls = cp.block.data() + x * n;
-    // m's own o/e/j/w only change after its recurrence: hoist the window
-    // anchors.
-    const Time latest_x = ps.o[x] + ps.j[x] + ps.w[x] + cp.tx[x];
-    const Time arrival_x = ps.o[x] + ps.j[x];
-    // Neither the blocking term nor the interference candidate set reads
-    // the iterated w (every predicate input is fixed during this member's
-    // recurrence), so both are resolved once up front: blocking to a
-    // scalar, the hp survivors to compact arrays.
-    Time blocking = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k == x) continue;
-      if (ps.prio[k] < ps.prio[x]) continue;  // k is hp
-      if (prune) {
-        const std::uint8_t cls = block_cls[k];
-        if (cls == AnalysisWorkspace::kPairPruned) continue;
-        if (cls == AnalysisWorkspace::kPairWindow) {
-          if (ps.e[k] >= arrival_x) continue;
-          if (ps.d[k] <= ps.e[x]) continue;
-        }
-      }
-      blocking = std::max(blocking, cp.tx[k]);
-    }
-    std::size_t m = 0;
-    for (std::size_t jj = 0; jj < n; ++jj) {
-      if (jj == x) continue;
-      if (!(ps.prio[jj] < ps.prio[x])) continue;
-      if (prune) {
-        const std::uint8_t cls = interfere[jj];
-        if (cls == AnalysisWorkspace::kPairPruned) continue;
-        if (cls == AnalysisWorkspace::kPairWindow) {
-          if (ps.d[jj] <= ps.e[x]) continue;
-          if (ps.e[jj] >= latest_x) continue;
-        }
-      }
-      ps.cand_j[m] = ps.j[jj];
-      ps.cand_phase[m] = relative_phase(ps.o[jj], ps.o[x], cp.period[jj]);
-      ps.cand_period[m] = cp.period[jj];
-      ps.cand_span[m] = ps.j[jj] + ps.w[jj] + cp.tx[jj];
-      ps.cand_cost[m] = cp.tx[jj];
-      ++m;
-    }
-    Time w = ps.w[x];
-    for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
-      Time next = blocking;
-      for (std::size_t i = 0; i < m; ++i) {
-        next += interfering_activations(w, ps.j[x], ps.cand_j[i],
-                                        ps.cand_phase[i], ps.cand_period[i],
-                                        ps.cand_span[i]) *
-                ps.cand_cost[i];
-      }
-      if (next > ctx.cap) {
-        next = ctx.cap;
-        ++ctx.diverged;
-      }
-      if (next <= w) break;
-      w = next;
-    }
-    raise(ctx, ps.w[x], w);
-    const std::size_t mi = cp.mids[x].index();
-    raise(ctx, s.r_m[mi], ps.j[x] + ps.w[x] + cp.tx[x]);
-    if (cp.is_et_to_tt[x] == 0) {
-      raise(ctx, ps.d[x], ps.o[x] + s.r_m[mi]);
-    }
-  }
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t mi = cp.mids[x].index();
-    s.w_m[mi] = ps.w[x];
-    s.d_m[mi] = ps.d[x];
-  }
-}
-
-#if defined(MCS_SIMD_ENABLED)
-
-/// Vectorized CAN kernel: the packed kernel with cached candidate AND
-/// blocking lists (both keyed on the message priority vector) and the
-/// same branch-free magic-division ceiling-sum as pass2_pool_simd.
-void can_recurrences_simd(Ctx& ctx, State& s) {
-  const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
-  const std::size_t n = cp.mids.size();
   constexpr std::uint8_t kOutPrev = 1, kOutCur = 2;
-  // Whole-bus fast path, mirroring pass2_pool_simd: all read sets (hp
+  // Whole-bus fast path, mirroring pass2_pool_packed: all read sets (hp
   // interference + lp blocking lists) live inside the bus pool, so a
   // fully quiet pool skips every member and the body can be elided.
   if (ctx.ws.intra_can_valid() != 0) {
@@ -1248,7 +1053,9 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
       all_quiet = s.o_m[mi] == imo[mi] && s.e_m[mi] == ime[mi] &&
                   s.j_m[mi] == imj[mi] && s.w_m[mi] == imw[mi] &&
                   s.d_m[mi] == imd[mi] && s.r_m[mi] == imr[mi] &&
-                  intra[mi] == 0 && s.w_m[mi] != ctx.cap;
+                  intra[mi] == 0 &&
+                  can_skip_clamp_free(ctx, s.o_m[mi], s.j_m[mi], s.w_m[mi],
+                                      s.r_m[mi], cp.tx[x], cp.is_et_to_tt[x] != 0);
     }
     if (all_quiet) {
       ctx.ws.delta_stats().intra_skips += n;
@@ -1295,7 +1102,7 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
   // this run and whose whole read set — hp interference candidates
   // ({o,e,j,w,d}) AND lp blocking candidates ({e,d}) — is quiescent is
   // already at its fixed point; recomputing would confirm next <= w with
-  // zero divergences (guaranteed by w < cap) and every raise would be a
+  // zero divergences (can_skip_clamp_free) and every raise would be a
   // no-op.  r counts as an input because pass 1 raises it (sender r_p
   // propagation) and the member's own d raise reads it.
   std::uint8_t* intra = ctx.ws.intra_m_flags().data();
@@ -1307,7 +1114,7 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
   Time* imr = ctx.ws.intra_m_r().data();
   std::uint8_t& can_valid = ctx.ws.intra_can_valid();
   const bool intra_ok = can_valid != 0;
-  util::AlignedVec<std::uint8_t>& vis = ps.vis;
+  std::vector<std::uint8_t>& vis = ps.vis;
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t mi = cp.mids[x].index();
     const bool in_changed = !intra_ok || ps.o[x] != imo[mi] ||
@@ -1328,7 +1135,10 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
   DeltaStats& dstats = ctx.ws.delta_stats();
   const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
-    if (intra_ok && vis[x] == 0 && ps.w[x] != ctx.cap && num_dirty == 0) {
+    if (intra_ok && vis[x] == 0 && num_dirty == 0 &&
+        can_skip_clamp_free(ctx, ps.o[x], ps.j[x], ps.w[x],
+                            s.r_m[cp.mids[x].index()], cp.tx[x],
+                            cp.is_et_to_tt[x] != 0)) {
       ++dstats.intra_skips;
       continue;
     }
@@ -1369,54 +1179,11 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
           if (ps.e[jj] >= latest_x) continue;
         }
       }
-      const Time tj = cp.period[jj];
-      const util::MagicDiv mg{cp.mg_mul[jj], cp.mg_shift[jj]};
-      const Time phase = mg.floor_mod(ps.o[jj] - ps.o[x], tj);
-      const Time span = ps.j[jj] + ps.w[jj] + cp.tx[jj];
-      const Time distance = (phase == 0) ? tj : tj - phase;
-      if (span + j_x > distance) {
-        const auto num = static_cast<std::uint64_t>(span + j_x - distance + tj - 1);
-        carry_total += static_cast<Time>(mg.divide(num)) * cp.tx[jj];
-      }
-      ps.lane_a[m] = static_cast<std::uint64_t>(j_x + ps.j[jj] - phase);
-      ps.lane_cost[m] = static_cast<std::uint64_t>(cp.tx[jj]);
-      ps.lane_mul[m] = cp.mg_mul[jj];
-      ps.lane_sh[m] = cp.mg_shift[jj];
-      ++m;
+      push_candidate(ps, m, carry_total, j_x, ps.o[x], ps.o[jj], ps.j[jj],
+                     ps.j[jj] + ps.w[jj] + cp.tx[jj], cp.period[jj], cp.tx[jj]);
     }
-    constexpr std::size_t kW = AnalysisWorkspace::PackedScratch::kLaneWidth;
-    const std::size_t mp = (m + kW - 1) & ~(kW - 1);
-    for (std::size_t i = m; i < mp; ++i) {
-      ps.lane_a[i] = 0;
-      ps.lane_cost[i] = 0;
-      ps.lane_mul[i] = 0;
-      ps.lane_sh[i] = 0;
-    }
-    const std::uint64_t* lane_a = ps.lane_a.data();
-    const std::uint64_t* lane_cost = ps.lane_cost.data();
-    const std::uint64_t* lane_mul = ps.lane_mul.data();
-    const std::uint64_t* lane_sh = ps.lane_sh.data();
-    Time w = ps.w[x];
-    for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
-      const auto wu = static_cast<std::uint64_t>(w);
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < mp; ++i) {
-        const std::uint64_t xv = wu + lane_a[i];
-        const std::uint64_t hi = util::mulhi_u64_limbs(xv, lane_mul[i]);
-        const std::uint64_t q = (((xv - hi) >> 1) + hi) >> lane_sh[i];
-        const std::uint64_t nonneg =
-            ~static_cast<std::uint64_t>(static_cast<std::int64_t>(xv) >> 63);
-        acc += ((q + 1) & nonneg) * lane_cost[i];
-      }
-      Time next = static_cast<Time>(
-          static_cast<std::uint64_t>(blocking + carry_total) + acc);
-      if (next > ctx.cap) {
-        next = ctx.cap;
-        ++ctx.diverged;
-      }
-      if (next <= w) break;
-      w = next;
-    }
+    const Time w =
+        ceiling_sum_fixed_point(ctx, ps, m, blocking + carry_total, ps.w[x]);
     raise(ctx, ps.w[x], w);
     const std::size_t mi = cp.mids[x].index();
     raise(ctx, s.r_m[mi], ps.j[x] + ps.w[x] + cp.tx[x]);
@@ -1451,13 +1218,9 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
   can_valid = 1;
 }
 
-#endif  // MCS_SIMD_ENABLED
-
 /// Pass-3 driver: the CAN bus is one component — the lp blocking term
 /// couples every message to every other regardless of priority order, so
-/// there is no per-member or per-band refinement here.  (The SIMD kernel
-/// still applies the intra-run fixed-point skip per member, using the
-/// cached interference + blocking lists as the exact read set.)
+/// there is no per-member or per-band refinement here.
 /// Dirtiness inputs:
 /// any CAN message's post-pass-1 {o,e,j}, its post-pass-1 d (vs the base's
 /// post-pass-1 snapshot), its incoming w (previous pass's end), or any
@@ -1529,17 +1292,9 @@ void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
     return;
   }
   const int div_before = ctx.diverged;
-#if defined(MCS_SIMD_ENABLED)
-  if (ctx.eff_kernel == AnalysisKernel::Simd) {
-    can_recurrences_simd(ctx, s);
-  } else
-#endif
-  if (ctx.eff_kernel != AnalysisKernel::Reference) {
-    // These kernels do not maintain the intra-run skip bookkeeping.
-    ctx.ws.intra_can_valid() = 0;
+  if (ctx.opt.kernel != AnalysisKernel::Reference) {
     can_recurrences_packed(ctx, s);
   } else {
-    ctx.ws.intra_can_valid() = 0;
     can_message_recurrences(ctx, s);
   }
   if (cap != nullptr) {
@@ -1595,7 +1350,7 @@ void out_ttp_drain(Ctx& ctx, State& s) {
     // keeps the scalar predicate as the independent baseline.
     const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
     const std::uint8_t* cls_row =
-        ctx.eff_kernel != AnalysisKernel::Reference
+        ctx.opt.kernel != AnalysisKernel::Reference
             ? cp.interfere.data() + cp.index[mi] * cp.mids.size()
             : nullptr;
     const Time latest_m = s.o_m[mi] + m_arrival_spread;
@@ -1697,12 +1452,12 @@ void pass4(Ctx& ctx, State& s, const PassSnapshot* snap,
     if (cap != nullptr) cap->ttp_div = snap->ttp_div;
     return;
   }
-  // Intra-run quiescence skip (SIMD kernel only, like the pass-2/3 skips):
+  // Intra-run quiescence skip (Packed kernel only, like the pass-2/3 skips):
   // the drain reads and writes only the ET->TT members' own fields, so if
   // all eight are unchanged since the previous drain of this run and that
   // drain was change- and divergence-free, re-running it is a no-op.
   const int div_before = ctx.diverged;
-  const bool track = ctx.eff_kernel == AnalysisKernel::Simd;
+  const bool track = ctx.opt.kernel != AnalysisKernel::Reference;
   AnalysisWorkspace& ws = ctx.ws;
   if (track && ws.intra_ttp_state() == 3) {
     bool quiet = true;
@@ -1804,7 +1559,7 @@ BufferBounds buffer_bounds(const Ctx& ctx, const State& s) {
       // interfere classes apply (packed kernel; reference keeps the
       // scalar predicate).
       const std::uint8_t* cls_row =
-          ctx.eff_kernel != AnalysisKernel::Reference
+          ctx.opt.kernel != AnalysisKernel::Reference
               ? cp.interfere.data() + cp.index[m.index()] * cp.mids.size()
               : nullptr;
       const Time latest_m = s.o_m[m.index()] + s.j_m[m.index()] +
@@ -1901,16 +1656,6 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
   if (workspace.has_gateway() && ctx.cfg.tdma().owns_slot(workspace.gateway())) {
     ctx.has_sg_slot = true;
     ctx.sg_slot = ctx.cfg.tdma().slot_of(workspace.gateway());
-  }
-
-  // Resolve the kernel that actually runs: Simd silently downgrades to
-  // the (always-built, bit-identical) packed-scalar kernel when the
-  // vectorized code is not compiled in or the periods are not
-  // magic-encodable.
-  ctx.eff_kernel = input.options.kernel;
-  if (ctx.eff_kernel == AnalysisKernel::Simd &&
-      !(simd_compiled() && workspace.simd_supported())) {
-    ctx.eff_kernel = AnalysisKernel::Packed;
   }
 
   State& s = workspace.reset_state();

@@ -166,8 +166,7 @@ constexpr const char* kSpecContext = "campaign spec";
   job.delta_fallbacks = ctx.workspace().delta_stats().fallbacks;
   obs::publish_workspace(ctx.workspace(), ctx.evaluation_cache().hits(),
                          ctx.evaluation_cache().misses(),
-                         ctx.workspace().active_kernel_name(
-                             spec.mcs_options().analysis.kernel));
+                         core::kernel_name(spec.mcs_options().analysis.kernel));
 
   job.seconds = seconds_since(job_start);
   return job;

@@ -149,8 +149,7 @@ constexpr const char* kSpecContext = "validation spec";
   job.delta_fallbacks = ctx.workspace().delta_stats().fallbacks;
   obs::publish_workspace(ctx.workspace(), ctx.evaluation_cache().hits(),
                          ctx.evaluation_cache().misses(),
-                         ctx.workspace().active_kernel_name(
-                             spec.mcs_options().analysis.kernel));
+                         core::kernel_name(spec.mcs_options().analysis.kernel));
 
   // Bounds from a non-converged fixed point are not claims the analysis
   // makes, so there is nothing sound to check (mirrors the cross

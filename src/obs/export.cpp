@@ -11,7 +11,7 @@ namespace mcs::obs {
 void publish_workspace(const core::AnalysisWorkspace& workspace,
                        std::uint64_t eval_cache_hits,
                        std::uint64_t eval_cache_misses,
-                       const char* active_kernel_name) {
+                       const char* kernel_name) {
   if (!metrics_enabled()) return;
   const core::DeltaStats& d = workspace.delta_stats();
 
@@ -56,10 +56,8 @@ void publish_workspace(const core::AnalysisWorkspace& workspace,
   scratch_max.record_max(
       static_cast<std::int64_t>(workspace.scratch_footprint_bytes()));
 
-  // The kernel request resolves per system (a period that is not
-  // magic-encodable downgrades Simd to Packed), so count jobs per
-  // RESOLVED kernel.  Runtime-named registration: one mutex hop per job.
-  counter(std::string("kernel.jobs.") + active_kernel_name).add(1);
+  // Runtime-named registration: one mutex hop per job.
+  counter(std::string("kernel.jobs.") + kernel_name).add(1);
 }
 
 void publish_fault_counters(const sim::FaultCounters& counters) {

@@ -22,13 +22,13 @@ namespace mcs::obs {
 
 /// Publishes one finished job's analysis-engine counters: DeltaStats
 /// (delta replays, fallbacks, memo hits, snapshot steals, skips),
-/// evaluation-cache hits/lookups, the resolved kernel choice and the
+/// evaluation-cache hits/lookups, the kernel that ran and the
 /// scratch footprint (gauge, max over jobs).  No-op while metrics are
 /// disabled.
 void publish_workspace(const core::AnalysisWorkspace& workspace,
                        std::uint64_t eval_cache_hits,
                        std::uint64_t eval_cache_misses,
-                       const char* active_kernel_name);
+                       const char* kernel_name);
 
 /// Re-exports one simulation's injected-fault counters (sim/fault.hpp)
 /// as sim.faults.* metrics.  No-op while metrics are disabled.

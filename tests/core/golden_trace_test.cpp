@@ -101,18 +101,20 @@ bool read_golden(const std::string& name, std::vector<TraceRecord>& records) {
   return true;
 }
 
+/// Diffs one kernel's trajectory against the golden fixture.
 void check_against_golden(const std::string& name,
                           const model::Application& app,
-                          const arch::Platform& platform) {
-  const std::vector<TraceRecord> actual =
-      record_trace(app, platform, McsOptions{}.analysis.kernel);
+                          const arch::Platform& platform,
+                          AnalysisKernel kernel) {
+  SCOPED_TRACE(std::string("kernel ") + kernel_name(kernel));
+  const std::vector<TraceRecord> actual = record_trace(app, platform, kernel);
   ASSERT_FALSE(actual.empty());
 
   if (std::getenv("MCS_REGEN_GOLDEN") != nullptr) {
-    // Refuse to bake a Packed/SIMD kernel bug into the fixture: whatever
-    // kernel produced `actual`, it must first reproduce the independent
-    // Reference trajectory record-for-record.  Only the cross-checked
-    // trace is written.
+    // Refuse to bake a Packed kernel bug into the fixture: whatever kernel
+    // produced `actual`, it must first reproduce the independent Reference
+    // trajectory record-for-record.  Only the cross-checked trace is
+    // written.
     const std::vector<TraceRecord> ref =
         record_trace(app, platform, AnalysisKernel::Reference);
     ASSERT_EQ(ref.size(), actual.size())
@@ -156,6 +158,16 @@ void check_against_golden(const std::string& name,
   EXPECT_EQ(golden.size(), actual.size())
       << name << ": trace lengths differ — the fixed point now runs a "
       << "different number of iterations or passes";
+}
+
+/// Both kernels must reproduce the fixture.
+void check_against_golden(const std::string& name,
+                          const model::Application& app,
+                          const arch::Platform& platform) {
+  for (const AnalysisKernel kernel :
+       {AnalysisKernel::Packed, AnalysisKernel::Reference}) {
+    check_against_golden(name, app, platform, kernel);
+  }
 }
 
 TEST(GoldenTrace, PaperExample) {

@@ -1,7 +1,7 @@
-// The structure-of-arrays recurrence kernels (AnalysisKernel::Packed) are
-// a pure layout optimization: gathered pool state, precomputed
-// interference-pair classes, in-place Gauss-Seidel on the scratch arrays.
-// They must be bit-identical to the original scalar code — kept as
+// The structure-of-arrays recurrence kernel (AnalysisKernel::Packed) is a
+// pure evaluation-order optimization: gathered pool state, precomputed
+// interference-pair classes, cached candidate lists, intra-run skips and
+// in-place Gauss-Seidel on the scratch arrays.  It must be bit-identical to the original scalar code — kept as
 // AnalysisKernel::Reference — on every system, fresh or through a reused
 // workspace, and they must not perturb a single optimizer decision: the
 // SF/OS/OR/SA/HOPA trajectories (accept/reject sequences, final genotype)
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,9 @@
 #include "mcs/gen/generator.hpp"
 #include "mcs/gen/paper_example.hpp"
 #include "mcs/gen/suites.hpp"
+#include "mcs/gen/textio.hpp"
+#include "mcs/model/validation.hpp"
+#include "mcs/util/rng.hpp"
 
 namespace mcs::core {
 namespace {
@@ -40,6 +44,34 @@ gen::GeneratorParams small_system(std::uint64_t seed, std::size_t tt = 2,
   p.wcet_max = 400;
   return p;
 }
+
+/// The paper example plus a period-1 graph: two otherwise idle ETC nodes
+/// exchanging one CAN message every time unit.  Period 1 is a legal model
+/// input (model::validate only warns about the full nodes), and it makes 1
+/// a divisor of the CAN recurrences; whenever the message outranks the
+/// paper's traffic, that traffic diverges to the cap.
+constexpr const char* kPeriodOneSystem = R"(
+ttp 1 0
+can linear 10 0
+gateway_transfer 5 10
+node N1 tt
+node N2 et
+node N3 et
+node N4 et
+node NG gateway
+graph G1 240 200
+process P1 G1 N1 30
+process P2 G1 N2 20
+process P3 G1 N2 20
+process P4 G1 N1 30
+message m1 P1 P2 8
+message m2 P1 P3 8
+message m3 P2 P4 8
+graph G2 1 1
+process Q1 G2 N3 1
+process Q2 G2 N4 1
+message q1 Q1 Q2 1
+)";
 
 void expect_same_candidate(const Candidate& a, const Candidate& b) {
   ASSERT_EQ(a.tdma.num_slots(), b.tdma.num_slots());
@@ -101,6 +133,22 @@ std::vector<Candidate> candidate_family(const MoveContext& ctx) {
   return family;
 }
 
+/// candidate_family plus a seeded random walk over every move kind, so the
+/// kernel matrix also sees configurations only a search reaches (e.g. an
+/// interferer released exactly at the end of a busy window).
+std::vector<Candidate> walk_family(const MoveContext& ctx, int steps) {
+  std::vector<Candidate> family = candidate_family(ctx);
+  util::Rng rng(77);
+  Candidate current = family.front();
+  const Evaluation base_eval = ctx.evaluate_uncached(current);
+  for (int step = 0; step < steps; ++step) {
+    if (ctx.apply(ctx.random_move(current, base_eval, rng), current)) {
+      family.push_back(current);
+    }
+  }
+  return family;
+}
+
 TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
   struct SystemUnderTest {
     model::Application app;
@@ -119,39 +167,41 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
     auto sys = gen::generate(small_system(seed));
     systems.push_back({std::move(sys.app), std::move(sys.platform)});
   }
+  {
+    std::istringstream in(kPeriodOneSystem);
+    auto sys = gen::parse_system(in);
+    ASSERT_TRUE(model::validate(sys.app, sys.platform).ok());
+    systems.push_back({std::move(sys.app), std::move(sys.platform)});
+  }
 
+  McsOptions packed;
+  packed.analysis.kernel = AnalysisKernel::Packed;
+  McsOptions reference;
+  reference.analysis.kernel = AnalysisKernel::Reference;
   for (const SystemUnderTest& sut : systems) {
-    // Full kernel matrix: the vectorized kernel and the packed-scalar
-    // kernel must both reproduce the Reference oracle bit-for-bit, on
-    // every candidate, through reused workspaces.
-    McsOptions simd;
-    simd.analysis.kernel = AnalysisKernel::Simd;
-    McsOptions packed;
-    packed.analysis.kernel = AnalysisKernel::Packed;
-    McsOptions reference;
-    reference.analysis.kernel = AnalysisKernel::Reference;
+    // The Packed kernel must reproduce the Reference oracle bit-for-bit on
+    // every candidate, through a reused workspace, with the delta machinery
+    // off, on, and cross-checked against a cold run.
     const MoveContext ctx(sut.app, sut.platform, McsOptions{});
-    AnalysisWorkspace ws_simd(sut.app, sut.platform);
-    AnalysisWorkspace ws_packed(sut.app, sut.platform);
-    AnalysisWorkspace ws_reference(sut.app, sut.platform);
-
-    for (const Candidate& cand : candidate_family(ctx)) {
-      SystemConfig cfg_s = cand.to_config(sut.app);
-      const McsResult v = multi_cluster_scheduling(sut.app, sut.platform, cfg_s,
-                                                   cand.pins, simd, ws_simd);
-      SystemConfig cfg_p = cand.to_config(sut.app);
-      const McsResult p = multi_cluster_scheduling(sut.app, sut.platform, cfg_p,
-                                                   cand.pins, packed, ws_packed);
-      SystemConfig cfg_r = cand.to_config(sut.app);
-      const McsResult r = multi_cluster_scheduling(
-          sut.app, sut.platform, cfg_r, cand.pins, reference, ws_reference);
-      std::string why;
-      EXPECT_TRUE(bit_identical(v, r, &why)) << "simd vs reference: " << why;
-      EXPECT_TRUE(bit_identical(p, r, &why)) << "packed vs reference: " << why;
-      EXPECT_EQ(cfg_s.process_offsets(), cfg_r.process_offsets());
-      EXPECT_EQ(cfg_s.message_offsets(), cfg_r.message_offsets());
-      EXPECT_EQ(cfg_p.process_offsets(), cfg_r.process_offsets());
-      EXPECT_EQ(cfg_p.message_offsets(), cfg_r.message_offsets());
+    const std::vector<Candidate> family = walk_family(ctx, 100);
+    for (const DeltaMode mode : {DeltaMode::Off, DeltaMode::On, DeltaMode::Check}) {
+      AnalysisWorkspace ws_packed(sut.app, sut.platform);
+      ws_packed.set_delta_mode(mode);
+      AnalysisWorkspace ws_reference(sut.app, sut.platform);
+      for (const Candidate& cand : family) {
+        SystemConfig cfg_p = cand.to_config(sut.app);
+        const McsResult p = multi_cluster_scheduling(
+            sut.app, sut.platform, cfg_p, cand.pins, packed, ws_packed);
+        SystemConfig cfg_r = cand.to_config(sut.app);
+        const McsResult r = multi_cluster_scheduling(
+            sut.app, sut.platform, cfg_r, cand.pins, reference, ws_reference);
+        std::string why;
+        EXPECT_TRUE(bit_identical(p, r, &why))
+            << "packed vs reference (delta mode " << static_cast<int>(mode)
+            << "): " << why;
+        EXPECT_EQ(cfg_p.process_offsets(), cfg_r.process_offsets());
+        EXPECT_EQ(cfg_p.message_offsets(), cfg_r.message_offsets());
+      }
     }
   }
 }
@@ -160,8 +210,7 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
 // across a cross-suite walk (paper example, tiny suite, generated small
 // systems; every move kind) must reach its high-water scratch capacity in
 // the first round and never grow again — and the reused scratch must stay
-// bit-identical to a fresh workspace on every single evaluation under the
-// aligned lane layout.
+// bit-identical to a fresh workspace on every single evaluation.
 TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
   struct SystemUnderTest {
     model::Application app;
@@ -181,10 +230,10 @@ TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
     systems.push_back({std::move(sys.app), std::move(sys.platform)});
   }
 
-  McsOptions simd;
-  simd.analysis.kernel = AnalysisKernel::Simd;
+  McsOptions packed;
+  packed.analysis.kernel = AnalysisKernel::Packed;
   for (const SystemUnderTest& sut : systems) {
-    const MoveContext ctx(sut.app, sut.platform, simd);
+    const MoveContext ctx(sut.app, sut.platform, packed);
     const std::vector<Candidate> family = candidate_family(ctx);
     AnalysisWorkspace reused(sut.app, sut.platform);
     std::size_t high_water = 0;
@@ -192,11 +241,11 @@ TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
       for (const Candidate& cand : family) {
         SystemConfig cfg = cand.to_config(sut.app);
         const McsResult warm = multi_cluster_scheduling(
-            sut.app, sut.platform, cfg, cand.pins, simd, reused);
+            sut.app, sut.platform, cfg, cand.pins, packed, reused);
         AnalysisWorkspace fresh_ws(sut.app, sut.platform);
         SystemConfig cfg_f = cand.to_config(sut.app);
         const McsResult fresh = multi_cluster_scheduling(
-            sut.app, sut.platform, cfg_f, cand.pins, simd, fresh_ws);
+            sut.app, sut.platform, cfg_f, cand.pins, packed, fresh_ws);
         std::string why;
         EXPECT_TRUE(bit_identical(warm, fresh, &why))
             << "reused vs fresh scratch: " << why;

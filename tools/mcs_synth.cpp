@@ -203,13 +203,8 @@ int parse_args(int argc, char** argv, Options& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
-      // The default kernel request is Simd; it resolves to the scalar
-      // packed kernel when the library was built with MCS_SIMD=OFF (and,
-      // per system, when a period is not magic-encodable — see --stats).
       std::printf("mcs_synth %s (analysis kernel: %s)\n", kVersion,
-                  core::simd_compiled()
-                      ? core::kernel_name(core::AnalysisKernel::Simd)
-                      : core::kernel_name(core::AnalysisKernel::Packed));
+                  core::kernel_name(core::McsOptions{}.analysis.kernel));
       std::exit(0);
     } else if (arg == "--campaign") {
       if (++i >= argc) return 2;
@@ -556,10 +551,9 @@ void report(const gen::ParsedSystem& sys, const core::Candidate& candidate,
 }
 
 // Evaluation-engine counters for the single-system synthesis run: which
-// kernel actually ran (the Simd request downgrades per system when a
-// period is not magic-encodable), how often the delta machinery replayed
-// vs fell back, and what the reuse layers (candidate-list cache,
-// evaluation cache, snapshot stealing, intra-run skips) delivered.
+// kernel ran, how often the delta machinery replayed vs fell back, and
+// what the reuse layers (candidate-list cache, evaluation cache, snapshot
+// stealing, intra-run skips) delivered.
 void print_stats(const core::MoveContext& ctx,
                  const core::McsOptions& mcs_options) {
   const core::AnalysisWorkspace& ws = ctx.workspace();
@@ -569,8 +563,7 @@ void print_stats(const core::MoveContext& ctx,
                                   static_cast<double>(whole);
   };
   std::printf("\nevaluation engine stats:\n");
-  std::printf("  analysis kernel        %s (requested: %s)\n",
-              ws.active_kernel_name(mcs_options.analysis.kernel),
+  std::printf("  analysis kernel        %s\n",
               core::kernel_name(mcs_options.analysis.kernel));
   std::printf("  mcs runs               %llu full, %llu delta replays, "
               "%llu fallbacks\n",
