@@ -68,7 +68,7 @@ int main() {
   resilient_spec.job_timeout_ms = 600'000;
   std::uint64_t resilient_signature = 0;
   const double resilient_s = best_of(3, [&] {
-    exp::CampaignRunOptions options;
+    exp::RunOptions options;
     options.journal_path = journal.string();
     bench::Stopwatch sw;
     const exp::CampaignResult result = exp::run_campaign(resilient_spec, options);

@@ -44,8 +44,8 @@ int main() {
   std::printf(
       "\ntotals: %zu ok, %zu timeout, %zu failed, %zu bound violation(s), "
       "signature %016llx\n",
-      result.count(exp::JobStatus::Ok), result.count(exp::JobStatus::Timeout),
-      result.count(exp::JobStatus::Failed), result.total_violations(),
+      result.count(exp::RunState::Done), result.count(exp::RunState::Timeout),
+      result.count(exp::RunState::Failed), result.total_violations(),
       static_cast<unsigned long long>(result.signature()));
 
   for (const exp::ValidationJob& job : result.jobs) {
@@ -56,7 +56,7 @@ int main() {
                   static_cast<long long>(v.bound), spec.suite.c_str(),
                   static_cast<unsigned long long>(job.system_seed));
     }
-    if (job.status == exp::JobStatus::Failed) {
+    if (job.state == exp::RunState::Failed) {
       std::printf("job %zu (system_seed %llu) failed: %s\n", job.job_index,
                   static_cast<unsigned long long>(job.system_seed),
                   job.error.c_str());

@@ -47,6 +47,14 @@ public:
   /// multiple frames if above 8 bytes).
   [[nodiscard]] Time tx_time(std::int64_t bytes) const;
 
+  /// The model parameters (gen::write_system serializes them): bit_time
+  /// and format for the exact model, base and per_byte for the linear one.
+  [[nodiscard]] bool is_exact() const noexcept { return exact_; }
+  [[nodiscard]] Time bit_time() const noexcept { return bit_time_; }
+  [[nodiscard]] CanFrameFormat format() const noexcept { return fmt_; }
+  [[nodiscard]] Time base() const noexcept { return base_; }
+  [[nodiscard]] Time per_byte() const noexcept { return per_byte_; }
+
 private:
   CanBusParams() = default;
   bool exact_ = false;

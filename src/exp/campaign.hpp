@@ -24,69 +24,37 @@
 //
 // Together these make every deterministic field of the result — everything
 // except wall-clock times — bit-identical for any `jobs` value, which
-// tests/exp/campaign_test.cpp asserts (jobs=1 vs jobs=4) and
-// CampaignResult::signature() digests.
+// tests/exp/campaign_test.cpp asserts (jobs=1 vs jobs=4).
+// CampaignResult::signature() digests the paper outputs among them
+// (pipeline.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "mcs/core/degree_of_schedulability.hpp"
-#include "mcs/core/multi_cluster_scheduling.hpp"
-#include "mcs/exp/job_runtime.hpp"
+#include "mcs/exp/pipeline.hpp"
 #include "mcs/gen/suites.hpp"
 #include "mcs/util/table.hpp"
 
 namespace mcs::exp {
 
-/// The synthesis strategies a campaign can run per instance (paper §6
-/// nomenclature).  SAS/SAR seed their annealing from the best candidate
-/// an earlier OS/OR strategy produced, mirroring the benchmark setup.
-enum class Strategy { Sf, Os, Or, Sas, Sar };
+/// Declarative description of one campaign: the SpecBase keys plus the
+/// strategy list and the annealing-skip switch.
+struct CampaignSpec : SpecBase {
+  CampaignSpec()
+      : SpecBase{.name = "campaign", .suite = "tiny", .seeds_per_dim = 2,
+                 .suite_base_seed = 1000} {}
 
-[[nodiscard]] std::string to_string(Strategy strategy);
-/// Parses "sf" | "os" | "or" | "sas" | "sar" (throws std::invalid_argument).
-[[nodiscard]] Strategy parse_strategy(const std::string& name);
-
-/// Search budgets (the defaults match bench_common.hpp's laptop profile).
-struct CampaignBudgets {
-  int sa_max_evaluations = 250;
-  int hopa_iterations = 3;
-  std::size_t or_max_seed_starts = 3;
-  int or_max_climb_iterations = 10;
-  std::size_t or_neighbors_per_step = 16;
-};
-
-/// Declarative description of one campaign.  Everything that influences a
-/// deterministic result field lives here; `jobs` only controls sharding.
-struct CampaignSpec {
-  std::string name = "campaign";
-  std::string suite = "tiny";  ///< gen::suite_by_name: fig9ab | fig9c | tiny
-  std::size_t seeds_per_dim = 2;
-  std::uint64_t suite_base_seed = 1000;  ///< generator seed grid origin
-  std::uint64_t campaign_seed = 1;       ///< root of the per-job RNG streams
   std::vector<Strategy> strategies = {Strategy::Sf, Strategy::Os, Strategy::Sas};
-  bool conservative = false;  ///< disable offset/precedence pruning
-  bool paper_ttp = false;     ///< closed-form OutTTP model
   /// When false, SAS/SAR is skipped (outcome.skipped = true) on jobs
   /// whose preceding strategy was unschedulable — the Figure 9b/9c
   /// benches' behavior, saving the full SA budget on hopeless instances.
   /// The skip decision reads only deterministic fields, so thread-count
   /// invariance is preserved.
   bool anneal_unschedulable_starts = true;
-  CampaignBudgets budgets;
-  std::size_t jobs = 1;  ///< worker threads (0 = one per hardware core)
-  /// Resilience knobs, forwarded to the job runtime (see job_runtime.hpp).
-  /// All three are part of the spec digest: they change which rows exist.
-  std::int64_t job_timeout_ms = 0;  ///< per-attempt watchdog (0 = off)
-  int max_retries = 0;              ///< transient-failure retries per job
-  std::size_t queue_limit = 0;      ///< admission control (0 = unlimited)
-
-  [[nodiscard]] core::McsOptions mcs_options() const;
 };
 
 /// Parses the line-based `key = value` spec format ('#' starts a comment):
@@ -103,8 +71,8 @@ struct CampaignSpec {
 [[nodiscard]] CampaignSpec parse_campaign_spec(std::istream& in);
 [[nodiscard]] CampaignSpec parse_campaign_spec_file(const std::string& path);
 
-/// One strategy's outcome on one instance.  `seconds` is wall clock and is
-/// the only field excluded from the determinism signature.
+/// One strategy's outcome on one instance.  `evaluations` and `seconds`
+/// are reported but not signed.
 struct StrategyOutcome {
   Strategy strategy = Strategy::Sf;
   bool schedulable = false;
@@ -122,59 +90,17 @@ struct StrategyOutcome {
 };
 
 /// One instance: the generated system plus every strategy outcome.
-struct JobResult {
-  std::size_t job_index = 0;
-  std::size_t dimension = 0;  ///< suite dimension (processes or gw messages)
-  std::size_t replica = 0;
-  std::uint64_t system_seed = 0;
-  std::size_t processes = 0;
-  std::size_t messages = 0;
+struct JobResult : JobRow {
   std::size_t inter_cluster_messages = 0;
   std::vector<StrategyOutcome> outcomes;
-  /// How the job runtime settled this job (DESIGN.md §6): `done` rows
-  /// carry outcomes; `timeout`/`failed`/`shed`/`pending` rows are ordinary
-  /// report rows with `error` explaining why — they never abort the
-  /// campaign or discard other jobs.
-  RunState state = RunState::Done;
-  /// Attempts the runtime started (> 1 means transient retries happened;
-  /// for a `done` row `error` then records the reason that was overcome).
-  int attempts = 1;
-  std::string error;
-  double seconds = 0.0;
-  /// Per-job engine metrics (DESIGN.md §7).  All four are deterministic —
-  /// pure functions of the job's inputs, independent of thread count —
-  /// and therefore part of the signature.
-  std::uint64_t evals = 0;            ///< total strategy evaluations
-  std::uint64_t cache_hits = 0;       ///< evaluation-cache hits
-  std::uint64_t cache_lookups = 0;    ///< evaluation-cache lookups (hits+misses)
-  std::uint64_t delta_fallbacks = 0;  ///< delta runs that fell back to cold
 
-  /// Cache hit rate in [0,1] (0 when the job never consulted the cache).
-  [[nodiscard]] double cache_hit_rate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) / static_cast<double>(cache_lookups);
-  }
-
-  [[nodiscard]] bool failed() const { return state == RunState::Failed; }
-
-  /// FNV-1a over every deterministic field (wall-clock times excluded).
+  /// FNV-1a over the paper outputs: job, system seed, state and per
+  /// outcome the strategy, verdict, skip flag, Δ(f1,f2), s_total and
+  /// s_total_before.
   [[nodiscard]] std::uint64_t signature() const;
 };
 
-struct CampaignResult {
-  CampaignSpec spec;
-  std::vector<JobResult> jobs;  ///< indexed by job_index (= suite order)
-  std::size_t workers = 1;      ///< resolved thread count actually used
-  /// A shutdown request drained the run before every job settled;
-  /// `pending` rows mark the jobs a --resume will pick up.
-  bool interrupted = false;
-  std::size_t resumed_jobs = 0;  ///< jobs recovered from the journal
-  double wall_seconds = 0.0;
-
-  /// Combined determinism digest: equal across runs with any `spec.jobs`.
-  [[nodiscard]] std::uint64_t signature() const;
-
+struct CampaignResult : SuiteResult<CampaignSpec, JobResult> {
   /// Per-dimension summary table: instances, and per strategy the
   /// schedulable count, average delta and s_total over schedulable
   /// instances, and average % deviation of delta (or s_total for
@@ -182,29 +108,10 @@ struct CampaignResult {
   [[nodiscard]] util::Table summary_table() const;
 };
 
-/// Execution-time knobs that do NOT affect which results a finished
-/// campaign contains — journaling, resume, shutdown, fault injection.
-/// None of them enter the spec digest or the result signature.
-struct CampaignRunOptions {
-  /// Append each settled JobResult to this crash-safe journal (empty =
-  /// no journaling).  See journal.hpp for the format.
-  std::string journal_path;
-  /// Resume from `journal_path`: journaled jobs are NOT re-run, their
-  /// recovered rows merge with freshly computed ones, and the combined
-  /// signature equals an uninterrupted run's.  The journal's spec digest
-  /// must match `spec` (JournalError otherwise).
-  bool resume = false;
-  /// Graceful shutdown flag (signal handlers set it).  Not owned.
-  const std::atomic<bool>* stop = nullptr;
-  /// Test-only fault injection, forwarded to the runtime.
-  std::vector<RuntimeFault> faults;
-};
-
 /// Runs the campaign on `spec.jobs` worker threads.  Results are
 /// bit-identical (per JobResult::signature) for any thread count.
-[[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec);
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec,
-                                          const CampaignRunOptions& options);
+                                          const RunOptions& options = {});
 
 /// Digest of every spec field that determines which results a campaign
 /// produces (suite, seeds, strategies, budgets, resilience knobs — NOT

@@ -1,0 +1,139 @@
+// The job pipeline shared by the campaign (campaign.hpp) and validation
+// (validation.hpp) harnesses: the spec keys both kinds accept, the report
+// row every job carries, the execution-time knobs and the result envelope.
+//
+// Signature contract (DESIGN.md §4): a result signature digests the
+// paper's outputs only — per job its index, system seed and runtime
+// state plus the kind's verdicts (Δ(f1,f2), s_total, schedulability,
+// simulated-vs-bound checks).  The engine counters (evals, cache and
+// delta statistics), attempts, error text and wall-clock times are
+// reported but never signed, so the signature is bit-identical across
+// worker counts, delta modes and observability on/off.
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "mcs/core/multi_cluster_scheduling.hpp"
+#include "mcs/exp/job_runtime.hpp"
+#include "mcs/util/hash.hpp"
+
+namespace mcs::exp {
+
+/// The synthesis strategies a job can run (paper §6 nomenclature).
+/// SAS/SAR seed their annealing from the best candidate an earlier
+/// OS/OR strategy produced, mirroring the benchmark setup.
+enum class Strategy { Sf, Os, Or, Sas, Sar };
+
+[[nodiscard]] std::string to_string(Strategy strategy);
+/// Parses "sf" | "os" | "or" | "sas" | "sar" (throws std::invalid_argument).
+[[nodiscard]] Strategy parse_strategy(const std::string& name);
+
+/// Search budgets (the defaults match bench_common.hpp's laptop profile).
+struct CampaignBudgets {
+  int sa_max_evaluations = 250;
+  int hopa_iterations = 3;
+  std::size_t or_max_seed_starts = 3;
+  int or_max_climb_iterations = 10;
+  std::size_t or_neighbors_per_step = 16;
+};
+
+/// The spec keys both job kinds accept.  Everything that influences a
+/// deterministic result field lives in a spec; `jobs` only controls
+/// sharding.  Each kind sets its own name/suite/seed-grid defaults.
+struct SpecBase {
+  std::string name;
+  std::string suite;  ///< gen::suite_by_name: fig9ab | fig9c | tiny | validation
+  std::size_t seeds_per_dim = 0;
+  std::uint64_t suite_base_seed = 0;  ///< generator seed grid origin
+  std::uint64_t campaign_seed = 1;    ///< root of the per-job RNG streams
+  bool conservative = false;          ///< disable offset/precedence pruning
+  bool paper_ttp = false;             ///< closed-form OutTTP model
+  CampaignBudgets budgets{};
+  std::size_t jobs = 1;  ///< worker threads (0 = one per hardware core)
+  /// Resilience knobs, forwarded to the job runtime (job_runtime.hpp).
+  std::int64_t job_timeout_ms = 0;  ///< per-attempt watchdog (0 = off)
+  int max_retries = 0;              ///< transient-failure retries per job
+  std::size_t queue_limit = 0;      ///< admission control (0 = unlimited)
+
+  [[nodiscard]] core::McsOptions mcs_options() const;
+};
+
+/// The part of a report row every job kind shares: which instance it is,
+/// how the job runtime settled it (DESIGN.md §6) and the engine counters.
+/// Rows that are not `done` carry `error` explaining why; they never
+/// abort the run or discard other jobs.
+struct JobRow {
+  std::size_t job_index = 0;
+  std::size_t dimension = 0;  ///< suite dimension (processes or gw messages)
+  std::size_t replica = 0;
+  std::uint64_t system_seed = 0;
+  std::size_t processes = 0;
+  std::size_t messages = 0;
+  RunState state = RunState::Done;
+  /// Attempts the runtime started (> 1 means transient retries happened;
+  /// for a `done` row `error` then records the reason that was overcome).
+  int attempts = 1;
+  std::string error;
+  double seconds = 0.0;
+  /// Per-job engine metrics (DESIGN.md §7): deterministic — pure
+  /// functions of the job's inputs — but not signed, since delta replay
+  /// and caching change them without changing any paper output.
+  std::uint64_t evals = 0;            ///< total strategy evaluations
+  std::uint64_t cache_hits = 0;       ///< evaluation-cache hits
+  std::uint64_t cache_lookups = 0;    ///< evaluation-cache lookups (hits+misses)
+  std::uint64_t delta_fallbacks = 0;  ///< delta runs that fell back to cold
+
+  /// Cache hit rate in [0,1] (0 when the job never consulted the cache).
+  [[nodiscard]] double cache_hit_rate() const {
+    return cache_lookups == 0
+               ? 0.0
+               : static_cast<double>(cache_hits) / static_cast<double>(cache_lookups);
+  }
+
+  [[nodiscard]] bool failed() const { return state == RunState::Failed; }
+};
+
+/// A finished run of one job kind: the spec, one row per suite point and
+/// how the run went.
+template <typename Spec, typename Job>
+struct SuiteResult {
+  Spec spec;
+  std::vector<Job> jobs;    ///< indexed by job_index (= suite order)
+  std::size_t workers = 1;  ///< resolved thread count actually used
+  /// A shutdown request drained the run before every job settled;
+  /// `pending` rows mark the jobs a --resume will pick up.
+  bool interrupted = false;
+  std::size_t resumed_jobs = 0;  ///< jobs recovered from the journal
+  double wall_seconds = 0.0;
+
+  /// Digest of every job signature: equal across runs with any
+  /// `spec.jobs`, delta mode or observability setting.
+  [[nodiscard]] std::uint64_t signature() const {
+    util::Fnv1a h;
+    for (const Job& job : jobs) h.update(job.signature());
+    return h.digest();
+  }
+};
+
+/// Execution-time knobs that do NOT affect which results a finished run
+/// contains — journaling, resume, shutdown, fault injection.  None of them
+/// enter the spec digest or the result signature.
+struct RunOptions {
+  /// Append each settled row to this crash-safe journal (empty = no
+  /// journaling; campaigns only).  See journal.hpp for the format.
+  std::string journal_path;
+  /// Resume from `journal_path`: journaled jobs are NOT re-run, their
+  /// recovered rows merge with freshly computed ones, and the combined
+  /// signature equals an uninterrupted run's.  The journal's spec digest
+  /// must match the spec (JournalError otherwise).
+  bool resume = false;
+  /// Graceful shutdown flag (signal handlers set it).  Not owned.
+  const std::atomic<bool>* stop = nullptr;
+  /// Test-only fault injection, forwarded to the runtime.
+  std::vector<RuntimeFault> faults;
+};
+
+}  // namespace mcs::exp

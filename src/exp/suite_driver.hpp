@@ -1,0 +1,235 @@
+// Internal to src/exp: the one suite driver, strategy step, spec parser
+// and report helpers behind run_campaign() and run_validation().
+#pragma once
+
+#include <chrono>
+#include <functional>
+#include <iosfwd>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "mcs/core/moves.hpp"
+#include "mcs/core/optimize_resources.hpp"
+#include "mcs/exp/journal.hpp"
+#include "mcs/exp/pipeline.hpp"
+#include "mcs/gen/generator.hpp"
+#include "mcs/gen/suites.hpp"
+#include "mcs/obs/trace.hpp"
+#include "mcs/util/kv_parse.hpp"
+#include "mcs/util/thread_pool.hpp"
+
+namespace mcs::exp {
+
+[[nodiscard]] inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Parses the `key = value` spec format: the SpecBase keys here,
+/// everything else through `kind_key`, which returns false for a key the
+/// kind does not know (a line-numbered std::invalid_argument follows).
+void parse_spec(std::istream& in, const char* context, SpecBase& spec,
+                const std::function<bool(const util::KvEntry&)>& kind_key);
+/// parse_strategy(name) with a line-numbered error for spec entry `e`.
+[[nodiscard]] Strategy spec_strategy(const util::KvEntry& e, const std::string& name,
+                                     const char* context);
+
+/// One strategy's verdict plus the configuration it produced.
+struct StrategyRun {
+  core::Candidate best;
+  core::Evaluation eval;
+  int evaluations = 0;
+  std::int64_t s_total_before = 0;  ///< OR only: buffer need after its OS step
+};
+
+/// A job's synthesis engine: the job-local MoveContext (workspace and
+/// evaluation cache live on the one worker thread running the job) and
+/// the SF/OS/OR step both job kinds share.
+class JobSynthesis {
+public:
+  JobSynthesis(const gen::GeneratedSystem& sys, const SpecBase& spec,
+               const util::CancelToken& cancel);
+
+  [[nodiscard]] const core::MoveContext& ctx() const noexcept { return ctx_; }
+
+  /// Runs SF, OS or OR.  OR's step 1 is OS under the same options on the
+  /// same ctx, so an OS result this job already computed is handed to OR
+  /// instead of being recomputed.
+  [[nodiscard]] StrategyRun step(Strategy strategy);
+
+  /// Copies the job-local cache and delta counters into `row` and
+  /// publishes the workspace metrics.
+  void record_counters(JobRow& row) const;
+
+private:
+  core::MoveContext ctx_;
+  core::OptimizeResourcesOptions or_options_;  ///< .schedule drives OS too
+  std::optional<core::OptimizeScheduleResult> os_result_;
+};
+
+// --- signature and report helpers shared by both kinds ---------------------
+
+void sign(util::Fnv1a& h, const std::string& s);
+/// The row identity every signature starts with: job, system seed, state.
+void sign(util::Fnv1a& h, const JobRow& row);
+
+[[nodiscard]] std::string json_escape(const std::string& s);
+/// RFC-4180 quoting for free-text CSV columns.
+[[nodiscard]] std::string csv_escape(const std::string& s);
+
+/// Report pieces, in output order: `{"<kind>": name, suite, seeds_per_dim,
+/// campaign_seed` lines; then (after the kind's spec keys) workers,
+/// interrupted, [resumed_jobs,] wall_seconds and signature lines.
+void write_json_spec_keys(std::ostream& out, const char* kind, const SpecBase& spec);
+void write_json_run_keys(std::ostream& out, std::size_t workers, bool interrupted,
+                         const std::size_t* resumed_jobs, double wall_seconds,
+                         std::uint64_t signature);
+/// Per job: `{"job": ..., "messages": N`, the kind's keys, then
+/// `, "seconds": S,\n "metrics": {...},\n ` before the kind's arrays.
+void write_json_job_identity(std::ostream& out, const JobRow& row);
+void write_json_job_metrics(std::ostream& out, const JobRow& row);
+/// Per CSV row: `name,job,...,messages`, the kind's columns, then
+/// `,evals,cache_hit_rate,delta_fallbacks,<seconds>\n` — the wall-clock
+/// column stays last so consumers can strip it to compare runs.
+void write_csv_job_identity(std::ostream& out, const std::string& name,
+                            const JobRow& row);
+void write_csv_job_metrics(std::ostream& out, const JobRow& row, double seconds);
+
+// --- the suite driver --------------------------------------------------------
+
+/// How a job kind that supports --journal/--resume persists its rows.
+template <typename Job>
+struct JournalCodec {
+  std::uint64_t spec_digest = 0;
+  std::string (*encode)(const Job&) = nullptr;
+  Job (*decode)(const std::string&) = nullptr;
+};
+
+/// Runs `body(sys, row, cancel)` for every point of the spec's suite on
+/// the job runtime.  The driver fills each row's identity and wall time,
+/// turns runtime dispositions into degraded and pending rows, and
+/// journals settled rows when `codec` is given (a journal_path without
+/// one is rejected).
+template <typename Result, typename Body>
+Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
+                 const char* job_span,
+                 const JournalCodec<typename decltype(Result::jobs)::value_type>* codec,
+                 const Body& body) {
+  using Job = typename decltype(Result::jobs)::value_type;
+  const auto start = std::chrono::steady_clock::now();
+  const auto suite =
+      gen::suite_by_name(spec.suite, spec.seeds_per_dim, spec.suite_base_seed);
+  if (!options.journal_path.empty() && codec == nullptr) {
+    throw std::invalid_argument("journaling is supported for campaigns only");
+  }
+
+  Result result;
+  result.spec = spec;
+  result.jobs.resize(suite.size());
+  const auto identified = [&suite](std::size_t i) {
+    Job job;
+    job.job_index = i;
+    job.dimension = suite[i].dimension;
+    job.replica = suite[i].replica;
+    job.system_seed = suite[i].params.seed;
+    return job;
+  };
+  // The row of a job that did not complete (timeout / failed / shed /
+  // pending): attributable and replayable, with empty outcome fields.
+  const auto degraded = [&identified](std::size_t i, const JobDisposition& d) {
+    Job job = identified(i);
+    job.state = d.state;
+    job.attempts = d.attempts;
+    job.error = d.error;
+    return job;
+  };
+
+  // Checkpoint/resume: recover journaled rows first, then hand run_jobs
+  // the done[] mask so recovered jobs never re-run.
+  std::optional<JournalWriter> journal;
+  std::vector<char> done(suite.size(), 0);
+  if (!options.journal_path.empty()) {
+    const JournalHeader header{1, codec->spec_digest};
+    if (options.resume) {
+      JournalContents recovered;
+      journal.emplace(
+          JournalWriter::open_or_create(options.journal_path, header, recovered));
+      for (const std::string& record : recovered.records) {
+        Job job = codec->decode(record);
+        if (job.job_index >= suite.size() || done[job.job_index]) {
+          throw JournalError("journal record for unexpected job " +
+                             std::to_string(job.job_index));
+        }
+        done[job.job_index] = 1;
+        ++result.resumed_jobs;
+        result.jobs[job.job_index] = std::move(job);
+      }
+    } else {
+      journal.emplace(JournalWriter::create(options.journal_path, header));
+    }
+  }
+
+  RuntimeOptions runtime;
+  runtime.workers = spec.jobs == 0 ? util::ThreadPool::default_workers() : spec.jobs;
+  runtime.job_timeout_ms = spec.job_timeout_ms;
+  runtime.max_retries = spec.max_retries;
+  runtime.queue_limit = spec.queue_limit;
+  runtime.retry_seed = spec.campaign_seed;
+  runtime.stop = options.stop;
+  runtime.faults = options.faults;
+
+  RuntimeReport report;
+  const std::vector<JobDisposition> dispositions = run_jobs(
+      runtime, suite.size(),
+      [&](std::size_t i, const util::CancelToken& cancel) {
+        // Everything mutable is local to this call and thus to the one
+        // worker thread executing it; only a completed body assigns the
+        // slot, so a retried attempt leaves no partial state behind.
+        const obs::Span span(job_span, static_cast<std::uint64_t>(i));
+        const auto job_start = std::chrono::steady_clock::now();
+        Job job = identified(i);
+        const gen::GeneratedSystem sys = gen::generate(suite[i].params);
+        job.processes = sys.app.num_processes();
+        job.messages = sys.app.num_messages();
+        body(sys, job, cancel);
+        job.seconds = seconds_since(job_start);
+        result.jobs[i] = std::move(job);
+      },
+      options.resume ? &done : nullptr,
+      [&](std::size_t i, const JobDisposition& disposition) {
+        Job& job = result.jobs[i];
+        if (disposition.state == RunState::Done) {
+          job.attempts = disposition.attempts;
+          // A done-after-retry row keeps the transient reason it overcame.
+          job.error = disposition.error;
+        } else {
+          job = degraded(i, disposition);
+        }
+        if (journal) journal->append(codec->encode(job));
+      },
+      &report);
+
+  // Jobs the shutdown drain left unfinished (never started, or cancelled
+  // mid-attempt with the partial result discarded): attributable `pending`
+  // rows, deliberately NOT journaled — --resume re-runs exactly these.
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    if (dispositions[i].state != RunState::Pending) continue;
+    JobDisposition pending = dispositions[i];
+    pending.error = "pending: shutdown requested before the job finished";
+    result.jobs[i] = degraded(i, pending);
+  }
+
+  if (journal) {
+    journal->sync();
+    journal->close();
+  }
+  result.workers = report.workers;
+  result.interrupted = report.interrupted;
+  result.wall_seconds = seconds_since(start);
+  return result;
+}
+
+}  // namespace mcs::exp

@@ -17,10 +17,11 @@
 // Graceful campaign degradation: each job runs under a per-job exception
 // guard and a deterministic event budget, so a pathological instance
 // yields a `failed` or `timeout` row in the JSON/CSV report instead of
-// killing the campaign.  The determinism contract of the campaign engine
-// carries over: every field except wall-clock seconds is bit-identical
-// for any `jobs` value (scenario RNG seeds derive from (scenario seed,
-// campaign seed, job index, scenario index) by FNV-1a).
+// killing the campaign.  Validation runs on the same job pipeline as the
+// campaign engine (pipeline.hpp), so its determinism contract carries
+// over: every field except wall-clock seconds is bit-identical for any
+// `jobs` value (scenario RNG seeds derive from (scenario seed, campaign
+// seed, job index, scenario index) by FNV-1a).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "mcs/core/moves.hpp"
 #include "mcs/exp/campaign.hpp"
 #include "mcs/sim/simulator.hpp"
 #include "mcs/util/table.hpp"
@@ -36,51 +38,26 @@ namespace mcs::exp {
 
 /// Declarative description of one validation campaign; parsed from the
 /// same `key = value` format as CampaignSpec (see examples/soundness.validation).
-struct ValidationSpec {
-  std::string name = "validation";
-  std::string suite = "validation";  ///< gen::suite_by_name
-  std::size_t seeds_per_dim = 25;
-  std::uint64_t suite_base_seed = 7000;
-  std::uint64_t campaign_seed = 1;
+struct ValidationSpec : SpecBase {
+  ValidationSpec()
+      : SpecBase{.name = "validation", .suite = "validation", .seeds_per_dim = 25,
+                 .suite_base_seed = 7000} {}
+
   /// Configuration synthesis strategy (Sf, Os or Or; the annealing
   /// strategies need a start candidate and are not meaningful here).
   Strategy strategy = Strategy::Sf;
-  bool conservative = false;
-  bool paper_ttp = false;
   /// Fault scenarios simulated after the fault-free soundness check.
   std::vector<sim::FaultSpec> scenarios;
   /// Per-simulation event budget: a run that exhausts it becomes a
   /// `timeout` row (deterministic, unlike a wall-clock limit).
   std::int64_t max_sim_events = 2'000'000;
-  CampaignBudgets budgets;
-  std::size_t jobs = 1;  ///< worker threads (0 = one per hardware core)
-  /// Resilience knobs, forwarded to the job runtime (job_runtime.hpp).
-  std::int64_t job_timeout_ms = 0;  ///< per-attempt watchdog (0 = off)
-  int max_retries = 0;              ///< transient-failure retries per job
-  std::size_t queue_limit = 0;      ///< admission control (0 = unlimited)
-
-  [[nodiscard]] core::McsOptions mcs_options() const;
 };
 
-/// Spec keys: name, suite, seeds_per_dim, suite_base_seed, campaign_seed,
-/// strategy (sf|os|or), conservative, paper_ttp, scenarios (comma list of
-/// sim::FaultSpec scenario names), max_sim_events, jobs, plus the
-/// CampaignBudgets keys.  Line-numbered std::invalid_argument on errors.
+/// Spec keys: the SpecBase keys plus strategy (sf|os|or), scenarios (comma
+/// list of sim::FaultSpec scenario names) and max_sim_events.
+/// Line-numbered std::invalid_argument on errors.
 [[nodiscard]] ValidationSpec parse_validation_spec(std::istream& in);
 [[nodiscard]] ValidationSpec parse_validation_spec_file(const std::string& path);
-
-/// How one job ended.  Everything except Ok is a report row, never an
-/// abort.  Timeout covers both the deterministic event budget and the
-/// runtime's wall-clock watchdog (the error/skip_reason text tells them
-/// apart).
-enum class JobStatus {
-  Ok,       ///< synthesis + simulations ran to the end
-  Timeout,  ///< event budget exhausted, or the watchdog deadline fired
-  Failed,   ///< an exception escaped the job (error holds what())
-  Shed,     ///< refused by admission control (queue_limit), never ran
-  Pending,  ///< never finished: shutdown drained the run first
-};
-[[nodiscard]] const char* to_string(JobStatus status);
 
 /// Degradation statistics of one fault scenario on one instance.
 struct ScenarioOutcome {
@@ -101,19 +78,10 @@ struct ScenarioOutcome {
 };
 
 /// One instance: synthesis verdict, soundness check, degradation rows.
-struct ValidationJob {
-  std::size_t job_index = 0;
-  std::size_t dimension = 0;
-  std::size_t replica = 0;
-  std::uint64_t system_seed = 0;
-  std::size_t processes = 0;
-  std::size_t messages = 0;
-  JobStatus status = JobStatus::Ok;
-  /// Attempts the runtime started (> 1 means transient retries happened).
-  int attempts = 1;
-  /// Failure/timeout/shed reason; for an Ok row after retries, the
-  /// transient error that was overcome.
-  std::string error;
+/// The row's `state` is Done ("ok" in reports) when synthesis and every
+/// simulation ran to the end; Timeout covers both the deterministic event
+/// budget and the runtime's watchdog (error/skip_reason tell them apart).
+struct ValidationJob : JobRow {
   bool converged = false;
   bool schedulable = false;
   /// True when the fault-free bound assertion actually ran (it is skipped
@@ -125,52 +93,45 @@ struct ValidationJob {
   /// replayable from (suite, system_seed, strategy).
   std::vector<sim::BoundViolation> violations;
   std::vector<ScenarioOutcome> scenarios;
-  double seconds = 0.0;
-  /// Per-job engine metrics (DESIGN.md §7): deterministic, signed.
-  std::uint64_t evals = 0;            ///< synthesis strategy evaluations
-  std::uint64_t cache_hits = 0;       ///< evaluation-cache hits
-  std::uint64_t cache_lookups = 0;    ///< evaluation-cache lookups (hits+misses)
-  std::uint64_t delta_fallbacks = 0;  ///< delta runs that fell back to cold
 
-  /// Cache hit rate in [0,1] (0 when the job never consulted the cache).
-  [[nodiscard]] double cache_hit_rate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) / static_cast<double>(cache_lookups);
-  }
-
-  /// FNV-1a over every deterministic field (seconds excluded).
+  /// FNV-1a over the paper outputs: job, system seed, state, converged,
+  /// schedulable, checked, skip_reason, the violations and the scenario
+  /// outcomes (fault counters as their total).
   [[nodiscard]] std::uint64_t signature() const;
 };
 
-struct ValidationResult {
-  ValidationSpec spec;
-  std::vector<ValidationJob> jobs;  ///< indexed by job_index (= suite order)
-  std::size_t workers = 1;
-  bool interrupted = false;  ///< shutdown drained the run early
-  double wall_seconds = 0.0;
-
-  [[nodiscard]] std::uint64_t signature() const;
+struct ValidationResult : SuiteResult<ValidationSpec, ValidationJob> {
   [[nodiscard]] std::size_t total_violations() const;
-  [[nodiscard]] std::size_t count(JobStatus status) const;
+  [[nodiscard]] std::size_t count(RunState state) const;
 
   /// Per-dimension roll-up: job statuses, checked/violating instances,
   /// and per scenario the total deadline misses and lost messages.
   [[nodiscard]] util::Table summary_table() const;
 };
 
-/// Execution-time knobs (shutdown, fault injection); none affect a
-/// finished run's deterministic fields.
-struct ValidationRunOptions {
-  const std::atomic<bool>* stop = nullptr;  ///< graceful shutdown flag
-  std::vector<RuntimeFault> faults;         ///< test-only fault injection
+/// The fault-free soundness step of a validation job, shared with
+/// `mcs_synth <system.mcs> --simulate`: simulates `candidate` under the
+/// offsets its analysis computed and, when that run completed with no
+/// configuration violations, checks every simulated instant against its
+/// analytic bound (sim::check_bounds fills sim.bound_violations).
+struct NominalRun {
+  core::SystemConfig config;  ///< the simulated configuration
+  sim::SimResult sim;
+  bool checked = false;
+  std::string skip_reason;  ///< why the bounds were not checked
 };
+[[nodiscard]] NominalRun simulate_nominal(const model::Application& app,
+                                          const arch::Platform& platform,
+                                          const core::Candidate& candidate,
+                                          const core::Evaluation& eval,
+                                          const sim::SimOptions& options);
 
 /// Runs the validation campaign on `spec.jobs` worker threads.  All
 /// deterministic fields are bit-identical for any thread count.
-[[nodiscard]] ValidationResult run_validation(const ValidationSpec& spec);
+/// Validation rows are not journaled: a non-empty `options.journal_path`
+/// throws std::invalid_argument.
 [[nodiscard]] ValidationResult run_validation(const ValidationSpec& spec,
-                                              const ValidationRunOptions& options);
+                                              const RunOptions& options = {});
 
 void write_json(const ValidationResult& result, std::ostream& out);
 void write_csv(const ValidationResult& result, std::ostream& out);

@@ -211,10 +211,14 @@ void write_system(std::ostream& out, const arch::Platform& platform,
   out << "# mcs system description\n";
   out << "ttp " << platform.ttp().time_per_byte << " "
       << platform.ttp().frame_overhead << "\n";
-  // CanBusParams does not expose its internals; emit a linear model with
-  // per-size samples commented for reference.
-  out << "can linear " << platform.can().tx_time(1) << " 0  # tx(1B); tx(8B)="
-      << platform.can().tx_time(8) << "\n";
+  const arch::CanBusParams& can = platform.can();
+  if (can.is_exact()) {
+    out << "can exact " << can.bit_time()
+        << (can.format() == arch::CanFrameFormat::Extended ? " extended\n"
+                                                           : " standard\n");
+  } else {
+    out << "can linear " << can.base() << " " << can.per_byte() << "\n";
+  }
   out << "gateway_transfer " << platform.gateway_transfer().wcet << " "
       << platform.gateway_transfer().period << "\n";
   for (std::size_t ni = 0; ni < platform.num_nodes(); ++ni) {

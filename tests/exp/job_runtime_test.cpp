@@ -288,7 +288,7 @@ protected:
 TEST_F(CampaignResilienceTest, FaultInjectedRunsAreThreadCountInvariant) {
   CampaignSpec spec = resilience_spec(1);
   spec.max_retries = 1;
-  CampaignRunOptions options;
+  RunOptions options;
   options.faults = {{1, 1, RuntimeFault::Kind::ThrowTransient},
                     {2, 1, RuntimeFault::Kind::ThrowPermanent}};
 
@@ -313,7 +313,7 @@ TEST_F(CampaignResilienceTest, FaultInjectedRunsAreThreadCountInvariant) {
 TEST_F(CampaignResilienceTest, StalledJobBecomesTimeoutRow) {
   CampaignSpec spec = resilience_spec(2);
   spec.job_timeout_ms = 50;
-  CampaignRunOptions options;
+  RunOptions options;
   options.faults = {{0, 1, RuntimeFault::Kind::Stall}};
 
   const CampaignResult result = run_campaign(spec, options);
@@ -336,7 +336,7 @@ TEST_F(CampaignResilienceTest, PartialJournalResumeMatchesUninterruptedRun) {
   // Journal a full run, then rewrite the journal keeping only the first
   // two records — the deterministic equivalent of a crash after two jobs.
   const fs::path journal = dir_ / "partial.journal";
-  CampaignRunOptions journal_options;
+  RunOptions journal_options;
   journal_options.journal_path = journal.string();
   (void)run_campaign(spec, journal_options);
   const JournalContents full = read_journal(journal);
@@ -348,7 +348,7 @@ TEST_F(CampaignResilienceTest, PartialJournalResumeMatchesUninterruptedRun) {
     writer.close();
   }
 
-  CampaignRunOptions resume_options;
+  RunOptions resume_options;
   resume_options.journal_path = journal.string();
   resume_options.resume = true;
   const CampaignResult resumed = run_campaign(spec, resume_options);
@@ -368,11 +368,11 @@ TEST_F(CampaignResilienceTest, PartialJournalResumeMatchesUninterruptedRun) {
 TEST_F(CampaignResilienceTest, ResumeOfCompleteJournalRecomputesNothing) {
   const CampaignSpec spec = resilience_spec(2);
   const fs::path journal = dir_ / "complete.journal";
-  CampaignRunOptions journal_options;
+  RunOptions journal_options;
   journal_options.journal_path = journal.string();
   const CampaignResult first = run_campaign(spec, journal_options);
 
-  CampaignRunOptions resume_options;
+  RunOptions resume_options;
   resume_options.journal_path = journal.string();
   resume_options.resume = true;
   const CampaignResult resumed = run_campaign(spec, resume_options);
@@ -382,13 +382,13 @@ TEST_F(CampaignResilienceTest, ResumeOfCompleteJournalRecomputesNothing) {
 
 TEST_F(CampaignResilienceTest, ResumeRefusesAJournalFromAnotherSpec) {
   const fs::path journal = dir_ / "other.journal";
-  CampaignRunOptions journal_options;
+  RunOptions journal_options;
   journal_options.journal_path = journal.string();
   (void)run_campaign(resilience_spec(1), journal_options);
 
   CampaignSpec other = resilience_spec(1);
   other.campaign_seed = 43;  // digest-relevant change
-  CampaignRunOptions resume_options;
+  RunOptions resume_options;
   resume_options.journal_path = journal.string();
   resume_options.resume = true;
   EXPECT_THROW((void)run_campaign(other, resume_options), JournalError);
@@ -416,7 +416,7 @@ TEST(ValidationResilience, FaultRetryIsThreadCountInvariant) {
   spec.strategy = Strategy::Sf;
   spec.max_retries = 1;
   spec.jobs = 1;
-  ValidationRunOptions options;
+  RunOptions options;
   options.faults = {{1, 1, RuntimeFault::Kind::ThrowTransient}};
 
   const ValidationResult serial = run_validation(spec, options);
@@ -424,7 +424,7 @@ TEST(ValidationResilience, FaultRetryIsThreadCountInvariant) {
   const ValidationResult parallel = run_validation(spec, options);
 
   ASSERT_GT(serial.jobs.size(), 1u);
-  EXPECT_EQ(serial.jobs[1].status, JobStatus::Ok);
+  EXPECT_EQ(serial.jobs[1].state, RunState::Done);
   EXPECT_EQ(serial.jobs[1].attempts, 2);
   EXPECT_EQ(serial.jobs[1].error, "injected transient fault (job 1, attempt 1)");
   EXPECT_EQ(serial.signature(), parallel.signature());

@@ -59,7 +59,7 @@ TEST(Validation, ResultsAreBitIdenticalAcrossThreadCounts) {
     const ValidationJob& b = parallel.jobs[ji];
     EXPECT_EQ(a.job_index, b.job_index);
     EXPECT_EQ(a.system_seed, b.system_seed);
-    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.state, b.state);
     EXPECT_EQ(a.error, b.error);
     EXPECT_EQ(a.converged, b.converged);
     EXPECT_EQ(a.schedulable, b.schedulable);
@@ -97,7 +97,7 @@ TEST(Validation, FaultFreeSoundnessSweepOver200Systems) {
   const ValidationResult result = run_validation(spec);
 
   ASSERT_EQ(result.jobs.size(), 200u);
-  EXPECT_EQ(result.count(JobStatus::Failed), 0u);
+  EXPECT_EQ(result.count(RunState::Failed), 0u);
   std::size_t checked = 0;
   for (const ValidationJob& job : result.jobs) {
     if (job.bounds_checked) ++checked;
@@ -125,9 +125,9 @@ TEST(Validation, ExceptionsBecomeFailedRowsNotAborts) {
   spec.scenarios = {bad};
   const ValidationResult result = run_validation(spec);
 
-  ASSERT_GT(result.count(JobStatus::Failed), 0u);
+  ASSERT_GT(result.count(RunState::Failed), 0u);
   for (const ValidationJob& job : result.jobs) {
-    if (job.status != JobStatus::Failed) continue;
+    if (job.state != RunState::Failed) continue;
     EXPECT_FALSE(job.error.empty());
     EXPECT_GT(job.system_seed, 0u);  // still attributable and replayable
     EXPECT_TRUE(job.scenarios.empty());
@@ -144,9 +144,9 @@ TEST(Validation, EventBudgetExhaustionBecomesTimeoutRows) {
   spec.max_sim_events = 1;
   const ValidationResult result = run_validation(spec);
 
-  ASSERT_GT(result.count(JobStatus::Timeout), 0u);
+  ASSERT_GT(result.count(RunState::Timeout), 0u);
   for (const ValidationJob& job : result.jobs) {
-    if (job.status != JobStatus::Timeout) continue;
+    if (job.state != RunState::Timeout) continue;
     EXPECT_FALSE(job.bounds_checked);
     EXPECT_NE(job.skip_reason.find("event budget"), std::string::npos);
   }

@@ -1,9 +1,14 @@
 // The observability layer's acceptance contract (DESIGN.md §7): arming
 // metrics and tracing must not change a single deterministic result bit,
 // for any worker count — and the metrics a campaign publishes must
-// themselves be bit-stable across worker counts.
+// themselves be bit-stable across worker counts.  The report signature
+// contract rides along: one signature per kind across delta modes,
+// worker counts and observability.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,6 +63,33 @@ std::string with_observability(Fn&& body) {
   return out.str();
 }
 
+/// Sets (or, for nullptr, unsets) an environment variable for one scope
+/// and restores its previous state afterwards.
+class ScopedEnv {
+public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
 [[nodiscard]] std::string metrics_json_text() {
   std::ostringstream out;
   obs::write_metrics_json(obs::snapshot_metrics(), out);
@@ -105,8 +137,8 @@ TEST(ZeroInterference, CampaignMetricsSnapshotStableAcrossWorkerCounts) {
   EXPECT_NE(serial.find("\"sa.evaluations\""), std::string::npos) << serial;
 }
 
-// Per-job instrumentation fields feed the signature, so a rerun must
-// reproduce them exactly — and they must survive the journal codec.
+// Per-job instrumentation fields are deterministic, so a rerun must
+// reproduce them exactly, even though the signature leaves them out.
 TEST(ZeroInterference, CampaignInstrumentationFieldsAreDeterministic) {
   const CampaignResult a = run_campaign(campaign_spec(2));
   const CampaignResult b = run_campaign(campaign_spec(2));
@@ -124,6 +156,56 @@ TEST(ZeroInterference, CampaignInstrumentationFieldsAreDeterministic) {
   // The Os/Sas strategies evaluate many candidates; a campaign where every
   // evals field is zero means the plumbing is disconnected.
   EXPECT_TRUE(any_nonzero);
+}
+
+// --- signature contract ---------------------------------------------
+
+// A report signature digests the paper outputs only (pipeline.hpp), so
+// each kind has ONE signature across delta Off/On/Check x jobs {1, 4} x
+// observability {off, on}.  The engine counters it leaves out do differ
+// across those runs — no delta fallbacks under Off, some under On — so
+// equal signatures prove the counters are excluded, not equal by chance.
+TEST(ZeroInterference, SignatureIsInvariantAcrossDeltaModesJobsAndObservability) {
+  struct DeltaEnv {
+    const char* delta;
+    const char* check;
+  };
+  const DeltaEnv on{nullptr, nullptr}, off{"0", nullptr}, check{nullptr, "1"};
+  std::set<std::uint64_t> campaign_signatures, validation_signatures;
+  for (const DeltaEnv* mode : {&on, &off, &check}) {
+    const ScopedEnv delta("MCS_DELTA", mode->delta);
+    const ScopedEnv delta_check("MCS_DELTA_CHECK", mode->check);
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      for (const bool observed : {false, true}) {
+        CampaignResult campaign;
+        ValidationResult validation;
+        const auto run = [&] {
+          campaign = run_campaign(campaign_spec(jobs));
+          validation = run_validation(validation_spec(jobs));
+        };
+        if (observed) {
+          (void)with_observability(run);
+        } else {
+          run();
+        }
+        campaign_signatures.insert(campaign.signature());
+        validation_signatures.insert(validation.signature());
+
+        // A zero sum of the unsigned counters means zero on every job.
+        std::uint64_t campaign_fallbacks = 0;
+        for (const JobResult& job : campaign.jobs) campaign_fallbacks += job.delta_fallbacks;
+        std::uint64_t all_fallbacks = campaign_fallbacks;
+        for (const ValidationJob& job : validation.jobs) all_fallbacks += job.delta_fallbacks;
+        if (mode == &off) {
+          EXPECT_EQ(all_fallbacks, 0u) << "jobs=" << jobs;
+        } else if (mode == &on) {
+          EXPECT_GT(campaign_fallbacks, 0u) << "jobs=" << jobs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(campaign_signatures.size(), 1u);
+  EXPECT_EQ(validation_signatures.size(), 1u);
 }
 
 // --- validation -------------------------------------------------------

@@ -7,8 +7,10 @@
 //   --strategy sf|os|or     synthesis strategy (default: or)
 //   --conservative          disable offset/precedence pruning
 //   --paper-ttp             use the paper's closed-form OutTTP model
-//   --simulate              validate the result with the discrete-event
-//                           simulator and report observed vs bound
+//   --simulate              simulate the result fault-free and check every
+//                           simulated instant against its analytic bound
+//                           (the --validate soundness step; exit 1 on a
+//                           BOUND VIOLATION)
 //   --faults <spec>         with --simulate: additionally run the fault
 //                           scenario described by the key=value spec file
 //                           (examples/drop.faults) and report degradation
@@ -318,14 +320,48 @@ int parse_args(int argc, char** argv, Options& options) {
   return 0;
 }
 
-int run_campaign_mode(const Options& options) {
-  exp::CampaignSpec spec = exp::parse_campaign_spec_file(options.campaign);
+/// Applies the runtime flags shared by --campaign and --validate.
+void apply_run_flags(const Options& options, exp::SpecBase& spec) {
   if (options.jobs) spec.jobs = *options.jobs;
   if (options.job_timeout_ms) spec.job_timeout_ms = *options.job_timeout_ms;
   if (options.max_retries) spec.max_retries = *options.max_retries;
   if (options.queue_limit) spec.queue_limit = *options.queue_limit;
+}
 
-  exp::CampaignRunOptions run;
+/// Writes --report-json / --report-csv; false when a file cannot be opened.
+template <typename Result>
+bool write_report_files(const Options& options, const Result& result) {
+  for (const bool json : {true, false}) {
+    const std::string& path = json ? options.report_json : options.report_csv;
+    if (path.empty()) continue;
+    std::ofstream out(path);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      return false;
+    }
+    if (json) {
+      exp::write_json(result, out);
+    } else {
+      exp::write_csv(result, out);
+    }
+    std::printf("wrote %s\n", path.c_str());
+  }
+  return true;
+}
+
+/// One fault-free analytic-bound exceedance — a soundness bug — with the
+/// coordinates that replay it.
+void print_bound_violation(const sim::BoundViolation& v, const std::string& where) {
+  std::printf("BOUND VIOLATION: %s simulated %lld > bound %lld (%s) \n",
+              v.activity.c_str(), static_cast<long long>(v.simulated),
+              static_cast<long long>(v.bound), where.c_str());
+}
+
+int run_campaign_mode(const Options& options) {
+  exp::CampaignSpec spec = exp::parse_campaign_spec_file(options.campaign);
+  apply_run_flags(options, spec);
+
+  exp::RunOptions run;
   run.journal_path = options.resume.empty() ? options.journal : options.resume;
   run.resume = !options.resume.empty();
   run.stop = &g_stop;
@@ -343,24 +379,7 @@ int run_campaign_mode(const Options& options) {
   std::printf("\nsignature: %016llx (thread-count invariant)\n",
               static_cast<unsigned long long>(result.signature()));
 
-  if (!options.report_json.empty()) {
-    std::ofstream out(options.report_json);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", options.report_json.c_str());
-      return 1;
-    }
-    exp::write_json(result, out);
-    std::printf("wrote %s\n", options.report_json.c_str());
-  }
-  if (!options.report_csv.empty()) {
-    std::ofstream out(options.report_csv);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", options.report_csv.c_str());
-      return 1;
-    }
-    exp::write_csv(result, out);
-    std::printf("wrote %s\n", options.report_csv.c_str());
-  }
+  if (!write_report_files(options, result)) return 1;
   if (result.interrupted) {
     std::printf("interrupted: drained in-flight jobs, %s; "
                 "re-run with --resume to finish\n",
@@ -376,12 +395,9 @@ int run_validation_mode(const Options& options) {
   if (!options.faults.empty()) {
     spec.scenarios.push_back(sim::parse_fault_spec_file(options.faults));
   }
-  if (options.jobs) spec.jobs = *options.jobs;
-  if (options.job_timeout_ms) spec.job_timeout_ms = *options.job_timeout_ms;
-  if (options.max_retries) spec.max_retries = *options.max_retries;
-  if (options.queue_limit) spec.queue_limit = *options.queue_limit;
+  apply_run_flags(options, spec);
 
-  exp::ValidationRunOptions run;
+  exp::RunOptions run;
   run.stop = &g_stop;
   const exp::ValidationResult result = exp::run_validation(spec, run);
 
@@ -399,39 +415,18 @@ int run_validation_mode(const Options& options) {
   // replayable coordinates so the instance can be regenerated exactly.
   for (const exp::ValidationJob& job : result.jobs) {
     for (const sim::BoundViolation& v : job.violations) {
-      std::printf(
-          "BOUND VIOLATION: %s simulated %lld > bound %lld "
-          "(suite %s, system_seed %llu, strategy %s) \n",
-          v.activity.c_str(), static_cast<long long>(v.simulated),
-          static_cast<long long>(v.bound), spec.suite.c_str(),
-          static_cast<unsigned long long>(job.system_seed),
-          exp::to_string(spec.strategy).c_str());
+      print_bound_violation(v, "suite " + spec.suite + ", system_seed " +
+                                   std::to_string(job.system_seed) + ", strategy " +
+                                   exp::to_string(spec.strategy));
     }
-    if (job.status == exp::JobStatus::Failed) {
+    if (job.failed()) {
       std::printf("job %zu (system_seed %llu) failed: %s\n", job.job_index,
                   static_cast<unsigned long long>(job.system_seed),
                   job.error.c_str());
     }
   }
 
-  if (!options.report_json.empty()) {
-    std::ofstream out(options.report_json);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", options.report_json.c_str());
-      return 1;
-    }
-    exp::write_json(result, out);
-    std::printf("wrote %s\n", options.report_json.c_str());
-  }
-  if (!options.report_csv.empty()) {
-    std::ofstream out(options.report_csv);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", options.report_csv.c_str());
-      return 1;
-    }
-    exp::write_csv(result, out);
-    std::printf("wrote %s\n", options.report_csv.c_str());
-  }
+  if (!write_report_files(options, result)) return 1;
   if (result.interrupted) {
     std::printf("interrupted: drained in-flight jobs, partial report only\n");
     return 4;
@@ -439,8 +434,10 @@ int run_validation_mode(const Options& options) {
   return result.total_violations() == 0 ? 0 : 1;
 }
 
-void report(const gen::ParsedSystem& sys, const core::Candidate& candidate,
-            const core::Evaluation& eval, const Options& options) {
+/// Prints the synthesis result; with --simulate also runs the fault-free
+/// soundness step of a validation job and returns its bound violations.
+std::size_t report(const gen::ParsedSystem& sys, const core::Candidate& candidate,
+                   const core::Evaluation& eval, const Options& options) {
   const auto& analysis = eval.mcs.analysis;
   std::printf("verdict: %s\n", eval.schedulable ? "SCHEDULABLE" : "NOT schedulable");
 
@@ -496,58 +493,59 @@ void report(const gen::ParsedSystem& sys, const core::Candidate& candidate,
     msgs.print(std::cout);
   }
 
-  if (options.simulate) {
-    core::SystemConfig cfg = candidate.to_config(sys.app);
-    for (std::size_t pi = 0; pi < sys.app.num_processes(); ++pi) {
-      cfg.set_process_offset(
-          util::ProcessId(static_cast<util::ProcessId::underlying_type>(pi)),
-          analysis.process_offsets[pi]);
-    }
-    sim::SimOptions sim_options;
-    sim_options.record_trace = options.sim_trace;
-    const auto sim = sim::simulate(sys.app, sys.platform, cfg,
-                                   eval.mcs.schedule, sim_options);
-    std::printf("\nsimulation: %s, %zu violation(s)\n",
-                sim.completed ? "completed" : "did not complete",
-                sim.violations.size());
-    for (const auto& v : sim.violations) std::printf("  violation: %s\n", v.c_str());
-    util::Table check({"graph", "simulated response", "analysis bound"});
-    for (std::size_t gi = 0; gi < sys.app.num_graphs(); ++gi) {
-      check.add_row({sys.app.graphs()[gi].name,
-                     util::Table::fmt(sim.graph_response[gi]),
-                     util::Table::fmt(analysis.graph_response[gi])});
-    }
-    check.print(std::cout);
-    if (options.sim_trace) std::printf("\n%s", sim.trace.to_string().c_str());
+  if (!options.simulate) return 0;
+  sim::SimOptions sim_options;
+  sim_options.record_trace = options.sim_trace;
+  const exp::NominalRun nominal =
+      exp::simulate_nominal(sys.app, sys.platform, candidate, eval, sim_options);
+  const sim::SimResult& sim = nominal.sim;
+  std::printf("\nsimulation: %s, %zu violation(s)\n",
+              sim.completed ? "completed" : "did not complete", sim.violations.size());
+  for (const auto& v : sim.violations) std::printf("  violation: %s\n", v.c_str());
+  util::Table check({"graph", "simulated response", "analysis bound"});
+  for (std::size_t gi = 0; gi < sys.app.num_graphs(); ++gi) {
+    check.add_row({sys.app.graphs()[gi].name, util::Table::fmt(sim.graph_response[gi]),
+                   util::Table::fmt(analysis.graph_response[gi])});
+  }
+  check.print(std::cout);
+  if (nominal.checked) {
+    std::printf("bound check: %zu violation(s)\n", sim.bound_violations.size());
+  } else {
+    std::printf("bound check skipped: %s\n", nominal.skip_reason.c_str());
+  }
+  for (const sim::BoundViolation& v : sim.bound_violations) {
+    print_bound_violation(v, "system " + options.path + ", strategy " + options.strategy);
+  }
+  if (options.sim_trace) std::printf("\n%s", sim.trace.to_string().c_str());
 
-    if (!options.faults.empty()) {
-      const sim::FaultSpec faults = sim::parse_fault_spec_file(options.faults);
-      const auto faulted = sim::simulate(sys.app, sys.platform, cfg,
-                                         eval.mcs.schedule, sim_options, faults);
-      std::printf(
-          "\nfault scenario %s (seed %llu): %s, %lld fault(s) injected, "
-          "%zu deadline miss(es), %zu message(s) lost, %zu violation(s)\n",
-          faults.name.c_str(), static_cast<unsigned long long>(faults.seed),
-          sim::to_string(faulted.status), static_cast<long long>(faulted.faults.total()),
-          faulted.deadline_misses.size(), faulted.lost_messages.size(),
-          faulted.violations.size());
-      for (const auto& m : faulted.lost_messages) {
-        std::printf("  lost: %s\n", m.c_str());
-      }
-      util::Table degraded({"graph", "fault-free response", "faulted response",
-                            "deadline"});
-      for (std::size_t gi = 0; gi < sys.app.num_graphs(); ++gi) {
-        degraded.add_row({sys.app.graphs()[gi].name,
-                          util::Table::fmt(sim.graph_response[gi]),
-                          util::Table::fmt(faulted.graph_response[gi]),
-                          util::Table::fmt(sys.app.graphs()[gi].deadline)});
-      }
-      degraded.print(std::cout);
-      if (options.sim_trace) {
-        std::printf("\n%s", faulted.trace.to_string().c_str());
-      }
+  if (!options.faults.empty()) {
+    const sim::FaultSpec faults = sim::parse_fault_spec_file(options.faults);
+    const auto faulted = sim::simulate(sys.app, sys.platform, nominal.config,
+                                       eval.mcs.schedule, sim_options, faults);
+    std::printf(
+        "\nfault scenario %s (seed %llu): %s, %lld fault(s) injected, "
+        "%zu deadline miss(es), %zu message(s) lost, %zu violation(s)\n",
+        faults.name.c_str(), static_cast<unsigned long long>(faults.seed),
+        sim::to_string(faulted.status), static_cast<long long>(faulted.faults.total()),
+        faulted.deadline_misses.size(), faulted.lost_messages.size(),
+        faulted.violations.size());
+    for (const auto& m : faulted.lost_messages) {
+      std::printf("  lost: %s\n", m.c_str());
+    }
+    util::Table degraded({"graph", "fault-free response", "faulted response",
+                          "deadline"});
+    for (std::size_t gi = 0; gi < sys.app.num_graphs(); ++gi) {
+      degraded.add_row({sys.app.graphs()[gi].name,
+                        util::Table::fmt(sim.graph_response[gi]),
+                        util::Table::fmt(faulted.graph_response[gi]),
+                        util::Table::fmt(sys.app.graphs()[gi].deadline)});
+    }
+    degraded.print(std::cout);
+    if (options.sim_trace) {
+      std::printf("\n%s", faulted.trace.to_string().c_str());
     }
   }
+  return sim.bound_violations.size();
 }
 
 // Evaluation-engine counters for the single-system synthesis run: which
@@ -628,29 +626,28 @@ int run(Options options) {
       std::fprintf(stderr, "%s", validation.to_string().c_str());
     }
 
-    core::McsOptions mcs_options;
-    mcs_options.analysis.offset_pruning = !options.conservative;
-    mcs_options.analysis.ttp_queue_model = options.paper_ttp
-                                               ? core::TtpQueueModel::PaperFormula
-                                               : core::TtpQueueModel::Exact;
+    exp::SpecBase flags;
+    flags.conservative = options.conservative;
+    flags.paper_ttp = options.paper_ttp;
+    const core::McsOptions mcs_options = flags.mcs_options();
     const core::MoveContext ctx(sys.app, sys.platform, mcs_options);
 
+    // Exit 1 when the result is unschedulable or violates a bound.
+    const auto finish = [&](const core::Candidate& best, const core::Evaluation& eval) {
+      const std::size_t violations = report(sys, best, eval, options);
+      if (options.stats) print_stats(ctx, mcs_options);
+      return eval.schedulable && violations == 0 ? 0 : 1;
+    };
     if (options.strategy == "sf") {
       const auto sf = core::straightforward(ctx);
-      report(sys, sf.candidate, sf.evaluation, options);
-      if (options.stats) print_stats(ctx, mcs_options);
-      return sf.evaluation.schedulable ? 0 : 1;
+      return finish(sf.candidate, sf.evaluation);
     }
     if (options.strategy == "os") {
       const auto os = core::optimize_schedule(ctx);
-      report(sys, os.best, os.best_eval, options);
-      if (options.stats) print_stats(ctx, mcs_options);
-      return os.best_eval.schedulable ? 0 : 1;
+      return finish(os.best, os.best_eval);
     }
     const auto orr = core::optimize_resources(ctx);
-    report(sys, orr.best, orr.best_eval, options);
-    if (options.stats) print_stats(ctx, mcs_options);
-    return orr.best_eval.schedulable ? 0 : 1;
+    return finish(orr.best, orr.best_eval);
   } catch (const exp::JournalError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 5;
