@@ -62,12 +62,6 @@ struct AnalysisOptions {
 
   AnalysisKernel kernel = AnalysisKernel::Packed;
 
-  /// Adds the gateway transfer process response time r_T to the OutTTP
-  /// arrival of ETC->TTC messages.  The paper's worked example does not
-  /// charge it on this direction (only on TTC->ETC); kept as an ablation
-  /// knob.
-  bool charge_transfer_on_et_to_tt = false;
-
   /// Abort limits; hitting them marks the result as not converged.
   int max_outer_iterations = 64;
   int max_recurrence_iterations = 20000;
@@ -83,7 +77,6 @@ struct AnalysisOptions {
                                           const AnalysisOptions& b) noexcept {
   return a.offset_pruning == b.offset_pruning &&
          a.ttp_queue_model == b.ttp_queue_model && a.kernel == b.kernel &&
-         a.charge_transfer_on_et_to_tt == b.charge_transfer_on_et_to_tt &&
          a.max_outer_iterations == b.max_outer_iterations &&
          a.max_recurrence_iterations == b.max_recurrence_iterations;
 }

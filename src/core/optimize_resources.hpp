@@ -45,7 +45,7 @@ struct OptimizeResourcesResult {
     const OptimizeResourcesOptions& options = {});
 
 /// Step 2 alone: hill-climb buffer minimization from a given start.
-/// Exposed for the ablation benches (seeded vs cold starts).
+/// Exposed for examples/seeding_ablation.cpp (seeded vs cold starts).
 [[nodiscard]] OptimizeResourcesResult minimize_buffers_from(
     const MoveContext& ctx, const Candidate& start,
     const OptimizeResourcesOptions& options = {});

@@ -1334,7 +1334,6 @@ void out_ttp_drain(Ctx& ctx, State& s) {
     const std::size_t mi = mid.index();
     // Worst-case arrival into OutTTP: CAN leg complete.
     Time arrival = s.o_m[mi] + s.j_m[mi] + s.w_m[mi] + ctx.can_tx[mi];
-    if (ctx.opt.charge_transfer_on_et_to_tt) arrival += ctx.r_transfer;
     if (arrival > ctx.cap) arrival = ctx.cap;
 
     // I_m: bytes ahead of m in the FIFO.  OutTTP is ordered by ARRIVAL,

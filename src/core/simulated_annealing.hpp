@@ -3,7 +3,7 @@
 // (with schedulability as a soft constraint folded into the cost).  The
 // paper uses "very long and expensive runs" of these as near-optimal
 // references for Figure 9; the same role here, with an evaluation budget
-// so benchmark runtimes stay bounded.
+// so a reproduction run stays bounded.
 #pragma once
 
 #include <optional>
@@ -26,11 +26,12 @@ struct SaOptions {
   double min_temperature = 0.5;
   int max_evaluations = 4000;
   /// Wall-clock budget in milliseconds (0 = unlimited).  The paper ran
-  /// SAS/SAR for up to three hours; the benchmark harnesses cap the budget
-  /// so a full reproduction run stays laptop-sized.
+  /// SAS/SAR for up to three hours.  Campaigns force 0 (a clock budget
+  /// would break determinism); examples/runtime_comparison.cpp caps the
+  /// cold-start run with it.
   std::int64_t max_milliseconds = 0;
-  /// Early exit once the best cost reaches this value (used by the
-  /// run-time comparison harness: "time for SA to match OS quality").
+  /// Early exit once the best cost reaches this value (used by
+  /// examples/runtime_comparison.cpp: "time for SA to match OS quality").
   std::optional<double> target_cost;
   /// Cooperative cancellation: polled once per evaluation alongside the
   /// wall-clock budget; a set token unwinds with util::CancelledError so

@@ -21,7 +21,7 @@ void run_job(const CampaignSpec& spec, const gen::GeneratedSystem& sys, JobResul
   job.inter_cluster_messages = sys.inter_cluster_messages;
   JobSynthesis synthesis(sys, spec, cancel);
 
-  // Annealing starts from the best candidate produced so far (the bench
+  // Annealing starts from the best candidate produced so far (the Figure 9
   // setup: SAS refines OS, SAR refines OR), falling back to the initial
   // straightforward genotype when no earlier strategy ran.
   core::Candidate sa_start = core::Candidate::initial(sys.app, sys.platform);

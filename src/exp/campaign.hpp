@@ -50,8 +50,9 @@ struct CampaignSpec : SpecBase {
 
   std::vector<Strategy> strategies = {Strategy::Sf, Strategy::Os, Strategy::Sas};
   /// When false, SAS/SAR is skipped (outcome.skipped = true) on jobs
-  /// whose preceding strategy was unschedulable — the Figure 9b/9c
-  /// benches' behavior, saving the full SA budget on hopeless instances.
+  /// whose preceding strategy was unschedulable — the setting of
+  /// examples/fig9b.campaign and fig9c.campaign, saving the full SA
+  /// budget on hopeless instances.
   /// The skip decision reads only deterministic fields, so thread-count
   /// invariance is preserved.
   bool anneal_unschedulable_starts = true;

@@ -24,14 +24,14 @@ namespace mcs::exp {
 
 /// The synthesis strategies a job can run (paper §6 nomenclature).
 /// SAS/SAR seed their annealing from the best candidate an earlier
-/// OS/OR strategy produced, mirroring the benchmark setup.
+/// OS/OR strategy produced, mirroring the Figure 9 setup.
 enum class Strategy { Sf, Os, Or, Sas, Sar };
 
 [[nodiscard]] std::string to_string(Strategy strategy);
 /// Parses "sf" | "os" | "or" | "sas" | "sar" (throws std::invalid_argument).
 [[nodiscard]] Strategy parse_strategy(const std::string& name);
 
-/// Search budgets (the defaults match bench_common.hpp's laptop profile).
+/// Search budgets (laptop-sized defaults; paper scale needs larger SA budgets).
 struct CampaignBudgets {
   int sa_max_evaluations = 250;
   int hopa_iterations = 3;

@@ -15,8 +15,9 @@
 // Recording is gated on a single global flag (set_metrics_enabled); when
 // it is off every record call is one relaxed atomic load and a branch,
 // which is what keeps the zero-interference overhead budget (<2%,
-// bench_observability.cpp) honest.  Instruments never touch analysis
-// state, so enabling them cannot change any deterministic result field.
+// perfbench's obs.trace_overhead_frac) honest.  Instruments never touch
+// analysis state, so enabling them cannot change any deterministic
+// result field.
 //
 // Handles (Counter/Gauge/Histogram) are cheap value types; the intended
 // call-site idiom registers once per process via a function-local static:

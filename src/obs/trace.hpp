@@ -12,8 +12,7 @@
 // thread ids are the documented exception, exactly like the wall-clock
 // `seconds` fields of campaign reports.  The tracer never feeds anything
 // back into analysis state, so arming it cannot change a result
-// (asserted by tests/obs/zero_interference_test.cpp and
-// bench_observability.cpp).
+// (asserted by tests/obs/zero_interference_test.cpp).
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,5 @@
-// Plain-text table rendering for the benchmark harnesses, so every bench
-// binary prints the same rows/series the paper's tables and figures report.
+// Plain-text table rendering for the reports and examples, so every
+// summary prints the same rows/series the paper's tables and figures report.
 #pragma once
 
 #include <cstddef>

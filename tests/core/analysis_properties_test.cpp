@@ -96,22 +96,6 @@ TEST(AnalysisProperties, EtToTtWithoutGatewaySlotDiverges) {
   EXPECT_FALSE(r.schedulable(ex.app));
 }
 
-TEST(AnalysisProperties, ChargingTransferOnEtToTtIsNeverTighter) {
-  const auto ex = gen::make_paper_example();
-  auto cfg1 = gen::make_figure4_config(ex, Figure4Variant::A);
-  auto cfg2 = gen::make_figure4_config(ex, Figure4Variant::A);
-  McsOptions no_charge;
-  McsOptions charge;
-  charge.analysis.charge_transfer_on_et_to_tt = true;
-  const auto r1 = multi_cluster_scheduling(ex.app, ex.platform, cfg1, no_charge);
-  const auto r2 = multi_cluster_scheduling(ex.app, ex.platform, cfg2, charge);
-  EXPECT_LE(r1.analysis.message_delivery[ex.m3.index()],
-            r2.analysis.message_delivery[ex.m3.index()]);
-  // In Figure 4a the extra 5 ms lands on the same S_G slot boundary:
-  // arrival 160 still catches [160, 180).
-  EXPECT_EQ(r2.analysis.message_delivery[ex.m3.index()], 180);
-}
-
 TEST(AnalysisProperties, LocalDeadlineViolationDetected) {
   auto ex = gen::make_paper_example();
   ex.app.set_local_deadline(ex.p2, 100);  // completion is 135 in config A

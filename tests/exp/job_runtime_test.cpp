@@ -327,18 +327,26 @@ TEST_F(CampaignResilienceTest, StalledJobBecomesTimeoutRow) {
 
 // The crash-safety acceptance property: a campaign resumed from a PARTIAL
 // journal — only some jobs checkpointed — reproduces the uninterrupted
-// run's signature exactly, re-running only the missing jobs.
+// run's signature exactly, re-running only the missing jobs.  The
+// resilience layers themselves must not touch a signed field either: a
+// fully journaled run and a run under a watchdog generous enough never
+// to fire both sign like the bare run.
 TEST_F(CampaignResilienceTest, PartialJournalResumeMatchesUninterruptedRun) {
   const CampaignSpec spec = resilience_spec(2);
   const CampaignResult uninterrupted = run_campaign(spec);
   ASSERT_GE(uninterrupted.jobs.size(), 3u);
+
+  CampaignSpec watched = spec;
+  watched.job_timeout_ms = 60000;
+  EXPECT_EQ(run_campaign(watched).signature(), uninterrupted.signature());
 
   // Journal a full run, then rewrite the journal keeping only the first
   // two records — the deterministic equivalent of a crash after two jobs.
   const fs::path journal = dir_ / "partial.journal";
   RunOptions journal_options;
   journal_options.journal_path = journal.string();
-  (void)run_campaign(spec, journal_options);
+  EXPECT_EQ(run_campaign(spec, journal_options).signature(),
+            uninterrupted.signature());
   const JournalContents full = read_journal(journal);
   ASSERT_EQ(full.records.size(), uninterrupted.jobs.size());
   {

@@ -37,7 +37,7 @@
 //
 // Arming --trace/--metrics cannot change any result: every campaign and
 // validation signature is bit-identical with observability on or off
-// (tests/obs/zero_interference_test.cpp, bench_observability.cpp).
+// (tests/obs/zero_interference_test.cpp).
 //
 // Campaign mode (parallel multi-seed/multi-suite sweeps, see
 // src/exp/campaign.hpp and DESIGN.md §4):
