@@ -70,9 +70,8 @@ struct AnalysisOptions {
   /// in AnalysisResult::diverged_activities.
 };
 
-/// Field-wise equality; part of the delta-eligibility fingerprint (a
-/// cached trajectory recorded under different options must never be
-/// reused).
+/// Field-wise equality; the delta-eligibility gate (a cached trajectory
+/// recorded under different options must never be reused).
 [[nodiscard]] constexpr bool same_options(const AnalysisOptions& a,
                                           const AnalysisOptions& b) noexcept {
   return a.offset_pruning == b.offset_pruning &&

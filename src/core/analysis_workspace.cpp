@@ -336,6 +336,13 @@ void AnalysisWorkspace::commit_mcs_capture() {
   std::swap(mcs_base_, mcs_capture_);
 }
 
+const std::vector<Time>& AnalysisWorkspace::critical_path() {
+  if (critical_path_.size() != app_->num_processes()) {
+    critical_path_ = sched::critical_path_priorities(*app_);
+  }
+  return critical_path_;
+}
+
 AnalysisWorkspace::State& AnalysisWorkspace::reset_state() {
   const std::size_t np = app_->num_processes();
   const std::size_t nm = app_->num_messages();

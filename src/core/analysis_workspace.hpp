@@ -20,6 +20,9 @@
 //     reachability index),
 //   * trajectory storage for the incremental (delta) re-analysis.
 //
+// The critical-path priorities list scheduling orders TT processes by are
+// computed on the first MultiClusterScheduling run and kept for the rest.
+//
 // The workspace additionally owns the fixed-point State buffers (13
 // vectors over processes/messages) which are RESET, not reallocated, on
 // every analysis call, and scratch vectors for the buffer-bound pass.
@@ -46,6 +49,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -68,9 +72,9 @@ enum class DeltaMode { Off, On, Check };
 
 /// Counters of the incremental-evaluation machinery (per workspace).
 struct DeltaStats {
-  std::uint64_t full_runs = 0;      ///< cold MCS runs (incl. fallbacks)
+  std::uint64_t full_runs = 0;      ///< cold MCS runs (no base, or a fallback)
   std::uint64_t delta_runs = 0;     ///< trajectory-replay MCS runs
-  std::uint64_t fallbacks = 0;      ///< delta-ineligible (tdma/pins/options moved)
+  std::uint64_t fallbacks = 0;      ///< cold runs over a valid base (options moved)
   std::uint64_t checked = 0;        ///< Check-mode comparisons performed
   std::uint64_t mismatches = 0;     ///< Check-mode divergences detected
   std::uint64_t schedule_memo_hits = 0;   ///< list_schedule calls skipped
@@ -154,6 +158,9 @@ public:
   [[nodiscard]] const sched::TtcSchedule& empty_ttc_schedule() const noexcept {
     return empty_ttc_;
   }
+  /// sched::critical_path_priorities of the application, the order
+  /// list_schedule places TT processes in.  Computed on first use.
+  [[nodiscard]] const std::vector<util::Time>& critical_path();
 
   // --- structure-of-arrays recurrence pools ---------------------------
   /// Interference-pair classification, decided from statics alone (graph
@@ -418,18 +425,21 @@ public:
     RtaTrajectory traj;
   };
 
-  /// The recorded base MCS run plus its delta-eligibility fingerprint.
-  /// Priorities are NOT part of the fingerprint — they are what the
-  /// per-component dirtiness propagates; everything else mismatching
-  /// forces the cold fallback (which re-captures a fresh base).
+  /// The recorded base MCS run plus the inputs later runs compare against.
+  /// Only the analysis options and the iteration cap gate eligibility: a
+  /// mismatch there forces the cold fallback (which re-captures a fresh
+  /// base).  The TDMA round keys the schedule memo and the pass-4 drain
+  /// calendar, the message pins key the memo, and priorities feed the
+  /// per-component dirtiness.  Everything else each pass compares in the
+  /// state itself.
   struct McsBase {
     bool valid = false;
-    // Fingerprint.
-    std::vector<arch::Slot> tdma_slots;
-    std::vector<util::Time> pins_release, pins_tx;
+    // Eligibility gate.
     AnalysisOptions analysis_options;
     int max_iterations = 0;
-    // The diffed genotype part.
+    // Compared per input.
+    std::optional<arch::TdmaRound> tdma;
+    std::vector<util::Time> pins_tx;
     std::vector<Priority> process_priorities;
     std::vector<Priority> message_priorities;
     // Iteration records; iter_record maps loop index -> record index so
@@ -517,6 +527,7 @@ private:
   util::Time r_transfer_ = 0;
   util::Time cap_ = 0;
   sched::TtcSchedule empty_ttc_;
+  std::vector<util::Time> critical_path_;
 
   std::vector<ProcPool> proc_pools_;
   CanPool can_pool_;

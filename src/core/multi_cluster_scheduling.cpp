@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -45,25 +44,35 @@ using McsIterRecord = AnalysisWorkspace::McsIterRecord;
   return h.digest();
 }
 
-[[nodiscard]] bool same_tdma(const arch::TdmaRound& tdma,
-                             const std::vector<arch::Slot>& slots) {
-  const std::span<const arch::Slot> current = tdma.slots();
-  if (current.size() != slots.size()) return false;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (current[i].owner != slots[i].owner || current[i].length != slots[i].length) {
-      return false;
-    }
+/// Whether the pass-4 drain reads the same calendar from both rounds:
+/// whether the gateway owns a slot, that slot's offset and length, and the
+/// round length.
+[[nodiscard]] bool same_drain_calendar(const arch::TdmaRound& a,
+                                       const arch::TdmaRound& b,
+                                       util::NodeId gateway) {
+  const bool owned = a.owns_slot(gateway);
+  if (a.round_length() != b.round_length() || owned != b.owns_slot(gateway)) {
+    return false;
   }
-  return true;
+  if (!owned) return true;
+  const std::size_t sa = a.slot_of(gateway);
+  const std::size_t sb = b.slot_of(gateway);
+  return a.slot_offset(sa) == b.slot_offset(sb) &&
+         a.slot(sa).length == b.slot(sb).length;
 }
 
-/// Priority differences between the current configuration and the
-/// recorded base run — the only genotype dimensions the trajectory replay
-/// propagates (anything else fails the eligibility fingerprint).
+/// Differences between the current inputs and the recorded base run's.
+/// Priorities propagate through the per-component dirtiness; the TDMA
+/// round reaches the analysis only through the TTC schedule (pass 1) and
+/// the gateway drain calendar (pass 4).
 struct DeltaDirt {
   const std::vector<std::uint8_t>* proc = nullptr;  ///< per ProcessId
   const std::vector<Priority>* base_proc_prio = nullptr;  ///< base run's pi
   bool msg = false;  ///< any CAN-borne message priority differs
+  /// TDMA round and message pins equal the base's: list_schedule's inputs
+  /// then differ at most in the per-iteration release constraints.
+  bool same_round_and_tx = false;
+  bool ttp_calendar = false;  ///< the gateway drain calendar differs
 };
 
 /// One MultiClusterScheduling fixed-point run (Figure 5).  `base` enables
@@ -105,17 +114,18 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
 
     // phi = StaticScheduling(Gamma, rho, beta): list scheduling under the
     // current worst-case ETC->TTC delivery constraints.  list_schedule is
-    // a pure function of (app, platform, tdma, constraints) and the TDMA
-    // round is fingerprint-identical to the base, so equal constraints
-    // replay the recorded schedule verbatim.
+    // a pure function of (app, platform, tdma, constraints), so an equal
+    // round, equal message pins and equal release constraints replay the
+    // recorded schedule verbatim.
     bool schedule_memoized = false;
-    if (rec != nullptr && constraints.process_release == rec->constraints_release) {
+    if (rec != nullptr && dirt.same_round_and_tx &&
+        constraints.process_release == rec->constraints_release) {
       result.schedule = rec->schedule;
       schedule_memoized = true;
       ++stats.schedule_memo_hits;
     } else {
-      result.schedule =
-          sched::list_schedule(app, platform, config.tdma(), constraints);
+      result.schedule = sched::list_schedule(app, platform, config.tdma(),
+                                             constraints, workspace.critical_path());
     }
     for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
       const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
@@ -153,6 +163,7 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
       rta_delta.proc_prio_changed = dirt.proc;
       rta_delta.base_process_priorities = dirt.base_proc_prio;
       rta_delta.msg_prio_dirty = dirt.msg;
+      rta_delta.ttp_calendar_dirty = dirt.ttp_calendar;
       rta_delta.schedule_memoized = schedule_memoized;
       delta = &rta_delta;
     }
@@ -253,19 +264,22 @@ McsResult multi_cluster_scheduling(const model::Application& app,
   DeltaStats& stats = workspace.delta_stats();
   McsBase& base = workspace.mcs_base();
 
-  // Delta eligibility: everything except the priorities must match the
-  // recorded base run (the trajectory replay propagates priority changes;
-  // anything else — TDMA round, pins, analysis options — falls back to a
-  // cold run, which re-captures a fresh base).
-  const bool eligible =
-      base.valid && same_tdma(config.tdma(), base.tdma_slots) &&
-      constraints.process_release == base.pins_release &&
-      constraints.message_tx == base.pins_tx &&
-      same_options(options.analysis, base.analysis_options) &&
-      options.max_iterations == base.max_iterations;
+  // Delta eligibility: only a change of the analysis options or the
+  // iteration cap falls back to a cold run (which re-captures a fresh
+  // base).  The TDMA round and the pins are inputs the schedule memo and
+  // pass 4 compare themselves; passes 2 and 3 compare their state inputs
+  // against the base snapshot at the same (iteration, pass) coordinate.
+  const bool eligible = base.valid &&
+                        same_options(options.analysis, base.analysis_options) &&
+                        options.max_iterations == base.max_iterations;
 
   DeltaDirt dirt;
   if (eligible) {
+    dirt.same_round_and_tx =
+        std::ranges::equal(config.tdma().slots(), base.tdma->slots()) &&
+        constraints.message_tx == base.pins_tx;
+    dirt.ttp_calendar =
+        !same_drain_calendar(config.tdma(), *base.tdma, workspace.gateway());
     std::vector<std::uint8_t>& flags = workspace.prio_changed_scratch();
     for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
       const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
@@ -291,9 +305,7 @@ McsResult multi_cluster_scheduling(const model::Application& app,
   // Prepare the capture buffer: current fingerprint + genotype, no records.
   McsBase& capture = workspace.mcs_capture();
   capture.valid = false;
-  const std::span<const arch::Slot> slots = config.tdma().slots();
-  capture.tdma_slots.assign(slots.begin(), slots.end());
-  capture.pins_release = constraints.process_release;
+  capture.tdma = config.tdma();
   capture.pins_tx = constraints.message_tx;
   capture.analysis_options = options.analysis;
   capture.max_iterations = options.max_iterations;

@@ -1387,22 +1387,24 @@ void out_ttp_drain(Ctx& ctx, State& s) {
 /// Pass-4 driver: the OutTTP FIFO is one component (arrival order couples
 /// all ET->TT messages).  Dirtiness inputs per member: post-pass-3
 /// {o,e,j,w} (end values — pass 4 never changes them), post-pass-3 r, and
-/// the incoming d/ttp_wait (previous pass's end).  The drain calendar and
-/// the gateway slot are fingerprint-guaranteed identical to the base.
-/// Message priorities do NOT matter here: the FIFO count is priority-blind
-/// (message_can_interfere's state checks use no priorities).
+/// the incoming d/ttp_wait (previous pass's end).  The one input outside
+/// the state is the drain calendar (gateway slot ownership, offset and
+/// length, round length): `calendar_dirty` recomputes the drain when it
+/// differs from the base's.  Message priorities do NOT matter here: the
+/// FIFO count is priority-blind (message_can_interfere's state checks use
+/// no priorities).
 ///
 /// Pass 4 never re-arms the pass-1 graph skip: it only writes i/ttp_wait/
 /// d/r of ET->TT messages, and none of those slots are pass-1 inputs (an
 /// ET->TT destination is a TT process, whose pinned branch reads no
 /// incoming-message state).
-void pass4(Ctx& ctx, State& s, const PassSnapshot* snap,
+void pass4(Ctx& ctx, State& s, bool calendar_dirty, const PassSnapshot* snap,
            const PassSnapshot* prev, PassSnapshot* cap) {
   if (ctx.et_to_tt.empty()) {
     if (cap != nullptr) cap->ttp_div = 0;
     return;
   }
-  bool dirty = snap == nullptr;
+  bool dirty = snap == nullptr || calendar_dirty;
   bool settled = !dirty && snap->ttp_div == 0;
   if (!dirty) {
     for (const MessageId mid : ctx.et_to_tt) {
@@ -1730,7 +1732,7 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
     pass3(ctx, s, delta, snap, prev, cap);
     const bool equal_through_p3 = ctx.pass_equal;
     if (cap != nullptr && !equal_through_p3) cap->r_m_mid = s.r_m;
-    pass4(ctx, s, snap, prev, cap);
+    pass4(ctx, s, delta != nullptr && delta->ttp_calendar_dirty, snap, prev, cap);
     if (cap != nullptr) {
       if (ctx.pass_equal) {
         // Whole pass bit-equal to the base: don't copy anything.  The

@@ -59,13 +59,15 @@ struct AnalysisInput {
                                                     AnalysisWorkspace& workspace);
 
 /// Incremental re-analysis plan (DESIGN.md §2).  `base` is a trajectory
-/// recorded by a previous run whose inputs differed AT MOST in process
-/// and CAN-message priorities (flagged below); the caller — normally
-/// multi_cluster_scheduling — is responsible for that fingerprint match.
-/// The run replays each stored pass, recomputing only components whose
-/// exact pre-pass inputs differ from the base, so the result is
-/// bit-identical to a cold run for ANY base (a wrong base costs time,
-/// never correctness).
+/// recorded by a previous run under the same analysis options; its TTC
+/// schedule, TDMA round and priorities may differ.  Pass 1 always runs.
+/// Passes 2 and 3 compare their state inputs against the base snapshot at
+/// the same pass; the inputs they cannot see in the state (priorities,
+/// the gateway drain calendar) are flagged below by the caller, normally
+/// multi_cluster_scheduling.  The run replays each stored pass,
+/// recomputing only components whose exact pre-pass inputs differ from
+/// the base, so the result is bit-identical to a cold run for any base
+/// whose flags are right (a distant base costs time, never correctness).
 struct RtaDelta {
   const AnalysisWorkspace::RtaTrajectory* base = nullptr;
   /// Per-ProcessId flags: priority differs from the base run's.
@@ -77,6 +79,10 @@ struct RtaDelta {
   const std::vector<Priority>* base_process_priorities = nullptr;
   /// Any CAN-borne message priority differs from the base run's.
   bool msg_prio_dirty = false;
+  /// The OutTTP drain calendar differs from the base run's: whether the
+  /// gateway owns a slot, that slot's offset and length, or the round
+  /// length.  Forces pass 4 to recompute.
+  bool ttp_calendar_dirty = false;
   /// The caller replayed its schedule memo for this iteration, i.e. the
   /// TTC schedule (and hence every config-derived offset) is bit-equal to
   /// the base run's.  Required anchor for the copy-on-dirty snapshot

@@ -114,7 +114,7 @@ JournalContents parse_journal(const std::string& data,
   if (stored_checksum != header_checksum(contents.header)) {
     throw JournalError("'" + path.string() + "' header checksum mismatch");
   }
-  if (contents.header.version != 1) {
+  if (contents.header.version != kJournalVersion) {
     throw JournalError("'" + path.string() + "' has unsupported version " +
                        std::to_string(contents.header.version));
   }

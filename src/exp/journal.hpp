@@ -44,8 +44,13 @@ public:
       : std::runtime_error("journal: " + message) {}
 };
 
+/// Journal format version.  2: the last per-job counter in a campaign
+/// record is `delta_replays` (version 1 stored `delta_fallbacks` there),
+/// so a version-1 journal is refused rather than resumed mislabelled.
+inline constexpr std::uint64_t kJournalVersion = 2;
+
 struct JournalHeader {
-  std::uint64_t version = 1;
+  std::uint64_t version = kJournalVersion;
   /// Digest of the spec the journaled results were produced under.
   std::uint64_t spec_digest = 0;
 };

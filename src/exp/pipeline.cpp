@@ -127,7 +127,7 @@ void JobSynthesis::record_counters(JobRow& row) const {
   const core::EvaluationCache& cache = ctx_.evaluation_cache();
   row.cache_hits = cache.hits();
   row.cache_lookups = cache.hits() + cache.misses();
-  row.delta_fallbacks = ctx_.workspace().delta_stats().fallbacks;
+  row.delta_replays = ctx_.workspace().delta_stats().delta_runs;
   obs::publish_workspace(ctx_.workspace(), cache.hits(), cache.misses(),
                          core::kernel_name(ctx_.mcs_options().analysis.kernel));
 }
@@ -206,7 +206,7 @@ void write_json_job_metrics(std::ostream& out, const JobRow& row) {
       << row.evals << ", \"cache_hits\": " << row.cache_hits
       << ", \"cache_lookups\": " << row.cache_lookups
       << ", \"cache_hit_rate\": " << row.cache_hit_rate()
-      << ", \"delta_fallbacks\": " << row.delta_fallbacks << "},\n     ";
+      << ", \"delta_replays\": " << row.delta_replays << "},\n     ";
 }
 
 void write_csv_job_identity(std::ostream& out, const std::string& name,
@@ -216,7 +216,7 @@ void write_csv_job_identity(std::ostream& out, const std::string& name,
 }
 
 void write_csv_job_metrics(std::ostream& out, const JobRow& row, double seconds) {
-  out << ',' << row.evals << ',' << row.cache_hit_rate() << ',' << row.delta_fallbacks
+  out << ',' << row.evals << ',' << row.cache_hit_rate() << ',' << row.delta_replays
       << ',' << seconds << '\n';
 }
 

@@ -84,7 +84,7 @@ struct JobRow {
   std::uint64_t evals = 0;            ///< total strategy evaluations
   std::uint64_t cache_hits = 0;       ///< evaluation-cache hits
   std::uint64_t cache_lookups = 0;    ///< evaluation-cache lookups (hits+misses)
-  std::uint64_t delta_fallbacks = 0;  ///< delta runs that fell back to cold
+  std::uint64_t delta_replays = 0;    ///< MCS runs that replayed a recorded base
 
   /// Cache hit rate in [0,1] (0 when the job never consulted the cache).
   [[nodiscard]] double cache_hit_rate() const {

@@ -92,7 +92,7 @@ void write_json_run_keys(std::ostream& out, std::size_t workers, bool interrupte
 void write_json_job_identity(std::ostream& out, const JobRow& row);
 void write_json_job_metrics(std::ostream& out, const JobRow& row);
 /// Per CSV row: `name,job,...,messages`, the kind's columns, then
-/// `,evals,cache_hit_rate,delta_fallbacks,<seconds>\n` — the wall-clock
+/// `,evals,cache_hit_rate,delta_replays,<seconds>\n` — the wall-clock
 /// column stays last so consumers can strip it to compare runs.
 void write_csv_job_identity(std::ostream& out, const std::string& name,
                             const JobRow& row);
@@ -152,7 +152,7 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
   std::optional<JournalWriter> journal;
   std::vector<char> done(suite.size(), 0);
   if (!options.journal_path.empty()) {
-    const JournalHeader header{1, codec->spec_digest};
+    const JournalHeader header{kJournalVersion, codec->spec_digest};
     if (options.resume) {
       JournalContents recovered;
       journal.emplace(

@@ -94,14 +94,7 @@ Time ScheduleConstraints::message_lb(MessageId m) const {
   return message_tx.empty() ? 0 : message_tx.at(m.index());
 }
 
-TtcSchedule list_schedule(const Application& app, const arch::Platform& platform,
-                          const arch::TdmaRound& tdma,
-                          const ScheduleConstraints& constraints) {
-  TtcSchedule out;
-  out.process_start.assign(app.num_processes(), 0);
-  out.message_slot.assign(app.num_messages(), std::nullopt);
-
-  // Critical-path priorities (per graph, WCET-weighted path to a sink).
+std::vector<Time> critical_path_priorities(const Application& app) {
   std::vector<Time> cp(app.num_processes(), 0);
   for (std::size_t gi = 0; gi < app.num_graphs(); ++gi) {
     const GraphId g(static_cast<GraphId::underlying_type>(gi));
@@ -109,6 +102,16 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
     const auto& procs = app.graph(g).processes;
     for (std::size_t i = 0; i < procs.size(); ++i) cp[procs[i].index()] = lp[i];
   }
+  return cp;
+}
+
+TtcSchedule list_schedule(const Application& app, const arch::Platform& platform,
+                          const arch::TdmaRound& tdma,
+                          const ScheduleConstraints& constraints,
+                          const std::vector<Time>& cp) {
+  TtcSchedule out;
+  out.process_start.assign(app.num_processes(), 0);
+  out.message_slot.assign(app.num_messages(), std::nullopt);
 
   // Only TT processes are scheduled here.  A TT process becomes ready when
   // every predecessor constraint is resolved: TT predecessors must have

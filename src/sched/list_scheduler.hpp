@@ -62,12 +62,21 @@ struct TtcSchedule {
   std::vector<std::string> problems;
 };
 
-/// List scheduling with critical-path priorities.  Deterministic: ties are
-/// broken by ProcessId.  Throws std::invalid_argument for cyclic graphs.
+/// Critical-path priorities: per ProcessId, the WCET-weighted longest path
+/// from the process to a sink of its graph.  A function of the application
+/// alone, so callers that schedule one application many times compute it
+/// once (AnalysisWorkspace holds it).  Throws std::invalid_argument for
+/// cyclic graphs.
+[[nodiscard]] std::vector<Time> critical_path_priorities(const Application& app);
+
+/// List scheduling ordered by `critical_path` =
+/// critical_path_priorities(app).  Deterministic: ties are broken by
+/// ProcessId.
 [[nodiscard]] TtcSchedule list_schedule(const Application& app,
                                         const arch::Platform& platform,
                                         const arch::TdmaRound& tdma,
-                                        const ScheduleConstraints& constraints);
+                                        const ScheduleConstraints& constraints,
+                                        const std::vector<Time>& critical_path);
 
 /// Recommended slot lengths for the slot owned by `node` (paper §5.1 /
 /// reference [5]): the distinct "useful" lengths to try during the bus

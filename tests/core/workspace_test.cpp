@@ -143,7 +143,8 @@ TEST(AnalysisWorkspace, DirectAnalysisMatchesFreshOnPaperExample) {
         gen::Figure4Variant::CSlotFirst}) {
     SystemConfig cfg = gen::make_figure4_config(ex, variant);
     const auto schedule = sched::list_schedule(
-        ex.app, ex.platform, cfg.tdma(), sched::ScheduleConstraints::none(ex.app));
+        ex.app, ex.platform, cfg.tdma(), sched::ScheduleConstraints::none(ex.app),
+        sched::critical_path_priorities(ex.app));
     AnalysisInput input;
     input.app = &ex.app;
     input.platform = &ex.platform;

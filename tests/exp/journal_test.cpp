@@ -77,7 +77,7 @@ TEST_F(JournalTest, RecordReaderThrowsOnTruncatedPayload) {
 
 TEST_F(JournalTest, CreateAppendReadRoundtrips) {
   const fs::path p = path("a.journal");
-  const JournalHeader header{1, 0x1234};
+  const JournalHeader header{kJournalVersion, 0x1234};
   {
     JournalWriter writer = JournalWriter::create(p, header);
     writer.append("first");
@@ -86,7 +86,7 @@ TEST_F(JournalTest, CreateAppendReadRoundtrips) {
     writer.close();
   }
   const JournalContents contents = read_journal(p);
-  EXPECT_EQ(contents.header.version, 1u);
+  EXPECT_EQ(contents.header.version, kJournalVersion);
   EXPECT_EQ(contents.header.spec_digest, 0x1234u);
   ASSERT_EQ(contents.records.size(), 3u);
   EXPECT_EQ(contents.records[0], "first");
@@ -98,7 +98,7 @@ TEST_F(JournalTest, CreateAppendReadRoundtrips) {
 
 TEST_F(JournalTest, TornTailIsDroppedNotFatal) {
   const fs::path p = path("torn.journal");
-  const JournalHeader header{1, 7};
+  const JournalHeader header{kJournalVersion, 7};
   {
     JournalWriter writer = JournalWriter::create(p, header);
     writer.append("intact one");
@@ -117,7 +117,7 @@ TEST_F(JournalTest, TornTailIsDroppedNotFatal) {
 
 TEST_F(JournalTest, OpenOrCreateTruncatesTornTailAndContinues) {
   const fs::path p = path("resume.journal");
-  const JournalHeader header{1, 99};
+  const JournalHeader header{kJournalVersion, 99};
   {
     JournalWriter writer = JournalWriter::create(p, header);
     writer.append("one");
@@ -143,7 +143,7 @@ TEST_F(JournalTest, OpenOrCreateTruncatesTornTailAndContinues) {
 
 TEST_F(JournalTest, OpenOrCreateCreatesMissingFile) {
   const fs::path p = path("fresh.journal");
-  const JournalHeader header{1, 5};
+  const JournalHeader header{kJournalVersion, 5};
   JournalContents recovered{.header = {9, 9}, .truncated = true};
   JournalWriter writer = JournalWriter::open_or_create(p, header, recovered);
   EXPECT_TRUE(writer.is_open());
@@ -156,15 +156,15 @@ TEST_F(JournalTest, OpenOrCreateCreatesMissingFile) {
 
 TEST_F(JournalTest, OpenOrCreateRefusesSpecDigestMismatch) {
   const fs::path p = path("mismatch.journal");
-  { JournalWriter::create(p, JournalHeader{1, 111}).close(); }
+  { JournalWriter::create(p, JournalHeader{kJournalVersion, 111}).close(); }
   JournalContents recovered;
-  EXPECT_THROW(JournalWriter::open_or_create(p, JournalHeader{1, 222}, recovered),
+  EXPECT_THROW(JournalWriter::open_or_create(p, JournalHeader{kJournalVersion, 222}, recovered),
                JournalError);
 }
 
 TEST_F(JournalTest, WrongMagicThrows) {
   const fs::path p = path("magic.journal");
-  { JournalWriter::create(p, JournalHeader{1, 1}).close(); }
+  { JournalWriter::create(p, JournalHeader{kJournalVersion, 1}).close(); }
   std::string bytes = slurp(p);
   bytes[0] = 'X';
   spew(p, bytes);
@@ -173,10 +173,18 @@ TEST_F(JournalTest, WrongMagicThrows) {
 
 TEST_F(JournalTest, HeaderCorruptionThrows) {
   const fs::path p = path("header.journal");
-  { JournalWriter::create(p, JournalHeader{1, 1}).close(); }
+  { JournalWriter::create(p, JournalHeader{kJournalVersion, 1}).close(); }
   std::string bytes = slurp(p);
   bytes[8] ^= 0x40;  // flip a version bit: header checksum must catch it
   spew(p, bytes);
+  EXPECT_THROW((void)read_journal(p), JournalError);
+}
+
+// A journal written under an older record layout is refused: resuming it
+// would read its counters into the wrong fields.
+TEST_F(JournalTest, OlderVersionThrows) {
+  const fs::path p = path("old.journal");
+  { JournalWriter::create(p, JournalHeader{kJournalVersion - 1, 1}).close(); }
   EXPECT_THROW((void)read_journal(p), JournalError);
 }
 
@@ -197,7 +205,7 @@ TEST_F(JournalTest, MidFileCorruptionDropsTheSuffix) {
   const fs::path p = path("midfile.journal");
   std::uint64_t bytes_before_records = 0;
   {
-    JournalWriter writer = JournalWriter::create(p, JournalHeader{1, 3});
+    JournalWriter writer = JournalWriter::create(p, JournalHeader{kJournalVersion, 3});
     writer.sync();
     bytes_before_records = fs::file_size(p);
     writer.append("first record payload");
@@ -217,7 +225,7 @@ TEST_F(JournalTest, MidFileCorruptionDropsTheSuffix) {
 
 TEST_F(JournalTest, AppendAfterCloseThrows) {
   const fs::path p = path("closed.journal");
-  JournalWriter writer = JournalWriter::create(p, JournalHeader{1, 1});
+  JournalWriter writer = JournalWriter::create(p, JournalHeader{kJournalVersion, 1});
   writer.close();
   EXPECT_FALSE(writer.is_open());
   EXPECT_THROW(writer.append("late"), JournalError);

@@ -113,8 +113,7 @@ TEST(ZeroInterference, CampaignSignatureUnchangedByObservability) {
           << "jobs=" << jobs << " job " << ji;
       EXPECT_EQ(plain.jobs[ji].evals, observed.jobs[ji].evals);
       EXPECT_EQ(plain.jobs[ji].cache_hits, observed.jobs[ji].cache_hits);
-      EXPECT_EQ(plain.jobs[ji].delta_fallbacks,
-                observed.jobs[ji].delta_fallbacks);
+      EXPECT_EQ(plain.jobs[ji].delta_replays, observed.jobs[ji].delta_replays);
     }
     EXPECT_TRUE(mcs::test::is_valid_json(trace)) << "jobs=" << jobs;
     EXPECT_GT(obs::trace_event_count(), 0u) << "jobs=" << jobs;
@@ -149,7 +148,7 @@ TEST(ZeroInterference, CampaignInstrumentationFieldsAreDeterministic) {
     EXPECT_EQ(a.jobs[ji].cache_hits, b.jobs[ji].cache_hits) << "job " << ji;
     EXPECT_EQ(a.jobs[ji].cache_lookups, b.jobs[ji].cache_lookups)
         << "job " << ji;
-    EXPECT_EQ(a.jobs[ji].delta_fallbacks, b.jobs[ji].delta_fallbacks)
+    EXPECT_EQ(a.jobs[ji].delta_replays, b.jobs[ji].delta_replays)
         << "job " << ji;
     any_nonzero = any_nonzero || a.jobs[ji].evals > 0;
   }
@@ -163,7 +162,7 @@ TEST(ZeroInterference, CampaignInstrumentationFieldsAreDeterministic) {
 // A report signature digests the paper outputs only (pipeline.hpp), so
 // each kind has ONE signature across delta Off/On/Check x jobs {1, 4} x
 // observability {off, on}.  The engine counters it leaves out do differ
-// across those runs — no delta fallbacks under Off, some under On — so
+// across those runs — no delta replays under Off, some under On — so
 // equal signatures prove the counters are excluded, not equal by chance.
 TEST(ZeroInterference, SignatureIsInvariantAcrossDeltaModesJobsAndObservability) {
   struct DeltaEnv {
@@ -192,14 +191,14 @@ TEST(ZeroInterference, SignatureIsInvariantAcrossDeltaModesJobsAndObservability)
         validation_signatures.insert(validation.signature());
 
         // A zero sum of the unsigned counters means zero on every job.
-        std::uint64_t campaign_fallbacks = 0;
-        for (const JobResult& job : campaign.jobs) campaign_fallbacks += job.delta_fallbacks;
-        std::uint64_t all_fallbacks = campaign_fallbacks;
-        for (const ValidationJob& job : validation.jobs) all_fallbacks += job.delta_fallbacks;
+        std::uint64_t campaign_replays = 0;
+        for (const JobResult& job : campaign.jobs) campaign_replays += job.delta_replays;
+        std::uint64_t all_replays = campaign_replays;
+        for (const ValidationJob& job : validation.jobs) all_replays += job.delta_replays;
         if (mode == &off) {
-          EXPECT_EQ(all_fallbacks, 0u) << "jobs=" << jobs;
+          EXPECT_EQ(all_replays, 0u) << "jobs=" << jobs;
         } else if (mode == &on) {
-          EXPECT_GT(campaign_fallbacks, 0u) << "jobs=" << jobs;
+          EXPECT_GT(campaign_replays, 0u) << "jobs=" << jobs;
         }
       }
     }

@@ -14,7 +14,8 @@ TEST(ListScheduler, PaperExampleConfigA) {
   const auto ex = gen::make_paper_example();
   const auto cfg = gen::make_figure4_config(ex, Figure4Variant::A);
   const auto s = list_schedule(ex.app, ex.platform, cfg.tdma(),
-                               ScheduleConstraints::none(ex.app));
+                               ScheduleConstraints::none(ex.app),
+                               critical_path_priorities(ex.app));
 
   ASSERT_TRUE(s.feasible) << (s.problems.empty() ? "" : s.problems.front());
   EXPECT_EQ(s.process_start[ex.p1.index()], 0);
@@ -42,7 +43,8 @@ TEST(ListScheduler, ReleaseConstraintDelaysProcess) {
   const auto cfg = gen::make_figure4_config(ex, Figure4Variant::A);
   auto constraints = ScheduleConstraints::none(ex.app);
   constraints.process_release[ex.p4.index()] = 180;  // worst-case m3 arrival
-  const auto s = list_schedule(ex.app, ex.platform, cfg.tdma(), constraints);
+  const auto s = list_schedule(ex.app, ex.platform, cfg.tdma(), constraints,
+                               critical_path_priorities(ex.app));
   EXPECT_EQ(s.process_start[ex.p4.index()], 180);
   EXPECT_EQ(s.makespan, 210);
 }
@@ -53,7 +55,8 @@ TEST(ListScheduler, MessageTxConstraintMovesSlot) {
   auto constraints = ScheduleConstraints::none(ex.app);
   // Pin m2 into round 4 (paper §4 discussion): tx no earlier than 130.
   constraints.message_tx[ex.m2.index()] = 130;
-  const auto s = list_schedule(ex.app, ex.platform, cfg.tdma(), constraints);
+  const auto s = list_schedule(ex.app, ex.platform, cfg.tdma(), constraints,
+                               critical_path_priorities(ex.app));
   EXPECT_EQ(s.message_slot[ex.m2.index()]->tx_start, 140);  // S1 of round 4
   EXPECT_EQ(s.message_slot[ex.m2.index()]->delivery, 160);
   // m1 is unaffected.
@@ -72,7 +75,8 @@ TEST(ListScheduler, SequentialExecutionOnOneNode) {
   (void)b;
   (void)c;
   const arch::TdmaRound round({arch::Slot{n1, 10}}, pf.ttp());
-  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app),
+                               critical_path_priorities(app));
 
   // Three independent processes on one node: serialized, total 30.
   std::vector<Time> starts{s.process_start[0], s.process_start[1],
@@ -96,7 +100,8 @@ TEST(ListScheduler, CriticalPathPriorityOrdersReadySet) {
   app.add_dependency(long_head, long_mid);
   app.add_dependency(long_mid, long_tail);
   const arch::TdmaRound round({arch::Slot{n1, 10}}, pf.ttp());
-  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app),
+                               critical_path_priorities(app));
   // The critical chain monopolizes the node; the short independent process
   // is deferred behind it (classic list-scheduling priority order).
   EXPECT_EQ(s.process_start[long_head.index()], 0);
@@ -115,7 +120,8 @@ TEST(ListScheduler, MultiFrameMessageSpansRounds) {
   const auto b = app.add_process(g, "B", n2, 5);
   (void)app.add_message(a, b, 25);  // slot capacity is 10 -> 3 rounds
   const arch::TdmaRound round({arch::Slot{n1, 10}, arch::Slot{n2, 10}}, pf.ttp());
-  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app),
+                               critical_path_priorities(app));
 
   const auto& m = s.message_slot[0];
   ASSERT_TRUE(m.has_value());
@@ -136,7 +142,8 @@ TEST(ListScheduler, NodeWithoutSlotIsInfeasible) {
   (void)app.add_message(a, b, 4);
   // Round grants a slot only to N2.
   const arch::TdmaRound round({arch::Slot{n2, 10}}, pf.ttp());
-  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app),
+                               critical_path_priorities(app));
   EXPECT_FALSE(s.feasible);
   ASSERT_FALSE(s.problems.empty());
   EXPECT_NE(s.problems.front().find("owns no TDMA slot"), std::string::npos);

@@ -564,7 +564,7 @@ void print_stats(const core::MoveContext& ctx,
   std::printf("  analysis kernel        %s\n",
               core::kernel_name(mcs_options.analysis.kernel));
   std::printf("  mcs runs               %llu full, %llu delta replays, "
-              "%llu fallbacks\n",
+              "%llu option-change fallbacks\n",
               static_cast<unsigned long long>(d.full_runs),
               static_cast<unsigned long long>(d.delta_runs),
               static_cast<unsigned long long>(d.fallbacks));
