@@ -1,10 +1,8 @@
 #include "mcs/sched/list_scheduler.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "mcs/model/process_graph.hpp"
 #include "mcs/util/math.hpp"
@@ -15,14 +13,21 @@ namespace {
 
 using util::GraphId;
 
-/// Per-(slot, round-occurrence) bytes already packed into the frame.
-using FrameLoad = std::map<std::pair<std::size_t, std::int64_t>, std::int64_t>;
+/// Bytes already packed into the frame of each round occurrence of one
+/// slot, indexed by occurrence (grown on demand; unused occurrences are 0).
+using SlotLoad = std::vector<std::int64_t>;
+
+[[nodiscard]] std::int64_t& load_at(SlotLoad& load, std::int64_t occurrence) {
+  const auto k = static_cast<std::size_t>(occurrence);
+  if (k >= load.size()) load.resize(k + 1, 0);
+  return load[k];
+}
 
 /// Finds the placement of a message of `bytes` in `slot`, starting no
-/// earlier than `earliest`, given current frame loads; updates the loads.
+/// earlier than `earliest`, given the slot's frame loads; updates them.
 MessageSlotAssignment place_message(const arch::TdmaRound& tdma, std::size_t slot,
                                     Time earliest, std::int64_t bytes,
-                                    FrameLoad& load) {
+                                    SlotLoad& load) {
   const std::int64_t capacity = tdma.slot_capacity(slot);
   if (capacity <= 0) {
     throw std::invalid_argument("place_message: slot has zero payload capacity");
@@ -37,10 +42,10 @@ MessageSlotAssignment place_message(const arch::TdmaRound& tdma, std::size_t slo
   // Walk occurrences until the message fits (possibly spanning several
   // consecutive occurrences when larger than one frame).
   for (;; ++k) {
-    const std::int64_t free0 = capacity - load[{slot, k}];
+    const std::int64_t free0 = capacity - load_at(load, k);
     if (free0 <= 0) continue;
     if (bytes <= free0) {
-      load[{slot, k}] += bytes;
+      load_at(load, k) += bytes;
       MessageSlotAssignment a;
       a.slot_index = slot;
       a.first_round = k;
@@ -52,11 +57,11 @@ MessageSlotAssignment place_message(const arch::TdmaRound& tdma, std::size_t slo
     // Multi-frame message: it must start in an empty occurrence and use
     // full frames; partially sharing the first frame would reorder bytes
     // relative to other packed messages.
-    if (load[{slot, k}] == 0) {
+    if (load_at(load, k) == 0) {
       const std::int64_t rounds = util::ceil_div(bytes, capacity);
       bool all_free = true;
       for (std::int64_t r = 1; r < rounds; ++r) {
-        if (load[{slot, k + r}] != 0) {
+        if (load_at(load, k + r) != 0) {
           all_free = false;
           break;
         }
@@ -64,7 +69,7 @@ MessageSlotAssignment place_message(const arch::TdmaRound& tdma, std::size_t slo
       if (!all_free) continue;
       for (std::int64_t r = 0; r < rounds; ++r) {
         const std::int64_t chunk = std::min<std::int64_t>(capacity, bytes - r * capacity);
-        load[{slot, k + r}] += chunk;
+        load_at(load, k + r) += chunk;
       }
       MessageSlotAssignment a;
       a.slot_index = slot;
@@ -134,37 +139,43 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
     unresolved[pi] = n;
   }
 
-  // Ready set ordered by (longest critical path first, then id).
-  auto cmp = [&cp](ProcessId a, ProcessId b) {
-    if (cp[a.index()] != cp[b.index()]) return cp[a.index()] > cp[b.index()];
-    return a < b;
+  // Ready heap: the root is the longest critical path, ties by lowest id.
+  const auto after = [&cp](ProcessId a, ProcessId b) {
+    if (cp[a.index()] != cp[b.index()]) return cp[a.index()] < cp[b.index()];
+    return b < a;
   };
-  std::set<ProcessId, decltype(cmp)> ready(cmp);
+  std::vector<ProcessId> ready;
+  const auto make_ready = [&](ProcessId p) {
+    ready.push_back(p);
+    std::push_heap(ready.begin(), ready.end(), after);
+  };
   for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
     if (is_tt_proc[pi] && unresolved[pi] == 0) {
-      ready.insert(ProcessId(static_cast<ProcessId::underlying_type>(pi)));
+      make_ready(ProcessId(static_cast<ProcessId::underlying_type>(pi)));
     }
   }
 
-  std::unordered_map<NodeId, Time> node_free;
-  FrameLoad frame_load;
+  std::vector<Time> node_free(platform.num_nodes(), 0);
+  std::vector<SlotLoad> frame_load(tdma.num_slots());
   std::vector<Time> finish(app.num_processes(), 0);
   std::size_t scheduled = 0;
 
   auto resolve_successor = [&](ProcessId succ) {
     if (!is_tt_proc[succ.index()]) return;
-    if (--unresolved[succ.index()] == 0) ready.insert(succ);
+    if (--unresolved[succ.index()] == 0) make_ready(succ);
   };
 
   while (!ready.empty()) {
-    const ProcessId p = *ready.begin();
-    ready.erase(ready.begin());
+    std::pop_heap(ready.begin(), ready.end(), after);
+    const ProcessId p = ready.back();
+    ready.pop_back();
     const model::Process& proc = app.process(p);
+    Time& free_at = node_free[proc.node.index()];
 
-    const Time start = std::max(release[p.index()], node_free[proc.node]);
+    const Time start = std::max(release[p.index()], free_at);
     out.process_start[p.index()] = start;
     finish[p.index()] = start + proc.wcet;
-    node_free[proc.node] = finish[p.index()];
+    free_at = finish[p.index()];
     out.makespan = std::max(out.makespan, finish[p.index()]);
     ++scheduled;
 
@@ -192,8 +203,9 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
         }
         const Time earliest =
             std::max(finish[p.index()], constraints.message_lb(mid));
-        const auto assignment = place_message(tdma, tdma.slot_of(proc.node),
-                                              earliest, msg.size_bytes, frame_load);
+        const std::size_t slot = tdma.slot_of(proc.node);
+        const auto assignment = place_message(tdma, slot, earliest,
+                                              msg.size_bytes, frame_load[slot]);
         out.message_slot[mid.index()] = assignment;
         out.makespan = std::max(out.makespan, assignment.delivery);
         if (platform.is_tt(dst_node)) {
@@ -208,15 +220,17 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
     // Dependencies without a message.  Each successor entry corresponds to
     // exactly one arc; message-carried arcs were resolved above, so here we
     // resolve the remaining (pure-precedence) arcs, handling the corner
-    // case of parallel arcs (message + explicit dependency) correctly.
-    std::unordered_map<ProcessId, std::size_t> message_arcs;
-    for (const MessageId mid : proc.out_messages) ++message_arcs[app.message(mid).dst];
-    for (const ProcessId succ : proc.successors) {
-      auto it = message_arcs.find(succ);
-      if (it != message_arcs.end() && it->second > 0) {
-        --it->second;  // this arc was the message arc, already resolved
-        continue;
-      }
+    // case of parallel arcs (message + explicit dependency) correctly: the
+    // first k entries for a successor that k messages go to are the
+    // message arcs.
+    const auto& succs = proc.successors;
+    for (auto it = succs.begin(); it != succs.end(); ++it) {
+      const ProcessId succ = *it;
+      const auto earlier = std::count(succs.begin(), it, succ);
+      const auto messages =
+          std::count_if(proc.out_messages.begin(), proc.out_messages.end(),
+                        [&](MessageId m) { return app.message(m).dst == succ; });
+      if (earlier < messages) continue;  // a message arc, already resolved
       resolve_successor(succ);
     }
   }

@@ -112,13 +112,7 @@ FaultSpec parse_fault_spec_file(const std::string& path) {
   return parse_fault_spec(in);
 }
 
-FaultInjector::FaultInjector(const FaultSpec& spec)
-    : spec_(spec),
-      exec_rng_(stream_seed(spec.seed, 1)),
-      can_rng_(stream_seed(spec.seed, 2)),
-      ttp_rng_(stream_seed(spec.seed, 3)),
-      babble_rng_(stream_seed(spec.seed, 4)),
-      clock_rng_(stream_seed(spec.seed, 5)) {
+FaultInjector::FaultInjector(const FaultSpec& spec) : spec_(spec) {
   if (spec.can_drop_p < 0.0 || spec.can_drop_p > 1.0 ||
       spec.can_delay_p < 0.0 || spec.can_delay_p > 1.0 ||
       spec.ttp_drop_p < 0.0 || spec.ttp_drop_p > 1.0 || spec.babble_p < 0.0 ||
@@ -132,34 +126,41 @@ FaultInjector::FaultInjector(const FaultSpec& spec)
   }
 }
 
+util::Rng& FaultInjector::stream(Stream category) {
+  std::optional<util::Rng>& rng = streams_[category];
+  // Categories are numbered from 1 in the seed derivation.
+  if (!rng) rng.emplace(stream_seed(spec_.seed, category + 1));
+  return *rng;
+}
+
 util::Time FaultInjector::exec_time(util::Time wcet) {
   if (spec_.bcet_frac >= 1.0 || wcet <= 0) return wcet;
   const auto bcet = static_cast<util::Time>(
       static_cast<double>(wcet) * spec_.bcet_frac);
-  const util::Time drawn = exec_rng_.uniform_int(bcet, wcet);
+  const util::Time drawn = stream(kExec).uniform_int(bcet, wcet);
   if (drawn < wcet) ++counters.exec_variations;
   return drawn;
 }
 
 bool FaultInjector::corrupt_can_frame() {
   if (spec_.can_drop_p <= 0.0) return false;
-  const bool corrupted = can_rng_.bernoulli(spec_.can_drop_p);
+  const bool corrupted = stream(kCan).bernoulli(spec_.can_drop_p);
   if (corrupted) ++counters.can_frames_dropped;
   return corrupted;
 }
 
 util::Time FaultInjector::can_extra_delay() {
   if (spec_.can_delay_p <= 0.0 || spec_.can_delay_max <= 0) return 0;
-  if (!can_rng_.bernoulli(spec_.can_delay_p)) return 0;
+  if (!stream(kCan).bernoulli(spec_.can_delay_p)) return 0;
   ++counters.can_frames_delayed;
-  return can_rng_.uniform_int(1, spec_.can_delay_max);
+  return stream(kCan).uniform_int(1, spec_.can_delay_max);
 }
 
 int FaultInjector::ttp_round_losses() {
   if (spec_.ttp_drop_p <= 0.0) return 0;
   int losses = 0;
   while (losses <= spec_.ttp_max_retries &&
-         ttp_rng_.bernoulli(spec_.ttp_drop_p)) {
+         stream(kTtp).bernoulli(spec_.ttp_drop_p)) {
     ++losses;
     ++counters.ttp_frames_dropped;
   }
@@ -168,21 +169,21 @@ int FaultInjector::ttp_round_losses() {
 
 bool FaultInjector::babble() {
   if (spec_.babble_p <= 0.0) return false;
-  const bool seized = babble_rng_.bernoulli(spec_.babble_p);
+  const bool seized = stream(kBabble).bernoulli(spec_.babble_p);
   if (seized) ++counters.babble_seizures;
   return seized;
 }
 
 util::Time FaultInjector::tt_release_jitter() {
   if (spec_.tt_jitter_max <= 0) return 0;
-  const util::Time jitter = clock_rng_.uniform_int(0, spec_.tt_jitter_max);
+  const util::Time jitter = stream(kClock).uniform_int(0, spec_.tt_jitter_max);
   if (jitter > 0) ++counters.tt_jitter_events;
   return jitter;
 }
 
 util::Time FaultInjector::gateway_jitter() {
   if (spec_.gateway_jitter_max <= 0) return 0;
-  const util::Time jitter = clock_rng_.uniform_int(0, spec_.gateway_jitter_max);
+  const util::Time jitter = stream(kClock).uniform_int(0, spec_.gateway_jitter_max);
   if (jitter > 0) ++counters.gateway_jitter_events;
   return jitter;
 }

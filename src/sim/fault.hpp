@@ -17,16 +17,19 @@
 //     from [bcet_frac * wcet, wcet] instead of pinned at the WCET.
 //
 // Determinism contract (DESIGN.md §5): every decision is drawn from one
-// of five util::Rng streams derived by FNV-1a from FaultSpec::seed, and
-// the simulator queries the injector only from inside event executions,
+// of five util::Rng streams derived by FNV-1a from FaultSpec::seed (each
+// seeded on its first draw, so an unused category costs nothing), and the
+// simulator queries the injector only from inside event executions,
 // which the EventQueue fires in a deterministic (time, insertion) order.
 // A given (system, configuration, fault spec, seed) therefore replays
 // bit-identically — across runs, thread counts and machines with the
 // same standard library.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,7 +116,9 @@ struct FaultCounters {
 /// Draw-by-draw fault oracle the simulator consults at event granularity.
 /// Each fault category owns an independent RNG stream (derived from the
 /// spec seed by FNV-1a over the category index) so enabling one category
-/// does not perturb the decisions of another.
+/// does not perturb the decisions of another.  A stream is seeded on its
+/// first draw; since the seed depends on (seed, category) alone, when that
+/// happens cannot change any draw.
 class FaultInjector {
 public:
   explicit FaultInjector(const FaultSpec& spec);
@@ -144,8 +149,13 @@ public:
   FaultCounters counters;
 
 private:
+  enum Stream : std::size_t { kExec, kCan, kTtp, kBabble, kClock, kStreams };
+
+  /// The category's stream, seeded on first use.
+  [[nodiscard]] util::Rng& stream(Stream category);
+
   FaultSpec spec_;
-  util::Rng exec_rng_, can_rng_, ttp_rng_, babble_rng_, clock_rng_;
+  std::array<std::optional<util::Rng>, kStreams> streams_;
 };
 
 }  // namespace mcs::sim

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <optional>
-#include <set>
-#include <sstream>
+#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "mcs/core/analysis_types.hpp"
 #include "mcs/sim/event.hpp"
@@ -20,6 +22,44 @@ using util::MessageId;
 using util::NodeId;
 using util::ProcessId;
 using util::Time;
+
+/// Per-node ETC ready queue and the CAN pending set: a (priority, id)
+/// min-heap.  It pops the highest priority (smallest value) first, ties by
+/// id, which is the order a std::set<std::pair<Priority, Id>> iterates in.
+/// Each id is queued at most once at a time.
+class PriorityHeap {
+public:
+  void push(core::Priority prio, std::uint32_t id) {
+    keys_.push_back(key(prio) << 32 | id);
+    std::push_heap(keys_.begin(), keys_.end(), std::greater<>{});
+  }
+  [[nodiscard]] bool empty() const noexcept { return keys_.empty(); }
+  [[nodiscard]] core::Priority top_priority() const noexcept {
+    return static_cast<core::Priority>(
+        static_cast<std::uint32_t>(keys_.front() >> 32) ^ kSignBit);
+  }
+  std::uint32_t pop() {
+    std::pop_heap(keys_.begin(), keys_.end(), std::greater<>{});
+    const auto id = static_cast<std::uint32_t>(keys_.back());
+    keys_.pop_back();
+    return id;
+  }
+
+private:
+  static constexpr std::uint32_t kSignBit = 0x80000000u;
+  /// Order-preserving map of a signed priority onto an unsigned word.
+  [[nodiscard]] static std::uint64_t key(core::Priority prio) noexcept {
+    return static_cast<std::uint32_t>(prio) ^ kSignBit;
+  }
+  std::vector<std::uint64_t> keys_;
+};
+
+void append(std::string& label, std::string_view part) { label += part; }
+template <typename Int>
+  requires std::is_integral_v<Int>
+void append(std::string& label, Int part) {
+  label += std::to_string(part);
+}
 
 struct Sim {
   const Application& app;
@@ -54,14 +94,14 @@ struct Sim {
     std::uint64_t version = 0;
   };
   std::vector<std::optional<Running>> running;
-  std::vector<std::set<std::pair<core::Priority, ProcessId>>> ready;
+  std::vector<PriorityHeap> ready;
   std::vector<Time> et_remaining;  ///< per process, while preempted/ready
   std::uint64_t dispatch_version = 0;
 
   // CAN bus.
   bool can_busy = false;
   bool can_arbitration_scheduled = false;
-  std::set<std::pair<core::Priority, MessageId>> can_pending;
+  PriorityHeap can_pending;
   std::vector<int> can_retries;  ///< fault-injected retransmissions so far
 
   // Gateway queues.
@@ -79,9 +119,19 @@ struct Sim {
                const SimOptions& o)
       : app(a), platform(p), cfg(c), ttc(t), opt(o) {}
 
+  /// Records a trace line; the label is concatenated from `parts` only
+  /// when tracing is on.
+  template <typename... Parts>
+  void trace(Time t, TraceKind kind, const Parts&... parts) {
+    if (!out.trace.enabled()) return;
+    std::string label;
+    (append(label, parts), ...);
+    out.trace.add(t, kind, std::move(label));
+  }
+
   void violation(std::string msg) {
-    out.violations.push_back(msg);
-    out.trace.add(q.now(), TraceKind::Violation, std::move(msg));
+    out.violations.push_back(std::move(msg));
+    trace(q.now(), TraceKind::Violation, out.violations.back());
   }
 
   [[nodiscard]] const std::string& pname(ProcessId p) const {
@@ -98,32 +148,28 @@ struct Sim {
     auto& rq = ready[node];
     if (run) {
       if (rq.empty()) return;
-      const auto& [top_prio, top_p] = *rq.begin();
-      if (top_prio >= cfg.process_priority(run->process)) return;
+      if (rq.top_priority() >= cfg.process_priority(run->process)) return;
       // Preempt the running process.
       const Time executed = q.now() - run->resumed_at;
       et_remaining[run->process.index()] = run->remaining - executed;
-      rq.emplace(cfg.process_priority(run->process), run->process);
-      out.trace.add(q.now(), TraceKind::ProcessPreempt, pname(run->process));
+      rq.push(cfg.process_priority(run->process), run->process.value());
+      trace(q.now(), TraceKind::ProcessPreempt, pname(run->process));
       run.reset();
     }
     if (rq.empty()) return;
-    const auto [prio, p] = *rq.begin();
-    rq.erase(rq.begin());
+    const ProcessId p(rq.pop());
     const Time remaining = et_remaining[p.index()];
     const std::uint64_t version = ++dispatch_version;
     run = Running{p, remaining, q.now(), version};
     if (!started[p.index()]) {
       started[p.index()] = true;
       out.process_start[p.index()] = q.now();
-      out.trace.add(q.now(), TraceKind::ProcessStart, pname(p));
+      trace(q.now(), TraceKind::ProcessStart, pname(p));
     } else {
-      out.trace.add(q.now(), TraceKind::ProcessResume, pname(p));
+      trace(q.now(), TraceKind::ProcessResume, pname(p));
     }
-    const std::size_t node_copy = node;
-    q.schedule(q.now() + remaining, [this, p, version, node_copy] {
-      et_finish(p, version, node_copy);
-    });
+    q.schedule(q.now() + remaining, EventKind::EtFinish, p.value(),
+               static_cast<std::uint32_t>(node), version);
   }
 
   void et_finish(ProcessId p, std::uint64_t version, std::size_t node) {
@@ -144,7 +190,7 @@ struct Sim {
   void release_et(ProcessId p) {
     const std::size_t node = app.process(p).node.index();
     et_remaining[p.index()] = exec_time(p);
-    ready[node].emplace(cfg.process_priority(p), p);
+    ready[node].push(cfg.process_priority(p), p.value());
     dispatch(node);
   }
 
@@ -164,10 +210,10 @@ struct Sim {
     }
     started[p.index()] = true;
     out.process_start[p.index()] = start;
-    out.trace.add(start, TraceKind::ProcessStart, pname(p));
+    trace(start, TraceKind::ProcessStart, pname(p));
     const Time c = exec_time(p);
     tt_busy_until[node] = start + c;
-    q.schedule(start + c, [this, p] { complete_process(p); });
+    q.schedule(start + c, EventKind::TtFinish, p.value());
   }
 
   void tt_release(ProcessId p) {
@@ -176,14 +222,16 @@ struct Sim {
       // An input delivery at this very instant may still be queued behind
       // this event (the analysis treats "delivered at t" and "starts at t"
       // as compatible); re-check after all same-time events have fired.
-      q.schedule(q.now(), [this, p] {
-        if (!started[p.index()] && inputs_remaining[p.index()] > 0) {
-          violation("input not present at schedule-table start of " + pname(p));
-        }
-      });
+      q.schedule(q.now(), EventKind::TtInputCheck, p.value());
       return;  // started when the last input arrives
     }
     try_start_tt(p);
+  }
+
+  void tt_input_check(ProcessId p) {
+    if (!started[p.index()] && inputs_remaining[p.index()] > 0) {
+      violation("input not present at schedule-table start of " + pname(p));
+    }
   }
 
   // ---- Completion and message injection ----------------------------------
@@ -192,18 +240,17 @@ struct Sim {
     finished[p.index()] = true;
     finish_time[p.index()] = q.now();
     out.process_completion[p.index()] = q.now();
-    out.trace.add(q.now(), TraceKind::ProcessFinish, pname(p));
+    trace(q.now(), TraceKind::ProcessFinish, pname(p));
 
     const model::Process& proc = app.process(p);
-    // Pure-precedence arcs (and local messages) release successors now.
-    std::set<ProcessId> message_targets;
-    for (const MessageId m : proc.out_messages) {
-      message_targets.insert(app.message(m).dst);
-      send_message(m);
-    }
+    for (const MessageId m : proc.out_messages) send_message(m);
+    // Pure-precedence arcs (and local messages) release successors now;
+    // a successor some message goes to is released by that message.
     for (const ProcessId succ : proc.successors) {
-      if (message_targets.count(succ)) continue;  // handled by the message
-      input_arrived(succ);
+      const bool message_target =
+          std::any_of(proc.out_messages.begin(), proc.out_messages.end(),
+                      [&](MessageId m) { return app.message(m).dst == succ; });
+      if (!message_target) input_arrived(succ);
     }
   }
 
@@ -223,10 +270,10 @@ struct Sim {
         // Enqueue into the sender node's OutN queue.
         const std::size_t node = app.process(msg.src).node.index();
         out_node_bytes[node] += msg.size_bytes;
-        out.max_out_node[app.process(msg.src).node] = std::max(
-            out.max_out_node[app.process(msg.src).node], out_node_bytes[node]);
-        can_pending.emplace(cfg.message_priority(m), m);
-        out.trace.add(q.now(), TraceKind::MessageEnqueue, mname(m) + " -> OutN");
+        std::int64_t& peak = out.max_out_node[app.process(msg.src).node];
+        peak = std::max(peak, out_node_bytes[node]);
+        can_pending.push(cfg.message_priority(m), m.value());
+        trace(q.now(), TraceKind::MessageEnqueue, mname(m), " -> OutN");
         try_can();
         break;
       }
@@ -256,27 +303,22 @@ struct Sim {
       if (losses > inject->spec().ttp_max_retries) {
         ++inject->counters.ttp_messages_lost;
         out.lost_messages.push_back(mname(m));
-        out.trace.add(q.now(), TraceKind::Fault,
-                      "message " + mname(m) + " lost on TTP");
+        trace(q.now(), TraceKind::Fault, "message ", mname(m), " lost on TTP");
         return;
       }
       if (losses > 0) {
         delivery += losses * cfg.tdma().round_length();
-        out.trace.add(q.now(), TraceKind::Fault,
-                      "TTP frame of " + mname(m) + " dropped " +
-                          std::to_string(losses) + " round(s)");
+        trace(q.now(), TraceKind::Fault, "TTP frame of ", mname(m), " dropped ",
+              losses, " round(s)");
       }
     }
-    out.trace.add(q.now(), TraceKind::SlotTx,
-                  mname(m) + " in slot " + std::to_string(assignment->slot_index));
-    q.schedule(delivery, [this, m] { ttp_delivered(m); });
+    trace(q.now(), TraceKind::SlotTx, mname(m), " in slot ", assignment->slot_index);
+    q.schedule(delivery, EventKind::TtpDelivered, m.value());
   }
 
   void ttp_delivered(MessageId m) {
     if (route[m.index()] == MessageRoute::TtToTt) {
-      out.message_delivery[m.index()] = q.now();
-      out.trace.add(q.now(), TraceKind::MessageDelivery, mname(m));
-      input_arrived(app.message(m).dst);
+      deliver(m);
       return;
     }
     // TT->ET: frame landed in the gateway MBI; the transfer process T
@@ -284,13 +326,15 @@ struct Sim {
     // injected gateway clock drift).
     const Time r_t = platform.gateway_transfer().wcet +
                      (inject ? inject->gateway_jitter() : 0);
-    q.schedule(q.now() + r_t, [this, m] {
-      out_can_bytes += app.message(m).size_bytes;
-      out.max_out_can = std::max(out.max_out_can, out_can_bytes);
-      can_pending.emplace(cfg.message_priority(m), m);
-      out.trace.add(q.now(), TraceKind::MessageEnqueue, mname(m) + " -> OutCAN");
-      try_can();
-    });
+    q.schedule(q.now() + r_t, EventKind::GatewayTransfer, m.value());
+  }
+
+  void gateway_transfer(MessageId m) {
+    out_can_bytes += app.message(m).size_bytes;
+    out.max_out_can = std::max(out.max_out_can, out_can_bytes);
+    can_pending.push(cfg.message_priority(m), m.value());
+    trace(q.now(), TraceKind::MessageEnqueue, mname(m), " -> OutCAN");
+    try_can();
   }
 
   // ---- CAN bus --------------------------------------------------------------
@@ -302,27 +346,21 @@ struct Sim {
   void try_can() {
     if (can_busy || can_arbitration_scheduled || can_pending.empty()) return;
     can_arbitration_scheduled = true;
-    q.schedule(q.now(), [this] {
-      can_arbitration_scheduled = false;
-      arbitrate_can();
-    });
+    q.schedule(q.now(), EventKind::CanArbitrate);
   }
 
   void arbitrate_can() {
+    can_arbitration_scheduled = false;
     if (can_busy || can_pending.empty()) return;
     // A babbling idiot wins arbitration outright (it transmits with the
     // highest identifier priority) and holds the bus for babble_tx.
     if (inject && inject->babble()) {
       can_busy = true;
-      out.trace.add(q.now(), TraceKind::Fault, "babbling idiot seizes CAN");
-      q.schedule(q.now() + inject->spec().babble_tx, [this] {
-        can_busy = false;
-        try_can();
-      });
+      trace(q.now(), TraceKind::Fault, "babbling idiot seizes CAN");
+      q.schedule(q.now() + inject->spec().babble_tx, EventKind::BabbleEnd);
       return;
     }
-    const auto [prio, m] = *can_pending.begin();
-    can_pending.erase(can_pending.begin());
+    const MessageId m(can_pending.pop());
     can_busy = true;
     // Leaving the output queue: the frame is now in the controller.
     if (route[m.index()] == MessageRoute::TtToEt) {
@@ -331,18 +369,17 @@ struct Sim {
       const std::size_t node = app.process(app.message(m).src).node.index();
       out_node_bytes[node] -= app.message(m).size_bytes;
     }
-    out.trace.add(q.now(), TraceKind::MessageTxStart, mname(m));
+    trace(q.now(), TraceKind::MessageTxStart, mname(m));
     Time wire = can_tx[m.index()];
     if (inject) {
       const Time extra = inject->can_extra_delay();
       if (extra > 0) {
-        out.trace.add(q.now(), TraceKind::Fault,
-                      "CAN frame of " + mname(m) + " delayed " +
-                          std::to_string(extra));
+        trace(q.now(), TraceKind::Fault, "CAN frame of ", mname(m), " delayed ",
+              extra);
         wire += extra;
       }
     }
-    q.schedule(q.now() + wire, [this, m] { can_done(m); });
+    q.schedule(q.now() + wire, EventKind::CanDone, m.value());
   }
 
   void can_done(MessageId m) {
@@ -355,12 +392,11 @@ struct Sim {
       if (++can_retries[m.index()] > inject->spec().can_max_retries) {
         ++inject->counters.can_messages_lost;
         out.lost_messages.push_back(mname(m));
-        out.trace.add(q.now(), TraceKind::Fault,
-                      "message " + mname(m) + " lost on CAN");
+        trace(q.now(), TraceKind::Fault, "message ", mname(m), " lost on CAN");
       } else {
-        can_pending.emplace(cfg.message_priority(m), m);
-        out.trace.add(q.now(), TraceKind::Fault,
-                      "CAN frame of " + mname(m) + " corrupted; retransmitting");
+        can_pending.push(cfg.message_priority(m), m.value());
+        trace(q.now(), TraceKind::Fault, "CAN frame of ", mname(m),
+              " corrupted; retransmitting");
       }
       try_can();
       return;
@@ -371,12 +407,10 @@ struct Sim {
       out_ttp_fifo.push_back(m);
       out_ttp_bytes += app.message(m).size_bytes;
       out.max_out_ttp = std::max(out.max_out_ttp, out_ttp_bytes);
-      out.trace.add(q.now(), TraceKind::MessageEnqueue, mname(m) + " -> OutTTP");
+      trace(q.now(), TraceKind::MessageEnqueue, mname(m), " -> OutTTP");
       schedule_sg_pack();
     } else {
-      out.message_delivery[m.index()] = q.now();
-      out.trace.add(q.now(), TraceKind::MessageDelivery, mname(m));
-      input_arrived(app.message(m).dst);
+      deliver(m);
     }
     try_can();
   }
@@ -390,8 +424,7 @@ struct Sim {
       return;
     }
     sg_pack_scheduled = true;
-    const Time t = cfg.tdma().next_slot_start(sg_slot, q.now());
-    q.schedule(t, [this] { sg_pack(); });
+    q.schedule(cfg.tdma().next_slot_start(sg_slot, q.now()), EventKind::SgPack);
   }
 
   void sg_pack() {
@@ -411,20 +444,23 @@ struct Sim {
       if (!out_ttp_fifo.empty()) {
         front_bytes_left = app.message(out_ttp_fifo.front()).size_bytes;
       }
-      out.trace.add(q.now(), TraceKind::SlotTx, mname(m) + " in S_G");
-      q.schedule(slot_end, [this, m] {
-        out.message_delivery[m.index()] = q.now();
-        out.trace.add(q.now(), TraceKind::MessageDelivery, mname(m));
-        input_arrived(app.message(m).dst);
-      });
+      trace(q.now(), TraceKind::SlotTx, mname(m), " in S_G");
+      q.schedule(slot_end, EventKind::SgDelivered, m.value());
     }
     if (!out_ttp_fifo.empty()) {
       sg_pack_scheduled = true;
-      q.schedule(q.now() + tdma.round_length(), [this] { sg_pack(); });
+      q.schedule(q.now() + tdma.round_length(), EventKind::SgPack);
     }
   }
 
   // ---- Arrival bookkeeping -------------------------------------------------
+
+  /// Message `m` reached its destination buffer.
+  void deliver(MessageId m) {
+    out.message_delivery[m.index()] = q.now();
+    trace(q.now(), TraceKind::MessageDelivery, mname(m));
+    input_arrived(app.message(m).dst);
+  }
 
   void input_arrived(ProcessId p) {
     if (inputs_remaining[p.index()] == 0) return;  // defensive
@@ -433,6 +469,30 @@ struct Sim {
       try_start_tt(p);
     } else {
       release_et(p);
+    }
+  }
+
+  // ---- Event dispatch ----------------------------------------------------
+
+  void handle(const Event& e) {
+    const ProcessId p(e.id);
+    const MessageId m(e.id);
+    switch (e.kind) {
+      case EventKind::TtRelease: tt_release(p); break;
+      case EventKind::TtInputCheck: tt_input_check(p); break;
+      case EventKind::EtRelease: release_et(p); break;
+      case EventKind::TtFinish: complete_process(p); break;
+      case EventKind::EtFinish: et_finish(p, e.version, e.node); break;
+      case EventKind::TtpDelivered: ttp_delivered(m); break;
+      case EventKind::GatewayTransfer: gateway_transfer(m); break;
+      case EventKind::CanArbitrate: arbitrate_can(); break;
+      case EventKind::BabbleEnd:
+        can_busy = false;
+        try_can();
+        break;
+      case EventKind::CanDone: can_done(m); break;
+      case EventKind::SgPack: sg_pack(); break;
+      case EventKind::SgDelivered: deliver(m); break;
     }
   }
 
@@ -483,9 +543,9 @@ struct Sim {
       const ProcessId p(static_cast<ProcessId::underlying_type>(pi));
       if (platform.is_tt(app.process(p).node)) {
         const Time jitter = inject ? inject->tt_release_jitter() : 0;
-        q.schedule(cfg.process_offset(p) + jitter, [this, p] { tt_release(p); });
+        q.schedule(cfg.process_offset(p) + jitter, EventKind::TtRelease, p.value());
       } else if (inputs_remaining[pi] == 0) {
-        q.schedule(0, [this, p] { release_et(p); });
+        q.schedule(0, EventKind::EtRelease, p.value());
       }
     }
 
@@ -493,7 +553,7 @@ struct Sim {
         opt.horizon > 0 ? opt.horizon : 4 * app.hyper_period();
     std::int64_t executed = 0;
     while (executed < opt.max_events && !q.empty() && q.next_time() <= horizon) {
-      (void)q.run_next();
+      handle(q.pop());
       ++executed;
     }
 

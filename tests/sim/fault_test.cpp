@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 
 #include "mcs/core/multi_cluster_scheduling.hpp"
@@ -76,6 +77,60 @@ TEST(FaultInjection, SameSeedReplaysBitIdentically) {
   EXPECT_EQ(a.faults.can_frames_dropped, b.faults.can_frames_dropped);
   EXPECT_EQ(a.faults.babble_seizures, b.faults.babble_seizures);
   EXPECT_EQ(a.faults.exec_variations, b.faults.exec_variations);
+}
+
+// Each of the five streams (exec, CAN, TTP, babble, clock) is seeded on
+// its own from (seed, category), so the order in which the simulator
+// happens to consult the categories cannot change any one category's
+// draws.  This is what lets a stream be seeded lazily on its first draw.
+TEST(FaultInjection, StreamsAreIndependentOfDrawOrder) {
+  constexpr std::size_t kStreams = 5;
+  constexpr int kDraws = 64;
+  using Draws = std::array<std::vector<std::int64_t>, kStreams>;
+  const auto draw = [](FaultInjector& inj, std::size_t stream, Draws& out) {
+    auto& seq = out[stream];
+    switch (stream) {
+      case 0: seq.push_back(inj.exec_time(400)); break;
+      case 1:
+        seq.push_back(inj.corrupt_can_frame());
+        seq.push_back(inj.can_extra_delay());
+        break;
+      case 2: seq.push_back(inj.ttp_round_losses()); break;
+      case 3: seq.push_back(inj.babble()); break;
+      default:
+        seq.push_back(inj.tt_release_jitter());
+        seq.push_back(inj.gateway_jitter());
+        break;
+    }
+  };
+
+  const FaultSpec storm = FaultSpec::scenario("storm", 99);
+  FaultInjector round_robin(storm);
+  FaultInjector stream_by_stream(storm);
+  Draws a;
+  Draws b;
+  for (int i = 0; i < kDraws; ++i) {
+    for (std::size_t s = 0; s < kStreams; ++s) draw(round_robin, s, a);
+  }
+  for (std::size_t s = kStreams; s-- > 0;) {
+    for (int i = 0; i < kDraws; ++i) draw(stream_by_stream, s, b);
+  }
+
+  for (std::size_t s = 0; s < kStreams; ++s) EXPECT_EQ(a[s], b[s]) << "stream " << s;
+  const FaultCounters& ca = round_robin.counters;
+  const FaultCounters& cb = stream_by_stream.counters;
+  EXPECT_EQ(ca.can_frames_dropped, cb.can_frames_dropped);
+  EXPECT_EQ(ca.can_frames_delayed, cb.can_frames_delayed);
+  EXPECT_EQ(ca.ttp_frames_dropped, cb.ttp_frames_dropped);
+  EXPECT_EQ(ca.babble_seizures, cb.babble_seizures);
+  EXPECT_EQ(ca.tt_jitter_events, cb.tt_jitter_events);
+  EXPECT_EQ(ca.gateway_jitter_events, cb.gateway_jitter_events);
+  EXPECT_EQ(ca.exec_variations, cb.exec_variations);
+  EXPECT_EQ(ca.total(), cb.total());
+  // The storm spec enables every category, so every stream really drew.
+  EXPECT_GT(ca.can_frames_dropped, 0);
+  EXPECT_GT(ca.babble_seizures, 0);
+  EXPECT_GT(ca.exec_variations, 0);
 }
 
 TEST(FaultInjection, CanCorruptionExhaustsRetriesAndLosesMessage) {
