@@ -6,7 +6,6 @@
 
 #include "mcs/core/analysis_types.hpp"
 #include "mcs/sched/list_scheduler.hpp"
-#include "mcs/util/hash.hpp"
 
 namespace mcs::core {
 
@@ -67,17 +66,15 @@ std::string to_string(const Move& move) {
 }
 
 MoveContext::MoveContext(const Application& app, const arch::Platform& platform,
-                         McsOptions mcs_options, std::size_t eval_cache_capacity)
+                         McsOptions mcs_options)
     : app_(app),
       platform_(platform),
       mcs_options_(mcs_options),
       workspace_(app, platform),
-      cache_(eval_cache_capacity),
       slot_lengths_by_node_(platform.num_nodes()) {
   // Incremental evaluation is an internal policy of the owned workspace:
-  // delta results are bit-identical to cold ones by construction, so the
-  // EvaluationCache stores the same values either way and cached hits,
-  // delta misses and full misses can interleave freely.
+  // delta results are bit-identical to cold ones by construction, so an
+  // Evaluation never depends on which evaluations ran before it.
   workspace_.set_delta_mode(delta_mode_from_env());
   for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
     const ProcessId p(static_cast<ProcessId::underlying_type>(pi));
@@ -103,79 +100,13 @@ const std::vector<Time>& MoveContext::slot_lengths(NodeId owner) const {
   return slot_lengths_by_node_.at(owner.index());
 }
 
-const Evaluation* EvaluationCache::find(std::uint64_t hash,
-                                        const std::vector<std::int64_t>& key) {
-  const auto it = entries_.find(hash);
-  if (it != entries_.end() && it->second.key == key) {
-    it->second.last_used = ++clock_;
-    ++hits_;
-    return &it->second.eval;
-  }
-  ++misses_;
-  return nullptr;
-}
-
-void EvaluationCache::insert(std::uint64_t hash,
-                             const std::vector<std::int64_t>& key,
-                             const Evaluation& eval) {
-  if (capacity_ == 0) return;
-  // A full-hash collision with a different key overwrites the slot: rarer
-  // than eviction and still correct (find() compares the full key).
-  if (entries_.size() >= capacity_ && entries_.find(hash) == entries_.end()) {
-    auto victim = std::min_element(entries_.begin(), entries_.end(),
-                                   [](const auto& a, const auto& b) {
-                                     return a.second.last_used < b.second.last_used;
-                                   });
-    entries_.erase(victim);
-  }
-  entries_[hash] = Entry{key, eval, ++clock_};
-}
-
-void EvaluationCache::clear() {
-  entries_.clear();
-  clock_ = hits_ = misses_ = 0;
-}
-
-void MoveContext::encode_genotype(const Candidate& candidate,
-                                  std::vector<std::int64_t>& out) const {
-  out.clear();
-  out.reserve(2 * candidate.tdma.num_slots() + candidate.process_priorities.size() +
-              candidate.message_priorities.size() +
-              candidate.pins.process_release.size() +
-              candidate.pins.message_tx.size());
-  for (const arch::Slot& s : candidate.tdma.slots()) {
-    out.push_back(static_cast<std::int64_t>(s.owner.value()));
-    out.push_back(s.length);
-  }
-  for (const Priority p : candidate.process_priorities) out.push_back(p);
-  for (const Priority p : candidate.message_priorities) out.push_back(p);
-  for (const Time t : candidate.pins.process_release) out.push_back(t);
-  for (const Time t : candidate.pins.message_tx) out.push_back(t);
-}
-
 Evaluation MoveContext::evaluate(const Candidate& candidate) const {
-  encode_genotype(candidate, key_scratch_);
-  const std::uint64_t hash = util::fnv1a(key_scratch_);
-  if (const Evaluation* hit = cache_.find(hash, key_scratch_)) return *hit;
-  Evaluation eval = evaluate_uncached(candidate);
-  cache_.insert(hash, key_scratch_, eval);
-  return eval;
-}
-
-Evaluation MoveContext::evaluate_uncached(const Candidate& candidate) const {
   SystemConfig cfg = candidate.to_config(app_);
-  return score(multi_cluster_scheduling(app_, platform_, cfg, candidate.pins,
+  return adopt(multi_cluster_scheduling(app_, platform_, cfg, candidate.pins,
                                         mcs_options_, workspace_));
 }
 
-Evaluation MoveContext::adopt(const Candidate& candidate, McsResult mcs) const {
-  Evaluation eval = score(std::move(mcs));
-  encode_genotype(candidate, key_scratch_);
-  cache_.insert(util::fnv1a(key_scratch_), key_scratch_, eval);
-  return eval;
-}
-
-Evaluation MoveContext::score(McsResult mcs) const {
+Evaluation MoveContext::adopt(McsResult mcs) const {
   Evaluation eval;
   eval.mcs = std::move(mcs);
   eval.delta = degree_of_schedulability(app_, eval.mcs.analysis);

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -75,57 +74,17 @@ using Move = std::variant<ShiftProcessMove, ShiftMessageMove,
 
 [[nodiscard]] std::string to_string(const Move& move);
 
-/// Bounded memoization of candidate evaluations, keyed by the genotype
-/// encoded as flat words and hashed with FNV-1a.  A hash hit is confirmed
-/// by a full key compare, so collisions can never return a wrong
-/// Evaluation.  Eviction is least-recently-used (exact, via an access
-/// stamp; the linear eviction scan is noise next to one saved fixed
-/// point).
-class EvaluationCache {
-public:
-  explicit EvaluationCache(std::size_t capacity = 1024) : capacity_(capacity) {}
-
-  /// Returns the cached evaluation for `key` or nullptr.
-  [[nodiscard]] const Evaluation* find(std::uint64_t hash,
-                                       const std::vector<std::int64_t>& key);
-  void insert(std::uint64_t hash, const std::vector<std::int64_t>& key,
-              const Evaluation& eval);
-  void clear();
-
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
-
-private:
-  struct Entry {
-    std::vector<std::int64_t> key;
-    Evaluation eval;
-    std::uint64_t last_used = 0;
-  };
-
-  std::size_t capacity_;
-  std::unordered_map<std::uint64_t, Entry> entries_;  ///< keyed by FNV-1a
-  std::uint64_t clock_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
 /// Precomputed immutable context shared by every move/evaluation call.
-/// Owns the per-search AnalysisWorkspace and the evaluation cache (both
-/// mutable behind the const interface; a MoveContext is single-threaded
-/// like the search loops that use it).  Ownership contract (DESIGN.md
-/// §4): never share a MoveContext — or the workspace/cache it owns —
-/// across threads, even through const references; parallel searches
-/// build one MoveContext per thread of execution, as the campaign
-/// engine does per job.
+/// Owns the per-search AnalysisWorkspace (mutable behind the const
+/// interface; a MoveContext is single-threaded like the search loops that
+/// use it).  Ownership contract (DESIGN.md §4): never share a MoveContext
+/// — or the workspace it owns — across threads, even through const
+/// references; parallel searches build one MoveContext per thread of
+/// execution, as the campaign engine does per job.
 class MoveContext {
 public:
-  /// `eval_cache_capacity` bounds the memoized-Evaluation count; each
-  /// entry deep-copies a full McsResult, so searches over very large
-  /// systems may want a smaller cache (0 disables memoization).
   MoveContext(const model::Application& app, const arch::Platform& platform,
-              McsOptions mcs_options, std::size_t eval_cache_capacity = 1024);
+              McsOptions mcs_options);
 
   [[nodiscard]] const model::Application& app() const noexcept { return app_; }
   [[nodiscard]] const arch::Platform& platform() const noexcept { return platform_; }
@@ -137,9 +96,6 @@ public:
   /// The reusable analysis workspace (hopa/optimize_schedule thread it
   /// through their own MultiClusterScheduling calls).
   [[nodiscard]] AnalysisWorkspace& workspace() const noexcept { return workspace_; }
-  [[nodiscard]] const EvaluationCache& evaluation_cache() const noexcept {
-    return cache_;
-  }
   /// Counters of the workspace's incremental-evaluation machinery
   /// (delta/full runs, fallbacks, Check-mode comparisons; DESIGN.md §2).
   [[nodiscard]] const DeltaStats& delta_stats() const noexcept {
@@ -165,19 +121,13 @@ public:
   /// Candidate lengths for the slot owned by `owner`.
   [[nodiscard]] const std::vector<util::Time>& slot_lengths(util::NodeId owner) const;
 
-  /// Runs the full MultiClusterScheduling fixed point for `candidate`,
-  /// memoized: a revisited genotype costs a hash lookup instead.
+  /// Runs the full MultiClusterScheduling fixed point for `candidate`.
   [[nodiscard]] Evaluation evaluate(const Candidate& candidate) const;
 
-  /// Uncached evaluation (the memoization layer calls this on a miss;
-  /// exposed for the cache-consistency tests and benches).
-  [[nodiscard]] Evaluation evaluate_uncached(const Candidate& candidate) const;
-
-  /// Scores an analysis of `candidate` that the caller already ran under
-  /// mcs_options() on workspace() (HOPA's winning round), exactly as
-  /// evaluate_uncached would, and memoizes it: the result equals
-  /// evaluate(candidate) without a second fixed point.
-  [[nodiscard]] Evaluation adopt(const Candidate& candidate, McsResult mcs) const;
+  /// Scores an analysis the caller already ran under mcs_options() on
+  /// workspace() (HOPA's winning round): the result equals evaluate() of
+  /// the analyzed candidate, without a second fixed point.
+  [[nodiscard]] Evaluation adopt(McsResult mcs) const;
 
   /// Applies a move in place.  Returns false when the move is a no-op for
   /// this candidate (e.g. resizing to the current length).
@@ -198,16 +148,11 @@ private:
   const arch::Platform& platform_;
   McsOptions mcs_options_;
   mutable AnalysisWorkspace workspace_;
-  mutable EvaluationCache cache_;
-  mutable std::vector<std::int64_t> key_scratch_;
   std::vector<util::ProcessId> et_processes_;
   std::vector<util::ProcessId> tt_processes_;
   std::vector<util::MessageId> tt_messages_;
   std::vector<std::vector<util::Time>> slot_lengths_by_node_;
 
-  void encode_genotype(const Candidate& candidate,
-                       std::vector<std::int64_t>& out) const;
-  [[nodiscard]] Evaluation score(McsResult mcs) const;
   [[nodiscard]] sched::MobilityWindows mobility(const Evaluation& eval) const;
 };
 

@@ -18,11 +18,11 @@ struct ClimbOutcome {
   int steps = 0;
 };
 
-ClimbOutcome hill_climb(const MoveContext& ctx, Candidate start,
+/// Climbs from `start`, whose evaluation the caller already holds; that
+/// evaluation still counts as the climb's first.
+ClimbOutcome hill_climb(const MoveContext& ctx, Candidate start, Evaluation start_eval,
                         const OptimizeResourcesOptions& options) {
-  ClimbOutcome out{std::move(start), {}, 0, 0};
-  out.eval = ctx.evaluate(out.candidate);
-  ++out.evaluations;
+  ClimbOutcome out{std::move(start), std::move(start_eval), 1, 0};
 
   for (int iter = 0; iter < options.max_climb_iterations; ++iter) {
     const auto moves = ctx.generate_neighbors(out.candidate, out.eval,
@@ -58,20 +58,13 @@ ClimbOutcome hill_climb(const MoveContext& ctx, Candidate start,
 OptimizeResourcesResult minimize_buffers_from(
     const MoveContext& ctx, const Candidate& start,
     const OptimizeResourcesOptions& options) {
-  OptimizeResourcesResult result{start, ctx.evaluate(start), 0, 1, 0};
-  result.s_total_before = result.best_eval.s_total;
-  ClimbOutcome outcome = hill_climb(ctx, start, options);
-  result.evaluations += outcome.evaluations;
-  result.climb_steps = outcome.steps;
-  const bool improved =
-      (outcome.eval.schedulable && !result.best_eval.schedulable) ||
-      (outcome.eval.schedulable == result.best_eval.schedulable &&
-       outcome.eval.s_total < result.best_eval.s_total);
-  if (improved) {
-    result.best = std::move(outcome.candidate);
-    result.best_eval = std::move(outcome.eval);
-  }
-  return result;
+  Evaluation start_eval = ctx.evaluate(start);
+  const std::int64_t s_total_before = start_eval.s_total;
+  // A climb never ends worse than its start: it steps only to schedulable
+  // points, each with a smaller s_total than a schedulable predecessor.
+  ClimbOutcome outcome = hill_climb(ctx, start, std::move(start_eval), options);
+  return {std::move(outcome.candidate), std::move(outcome.eval), s_total_before,
+          outcome.evaluations, outcome.steps};
 }
 
 OptimizeResourcesResult optimize_resources(const MoveContext& ctx,
@@ -100,9 +93,9 @@ OptimizeResourcesResult optimize_resources(const MoveContext& ctx,
   std::size_t starts = 0;
   for (const SeedSolution& seed : step1.seeds) {
     if (starts >= options.max_seed_starts) break;
-    if (!seed.schedulable) continue;
+    if (!seed.eval.schedulable) continue;
     ++starts;
-    ClimbOutcome outcome = hill_climb(ctx, seed.candidate, options);
+    ClimbOutcome outcome = hill_climb(ctx, seed.candidate, seed.eval, options);
     result.evaluations += outcome.evaluations;
     result.climb_steps += outcome.steps;
     if (outcome.eval.schedulable &&

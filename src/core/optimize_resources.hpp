@@ -44,7 +44,8 @@ struct OptimizeResourcesResult {
     const MoveContext& ctx, const OptimizeScheduleResult& step1,
     const OptimizeResourcesOptions& options = {});
 
-/// Step 2 alone: hill-climb buffer minimization from a given start.
+/// Step 2 alone: hill-climb buffer minimization from a given start,
+/// which is analyzed once and counted once in `evaluations`.
 /// Exposed for examples/seeding_ablation.cpp (seeded vs cold starts).
 [[nodiscard]] OptimizeResourcesResult minimize_buffers_from(
     const MoveContext& ctx, const Candidate& start,

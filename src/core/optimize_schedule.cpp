@@ -15,10 +15,11 @@ namespace {
 /// families of §5.1).
 void record_seed(std::vector<SeedSolution>& seeds, const Candidate& candidate,
                  const Evaluation& eval, std::size_t max_seeds) {
-  SeedSolution seed{candidate, eval.delta, eval.s_total, eval.schedulable};
-  seeds.push_back(std::move(seed));
+  seeds.push_back(SeedSolution{candidate, eval});
   std::sort(seeds.begin(), seeds.end(),
-            [](const SeedSolution& a, const SeedSolution& b) {
+            [](const SeedSolution& sa, const SeedSolution& sb) {
+              const Evaluation& a = sa.eval;
+              const Evaluation& b = sb.eval;
               if (a.schedulable != b.schedulable) return a.schedulable;
               if (a.schedulable) {
                 if (a.s_total != b.s_total) return a.s_total < b.s_total;
@@ -28,7 +29,9 @@ void record_seed(std::vector<SeedSolution>& seeds, const Candidate& candidate,
             });
   // Drop duplicates by (delta, s_total) to keep the list diverse.
   seeds.erase(std::unique(seeds.begin(), seeds.end(),
-                          [](const SeedSolution& a, const SeedSolution& b) {
+                          [](const SeedSolution& sa, const SeedSolution& sb) {
+                            const Evaluation& a = sa.eval;
+                            const Evaluation& b = sb.eval;
                             return a.s_total == b.s_total &&
                                    a.delta.f1 == b.delta.f1 &&
                                    a.delta.f2 == b.delta.f2;
@@ -57,7 +60,7 @@ OptimizeScheduleResult optimize_schedule(const MoveContext& ctx,
   std::optional<Evaluation> bound_eval;
 
   // Evaluate a candidate: HOPA priorities for its beta; the analysis of
-  // HOPA's winning round is the evaluation (memoized in ctx's cache).
+  // HOPA's winning round is the evaluation.
   auto evaluate_with_hopa = [&](Candidate& cand) -> Evaluation {
     if (options.cancel) options.cancel->throw_if_cancelled();
     // Every trial starts as a copy of `current`, so an unchanged round
@@ -69,7 +72,7 @@ OptimizeScheduleResult optimize_schedule(const MoveContext& ctx,
     cand.process_priorities = std::move(hopa.process_priorities);
     cand.message_priorities = std::move(hopa.message_priorities);
     result.evaluations += hopa.runs;
-    return ctx.adopt(cand, std::move(hopa.mcs));
+    return ctx.adopt(std::move(hopa.mcs));
   };
 
   bool have_best = false;

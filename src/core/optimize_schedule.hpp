@@ -17,11 +17,11 @@
 
 namespace mcs::core {
 
+/// A seed and its evaluation: OptimizeResources starts its hill climb
+/// from `eval` instead of analyzing `candidate` a second time.
 struct SeedSolution {
   Candidate candidate;
-  Schedulability delta;
-  std::int64_t s_total = 0;
-  bool schedulable = false;
+  Evaluation eval;  ///< equals ctx.evaluate(candidate)
 };
 
 struct OptimizeScheduleOptions {

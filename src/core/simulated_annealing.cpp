@@ -35,32 +35,17 @@ SaResult simulated_annealing(const MoveContext& ctx, const Candidate& start,
   Evaluation current_eval = result.best_eval;
   double current_cost = result.best_cost;
 
-  // The wall-clock budget check is polled from two loop conditions per
-  // inner iteration; at cached-evaluation rates steady_clock::now() itself
-  // is measurable.  Read the clock on every call that followed a cache
-  // MISS (a full fixed point dwarfs a clock read, and misses are where
-  // the budget is actually spent) but only every 32nd call otherwise —
-  // a timeout is then detected at most 31 cached evaluations late, which
-  // the millisecond-scale budgets cannot observe.  `timed_out` is sticky:
-  // once over budget the loops unwind without further clock reads.
+  // The wall-clock budget check: a clock read is noise next to the fixed
+  // point each iteration runs.
   const auto start_time = std::chrono::steady_clock::now();
-  bool timed_out = false;
-  std::uint64_t clock_poll = 0;
-  std::uint64_t last_misses = ctx.evaluation_cache().misses();
   auto out_of_time = [&] {
     // The cancellation poll rides the same call sites as the budget check
     // but throws instead of returning: see SaOptions::cancel.
     if (options.cancel) options.cancel->throw_if_cancelled();
     if (options.max_milliseconds <= 0) return false;
-    if (timed_out) return true;
-    const std::uint64_t misses = ctx.evaluation_cache().misses();
-    const bool missed_since_last = misses != last_misses;
-    last_misses = misses;
-    if (!missed_since_last && (clock_poll++ & 31) != 0) return false;
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start_time);
-    timed_out = elapsed.count() >= options.max_milliseconds;
-    return timed_out;
+    return elapsed.count() >= options.max_milliseconds;
   };
 
   double temperature = options.initial_temperature;

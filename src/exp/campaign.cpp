@@ -190,8 +190,6 @@ std::string encode_job_result(const JobResult& job) {
   // Per-job metrics (appended last: the codec is sequential, so new
   // fields always go at the end of the payload).
   w.u64(job.evals);
-  w.u64(job.cache_hits);
-  w.u64(job.cache_lookups);
   w.u64(job.delta_replays);
   return w.take();
 }
@@ -238,9 +236,8 @@ JobResult decode_job_result(const std::string& payload) {
     job.outcomes.push_back(o);
   }
   job.evals = r.u64();
-  job.cache_hits = r.u64();
-  job.cache_lookups = r.u64();
   job.delta_replays = r.u64();
+  if (!r.exhausted()) throw JournalError("record holds trailing bytes");
   return job;
 }
 
@@ -371,7 +368,7 @@ void write_csv(const CampaignResult& result, std::ostream& out) {
   out << "campaign,job,dimension,replica,system_seed,processes,messages,"
          "inter_cluster_messages,strategy,schedulable,skipped,state,attempts,"
          "error,delta_f1,delta_f2,s_total,s_total_before,evaluations,"
-         "evals,cache_hit_rate,delta_replays,seconds\n";
+         "evals,delta_replays,seconds\n";
   const std::string name = csv_escape(result.spec.name);
   for (const JobResult& job : result.jobs) {
     const auto prefix = [&]() -> std::ostream& {

@@ -14,9 +14,9 @@
 // Concurrency & determinism contract (DESIGN.md §4):
 //
 //   * Each job builds its OWN core::MoveContext — and therefore its own
-//     AnalysisWorkspace and EvaluationCache — on the worker thread that
-//     runs it.  Those objects are mutable and single-threaded by design
-//     and are NEVER shared across jobs or threads.
+//     AnalysisWorkspace — on the worker thread that runs it.  Those
+//     objects are mutable and single-threaded by design and are NEVER
+//     shared across jobs or threads.
 //   * Every stochastic component inside a job draws from a seed derived
 //     as FNV-1a(campaign_seed, job_index, strategy_index) — a pure
 //     function of the spec, independent of scheduling order.

@@ -44,10 +44,11 @@ public:
       : std::runtime_error("journal: " + message) {}
 };
 
-/// Journal format version.  2: the last per-job counter in a campaign
-/// record is `delta_replays` (version 1 stored `delta_fallbacks` there),
-/// so a version-1 journal is refused rather than resumed mislabelled.
-inline constexpr std::uint64_t kJournalVersion = 2;
+/// Journal format version.  3: a campaign record ends with `evals` and
+/// `delta_replays` (version 2 also stored two evaluation-cache counters,
+/// version 1 stored `delta_fallbacks` last), so an older journal is
+/// refused rather than resumed mislabelled.
+inline constexpr std::uint64_t kJournalVersion = 3;
 
 struct JournalHeader {
   std::uint64_t version = kJournalVersion;

@@ -124,11 +124,8 @@ StrategyRun JobSynthesis::step(Strategy strategy) {
 }
 
 void JobSynthesis::record_counters(JobRow& row) const {
-  const core::EvaluationCache& cache = ctx_.evaluation_cache();
-  row.cache_hits = cache.hits();
-  row.cache_lookups = cache.hits() + cache.misses();
   row.delta_replays = ctx_.workspace().delta_stats().delta_runs;
-  obs::publish_workspace(ctx_.workspace(), cache.hits(), cache.misses(),
+  obs::publish_workspace(ctx_.workspace(),
                          core::kernel_name(ctx_.mcs_options().analysis.kernel));
 }
 
@@ -203,10 +200,7 @@ void write_json_job_identity(std::ostream& out, const JobRow& row) {
 
 void write_json_job_metrics(std::ostream& out, const JobRow& row) {
   out << ", \"seconds\": " << row.seconds << ",\n     \"metrics\": {\"evals\": "
-      << row.evals << ", \"cache_hits\": " << row.cache_hits
-      << ", \"cache_lookups\": " << row.cache_lookups
-      << ", \"cache_hit_rate\": " << row.cache_hit_rate()
-      << ", \"delta_replays\": " << row.delta_replays << "},\n     ";
+      << row.evals << ", \"delta_replays\": " << row.delta_replays << "},\n     ";
 }
 
 void write_csv_job_identity(std::ostream& out, const std::string& name,
@@ -216,7 +210,7 @@ void write_csv_job_identity(std::ostream& out, const std::string& name,
 }
 
 void write_csv_job_metrics(std::ostream& out, const JobRow& row, double seconds) {
-  out << ',' << row.evals << ',' << row.cache_hit_rate() << ',' << row.delta_replays
+  out << ',' << row.evals << ',' << row.delta_replays
       << ',' << seconds << '\n';
 }
 

@@ -80,18 +80,9 @@ struct JobRow {
   double seconds = 0.0;
   /// Per-job engine metrics (DESIGN.md §7): deterministic — pure
   /// functions of the job's inputs — but not signed, since delta replay
-  /// and caching change them without changing any paper output.
+  /// changes them without changing any paper output.
   std::uint64_t evals = 0;            ///< total strategy evaluations
-  std::uint64_t cache_hits = 0;       ///< evaluation-cache hits
-  std::uint64_t cache_lookups = 0;    ///< evaluation-cache lookups (hits+misses)
   std::uint64_t delta_replays = 0;    ///< MCS runs that replayed a recorded base
-
-  /// Cache hit rate in [0,1] (0 when the job never consulted the cache).
-  [[nodiscard]] double cache_hit_rate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) / static_cast<double>(cache_lookups);
-  }
 
   [[nodiscard]] bool failed() const { return state == RunState::Failed; }
 };

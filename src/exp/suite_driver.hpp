@@ -45,9 +45,9 @@ struct StrategyRun {
   std::int64_t s_total_before = 0;  ///< OR only: buffer need after its OS step
 };
 
-/// A job's synthesis engine: the job-local MoveContext (workspace and
-/// evaluation cache live on the one worker thread running the job) and
-/// the SF/OS/OR step both job kinds share.
+/// A job's synthesis engine: the job-local MoveContext (its workspace
+/// lives on the one worker thread running the job) and the SF/OS/OR step
+/// both job kinds share.
 class JobSynthesis {
 public:
   JobSynthesis(const gen::GeneratedSystem& sys, const SpecBase& spec,
@@ -92,8 +92,8 @@ void write_json_run_keys(std::ostream& out, std::size_t workers, bool interrupte
 void write_json_job_identity(std::ostream& out, const JobRow& row);
 void write_json_job_metrics(std::ostream& out, const JobRow& row);
 /// Per CSV row: `name,job,...,messages`, the kind's columns, then
-/// `,evals,cache_hit_rate,delta_replays,<seconds>\n` — the wall-clock
-/// column stays last so consumers can strip it to compare runs.
+/// `,evals,delta_replays,<seconds>\n` — the wall-clock column stays last
+/// so consumers can strip it to compare runs.
 void write_csv_job_identity(std::ostream& out, const std::string& name,
                             const JobRow& row);
 void write_csv_job_metrics(std::ostream& out, const JobRow& row, double seconds);

@@ -354,7 +354,7 @@ void write_csv(const ValidationResult& result, std::ostream& out) {
          "violations,"
          "scenario,sim_status,deadline_misses,messages_lost,config_violations,"
          "faults_injected,max_out_can,max_out_ttp,queue_over_bound,"
-         "worst_lateness,evals,cache_hit_rate,delta_replays,seconds\n";
+         "worst_lateness,evals,delta_replays,seconds\n";
   const std::string name = csv_escape(result.spec.name);
   for (const ValidationJob& job : result.jobs) {
     const auto prefix = [&]() -> std::ostream& {

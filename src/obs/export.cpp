@@ -9,8 +9,6 @@
 namespace mcs::obs {
 
 void publish_workspace(const core::AnalysisWorkspace& workspace,
-                       std::uint64_t eval_cache_hits,
-                       std::uint64_t eval_cache_misses,
                        const char* kernel_name) {
   if (!metrics_enabled()) return;
   const core::DeltaStats& d = workspace.delta_stats();
@@ -31,8 +29,6 @@ void publish_workspace(const core::AnalysisWorkspace& workspace,
   static const Counter refinements = counter("delta.mask_refinements");
   static const Counter intra = counter("delta.intra_skips");
   static const Counter p1_skips = counter("delta.p1_graph_skips");
-  static const Counter cache_hits = counter("eval_cache.hits");
-  static const Counter cache_misses = counter("eval_cache.misses");
   static const Gauge scratch_max = gauge("workspace.scratch_bytes_max");
 
   full_runs.add(d.full_runs);
@@ -51,8 +47,6 @@ void publish_workspace(const core::AnalysisWorkspace& workspace,
   refinements.add(d.mask_refinements);
   intra.add(d.intra_skips);
   p1_skips.add(d.p1_graph_skips);
-  cache_hits.add(eval_cache_hits);
-  cache_misses.add(eval_cache_misses);
   scratch_max.record_max(
       static_cast<std::int64_t>(workspace.scratch_footprint_bytes()));
 

@@ -1,15 +1,9 @@
-// FNV-1a hashing for genotype memoization keys.
-//
-// The optimizer caches evaluations by candidate genotype (TDMA round,
-// priorities, pins).  Keys are encoded as flat std::int64_t words and
-// hashed with 64-bit FNV-1a: tiny, deterministic across runs and
-// platforms (unlike std::hash), and good enough dispersion for a
-// few-thousand-entry table.  Lookups compare the full key on a hash hit,
-// so collisions cost a compare, never a wrong answer.
+// 64-bit FNV-1a: tiny and deterministic across runs and platforms
+// (unlike std::hash).  Report signatures, journal checksums, spec digests,
+// fault-stream seeds and the analysis trace digests are built from it.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace mcs::util {
 
@@ -38,12 +32,5 @@ public:
 private:
   std::uint64_t state_ = kFnv1aOffsetBasis;
 };
-
-/// Hash of a flat word sequence (the memoization key representation).
-[[nodiscard]] inline std::uint64_t fnv1a(std::span<const std::int64_t> words) noexcept {
-  Fnv1a h;
-  for (const std::int64_t w : words) h.update(w);
-  return h.digest();
-}
 
 }  // namespace mcs::util

@@ -47,36 +47,19 @@ gen::GeneratorParams small_system(std::uint64_t seed, std::size_t tt = 2,
   return p;
 }
 
-void expect_same_evaluation(const Evaluation& a, const Evaluation& b) {
-  EXPECT_EQ(a.delta.f1, b.delta.f1);
-  EXPECT_EQ(a.delta.f2, b.delta.f2);
-  EXPECT_EQ(a.s_total, b.s_total);
-  EXPECT_EQ(a.schedulable, b.schedulable);
-  EXPECT_EQ(a.mcs.converged, b.mcs.converged);
-  EXPECT_EQ(a.mcs.iterations, b.mcs.iterations);
-  EXPECT_EQ(a.mcs.schedule.process_start, b.mcs.schedule.process_start);
-  EXPECT_EQ(a.mcs.analysis.process_response, b.mcs.analysis.process_response);
-  EXPECT_EQ(a.mcs.analysis.message_response, b.mcs.analysis.message_response);
-  EXPECT_EQ(a.mcs.analysis.message_delivery, b.mcs.analysis.message_delivery);
-  EXPECT_EQ(a.mcs.analysis.graph_response, b.mcs.analysis.graph_response);
-  EXPECT_EQ(a.mcs.analysis.buffers.out_can, b.mcs.analysis.buffers.out_can);
-  EXPECT_EQ(a.mcs.analysis.buffers.out_ttp, b.mcs.analysis.buffers.out_ttp);
-  EXPECT_EQ(a.mcs.analysis.buffers.out_node, b.mcs.analysis.buffers.out_node);
-}
-
 /// Evaluated moves per Move alternative (variant index).
 using MoveTally = std::array<std::uint64_t, std::variant_size_v<Move>>;
 
 /// SA-shaped random walk: every neighbor — kept or discarded — goes
-/// through evaluate_uncached, i.e. through one Check-mode MCS run.  A
-/// delta/full divergence anywhere in the walk throws std::logic_error and
-/// fails the test; the return value is the number of checked evaluations.
+/// through evaluate, i.e. through one Check-mode MCS run.  A delta/full
+/// divergence anywhere in the walk throws std::logic_error and fails the
+/// test; the return value is the number of checked evaluations.
 /// `tally` counts the evaluated moves by kind.
 std::uint64_t random_walk(const MoveContext& ctx, std::uint64_t seed,
                           std::uint64_t target_evaluations, MoveTally& tally) {
   util::Rng rng(seed);
   Candidate current = Candidate::initial(ctx.app(), ctx.platform());
-  Evaluation current_eval = ctx.evaluate_uncached(current);
+  Evaluation current_eval = ctx.evaluate(current);
   std::uint64_t evaluations = 1;
   // Bounded by attempts, not evaluations, so a pathological neighborhood
   // of all-no-op moves cannot loop forever.
@@ -85,7 +68,7 @@ std::uint64_t random_walk(const MoveContext& ctx, std::uint64_t seed,
     const Move move = ctx.random_move(current, current_eval, rng);
     Candidate neighbor = current;
     if (!ctx.apply(move, neighbor)) continue;
-    Evaluation eval = ctx.evaluate_uncached(neighbor);
+    Evaluation eval = ctx.evaluate(neighbor);
     ++evaluations;
     ++tally[move.index()];
     // Accept improvements plus a random fraction of regressions, like SA
@@ -161,7 +144,7 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
   ctx.workspace().set_delta_mode(DeltaMode::Check);
 
   const Candidate base = Candidate::initial(sys.app, sys.platform);
-  (void)ctx.evaluate_uncached(base);
+  (void)ctx.evaluate(base);
 
   // Every TTC/gateway-level move replays against the warm base: the new
   // schedule reaches the passes through their compared inputs.
@@ -179,7 +162,7 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
     Candidate c = base;
     ASSERT_TRUE(ctx.apply(move, c)) << to_string(move);
     const DeltaStats before = ctx.delta_stats();
-    (void)ctx.evaluate_uncached(c);
+    (void)ctx.evaluate(c);
     EXPECT_EQ(ctx.delta_stats().delta_runs, before.delta_runs + 1) << to_string(move);
     EXPECT_EQ(ctx.delta_stats().fallbacks, before.fallbacks) << to_string(move);
   }
@@ -205,7 +188,7 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
   paper.workspace().set_delta_mode(DeltaMode::Check);
   ASSERT_FALSE(paper.workspace().et_to_tt().empty());
   const Candidate paper_base = Candidate::initial(ex.app, ex.platform);
-  const Evaluation paper_eval = paper.evaluate_uncached(paper_base);
+  const Evaluation paper_eval = paper.evaluate(paper_base);
   const std::size_t sg = paper_base.tdma.slot_of(ex.platform.gateway());
   ASSERT_EQ(sg + 1, paper_base.tdma.num_slots());
   Candidate resized = paper_base;
@@ -214,7 +197,7 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
                              paper_base.tdma.round_length()},
       resized));
   const DeltaStats before = paper.delta_stats();
-  const Evaluation resized_eval = paper.evaluate_uncached(resized);
+  const Evaluation resized_eval = paper.evaluate(resized);
   EXPECT_EQ(paper.delta_stats().delta_runs, before.delta_runs + 1);
   EXPECT_EQ(paper.delta_stats().fallbacks, before.fallbacks);
   EXPECT_EQ(paper.delta_stats().mismatches, 0u);
@@ -226,70 +209,6 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
                          paper_eval.mcs.analysis.message_delivery[m.index()];
   }
   EXPECT_TRUE(delivery_moved);
-}
-
-// The delta machinery must never seed the evaluation cache with values
-// that depend on the warm-start state at insertion time: interleave cache
-// hits and delta-path misses across priority, TDMA and shift moves through
-// one context, then compare every cached Evaluation against a
-// ground-truth recompute from an independent DeltaMode::Off context.
-TEST(DeltaOracle, EvaluationCacheMatchesRecomputeUnderDeltaMode) {
-  for (const std::uint64_t seed : {11u, 22u}) {
-    const auto sys = gen::generate(small_system(seed));
-    const MoveContext ctx(sys.app, sys.platform, McsOptions{});
-    ctx.workspace().set_delta_mode(DeltaMode::On);
-    const MoveContext ground_truth(sys.app, sys.platform, McsOptions{});
-    ground_truth.workspace().set_delta_mode(DeltaMode::Off);
-
-    // A mixed family: priority moves and TDMA/shift moves, all of them
-    // delta misses after the first (cold) evaluation.
-    std::vector<Candidate> family;
-    Candidate base = Candidate::initial(sys.app, sys.platform);
-    family.push_back(base);
-    for (std::size_t i = 0; i + 1 < ctx.et_processes().size(); ++i) {
-      const auto a = ctx.et_processes()[i];
-      const auto b = ctx.et_processes()[i + 1];
-      if (sys.app.process(a).node != sys.app.process(b).node) continue;
-      Candidate c = family.back();
-      if (!ctx.apply(SwapProcessPrioritiesMove{a, b}, c)) continue;
-      family.push_back(c);
-      if (family.size() >= 4) break;
-    }
-    if (ctx.can_messages().size() >= 2) {
-      Candidate c = family.back();
-      if (ctx.apply(SwapMessagePrioritiesMove{ctx.can_messages().front(),
-                                              ctx.can_messages().back()},
-                    c)) {
-        family.push_back(c);
-      }
-    }
-    if (base.tdma.num_slots() >= 2) {
-      Candidate c = family.back();
-      if (ctx.apply(SwapSlotsMove{0, base.tdma.num_slots() - 1}, c)) {
-        family.push_back(c);
-      }
-    }
-    if (!ctx.tt_processes().empty()) {
-      Candidate c = family.back();
-      if (ctx.apply(ShiftProcessMove{ctx.tt_processes().front(), 64}, c)) {
-        family.push_back(c);
-      }
-    }
-    ASSERT_GE(family.size(), 4u);
-
-    // Round 1 populates the cache with delta-path results (the first one
-    // cold); round 2 revisits everything out of order (pure hits); then
-    // each entry is checked against the cold recompute.
-    const auto hits_before = ctx.evaluation_cache().hits();
-    for (const Candidate& c : family) (void)ctx.evaluate(c);
-    for (std::size_t i = family.size(); i-- > 0;) (void)ctx.evaluate(family[i]);
-    EXPECT_GE(ctx.evaluation_cache().hits() - hits_before, family.size());
-    EXPECT_GE(ctx.delta_stats().delta_runs, family.size() - 1);
-
-    for (const Candidate& c : family) {
-      expect_same_evaluation(ctx.evaluate(c), ground_truth.evaluate_uncached(c));
-    }
-  }
 }
 
 // End-to-end: the real optimizers under Check mode.  SA stresses the

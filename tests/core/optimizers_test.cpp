@@ -158,8 +158,10 @@ TEST(OptimizeSchedule, SeedsAreSortedSchedulableFirst) {
   const auto os = optimize_schedule(ctx, options);
   bool seen_unschedulable = false;
   for (const auto& seed : os.seeds) {
-    if (!seed.schedulable) seen_unschedulable = true;
-    if (seed.schedulable) EXPECT_FALSE(seen_unschedulable);
+    if (!seed.eval.schedulable) seen_unschedulable = true;
+    if (seed.eval.schedulable) {
+      EXPECT_FALSE(seen_unschedulable);
+    }
   }
 }
 

@@ -140,7 +140,7 @@ std::vector<Candidate> walk_family(const MoveContext& ctx, int steps) {
   std::vector<Candidate> family = candidate_family(ctx);
   util::Rng rng(77);
   Candidate current = family.front();
-  const Evaluation base_eval = ctx.evaluate_uncached(current);
+  const Evaluation base_eval = ctx.evaluate(current);
   for (int step = 0; step < steps; ++step) {
     if (ctx.apply(ctx.random_move(current, base_eval, rng), current)) {
       family.push_back(current);
@@ -274,11 +274,11 @@ TEST(SoaLayout, ReusedScratchMatchesFreshAcrossDeltaModes) {
 
     for (int round = 0; round < 2; ++round) {
       for (const Candidate& cand : candidate_family(ctx_off)) {
-        const Evaluation on = ctx_on.evaluate_uncached(cand);
-        const Evaluation off = ctx_off.evaluate_uncached(cand);
+        const Evaluation on = ctx_on.evaluate(cand);
+        const Evaluation off = ctx_off.evaluate(cand);
         const MoveContext fresh(sys.app, sys.platform, McsOptions{});
         fresh.workspace().set_delta_mode(DeltaMode::Off);
-        const Evaluation cold = fresh.evaluate_uncached(cand);
+        const Evaluation cold = fresh.evaluate(cand);
         expect_same_evaluation(on, cold);
         expect_same_evaluation(off, cold);
       }

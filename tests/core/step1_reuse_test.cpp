@@ -1,5 +1,6 @@
 // Exactness of OptimizeSchedule's shortcuts: the analysis HOPA hands back
-// is the evaluation, a repeated TDMA round skips HOPA, OR can start from
+// is the evaluation, a repeated TDMA round skips HOPA, every seed carries
+// its own candidate's evaluation into OR's hill climbs, OR can start from
 // an OS result the caller already holds, and `evaluations` counts the
 // MultiClusterScheduling runs actually performed.
 #include <gtest/gtest.h>
@@ -73,6 +74,19 @@ TEST_P(Step1Reuse, OsEvaluationsCountMcsRuns) {
   EXPECT_EQ(static_cast<std::uint64_t>(os.evaluations), mcs_runs(ctx) - before);
 }
 
+void expect_bit_identical(const Evaluation& held, const Evaluation& fresh) {
+  std::string why;
+  EXPECT_TRUE(bit_identical(held.mcs, fresh.mcs, &why)) << why;
+  EXPECT_EQ(held.delta.f1, fresh.delta.f1);
+  EXPECT_EQ(held.delta.f2, fresh.delta.f2);
+  EXPECT_EQ(held.s_total, fresh.s_total);
+  EXPECT_EQ(held.schedulable, fresh.schedulable);
+}
+
+// The best evaluation and every seed's evaluation are handed on without
+// re-analysis, so each must equal a fresh analysis of its own candidate.
+// The seed list is sorted and deduplicated as it grows, so this also
+// catches a candidate paired with another trial's evaluation.
 TEST_P(Step1Reuse, AdoptedAnalysisMatchesUncachedEvaluation) {
   const System sys = system();
   McsOptions options;
@@ -80,13 +94,12 @@ TEST_P(Step1Reuse, AdoptedAnalysisMatchesUncachedEvaluation) {
   options.analysis.ttp_queue_model = TtpQueueModel::PaperFormula;
   const MoveContext ctx(sys.app, sys.platform, options);
   const auto os = optimize_schedule(ctx, small_budgets().schedule);
-  const Evaluation fresh = ctx.evaluate_uncached(os.best);
-  std::string why;
-  EXPECT_TRUE(bit_identical(os.best_eval.mcs, fresh.mcs, &why)) << why;
-  EXPECT_EQ(os.best_eval.delta.f1, fresh.delta.f1);
-  EXPECT_EQ(os.best_eval.delta.f2, fresh.delta.f2);
-  EXPECT_EQ(os.best_eval.s_total, fresh.s_total);
-  EXPECT_EQ(os.best_eval.schedulable, fresh.schedulable);
+  expect_bit_identical(os.best_eval, ctx.evaluate(os.best));
+  ASSERT_GE(os.seeds.size(), 2u);
+  for (std::size_t k = 0; k < os.seeds.size(); ++k) {
+    SCOPED_TRACE("seed " + std::to_string(k));
+    expect_bit_identical(os.seeds[k].eval, ctx.evaluate(os.seeds[k].candidate));
+  }
 }
 
 TEST_P(Step1Reuse, OrFromHeldOsResultEqualsFreshOr) {

@@ -1,8 +1,6 @@
-// Correctness of the AnalysisWorkspace reuse layer and the evaluation
-// memoization cache: a workspace-reused analysis must be bit-identical to
-// a fresh-state analysis (offsets, responses, jitters, deliveries, buffer
-// bounds, convergence flags), and a memoized Evaluation must equal the
-// recomputed one.
+// Correctness of the AnalysisWorkspace reuse layer: a workspace-reused
+// analysis must be bit-identical to a fresh-state analysis (offsets,
+// responses, jitters, deliveries, buffer bounds, convergence flags).
 #include <gtest/gtest.h>
 
 #include "mcs/core/moves.hpp"
@@ -10,7 +8,6 @@
 #include "mcs/core/response_time_analysis.hpp"
 #include "mcs/gen/generator.hpp"
 #include "mcs/gen/paper_example.hpp"
-#include "mcs/util/hash.hpp"
 
 namespace mcs::core {
 namespace {
@@ -47,17 +44,6 @@ void expect_same_analysis(const AnalysisResult& a, const AnalysisResult& b) {
   EXPECT_EQ(a.buffers.out_can, b.buffers.out_can);
   EXPECT_EQ(a.buffers.out_ttp, b.buffers.out_ttp);
   EXPECT_EQ(a.buffers.out_node, b.buffers.out_node);
-}
-
-void expect_same_evaluation(const Evaluation& a, const Evaluation& b) {
-  EXPECT_EQ(a.delta.f1, b.delta.f1);
-  EXPECT_EQ(a.delta.f2, b.delta.f2);
-  EXPECT_EQ(a.s_total, b.s_total);
-  EXPECT_EQ(a.schedulable, b.schedulable);
-  EXPECT_EQ(a.mcs.converged, b.mcs.converged);
-  EXPECT_EQ(a.mcs.iterations, b.mcs.iterations);
-  EXPECT_EQ(a.mcs.schedule.process_start, b.mcs.schedule.process_start);
-  expect_same_analysis(a.mcs.analysis, b.mcs.analysis);
 }
 
 /// A deterministic family of candidates around the initial one: priority
@@ -166,56 +152,6 @@ TEST(AnalysisWorkspace, RejectsMismatchedSystem) {
   input.platform = &ex.platform;
   input.config = &cfg;
   EXPECT_THROW((void)response_time_analysis(input, ws), std::invalid_argument);
-}
-
-TEST(EvaluationCache, MemoizedEvaluationEqualsRecomputed) {
-  const auto sys = gen::generate(small_system(5));
-  const MoveContext ctx(sys.app, sys.platform, McsOptions{});
-
-  const auto family = candidate_family(ctx);
-  std::vector<Evaluation> first;
-  first.reserve(family.size());
-  for (const Candidate& cand : family) first.push_back(ctx.evaluate(cand));
-  EXPECT_EQ(ctx.evaluation_cache().misses(), family.size());
-  EXPECT_EQ(ctx.evaluation_cache().hits(), 0u);
-
-  // Second pass: every lookup must hit and return the identical result.
-  for (std::size_t i = 0; i < family.size(); ++i) {
-    const Evaluation cached = ctx.evaluate(family[i]);
-    expect_same_evaluation(cached, first[i]);
-    // ... and equal a from-scratch recomputation.
-    expect_same_evaluation(cached, ctx.evaluate_uncached(family[i]));
-  }
-  EXPECT_EQ(ctx.evaluation_cache().hits(), family.size());
-}
-
-TEST(EvaluationCache, LruEvictionStaysBounded) {
-  EvaluationCache cache(2);
-  const std::vector<std::int64_t> k1{1}, k2{2}, k3{3};
-  Evaluation e1, e2, e3;
-  e1.s_total = 1;
-  e2.s_total = 2;
-  e3.s_total = 3;
-  cache.insert(util::fnv1a(k1), k1, e1);
-  cache.insert(util::fnv1a(k2), k2, e2);
-  EXPECT_NE(cache.find(util::fnv1a(k1), k1), nullptr);  // touch k1: k2 is LRU
-  cache.insert(util::fnv1a(k3), k3, e3);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find(util::fnv1a(k2), k2), nullptr);  // evicted
-  const Evaluation* hit1 = cache.find(util::fnv1a(k1), k1);
-  const Evaluation* hit3 = cache.find(util::fnv1a(k3), k3);
-  ASSERT_NE(hit1, nullptr);
-  ASSERT_NE(hit3, nullptr);
-  EXPECT_EQ(hit1->s_total, 1);
-  EXPECT_EQ(hit3->s_total, 3);
-}
-
-TEST(EvaluationCache, GenotypeHashIsStable) {
-  const std::vector<std::int64_t> key{4, 8, 15, 16, 23, 42};
-  EXPECT_EQ(util::fnv1a(key), util::fnv1a(key));
-  std::vector<std::int64_t> other = key;
-  other.back() = 43;
-  EXPECT_NE(util::fnv1a(key), util::fnv1a(other));
 }
 
 }  // namespace

@@ -287,5 +287,46 @@ TEST_F(JournalTest, DecodeRejectsMalformedPayloads) {
   EXPECT_NO_THROW((void)decode_job_result(payload));
 }
 
+// The codec reads fields in order, so a record longer than the fields it
+// decodes was written under another layout: refuse it instead of ignoring
+// the excess.
+TEST_F(JournalTest, DecodeRejectsTrailingBytes) {
+  JobResult job;
+  job.outcomes.resize(1);
+  RecordWriter extra;
+  extra.u64(0);
+  const std::string payload = encode_job_result(job) + extra.bytes();
+  EXPECT_NO_THROW((void)decode_job_result(encode_job_result(job)));
+  EXPECT_THROW((void)decode_job_result(payload), JournalError);
+}
+
+// A checksummed version-2 header is intact, but its records carry two
+// counters version 3 dropped: --resume must refuse it by version.
+TEST_F(JournalTest, ResumeRefusesAVersion2Journal) {
+  CampaignSpec spec;
+  spec.name = "version-test";
+  spec.suite = "tiny";
+  spec.seeds_per_dim = 1;
+  spec.strategies = {Strategy::Sf};
+  spec.jobs = 1;
+  const fs::path p = path("v2.journal");
+  {
+    JournalWriter writer =
+        JournalWriter::create(p, JournalHeader{2, campaign_spec_digest(spec)});
+    writer.append(encode_job_result(JobResult{}));
+    writer.close();
+  }
+  RunOptions options;
+  options.journal_path = p.string();
+  options.resume = true;
+  try {
+    (void)run_campaign(spec, options);
+    FAIL() << "a version-2 journal was resumed";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 2"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace mcs::exp

@@ -20,8 +20,8 @@
 //   --stats                 print evaluation-engine counters after the
 //                           run: active analysis kernel, DeltaStats
 //                           (replays/fallbacks/memo hits/skips),
-//                           candidate-list cache hit rate, evaluation
-//                           cache hit rate, scratch footprint
+//                           candidate-list cache hit rate, scratch
+//                           footprint
 //
 // Observability (every mode, DESIGN.md §7):
 //
@@ -550,8 +550,8 @@ std::size_t report(const gen::ParsedSystem& sys, const core::Candidate& candidat
 
 // Evaluation-engine counters for the single-system synthesis run: which
 // kernel ran, how often the delta machinery replayed vs fell back, and
-// what the reuse layers (candidate-list cache, evaluation cache, snapshot
-// stealing, intra-run skips) delivered.
+// what the reuse layers (candidate-list cache, snapshot stealing,
+// intra-run skips) delivered.
 void print_stats(const core::MoveContext& ctx,
                  const core::McsOptions& mcs_options) {
   const core::AnalysisWorkspace& ws = ctx.workspace();
@@ -592,11 +592,6 @@ void print_stats(const core::MoveContext& ctx,
               static_cast<unsigned long long>(d.intra_skips),
               static_cast<unsigned long long>(d.p1_graph_skips),
               static_cast<unsigned long long>(d.mask_refinements));
-  const std::uint64_t hits = ctx.evaluation_cache().hits();
-  const std::uint64_t lookups = hits + ctx.evaluation_cache().misses();
-  std::printf("  evaluation cache       %llu/%llu hits (%.1f%% hit rate)\n",
-              static_cast<unsigned long long>(hits),
-              static_cast<unsigned long long>(lookups), pct(hits, lookups));
   std::printf("  scratch footprint      %zu bytes (stable per workspace)\n",
               ws.scratch_footprint_bytes());
 }
