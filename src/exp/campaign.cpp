@@ -142,39 +142,17 @@ std::uint64_t JobResult::signature() const {
 
 std::uint64_t campaign_spec_digest(const CampaignSpec& spec) {
   util::Fnv1a h;
-  sign(h, spec.suite);
-  h.update(static_cast<std::uint64_t>(spec.seeds_per_dim));
-  h.update(spec.suite_base_seed);
-  h.update(spec.campaign_seed);
+  sign_spec(h, "campaign", spec);
   h.update(static_cast<std::uint64_t>(spec.strategies.size()));
   for (const Strategy s : spec.strategies) h.update(static_cast<std::uint64_t>(s));
-  h.update(static_cast<std::uint64_t>(spec.conservative ? 1 : 0));
-  h.update(static_cast<std::uint64_t>(spec.paper_ttp ? 1 : 0));
   h.update(static_cast<std::uint64_t>(spec.anneal_unschedulable_starts ? 1 : 0));
-  h.update(static_cast<std::int64_t>(spec.budgets.sa_max_evaluations));
-  h.update(static_cast<std::int64_t>(spec.budgets.hopa_iterations));
-  h.update(static_cast<std::uint64_t>(spec.budgets.or_max_seed_starts));
-  h.update(static_cast<std::int64_t>(spec.budgets.or_max_climb_iterations));
-  h.update(static_cast<std::uint64_t>(spec.budgets.or_neighbors_per_step));
-  h.update(spec.job_timeout_ms);
-  h.update(static_cast<std::int64_t>(spec.max_retries));
-  h.update(static_cast<std::uint64_t>(spec.queue_limit));
   return h.digest();
 }
 
 std::string encode_job_result(const JobResult& job) {
   RecordWriter w;
-  w.u64(job.job_index);
-  w.u64(job.dimension);
-  w.u64(job.replica);
-  w.u64(job.system_seed);
-  w.u64(job.processes);
-  w.u64(job.messages);
+  write_row(w, job);
   w.u64(job.inter_cluster_messages);
-  w.u64(static_cast<std::uint64_t>(job.state));
-  w.i64(job.attempts);
-  w.str(job.error);
-  w.f64(job.seconds);
   w.u64(job.outcomes.size());
   for (const StrategyOutcome& o : job.outcomes) {
     w.u64(static_cast<std::uint64_t>(o.strategy));
@@ -187,39 +165,16 @@ std::string encode_job_result(const JobResult& job) {
     w.i64(o.evaluations);
     w.f64(o.seconds);
   }
-  // Per-job metrics (appended last: the codec is sequential, so new
-  // fields always go at the end of the payload).
-  w.u64(job.evals);
-  w.u64(job.delta_replays);
   return w.take();
 }
 
 JobResult decode_job_result(const std::string& payload) {
   RecordReader r(payload);
   JobResult job;
-  job.job_index = static_cast<std::size_t>(r.u64());
-  job.dimension = static_cast<std::size_t>(r.u64());
-  job.replica = static_cast<std::size_t>(r.u64());
-  job.system_seed = r.u64();
-  job.processes = static_cast<std::size_t>(r.u64());
-  job.messages = static_cast<std::size_t>(r.u64());
+  read_row(r, job);
   job.inter_cluster_messages = static_cast<std::size_t>(r.u64());
-  const std::uint64_t state = r.u64();
-  if (state > static_cast<std::uint64_t>(RunState::Pending)) {
-    throw JournalError("record holds invalid job state " + std::to_string(state));
-  }
-  job.state = static_cast<RunState>(state);
-  job.attempts = static_cast<int>(r.i64());
-  job.error = r.str();
-  job.seconds = r.f64();
-  const std::uint64_t outcomes = r.u64();
-  if (outcomes > 64) {
-    throw JournalError("record holds implausible outcome count " +
-                       std::to_string(outcomes));
-  }
-  job.outcomes.reserve(static_cast<std::size_t>(outcomes));
-  for (std::uint64_t i = 0; i < outcomes; ++i) {
-    StrategyOutcome o;
+  job.outcomes.resize(r.count());
+  for (StrategyOutcome& o : job.outcomes) {
     const std::uint64_t strategy = r.u64();
     if (strategy > static_cast<std::uint64_t>(Strategy::Sar)) {
       throw JournalError("record holds invalid strategy " + std::to_string(strategy));
@@ -233,10 +188,7 @@ JobResult decode_job_result(const std::string& payload) {
     o.s_total_before = r.i64();
     o.evaluations = static_cast<int>(r.i64());
     o.seconds = r.f64();
-    job.outcomes.push_back(o);
   }
-  job.evals = r.u64();
-  job.delta_replays = r.u64();
   if (!r.exhausted()) throw JournalError("record holds trailing bytes");
   return job;
 }
@@ -245,7 +197,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& options)
   const JournalCodec<JobResult> codec{campaign_spec_digest(spec), encode_job_result,
                                       decode_job_result};
   return run_suite<CampaignResult>(
-      spec, options, "campaign.job", &codec,
+      spec, options, "campaign.job", codec,
       [&spec](const gen::GeneratedSystem& sys, JobResult& job,
               const util::CancelToken& cancel) { run_job(spec, sys, job, cancel); });
 }
@@ -319,7 +271,7 @@ void write_json(const CampaignResult& result, std::ostream& out) {
     out << (i ? ", " : "") << "\"" << to_string(spec.strategies[i]) << "\"";
   }
   out << "],\n";
-  write_json_run_keys(out, result.workers, result.interrupted, &result.resumed_jobs,
+  write_json_run_keys(out, result.workers, result.interrupted, result.resumed_jobs,
                       result.wall_seconds, result.signature());
 
   // Campaign-wide runtime percentiles per strategy (wall clock, thus the
@@ -343,7 +295,6 @@ void write_json(const CampaignResult& result, std::ostream& out) {
     write_json_job_identity(out, job);
     out << ", \"inter_cluster_messages\": " << job.inter_cluster_messages
         << ", \"state\": \"" << to_string(job.state) << "\""
-        << ", \"attempts\": " << job.attempts
         << ", \"failed\": " << (job.failed() ? "true" : "false")
         << ", \"error\": \"" << json_escape(job.error) << "\"";
     write_json_job_metrics(out, job);
@@ -366,7 +317,7 @@ void write_json(const CampaignResult& result, std::ostream& out) {
 
 void write_csv(const CampaignResult& result, std::ostream& out) {
   out << "campaign,job,dimension,replica,system_seed,processes,messages,"
-         "inter_cluster_messages,strategy,schedulable,skipped,state,attempts,"
+         "inter_cluster_messages,strategy,schedulable,skipped,state,"
          "error,delta_f1,delta_f2,s_total,s_total_before,evaluations,"
          "evals,delta_replays,seconds\n";
   const std::string name = csv_escape(result.spec.name);
@@ -376,9 +327,9 @@ void write_csv(const CampaignResult& result, std::ostream& out) {
       return out << ',' << job.inter_cluster_messages;
     };
     if (job.state != RunState::Done) {
-      // One row per degraded job (timeout/failed/shed/pending) so the
+      // One row per degraded job (timeout/failed/pending) so the
       // disposition is visible in the report.
-      prefix() << ",-,0,0," << to_string(job.state) << ',' << job.attempts << ','
+      prefix() << ",-,0,0," << to_string(job.state) << ','
                << csv_escape(job.error) << ",0,0,0,0,0";
       write_csv_job_metrics(out, job, job.seconds);
       continue;
@@ -386,7 +337,7 @@ void write_csv(const CampaignResult& result, std::ostream& out) {
     for (const StrategyOutcome& o : job.outcomes) {
       prefix() << ',' << to_string(o.strategy) << ',' << (o.schedulable ? 1 : 0) << ','
                << (o.skipped ? 1 : 0) << ',' << to_string(job.state) << ','
-               << job.attempts << ',' << csv_escape(job.error) << ',' << o.delta.f1
+               << csv_escape(job.error) << ',' << o.delta.f1
                << ',' << o.delta.f2 << ',' << o.s_total << ',' << o.s_total_before
                << ',' << o.evaluations;
       write_csv_job_metrics(out, job, o.seconds);

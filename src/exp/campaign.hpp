@@ -114,10 +114,10 @@ struct CampaignResult : SuiteResult<CampaignSpec, JobResult> {
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec,
                                           const RunOptions& options = {});
 
-/// Digest of every spec field that determines which results a campaign
-/// produces (suite, seeds, strategies, budgets, resilience knobs — NOT
-/// `name` or `jobs`).  Stamped into journal headers so --resume refuses
-/// a journal written under a different spec.
+/// Digest of the kind tag "campaign" and every spec field that determines
+/// which results a campaign produces (suite, seeds, strategies, budgets,
+/// watchdog deadline — NOT `name` or `jobs`).  Stamped into journal
+/// headers so --resume refuses a journal written under a different spec.
 [[nodiscard]] std::uint64_t campaign_spec_digest(const CampaignSpec& spec);
 
 /// Journal payload codec for one JobResult (exposed for tests and

@@ -4,13 +4,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <new>
 #include <string>
 #include <thread>
 
 #include "mcs/obs/metrics.hpp"
 #include "mcs/obs/trace.hpp"
-#include "mcs/util/hash.hpp"
 #include "mcs/util/thread_pool.hpp"
 
 namespace mcs::exp {
@@ -19,10 +17,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One thread watching every armed attempt: fires CancelToken::Deadline
-/// when an attempt overruns its wall-clock budget, and CancelToken::
+/// One thread watching every armed job: fires CancelToken::Deadline
+/// when a job overruns its wall-clock budget, and CancelToken::
 /// Shutdown on every armed token once the stop flag goes up.  Armed state
-/// is keyed by token pointer; arm/disarm bracket each attempt.
+/// is keyed by token pointer; arm/disarm bracket each job.
 class Watchdog {
 public:
   Watchdog(std::int64_t timeout_ms, const std::atomic<bool>* stop)
@@ -111,20 +109,17 @@ private:
 };
 
 void inject_fault(const RuntimeOptions& options, std::size_t job_index,
-                  int attempt, const util::CancelToken& token) {
+                  const util::CancelToken& token) {
   for (const RuntimeFault& fault : options.faults) {
-    if (fault.job_index != job_index || fault.attempt != attempt) continue;
-    const std::string where = " (job " + std::to_string(job_index) +
-                              ", attempt " + std::to_string(attempt) + ")";
+    if (fault.job_index != job_index) continue;
+    const std::string where = " (job " + std::to_string(job_index) + ")";
     switch (fault.kind) {
-      case RuntimeFault::Kind::ThrowTransient:
-        throw TransientError("injected transient fault" + where);
       case RuntimeFault::Kind::ThrowPermanent:
         throw std::runtime_error("injected permanent fault" + where);
       case RuntimeFault::Kind::Stall:
-        // Spin until the watchdog (or shutdown) cancels the attempt.  A
-        // stall with nothing armed to break it would hang forever — fail
-        // loudly instead.
+        // Spin until the watchdog (or shutdown) cancels the job.  A stall
+        // with nothing armed to break it would hang forever — fail loudly
+        // instead.
         if (options.job_timeout_ms <= 0 && options.stop == nullptr) {
           throw std::runtime_error("injected stall without watchdog" + where);
         }
@@ -144,25 +139,9 @@ const char* to_string(RunState state) noexcept {
     case RunState::Done: return "done";
     case RunState::Timeout: return "timeout";
     case RunState::Failed: return "failed";
-    case RunState::Shed: return "shed";
     case RunState::Pending: return "pending";
   }
   return "unknown";
-}
-
-std::int64_t backoff_delay_ms(const RuntimeOptions& options,
-                              std::size_t job_index, int attempt) {
-  if (options.backoff_base_ms <= 0) return 0;
-  std::int64_t window = options.backoff_base_ms;
-  for (int i = 1; i < attempt && window < options.backoff_cap_ms; ++i) {
-    window *= 2;
-  }
-  window = std::min(window, std::max<std::int64_t>(options.backoff_cap_ms, 1));
-  util::Fnv1a h;
-  h.update(options.retry_seed);
-  h.update(static_cast<std::uint64_t>(job_index));
-  h.update(static_cast<std::uint64_t>(attempt));
-  return static_cast<std::int64_t>(h.digest() % static_cast<std::uint64_t>(window));
 }
 
 std::vector<JobDisposition> run_jobs(
@@ -172,8 +151,6 @@ std::vector<JobDisposition> run_jobs(
     const std::function<void(std::size_t, const JobDisposition&)>& on_settled,
     RuntimeReport* report) {
   std::vector<JobDisposition> dispositions(count);
-  // One token per job: constructed in place (CancelToken is immovable).
-  std::vector<util::CancelToken> tokens(count);
   const std::size_t workers =
       std::min(options.workers == 0 ? 1 : options.workers,
                std::max<std::size_t>(1, count));
@@ -184,24 +161,10 @@ std::vector<JobDisposition> run_jobs(
     util::ThreadPool pool(workers);
     pool.parallel_for(count, [&](std::size_t i) {
       JobDisposition& disp = dispositions[i];
-      util::CancelToken& token = tokens[i];
-
       if (already_done != nullptr && (*already_done)[i]) {
         // Recovered from the journal: counts as done, nothing re-runs and
         // nothing is re-journaled.
         disp.state = RunState::Done;
-        disp.attempts = 0;
-        return;
-      }
-      if (options.queue_limit > 0 && i >= options.queue_limit) {
-        // Admission control is an index predicate, not a load measurement,
-        // so shed rows are identical for any worker count.
-        disp.state = RunState::Shed;
-        disp.attempts = 0;
-        disp.error = "shed: admission queue limit " +
-                     std::to_string(options.queue_limit) + " exceeded";
-        obs::instant("job.shed", static_cast<std::uint64_t>(i));
-        if (on_settled) on_settled(i, disp);
         return;
       }
       if (options.stop != nullptr && options.stop->load()) {
@@ -209,77 +172,32 @@ std::vector<JobDisposition> run_jobs(
         return;  // stays Pending: the resume re-runs it
       }
 
-      std::string transient_reason;
-      for (int attempt = 1;; ++attempt) {
-        if (attempt > 1) {
-          const auto delay = backoff_delay_ms(options, i, attempt - 1);
-          if (delay > 0) std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-          if (options.stop != nullptr && options.stop->load()) {
-            interrupted.store(true, std::memory_order_relaxed);
-            disp.attempts = attempt - 1;
-            return;  // stays Pending
-          }
-        }
-        token.reset();
-        watchdog.arm(&token);
-        try {
-          // Inside the try block: stack unwinding on any failure path
-          // closes the span, keeping B/E events balanced.
-          const obs::Span attempt_span("job.attempt", static_cast<std::uint64_t>(i));
-          inject_fault(options, i, attempt, token);
-          body(i, token);
-          watchdog.disarm(&token);
-          disp.state = RunState::Done;
-          disp.attempts = attempt;
-          // Keep the overcome transient reason so "done after retry" rows
-          // carry their retry reason into the report.
-          disp.error = transient_reason;
-          break;
-        } catch (const util::CancelledError& error) {
-          watchdog.disarm(&token);
-          if (error.reason() == util::CancelReason::Shutdown) {
-            interrupted.store(true, std::memory_order_relaxed);
-            disp.attempts = attempt;
-            return;  // stays Pending: result discarded, resume re-runs it
-          }
-          // Watchdog deadline: deterministic terminal timeout, no retry.
+      util::CancelToken token;
+      watchdog.arm(&token);
+      try {
+        // Inside the try block: stack unwinding on any failure path
+        // closes the span, keeping B/E events balanced.
+        const obs::Span job_span("job.attempt", static_cast<std::uint64_t>(i));
+        inject_fault(options, i, token);
+        body(i, token);
+        disp.state = RunState::Done;
+      } catch (const util::CancelledError& error) {
+        // A shutdown leaves the job Pending (result discarded, the resume
+        // re-runs it); a deadline is a terminal timeout.
+        if (error.reason() == util::CancelReason::Deadline) {
           obs::instant("job.timeout", static_cast<std::uint64_t>(i));
           disp.state = RunState::Timeout;
-          disp.attempts = attempt;
           disp.error = "timeout: watchdog deadline " +
                        std::to_string(options.job_timeout_ms) + " ms exceeded";
-          break;
-        } catch (const std::bad_alloc&) {
-          watchdog.disarm(&token);
-          transient_reason = "transient: allocation failure (std::bad_alloc)";
-          if (attempt <= options.max_retries) {
-            obs::instant("job.retry", static_cast<std::uint64_t>(i));
-            continue;
-          }
-          disp.state = RunState::Failed;
-          disp.attempts = attempt;
-          disp.error = transient_reason + " (retries exhausted after " +
-                       std::to_string(attempt) + " attempt(s))";
-          break;
-        } catch (const TransientError& error) {
-          watchdog.disarm(&token);
-          transient_reason = error.what();
-          if (attempt <= options.max_retries) {
-            obs::instant("job.retry", static_cast<std::uint64_t>(i));
-            continue;
-          }
-          disp.state = RunState::Failed;
-          disp.attempts = attempt;
-          disp.error = transient_reason + " (retries exhausted after " +
-                       std::to_string(attempt) + " attempt(s))";
-          break;
-        } catch (const std::exception& error) {
-          watchdog.disarm(&token);
-          disp.state = RunState::Failed;
-          disp.attempts = attempt;
-          disp.error = error.what();
-          break;
         }
+      } catch (const std::exception& error) {
+        disp.state = RunState::Failed;
+        disp.error = error.what();
+      }
+      watchdog.disarm(&token);
+      if (disp.state == RunState::Pending) {
+        interrupted.store(true, std::memory_order_relaxed);
+        return;
       }
       if (on_settled) on_settled(i, disp);
     });
@@ -292,40 +210,20 @@ std::vector<JobDisposition> run_jobs(
     static const obs::Counter done_c = obs::counter("runtime.jobs_done");
     static const obs::Counter timeout_c = obs::counter("runtime.jobs_timeout");
     static const obs::Counter failed_c = obs::counter("runtime.jobs_failed");
-    static const obs::Counter shed_c = obs::counter("runtime.jobs_shed");
-    static const obs::Counter retries_c = obs::counter("runtime.retries");
     for (const JobDisposition& disp : dispositions) {
       switch (disp.state) {
         case RunState::Done: done_c.add(); break;
         case RunState::Timeout: timeout_c.add(); break;
         case RunState::Failed: failed_c.add(); break;
-        case RunState::Shed: shed_c.add(); break;
         case RunState::Pending: break;
-      }
-      if (disp.attempts > 1) {
-        retries_c.add(static_cast<std::uint64_t>(disp.attempts - 1));
       }
     }
   }
 
   if (report != nullptr) {
-    *report = RuntimeReport{};
-    report->jobs = count;
     report->workers = workers;
     report->interrupted = interrupted.load() ||
                           (options.stop != nullptr && options.stop->load());
-    for (const JobDisposition& disp : dispositions) {
-      switch (disp.state) {
-        case RunState::Done: ++report->done; break;
-        case RunState::Timeout: ++report->timeouts; break;
-        case RunState::Failed: ++report->failed; break;
-        case RunState::Shed: ++report->shed; break;
-        case RunState::Pending: ++report->pending; break;
-      }
-      if (disp.attempts > 1) {
-        report->retries += static_cast<std::size_t>(disp.attempts - 1);
-      }
-    }
   }
   return dispositions;
 }

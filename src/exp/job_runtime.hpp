@@ -1,41 +1,27 @@
-// Fault-tolerant job runtime shared by the campaign and validation
-// harnesses.
+// Job runtime shared by the campaign and validation harnesses.
 //
-// run_jobs() executes N independent job bodies on a ThreadPool and wraps
-// each in four resilience layers:
+// run_jobs() executes N independent, deterministic job bodies on a
+// ThreadPool and runs each exactly once under two layers:
 //
 //   1. Watchdog deadlines — a dedicated watchdog thread arms a wall-clock
-//      deadline per attempt and fires the job's CancelToken when it
-//      expires; the body's inner loops (SA / OS / OR via their options)
-//      poll the token and unwind with util::CancelledError, which the
-//      runtime records as a deterministic `timeout` disposition.
+//      deadline per job and fires the job's CancelToken when it expires;
+//      the body's inner loops (SA / OS / OR via their options) poll the
+//      token and unwind with util::CancelledError, which the runtime
+//      records as a `timeout` disposition.
 //   2. Cooperative cancellation — the same token also carries shutdown
-//      (SIGINT/SIGTERM): a set stop flag cancels in-flight attempts and
-//      leaves unstarted jobs `pending`, so a drain takes at most one
-//      attempt's worth of time.
-//   3. Deterministic retry — transient failures (std::bad_alloc or
-//      TransientError, e.g. from fault injection) are retried up to
-//      max_retries times with bounded, FNV-1a-derived jittered backoff:
-//      the delay depends only on (retry_seed, job index, attempt), never
-//      on the clock, so retry behaviour is identical across runs and
-//      thread counts.
-//   4. Admission control — with queue_limit > 0, job indices at or past
-//      the limit are `shed` without running: a deterministic index
-//      predicate, not a load measurement, so shed rows are bit-identical
-//      for any worker count.
+//      (SIGINT/SIGTERM): a set stop flag cancels in-flight jobs and leaves
+//      unstarted ones `pending`, so a drain takes at most one job's time.
 //
 // State machine per job (DESIGN.md §6):
 //
 //   pending → running → done
-//                     → timeout           (watchdog fired, never retried)
-//                     → failed(attempts)  (permanent, or retries exhausted)
-//   pending → shed                        (admission control, never runs)
-//   pending → pending                     (stop requested before start)
+//                     → timeout   (watchdog fired)
+//                     → failed    (the body threw)
+//   pending → pending             (stop requested before or while running)
 //
-// Determinism contract: every disposition — state, attempt count, error
-// text — is a pure function of (options, job index, body behaviour).
-// Wall-clock only decides WHEN a watchdog fires, and a fired watchdog
-// always lands in the same `timeout` state the budget path would produce.
+// Determinism contract: every disposition — state and error text — is a
+// pure function of (options, job index, body behaviour).  Wall-clock only
+// decides WHEN a watchdog fires.
 #pragma once
 
 #include <atomic>
@@ -48,55 +34,34 @@
 
 namespace mcs::exp {
 
-/// Terminal (and initial) states of a job in the runtime.
+/// Terminal (and initial) states of a job in the runtime.  The values are
+/// signed and journaled; 3 is retired and must not be reused.
 enum class RunState : std::uint8_t {
-  Done = 0,     ///< body completed (possibly after retries)
+  Done = 0,     ///< body completed
   Timeout = 1,  ///< watchdog deadline fired (CancelledError unwound)
-  Failed = 2,   ///< permanent error, or transient retries exhausted
-  Shed = 3,     ///< refused by admission control, body never ran
-  Pending = 4,  ///< never started (shutdown drained the queue first)
+  Failed = 2,   ///< the body threw
+  Pending = 4,  ///< never finished (shutdown drained the queue first)
 };
 
 [[nodiscard]] const char* to_string(RunState state) noexcept;
 
-/// A failure the runtime may retry (allocation pressure, injected
-/// transient faults).  Everything else derived from std::exception is
-/// treated as permanent.
-class TransientError : public std::runtime_error {
-public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Test-only fault injection: on attempt `attempt` (1-based) of job
-/// `job_index`, the runtime raises the configured failure *before*
-/// invoking the body.
+/// Test-only fault injection: the runtime raises the configured failure
+/// for job `job_index` *before* invoking its body.
 struct RuntimeFault {
   enum class Kind : std::uint8_t {
-    ThrowTransient,  ///< TransientError — eligible for retry
-    ThrowPermanent,  ///< std::runtime_error — fails immediately
-    Stall,           ///< spin until the watchdog cancels the attempt
+    ThrowPermanent,  ///< std::runtime_error — the job fails
+    Stall,           ///< spin until the watchdog cancels the job
   };
   std::size_t job_index = 0;
-  int attempt = 1;
-  Kind kind = Kind::ThrowTransient;
+  Kind kind = Kind::ThrowPermanent;
 };
 
 struct RuntimeOptions {
   std::size_t workers = 1;
-  /// Per-attempt watchdog deadline in milliseconds (0 = no watchdog).
+  /// Per-job watchdog deadline in milliseconds (0 = no watchdog).
   std::int64_t job_timeout_ms = 0;
-  /// Transient failures retried at most this many times (attempts =
-  /// 1 + max_retries).
-  int max_retries = 0;
-  /// Backoff before retry r (1-based): jitter in [0, min(cap, base << (r-1)))
-  /// derived from FNV-1a(retry_seed, job index, r) — deterministic.
-  std::int64_t backoff_base_ms = 10;
-  std::int64_t backoff_cap_ms = 200;
-  std::uint64_t retry_seed = 1;
-  /// Admission control: indices >= queue_limit are shed (0 = unlimited).
-  std::size_t queue_limit = 0;
-  /// Graceful-shutdown flag (signal handlers set it): in-flight attempts
-  /// are cancelled, unstarted jobs stay Pending.  Not owned; may be null.
+  /// Graceful-shutdown flag (signal handlers set it): in-flight jobs are
+  /// cancelled, unstarted jobs stay Pending.  Not owned; may be null.
   const std::atomic<bool>* stop = nullptr;
   /// Test-only injected faults (see RuntimeFault).
   std::vector<RuntimeFault> faults;
@@ -105,44 +70,28 @@ struct RuntimeOptions {
 /// How one job ended.
 struct JobDisposition {
   RunState state = RunState::Pending;
-  /// Attempts actually started (0 for Shed/Pending and resumed-done jobs).
-  int attempts = 0;
-  /// Failure/timeout/shed reason; for Done-after-retries, the transient
-  /// error that was overcome (so the retry reason lands in the report).
-  std::string error;
+  std::string error;  ///< failure or timeout reason
 };
 
-/// Aggregate outcome of a run_jobs() call.
+/// What a run_jobs() call resolved beyond the dispositions.
 struct RuntimeReport {
-  std::size_t jobs = 0;
   std::size_t workers = 0;
   bool interrupted = false;  ///< stop flag observed before all jobs settled
-  std::size_t done = 0;
-  std::size_t timeouts = 0;
-  std::size_t failed = 0;
-  std::size_t shed = 0;
-  std::size_t pending = 0;
-  std::size_t retries = 0;  ///< extra attempts beyond the first, summed
 };
 
-/// Deterministic backoff delay before retry `attempt` (1-based) of job
-/// `job_index` — exposed so tests can pin the schedule.
-[[nodiscard]] std::int64_t backoff_delay_ms(const RuntimeOptions& options,
-                                            std::size_t job_index, int attempt);
-
-/// Runs `count` jobs under the resilience layers above.
+/// Runs `count` jobs under the layers above.
 ///
 /// `body(i, token)` does the work of job i, polling `token` from its long
 /// loops (or passing it down to SA/OS/OR options).  `already_done`, when
-/// non-null, flags jobs recovered from a journal: they settle as Done with
-/// attempts = 0 and `on_settled` is NOT called for them (their results are
-/// already journaled).  `on_settled(i, disposition)`, when non-null, runs
-/// on the worker thread right after job i reaches a terminal state — the
-/// campaign uses it to journal results as they land.
+/// non-null, flags jobs recovered from a journal: they settle as Done and
+/// `on_settled` is NOT called for them (their results are already
+/// journaled).  `on_settled(i, disposition)`, when non-null, runs on the
+/// worker thread right after job i reaches a terminal state — the suite
+/// driver uses it to journal results as they land.
 ///
-/// Returns one JobDisposition per job (indexed by job) plus the aggregate
-/// report.  Never throws for job failures; only programming errors
-/// (e.g. journal I/O inside on_settled) propagate.
+/// Returns one JobDisposition per job (indexed by job) plus the report.
+/// Never throws for job failures; only programming errors (e.g. journal
+/// I/O inside on_settled) propagate.
 std::vector<JobDisposition> run_jobs(
     const RuntimeOptions& options, std::size_t count,
     const std::function<void(std::size_t, const util::CancelToken&)>& body,

@@ -21,7 +21,7 @@ constexpr char kMagic[8] = {'M', 'C', 'S', 'J', 'R', 'N', 'L', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 3 * sizeof(std::uint64_t);
 // payload_length + payload_checksum.
 constexpr std::size_t kRecordPrefixBytes = 2 * sizeof(std::uint64_t);
-// A record longer than this cannot be a real JobResult; treating it as
+// A record longer than this cannot be a real job row; treating it as
 // corruption keeps a torn length field from provoking a huge allocation.
 constexpr std::uint64_t kMaxRecordBytes = 1ULL << 24;
 
@@ -183,7 +183,7 @@ JournalWriter JournalWriter::open_or_create(const std::filesystem::path& path,
   recovered = read_journal(path);
   if (recovered.header.spec_digest != header.spec_digest) {
     throw JournalError(
-        "'" + path.string() + "' was written for a different campaign spec " +
+        "'" + path.string() + "' was written for a different spec or job kind " +
         "(journal digest does not match; refusing to merge results)");
   }
   const int fd = ::open(path.c_str(), O_RDWR);
@@ -265,6 +265,14 @@ std::uint64_t RecordReader::u64() {
 std::int64_t RecordReader::i64() { return static_cast<std::int64_t>(u64()); }
 
 double RecordReader::f64() { return std::bit_cast<double>(u64()); }
+
+std::size_t RecordReader::count() {
+  const std::uint64_t n = u64();
+  if (n > payload_.size() - offset_) {
+    throw JournalError("record holds implausible element count " + std::to_string(n));
+  }
+  return static_cast<std::size_t>(n);
+}
 
 std::string RecordReader::str() {
   const std::uint64_t length = u64();

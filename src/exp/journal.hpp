@@ -1,10 +1,11 @@
-// Crash-safe append-only result journal for campaign checkpoint/resume.
+// Crash-safe append-only result journal for checkpoint/resume.
 //
-// A journal is a single file of checksummed records.  The campaign engine
-// appends one encoded JobResult per settled job; after a crash (including
-// SIGKILL mid-write) `mcs_synth --resume` reads the journal back, skips
-// every job with an intact record, and re-runs only the rest — the merged
-// report is bit-identical to an uninterrupted run.
+// A journal is a single file of checksummed records.  The suite driver
+// appends one encoded row per settled job — a campaign JobResult or a
+// ValidationJob; after a crash (including SIGKILL mid-write)
+// `mcs_synth --resume` reads the journal back, skips every job with an
+// intact record, and re-runs only the rest — the merged report is
+// bit-identical to an uninterrupted run.
 //
 // Layout (all integers little-endian u64):
 //
@@ -12,10 +13,11 @@
 //   record   payload_length | payload_checksum | payload bytes
 //   record   ...
 //
-// `spec_digest` fingerprints every determinism-relevant field of the
-// campaign spec (see exp::campaign_spec_digest); resuming under a spec
-// whose digest differs is refused with JournalError rather than silently
-// merging incompatible results.  Checksums are 64-bit FNV-1a.
+// `spec_digest` fingerprints the job kind and every determinism-relevant
+// field of its spec (exp::campaign_spec_digest, exp::validation_spec_digest);
+// resuming under a spec whose digest differs — or a journal of the other
+// kind — is refused with JournalError rather than silently merging
+// incompatible results.  Checksums are 64-bit FNV-1a.
 //
 // Crash model: a torn tail — a record cut short or failing its checksum —
 // is expected after SIGKILL and is truncated away on open (those jobs
@@ -44,11 +46,13 @@ public:
       : std::runtime_error("journal: " + message) {}
 };
 
-/// Journal format version.  3: a campaign record ends with `evals` and
-/// `delta_replays` (version 2 also stored two evaluation-cache counters,
-/// version 1 stored `delta_fallbacks` last), so an older journal is
+/// Journal format version.  4: every record starts with the shared row
+/// fields (identity, state, error, seconds, evals, delta_replays) and
+/// stores no attempt count; validation rows are journaled too.  Version 3
+/// stored a campaign row's attempts, version 2 two evaluation-cache
+/// counters, version 1 `delta_fallbacks` last, so an older journal is
 /// refused rather than resumed mislabelled.
-inline constexpr std::uint64_t kJournalVersion = 3;
+inline constexpr std::uint64_t kJournalVersion = 4;
 
 struct JournalHeader {
   std::uint64_t version = kJournalVersion;
@@ -70,7 +74,7 @@ struct JournalContents {
 [[nodiscard]] JournalContents read_journal(const std::filesystem::path& path);
 
 /// Append-only journal writer.  Thread-safe: append() may be called from
-/// concurrent worker threads (the campaign journals from on_settled).
+/// concurrent worker threads (the suite driver journals from on_settled).
 class JournalWriter {
 public:
   /// Creates a fresh journal at `path` (truncating any existing file) and
@@ -107,7 +111,7 @@ public:
 
   /// Records per fsync batch (1 = every append).  Campaign jobs cost
   /// seconds each, so even 1 is cheap; the batch default keeps the
-  /// journal overhead unmeasurable for sub-millisecond job bodies.
+  /// journal overhead unmeasurable for sub-millisecond validation jobs.
   [[nodiscard]] std::size_t sync_every() const noexcept { return sync_every_; }
   void set_sync_every(std::size_t n) noexcept { sync_every_ = n == 0 ? 1 : n; }
 
@@ -147,6 +151,10 @@ public:
   [[nodiscard]] std::int64_t i64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
+  /// An element count; more elements than bytes left is malformed (every
+  /// element takes at least one byte), so a corrupt count cannot provoke
+  /// a huge allocation.
+  [[nodiscard]] std::size_t count();
   [[nodiscard]] bool exhausted() const noexcept { return offset_ == payload_.size(); }
 
 private:

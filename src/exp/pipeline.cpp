@@ -59,10 +59,6 @@ void parse_spec(std::istream& in, const char* context, SpecBase& spec,
       spec.jobs = static_cast<std::size_t>(util::kv_u64(e, context));
     } else if (e.key == "job_timeout_ms") {
       spec.job_timeout_ms = static_cast<std::int64_t>(util::kv_u64(e, context));
-    } else if (e.key == "max_retries") {
-      spec.max_retries = util::kv_int(e, context);
-    } else if (e.key == "queue_limit") {
-      spec.queue_limit = static_cast<std::size_t>(util::kv_u64(e, context));
     } else if (e.key == "sa_max_evaluations") {
       spec.budgets.sa_max_evaluations = util::kv_int(e, context);
     } else if (e.key == "hopa_iterations") {
@@ -140,6 +136,56 @@ void sign(util::Fnv1a& h, const JobRow& row) {
   h.update(static_cast<std::uint64_t>(row.state));
 }
 
+void sign_spec(util::Fnv1a& h, const char* kind, const SpecBase& spec) {
+  sign(h, kind);
+  sign(h, spec.suite);
+  h.update(static_cast<std::uint64_t>(spec.seeds_per_dim));
+  h.update(spec.suite_base_seed);
+  h.update(spec.campaign_seed);
+  h.update(static_cast<std::uint64_t>(spec.conservative ? 1 : 0));
+  h.update(static_cast<std::uint64_t>(spec.paper_ttp ? 1 : 0));
+  h.update(static_cast<std::int64_t>(spec.budgets.sa_max_evaluations));
+  h.update(static_cast<std::int64_t>(spec.budgets.hopa_iterations));
+  h.update(static_cast<std::uint64_t>(spec.budgets.or_max_seed_starts));
+  h.update(static_cast<std::int64_t>(spec.budgets.or_max_climb_iterations));
+  h.update(static_cast<std::uint64_t>(spec.budgets.or_neighbors_per_step));
+  h.update(spec.job_timeout_ms);
+}
+
+void write_row(RecordWriter& w, const JobRow& row) {
+  w.u64(row.job_index);
+  w.u64(row.dimension);
+  w.u64(row.replica);
+  w.u64(row.system_seed);
+  w.u64(row.processes);
+  w.u64(row.messages);
+  w.u64(static_cast<std::uint64_t>(row.state));
+  w.str(row.error);
+  w.f64(row.seconds);
+  w.u64(row.evals);
+  w.u64(row.delta_replays);
+}
+
+void read_row(RecordReader& r, JobRow& row) {
+  row.job_index = static_cast<std::size_t>(r.u64());
+  row.dimension = static_cast<std::size_t>(r.u64());
+  row.replica = static_cast<std::size_t>(r.u64());
+  row.system_seed = r.u64();
+  row.processes = static_cast<std::size_t>(r.u64());
+  row.messages = static_cast<std::size_t>(r.u64());
+  const std::uint64_t state = r.u64();
+  if (state != static_cast<std::uint64_t>(RunState::Done) &&
+      state != static_cast<std::uint64_t>(RunState::Timeout) &&
+      state != static_cast<std::uint64_t>(RunState::Failed)) {
+    throw JournalError("record holds invalid job state " + std::to_string(state));
+  }
+  row.state = static_cast<RunState>(state);
+  row.error = r.str();
+  row.seconds = r.f64();
+  row.evals = r.u64();
+  row.delta_replays = r.u64();
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -181,11 +227,11 @@ void write_json_spec_keys(std::ostream& out, const char* kind, const SpecBase& s
 }
 
 void write_json_run_keys(std::ostream& out, std::size_t workers, bool interrupted,
-                         const std::size_t* resumed_jobs, double wall_seconds,
+                         std::size_t resumed_jobs, double wall_seconds,
                          std::uint64_t signature) {
   out << "  \"workers\": " << workers << ",\n"
-      << "  \"interrupted\": " << (interrupted ? "true" : "false") << ",\n";
-  if (resumed_jobs != nullptr) out << "  \"resumed_jobs\": " << *resumed_jobs << ",\n";
+      << "  \"interrupted\": " << (interrupted ? "true" : "false") << ",\n"
+      << "  \"resumed_jobs\": " << resumed_jobs << ",\n";
   char sig[32];
   std::snprintf(sig, sizeof sig, "%016llx", static_cast<unsigned long long>(signature));
   out << "  \"wall_seconds\": " << wall_seconds << ",\n"

@@ -5,10 +5,10 @@
 // Signature contract (DESIGN.md §4): a result signature digests the
 // paper's outputs only — per job its index, system seed and runtime
 // state plus the kind's verdicts (Δ(f1,f2), s_total, schedulability,
-// simulated-vs-bound checks).  The engine counters (evals, cache and
-// delta statistics), attempts, error text and wall-clock times are
-// reported but never signed, so the signature is bit-identical across
-// worker counts, delta modes and observability on/off.
+// simulated-vs-bound checks).  The engine counters (evals and delta
+// replays), error text and wall-clock times are reported but never
+// signed, so the signature is bit-identical across worker counts, delta
+// modes and observability on/off.
 #pragma once
 
 #include <atomic>
@@ -53,10 +53,8 @@ struct SpecBase {
   bool paper_ttp = false;             ///< closed-form OutTTP model
   CampaignBudgets budgets{};
   std::size_t jobs = 1;  ///< worker threads (0 = one per hardware core)
-  /// Resilience knobs, forwarded to the job runtime (job_runtime.hpp).
-  std::int64_t job_timeout_ms = 0;  ///< per-attempt watchdog (0 = off)
-  int max_retries = 0;              ///< transient-failure retries per job
-  std::size_t queue_limit = 0;      ///< admission control (0 = unlimited)
+  /// Per-job watchdog deadline (job_runtime.hpp; 0 = off).
+  std::int64_t job_timeout_ms = 0;
 
   [[nodiscard]] core::McsOptions mcs_options() const;
 };
@@ -73,10 +71,7 @@ struct JobRow {
   std::size_t processes = 0;
   std::size_t messages = 0;
   RunState state = RunState::Done;
-  /// Attempts the runtime started (> 1 means transient retries happened;
-  /// for a `done` row `error` then records the reason that was overcome).
-  int attempts = 1;
-  std::string error;
+  std::string error;  ///< why a row is not `done`
   double seconds = 0.0;
   /// Per-job engine metrics (DESIGN.md §7): deterministic — pure
   /// functions of the job's inputs — but not signed, since delta replay
@@ -114,7 +109,7 @@ struct SuiteResult {
 /// enter the spec digest or the result signature.
 struct RunOptions {
   /// Append each settled row to this crash-safe journal (empty = no
-  /// journaling; campaigns only).  See journal.hpp for the format.
+  /// journaling).  See journal.hpp for the format.
   std::string journal_path;
   /// Resume from `journal_path`: journaled jobs are NOT re-run, their
   /// recovered rows merge with freshly computed ones, and the combined

@@ -6,7 +6,6 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,8 +59,8 @@ public:
   /// instead of being recomputed.
   [[nodiscard]] StrategyRun step(Strategy strategy);
 
-  /// Copies the job-local cache and delta counters into `row` and
-  /// publishes the workspace metrics.
+  /// Copies the job-local delta-replay count into `row` and publishes the
+  /// workspace metrics.
   void record_counters(JobRow& row) const;
 
 private:
@@ -82,10 +81,10 @@ void sign(util::Fnv1a& h, const JobRow& row);
 
 /// Report pieces, in output order: `{"<kind>": name, suite, seeds_per_dim,
 /// campaign_seed` lines; then (after the kind's spec keys) workers,
-/// interrupted, [resumed_jobs,] wall_seconds and signature lines.
+/// interrupted, resumed_jobs, wall_seconds and signature lines.
 void write_json_spec_keys(std::ostream& out, const char* kind, const SpecBase& spec);
 void write_json_run_keys(std::ostream& out, std::size_t workers, bool interrupted,
-                         const std::size_t* resumed_jobs, double wall_seconds,
+                         std::size_t resumed_jobs, double wall_seconds,
                          std::uint64_t signature);
 /// Per job: `{"job": ..., "messages": N`, the kind's keys, then
 /// `, "seconds": S,\n "metrics": {...},\n ` before the kind's arrays.
@@ -98,9 +97,20 @@ void write_csv_job_identity(std::ostream& out, const std::string& name,
                             const JobRow& row);
 void write_csv_job_metrics(std::ostream& out, const JobRow& row, double seconds);
 
+// --- journal pieces shared by both kinds -------------------------------------
+
+/// The shared head of every spec digest: the kind tag (so a journal of one
+/// kind never resumes under the other), then every SpecBase field that
+/// decides which results a run produces — not `name` or `jobs`.
+void sign_spec(util::Fnv1a& h, const char* kind, const SpecBase& spec);
+/// The JobRow fields of a journal record, written first by both codecs.
+/// read_row throws JournalError on a state no journaled (settled) row has.
+void write_row(RecordWriter& w, const JobRow& row);
+void read_row(RecordReader& r, JobRow& row);
+
 // --- the suite driver --------------------------------------------------------
 
-/// How a job kind that supports --journal/--resume persists its rows.
+/// How a job kind persists its rows for --journal/--resume.
 template <typename Job>
 struct JournalCodec {
   std::uint64_t spec_digest = 0;
@@ -110,21 +120,17 @@ struct JournalCodec {
 
 /// Runs `body(sys, row, cancel)` for every point of the spec's suite on
 /// the job runtime.  The driver fills each row's identity and wall time,
-/// turns runtime dispositions into degraded and pending rows, and
-/// journals settled rows when `codec` is given (a journal_path without
-/// one is rejected).
+/// turns runtime dispositions into degraded and pending rows, and, with
+/// a journal_path, journals settled rows through `codec`.
 template <typename Result, typename Body>
 Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
                  const char* job_span,
-                 const JournalCodec<typename decltype(Result::jobs)::value_type>* codec,
+                 const JournalCodec<typename decltype(Result::jobs)::value_type>& codec,
                  const Body& body) {
   using Job = typename decltype(Result::jobs)::value_type;
   const auto start = std::chrono::steady_clock::now();
   const auto suite =
       gen::suite_by_name(spec.suite, spec.seeds_per_dim, spec.suite_base_seed);
-  if (!options.journal_path.empty() && codec == nullptr) {
-    throw std::invalid_argument("journaling is supported for campaigns only");
-  }
 
   Result result;
   result.spec = spec;
@@ -137,13 +143,13 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
     job.system_seed = suite[i].params.seed;
     return job;
   };
-  // The row of a job that did not complete (timeout / failed / shed /
-  // pending): attributable and replayable, with empty outcome fields.
-  const auto degraded = [&identified](std::size_t i, const JobDisposition& d) {
+  // The row of a job that did not complete (timeout / failed / pending):
+  // attributable and replayable, with empty outcome fields.
+  const auto degraded = [&identified](std::size_t i, RunState state,
+                                      std::string error) {
     Job job = identified(i);
-    job.state = d.state;
-    job.attempts = d.attempts;
-    job.error = d.error;
+    job.state = state;
+    job.error = std::move(error);
     return job;
   };
 
@@ -152,13 +158,13 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
   std::optional<JournalWriter> journal;
   std::vector<char> done(suite.size(), 0);
   if (!options.journal_path.empty()) {
-    const JournalHeader header{kJournalVersion, codec->spec_digest};
+    const JournalHeader header{kJournalVersion, codec.spec_digest};
     if (options.resume) {
       JournalContents recovered;
       journal.emplace(
           JournalWriter::open_or_create(options.journal_path, header, recovered));
       for (const std::string& record : recovered.records) {
-        Job job = codec->decode(record);
+        Job job = codec.decode(record);
         if (job.job_index >= suite.size() || done[job.job_index]) {
           throw JournalError("journal record for unexpected job " +
                              std::to_string(job.job_index));
@@ -175,9 +181,6 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
   RuntimeOptions runtime;
   runtime.workers = spec.jobs == 0 ? util::ThreadPool::default_workers() : spec.jobs;
   runtime.job_timeout_ms = spec.job_timeout_ms;
-  runtime.max_retries = spec.max_retries;
-  runtime.queue_limit = spec.queue_limit;
-  runtime.retry_seed = spec.campaign_seed;
   runtime.stop = options.stop;
   runtime.faults = options.faults;
 
@@ -187,7 +190,7 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
       [&](std::size_t i, const util::CancelToken& cancel) {
         // Everything mutable is local to this call and thus to the one
         // worker thread executing it; only a completed body assigns the
-        // slot, so a retried attempt leaves no partial state behind.
+        // slot, so a cancelled or failed job leaves no partial state.
         const obs::Span span(job_span, static_cast<std::uint64_t>(i));
         const auto job_start = std::chrono::steady_clock::now();
         Job job = identified(i);
@@ -201,14 +204,10 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
       options.resume ? &done : nullptr,
       [&](std::size_t i, const JobDisposition& disposition) {
         Job& job = result.jobs[i];
-        if (disposition.state == RunState::Done) {
-          job.attempts = disposition.attempts;
-          // A done-after-retry row keeps the transient reason it overcame.
-          job.error = disposition.error;
-        } else {
-          job = degraded(i, disposition);
+        if (disposition.state != RunState::Done) {
+          job = degraded(i, disposition.state, disposition.error);
         }
-        if (journal) journal->append(codec->encode(job));
+        if (journal) journal->append(codec.encode(job));
       },
       &report);
 
@@ -217,9 +216,8 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
   // rows, deliberately NOT journaled — --resume re-runs exactly these.
   for (std::size_t i = 0; i < suite.size(); ++i) {
     if (dispositions[i].state != RunState::Pending) continue;
-    JobDisposition pending = dispositions[i];
-    pending.error = "pending: shutdown requested before the job finished";
-    result.jobs[i] = degraded(i, pending);
+    result.jobs[i] = degraded(i, RunState::Pending,
+                              "pending: shutdown requested before the job finished");
   }
 
   if (journal) {

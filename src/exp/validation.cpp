@@ -1,6 +1,8 @@
 #include "mcs/exp/validation.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -74,6 +76,16 @@ constexpr const char* kSpecContext = "validation spec";
   }
   outcome.worst_lateness = worst_lateness(app, sim);
   return outcome;
+}
+
+/// The nine FaultCounters fields in journal order (const or mutable).
+template <typename Counters>
+[[nodiscard]] auto fault_fields(Counters& c) {
+  return std::array{&c.can_frames_dropped,  &c.can_messages_lost,
+                    &c.can_frames_delayed,  &c.ttp_frames_dropped,
+                    &c.ttp_messages_lost,   &c.babble_seizures,
+                    &c.tt_jitter_events,    &c.gateway_jitter_events,
+                    &c.exec_variations};
 }
 
 /// One instance end to end: synthesize, soundness-check the fault-free
@@ -226,27 +238,119 @@ std::size_t ValidationResult::count(RunState state) const {
       jobs.begin(), jobs.end(), [state](const ValidationJob& j) { return j.state == state; }));
 }
 
+std::uint64_t validation_spec_digest(const ValidationSpec& spec) {
+  util::Fnv1a h;
+  sign_spec(h, "validation", spec);
+  h.update(static_cast<std::uint64_t>(spec.strategy));
+  h.update(static_cast<std::uint64_t>(spec.scenarios.size()));
+  for (const sim::FaultSpec& f : spec.scenarios) {
+    sign(h, f.name);
+    h.update(f.seed);
+    h.update(std::bit_cast<std::uint64_t>(f.can_drop_p));
+    h.update(static_cast<std::int64_t>(f.can_max_retries));
+    h.update(std::bit_cast<std::uint64_t>(f.can_delay_p));
+    h.update(static_cast<std::int64_t>(f.can_delay_max));
+    h.update(std::bit_cast<std::uint64_t>(f.ttp_drop_p));
+    h.update(static_cast<std::int64_t>(f.ttp_max_retries));
+    h.update(std::bit_cast<std::uint64_t>(f.babble_p));
+    h.update(static_cast<std::int64_t>(f.babble_tx));
+    h.update(static_cast<std::int64_t>(f.tt_jitter_max));
+    h.update(static_cast<std::int64_t>(f.gateway_jitter_max));
+    h.update(std::bit_cast<std::uint64_t>(f.bcet_frac));
+  }
+  h.update(spec.max_sim_events);
+  return h.digest();
+}
+
+std::string encode_validation_job(const ValidationJob& job) {
+  RecordWriter w;
+  write_row(w, job);
+  w.u64(job.converged ? 1 : 0);
+  w.u64(job.schedulable ? 1 : 0);
+  w.u64(job.bounds_checked ? 1 : 0);
+  w.str(job.skip_reason);
+  w.u64(job.violations.size());
+  for (const sim::BoundViolation& v : job.violations) {
+    w.str(v.activity);
+    w.i64(v.simulated);
+    w.i64(v.bound);
+  }
+  w.u64(job.scenarios.size());
+  for (const ScenarioOutcome& s : job.scenarios) {
+    w.str(s.scenario);
+    w.u64(static_cast<std::uint64_t>(s.sim_status));
+    w.i64(s.deadline_misses);
+    w.i64(s.messages_lost);
+    w.i64(s.config_violations);
+    for (const std::int64_t* n : fault_fields(s.faults)) w.i64(*n);
+    w.i64(s.max_out_can);
+    w.i64(s.max_out_ttp);
+    w.i64(s.queue_over_bound);
+    w.i64(static_cast<std::int64_t>(s.worst_lateness));
+  }
+  return w.take();
+}
+
+ValidationJob decode_validation_job(const std::string& payload) {
+  RecordReader r(payload);
+  ValidationJob job;
+  read_row(r, job);
+  job.converged = r.u64() != 0;
+  job.schedulable = r.u64() != 0;
+  job.bounds_checked = r.u64() != 0;
+  job.skip_reason = r.str();
+  job.violations.resize(r.count());
+  for (sim::BoundViolation& v : job.violations) {
+    v.activity = r.str();
+    v.simulated = r.i64();
+    v.bound = r.i64();
+  }
+  job.scenarios.resize(r.count());
+  for (ScenarioOutcome& s : job.scenarios) {
+    s.scenario = r.str();
+    const std::uint64_t status = r.u64();
+    if (status > static_cast<std::uint64_t>(sim::SimStatus::Stalled)) {
+      throw JournalError("record holds invalid simulation status " +
+                         std::to_string(status));
+    }
+    s.sim_status = static_cast<sim::SimStatus>(status);
+    s.deadline_misses = r.i64();
+    s.messages_lost = r.i64();
+    s.config_violations = r.i64();
+    for (std::int64_t* n : fault_fields(s.faults)) *n = r.i64();
+    s.max_out_can = r.i64();
+    s.max_out_ttp = r.i64();
+    s.queue_over_bound = r.i64();
+    s.worst_lateness = static_cast<util::Time>(r.i64());
+  }
+  if (!r.exhausted()) throw JournalError("record holds trailing bytes");
+  return job;
+}
+
 ValidationResult run_validation(const ValidationSpec& spec, const RunOptions& options) {
   // Graceful degradation via the job runtime: a throwing job becomes a
-  // `failed` row, a watchdog overrun a `timeout` row, admission control a
-  // `shed` row — never an abort (same contract as run_campaign).
+  // `failed` row, a watchdog overrun a `timeout` row — never an abort
+  // (same contract as run_campaign).
+  const JournalCodec<ValidationJob> codec{validation_spec_digest(spec),
+                                          encode_validation_job,
+                                          decode_validation_job};
   return run_suite<ValidationResult>(
-      spec, options, "validation.job", nullptr,
+      spec, options, "validation.job", codec,
       [&spec](const gen::GeneratedSystem& sys, ValidationJob& job,
               const util::CancelToken& cancel) { run_job(spec, sys, job, cancel); });
 }
 
 util::Table ValidationResult::summary_table() const {
   std::vector<std::string> header = {"dimension", "instances", "ok",
-                                     "timeout",   "failed",    "shed",
-                                     "checked",   "violations"};
+                                     "timeout",   "failed",    "checked",
+                                     "violations"};
   for (const sim::FaultSpec& scenario : spec.scenarios) {
     header.push_back(scenario.name + " miss");
     header.push_back(scenario.name + " lost");
   }
 
   struct Cell {
-    std::int64_t instances = 0, ok = 0, timeout = 0, failed = 0, shed = 0;
+    std::int64_t instances = 0, ok = 0, timeout = 0, failed = 0;
     std::int64_t checked = 0, violations = 0;
     std::vector<std::int64_t> misses, lost;
   };
@@ -260,8 +364,7 @@ util::Table ValidationResult::summary_table() const {
       case RunState::Done: ++cell.ok; break;
       case RunState::Timeout: ++cell.timeout; break;
       case RunState::Failed: ++cell.failed; break;
-      case RunState::Shed: ++cell.shed; break;
-      case RunState::Pending: break;  // instances - (ok+timeout+failed+shed)
+      case RunState::Pending: break;  // instances - (ok+timeout+failed)
     }
     if (job.bounds_checked) ++cell.checked;
     cell.violations += static_cast<std::int64_t>(job.violations.size());
@@ -281,7 +384,6 @@ util::Table ValidationResult::summary_table() const {
         util::Table::fmt(cell.ok),
         util::Table::fmt(cell.timeout),
         util::Table::fmt(cell.failed),
-        util::Table::fmt(cell.shed),
         util::Table::fmt(cell.checked),
         util::Table::fmt(cell.violations)};
     for (std::size_t si = 0; si < spec.scenarios.size(); ++si) {
@@ -302,21 +404,20 @@ void write_json(const ValidationResult& result, std::ostream& out) {
     out << (i ? ", " : "") << "\"" << json_escape(spec.scenarios[i].name) << "\"";
   }
   out << "],\n";
-  write_json_run_keys(out, result.workers, result.interrupted, nullptr,
+  write_json_run_keys(out, result.workers, result.interrupted, result.resumed_jobs,
                       result.wall_seconds, result.signature());
   out << "  \"totals\": {\"jobs\": " << result.jobs.size() << ", \"ok\": "
       << result.count(RunState::Done) << ", \"timeout\": "
       << result.count(RunState::Timeout) << ", \"failed\": "
-      << result.count(RunState::Failed) << ", \"shed\": "
-      << result.count(RunState::Shed) << ", \"pending\": "
+      << result.count(RunState::Failed) << ", \"pending\": "
       << result.count(RunState::Pending) << ", \"bound_violations\": "
       << result.total_violations() << "},\n  \"jobs\": [\n";
 
   for (std::size_t ji = 0; ji < result.jobs.size(); ++ji) {
     const ValidationJob& job = result.jobs[ji];
     write_json_job_identity(out, job);
-    out << ", \"status\": \"" << status_name(job.state) << "\", \"attempts\": "
-        << job.attempts << ", \"error\": \"" << json_escape(job.error)
+    out << ", \"status\": \"" << status_name(job.state) << "\", \"error\": \""
+        << json_escape(job.error)
         << "\", \"converged\": " << (job.converged ? "true" : "false")
         << ", \"schedulable\": " << (job.schedulable ? "true" : "false")
         << ", \"checked\": " << (job.bounds_checked ? "true" : "false")
@@ -350,7 +451,7 @@ void write_json(const ValidationResult& result, std::ostream& out) {
 
 void write_csv(const ValidationResult& result, std::ostream& out) {
   out << "validation,job,dimension,replica,system_seed,processes,messages,"
-         "status,attempts,error,converged,schedulable,checked,skip_reason,"
+         "status,error,converged,schedulable,checked,skip_reason,"
          "violations,"
          "scenario,sim_status,deadline_misses,messages_lost,config_violations,"
          "faults_injected,max_out_can,max_out_ttp,queue_over_bound,"
@@ -359,7 +460,7 @@ void write_csv(const ValidationResult& result, std::ostream& out) {
   for (const ValidationJob& job : result.jobs) {
     const auto prefix = [&]() -> std::ostream& {
       write_csv_job_identity(out, name, job);
-      return out << ',' << status_name(job.state) << ',' << job.attempts << ','
+      return out << ',' << status_name(job.state) << ','
                  << csv_escape(job.error) << ',' << (job.converged ? 1 : 0) << ','
                  << (job.schedulable ? 1 : 0) << ',' << (job.bounds_checked ? 1 : 0)
                  << ',' << csv_escape(job.skip_reason) << ',' << job.violations.size();

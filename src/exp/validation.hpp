@@ -21,7 +21,8 @@
 // campaign engine (pipeline.hpp), so its determinism contract carries
 // over: every field except wall-clock seconds is bit-identical for any
 // `jobs` value (scenario RNG seeds derive from (scenario seed, campaign
-// seed, job index, scenario index) by FNV-1a).
+// seed, job index, scenario index) by FNV-1a), and a journaled run
+// resumes after a crash exactly like a campaign.
 #pragma once
 
 #include <cstdint>
@@ -127,11 +128,20 @@ struct NominalRun {
                                           const sim::SimOptions& options);
 
 /// Runs the validation campaign on `spec.jobs` worker threads.  All
-/// deterministic fields are bit-identical for any thread count.
-/// Validation rows are not journaled: a non-empty `options.journal_path`
-/// throws std::invalid_argument.
+/// deterministic fields are bit-identical for any thread count; journaling
+/// and resume work as for run_campaign().
 [[nodiscard]] ValidationResult run_validation(const ValidationSpec& spec,
                                               const RunOptions& options = {});
+
+/// Digest of the kind tag "validation", the shared spec keys, the
+/// strategy, every field of every scenario and max_sim_events (NOT `name`
+/// or `jobs`): the journal header's spec_digest.
+[[nodiscard]] std::uint64_t validation_spec_digest(const ValidationSpec& spec);
+
+/// Journal payload codec for one ValidationJob, every field included
+/// (decode throws JournalError on malformed payloads).
+[[nodiscard]] std::string encode_validation_job(const ValidationJob& job);
+[[nodiscard]] ValidationJob decode_validation_job(const std::string& payload);
 
 void write_json(const ValidationResult& result, std::ostream& out);
 void write_csv(const ValidationResult& result, std::ostream& out);

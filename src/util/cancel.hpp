@@ -10,7 +10,7 @@
 // The poll granularity is one candidate evaluation: a single fixed-point
 // run is already bounded by the divergence cap (DESIGN.md §2), so the
 // loops cannot stall between two polls.  Polling is one relaxed atomic
-// load — cheap enough for the cached-evaluation fast path.
+// load — negligible next to the evaluation it guards.
 //
 // Cancellation deliberately THROWS instead of returning partial results:
 // a partially explored search would depend on where the wall clock cut
@@ -43,9 +43,8 @@ private:
   CancelReason reason_;
 };
 
-/// One-shot cancellation flag: the first cancel() wins, reset() re-arms
-/// (the runtime resets between retry attempts).  Safe to cancel from any
-/// thread while the owning job polls.
+/// One-shot cancellation flag: the first cancel() wins.  Safe to cancel
+/// from any thread while the owning job polls.
 class CancelToken {
 public:
   void cancel(CancelReason reason) noexcept {
@@ -53,8 +52,6 @@ public:
     reason_.compare_exchange_strong(expected, static_cast<int>(reason),
                                     std::memory_order_relaxed);
   }
-
-  void reset() noexcept { reason_.store(0, std::memory_order_relaxed); }
 
   [[nodiscard]] bool cancelled() const noexcept {
     return reason_.load(std::memory_order_relaxed) != 0;

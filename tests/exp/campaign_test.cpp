@@ -232,6 +232,30 @@ TEST(CampaignSpecParser, RejectsUnknownKeysAndBadValues) {
                std::invalid_argument);
 }
 
+// The retired retry and admission-shedding keys are unknown keys now: an
+// old spec holding one fails loudly with its line number instead of being
+// silently ignored.
+TEST(CampaignSpecParser, RejectsRetiredRuntimeKeys) {
+  for (const char* key : {"max_retries", "queue_limit"}) {
+    const std::string text = std::string("name = old\n") + key + " = 2\n";
+    for (const bool campaign : {true, false}) {
+      std::istringstream in(text);
+      try {
+        if (campaign) {
+          (void)parse_campaign_spec(in);
+        } else {
+          (void)parse_validation_spec(in);
+        }
+        ADD_FAILURE() << key << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+        EXPECT_NE(message.find(key), std::string::npos) << message;
+      }
+    }
+  }
+}
+
 // The shipped spec files (Figure 9 campaigns, soundness sweeps, fault
 // scenarios) are data no program compiles; parsing each one, and
 // resolving its suite, keeps them from rotting when a key changes.

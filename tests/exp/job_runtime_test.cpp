@@ -1,11 +1,12 @@
-// Job-runtime resilience tests: deterministic retry/backoff, watchdog
-// timeouts, admission shedding, graceful drain, and — at the campaign
-// level — fault-injected runs staying bit-identical across thread counts
-// and a partial journal resuming to the exact uninterrupted signature.
+// Job-runtime tests: watchdog timeouts, failed jobs, graceful drain,
+// journal-recovered jobs, and — at the campaign and validation level —
+// fault-injected runs staying bit-identical across thread counts and a
+// partial journal resuming to the exact uninterrupted signature.
 #include "mcs/exp/job_runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -25,35 +26,14 @@ namespace fs = std::filesystem;
 RuntimeOptions fast_options() {
   RuntimeOptions options;
   options.workers = 2;
-  options.backoff_base_ms = 1;  // keep retry sleeps negligible in tests
-  options.backoff_cap_ms = 2;
   return options;
 }
 
-TEST(JobRuntime, BackoffIsDeterministicAndBounded) {
-  RuntimeOptions options;
-  options.backoff_base_ms = 10;
-  options.backoff_cap_ms = 200;
-  options.retry_seed = 42;
-  for (std::size_t job = 0; job < 8; ++job) {
-    for (int retry = 1; retry <= 6; ++retry) {
-      const std::int64_t delay = backoff_delay_ms(options, job, retry);
-      EXPECT_EQ(delay, backoff_delay_ms(options, job, retry))
-          << "job " << job << " retry " << retry;
-      EXPECT_GE(delay, 0);
-      EXPECT_LT(delay, 200);  // never past the cap
-      if (retry == 1) EXPECT_LT(delay, 10);  // first retry: base window
-    }
-  }
-  // The jitter stream depends on the seed: different seeds must not
-  // produce the same schedule everywhere.
-  RuntimeOptions other = options;
-  other.retry_seed = 43;
-  bool any_difference = false;
-  for (std::size_t job = 0; job < 8 && !any_difference; ++job) {
-    any_difference = backoff_delay_ms(options, job, 1) != backoff_delay_ms(other, job, 1);
-  }
-  EXPECT_TRUE(any_difference);
+std::size_t count_state(const std::vector<JobDisposition>& dispositions,
+                        RunState state) {
+  return static_cast<std::size_t>(
+      std::count_if(dispositions.begin(), dispositions.end(),
+                    [state](const JobDisposition& d) { return d.state == state; }));
 }
 
 TEST(JobRuntime, HappyPathRunsEveryJobExactlyOnce) {
@@ -67,101 +47,35 @@ TEST(JobRuntime, HappyPathRunsEveryJobExactlyOnce) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     EXPECT_EQ(runs[i].load(), 1) << "job " << i;
     EXPECT_EQ(dispositions[i].state, RunState::Done);
-    EXPECT_EQ(dispositions[i].attempts, 1);
     EXPECT_TRUE(dispositions[i].error.empty());
   }
-  EXPECT_EQ(report.done, runs.size());
-  EXPECT_EQ(report.retries, 0u);
+  EXPECT_EQ(report.workers, 2u);
   EXPECT_FALSE(report.interrupted);
 }
 
-TEST(JobRuntime, TransientFaultIsRetriedToDone) {
-  RuntimeOptions options = fast_options();
-  options.max_retries = 2;
-  options.faults = {{0, 1, RuntimeFault::Kind::ThrowTransient}};
-  std::atomic<int> body_runs{0};
-  RuntimeReport report;
-  const auto dispositions = run_jobs(
-      options, 3, [&](std::size_t, const util::CancelToken&) { ++body_runs; },
-      nullptr, {}, &report);
-  EXPECT_EQ(dispositions[0].state, RunState::Done);
-  EXPECT_EQ(dispositions[0].attempts, 2);
-  // A done-after-retry row keeps the overcome reason for the report.
-  EXPECT_EQ(dispositions[0].error, "injected transient fault (job 0, attempt 1)");
-  EXPECT_EQ(dispositions[1].state, RunState::Done);
-  EXPECT_EQ(dispositions[1].attempts, 1);
-  EXPECT_EQ(report.retries, 1u);
-  EXPECT_EQ(report.done, 3u);
-  EXPECT_EQ(body_runs.load(), 3);  // attempt 1 of job 0 faulted before the body
-}
-
-TEST(JobRuntime, RetryExhaustionBecomesFailed) {
-  RuntimeOptions options = fast_options();
-  options.max_retries = 2;
-  options.faults = {{0, 1, RuntimeFault::Kind::ThrowTransient},
-                    {0, 2, RuntimeFault::Kind::ThrowTransient},
-                    {0, 3, RuntimeFault::Kind::ThrowTransient}};
-  RuntimeReport report;
-  const auto dispositions = run_jobs(
-      options, 1, [](std::size_t, const util::CancelToken&) {}, nullptr, {},
-      &report);
-  EXPECT_EQ(dispositions[0].state, RunState::Failed);
-  EXPECT_EQ(dispositions[0].attempts, 3);
-  EXPECT_EQ(dispositions[0].error,
-            "injected transient fault (job 0, attempt 3) "
-            "(retries exhausted after 3 attempt(s))");
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_EQ(report.retries, 2u);
-}
-
 TEST(JobRuntime, PermanentFaultIsNeverRetried) {
+  std::atomic<int> body_runs{0};
   RuntimeOptions options = fast_options();
-  options.max_retries = 5;
-  options.faults = {{0, 1, RuntimeFault::Kind::ThrowPermanent}};
+  options.faults = {{0, RuntimeFault::Kind::ThrowPermanent}};
   const auto dispositions = run_jobs(
-      options, 1, [](std::size_t, const util::CancelToken&) {});
+      options, 1, [&](std::size_t, const util::CancelToken&) { ++body_runs; });
   EXPECT_EQ(dispositions[0].state, RunState::Failed);
-  EXPECT_EQ(dispositions[0].attempts, 1);
-  EXPECT_EQ(dispositions[0].error, "injected permanent fault (job 0, attempt 1)");
+  EXPECT_EQ(dispositions[0].error, "injected permanent fault (job 0)");
+  EXPECT_EQ(body_runs.load(), 0);  // the fault fired before the body, once
 }
 
 TEST(JobRuntime, WatchdogDeadlineYieldsTimeoutRow) {
   RuntimeOptions options = fast_options();
   options.job_timeout_ms = 40;
-  options.faults = {{0, 1, RuntimeFault::Kind::Stall}};
+  options.faults = {{0, RuntimeFault::Kind::Stall}};
   std::atomic<int> body_runs{0};
-  RuntimeReport report;
   const auto dispositions = run_jobs(
-      options, 2, [&](std::size_t, const util::CancelToken&) { ++body_runs; },
-      nullptr, {}, &report);
+      options, 2, [&](std::size_t, const util::CancelToken&) { ++body_runs; });
   EXPECT_EQ(dispositions[0].state, RunState::Timeout);
-  EXPECT_EQ(dispositions[0].attempts, 1);
   EXPECT_EQ(dispositions[0].error, "timeout: watchdog deadline 40 ms exceeded");
   EXPECT_EQ(dispositions[1].state, RunState::Done);
-  EXPECT_EQ(report.timeouts, 1u);
-  EXPECT_EQ(body_runs.load(), 1);  // the stalled attempt never reached the body
-}
-
-TEST(JobRuntime, AdmissionControlShedsIndicesPastTheLimit) {
-  RuntimeOptions options = fast_options();
-  options.queue_limit = 2;
-  std::vector<std::atomic<int>> runs(5);
-  RuntimeReport report;
-  const auto dispositions = run_jobs(
-      options, runs.size(),
-      [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); },
-      nullptr, {}, &report);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(dispositions[i].state, RunState::Done) << "job " << i;
-    EXPECT_EQ(runs[i].load(), 1) << "job " << i;
-  }
-  for (std::size_t i = 2; i < 5; ++i) {
-    EXPECT_EQ(dispositions[i].state, RunState::Shed) << "job " << i;
-    EXPECT_EQ(dispositions[i].attempts, 0) << "job " << i;
-    EXPECT_EQ(dispositions[i].error, "shed: admission queue limit 2 exceeded");
-    EXPECT_EQ(runs[i].load(), 0) << "job " << i;  // a shed body never runs
-  }
-  EXPECT_EQ(report.shed, 3u);
+  EXPECT_EQ(count_state(dispositions, RunState::Timeout), 1u);
+  EXPECT_EQ(body_runs.load(), 1);  // the stalled job never reached the body
 }
 
 TEST(JobRuntime, PreSetStopFlagLeavesEverythingPending) {
@@ -174,14 +88,10 @@ TEST(JobRuntime, PreSetStopFlagLeavesEverythingPending) {
   const auto dispositions = run_jobs(
       options, 4, [&](std::size_t, const util::CancelToken&) { ++body_runs; },
       nullptr, [&](std::size_t, const JobDisposition&) { ++settled; }, &report);
-  for (const JobDisposition& disp : dispositions) {
-    EXPECT_EQ(disp.state, RunState::Pending);
-    EXPECT_EQ(disp.attempts, 0);
-  }
+  EXPECT_EQ(count_state(dispositions, RunState::Pending), 4u);
   EXPECT_EQ(body_runs.load(), 0);
   EXPECT_EQ(settled.load(), 0);  // pending jobs are not settled (or journaled)
   EXPECT_TRUE(report.interrupted);
-  EXPECT_EQ(report.pending, 4u);
 }
 
 TEST(JobRuntime, MidRunStopDrainsRemainingJobs) {
@@ -201,8 +111,8 @@ TEST(JobRuntime, MidRunStopDrainsRemainingJobs) {
     EXPECT_EQ(dispositions[i].state, RunState::Pending) << "job " << i;
   }
   EXPECT_TRUE(report.interrupted);
-  EXPECT_EQ(report.done, 1u);
-  EXPECT_EQ(report.pending, 3u);
+  EXPECT_EQ(count_state(dispositions, RunState::Done), 1u);
+  EXPECT_EQ(count_state(dispositions, RunState::Pending), 3u);
 }
 
 TEST(JobRuntime, AlreadyDoneJobsAreSkippedAndNotResettled) {
@@ -218,24 +128,20 @@ TEST(JobRuntime, AlreadyDoneJobsAreSkippedAndNotResettled) {
         const std::lock_guard lock(settled_mutex);
         settled.push_back(static_cast<int>(i));
       });
-  EXPECT_EQ(runs[0].load(), 0);
+  EXPECT_EQ(runs[0].load(), 0);  // recovered, not re-run
   EXPECT_EQ(runs[1].load(), 1);
   EXPECT_EQ(runs[2].load(), 0);
-  EXPECT_EQ(dispositions[0].state, RunState::Done);
-  EXPECT_EQ(dispositions[0].attempts, 0);  // recovered, not re-run
-  EXPECT_EQ(dispositions[1].attempts, 1);
+  EXPECT_EQ(count_state(dispositions, RunState::Done), 3u);
   ASSERT_EQ(settled.size(), 1u);  // only the freshly run job is journaled
   EXPECT_EQ(settled[0], 1);
 }
 
 TEST(JobRuntime, FaultDispositionsAreWorkerCountInvariant) {
   RuntimeOptions options = fast_options();
-  options.max_retries = 1;
-  options.queue_limit = 7;
-  options.faults = {{1, 1, RuntimeFault::Kind::ThrowTransient},
-                    {2, 1, RuntimeFault::Kind::ThrowTransient},
-                    {2, 2, RuntimeFault::Kind::ThrowTransient},
-                    {3, 1, RuntimeFault::Kind::ThrowPermanent}};
+  options.job_timeout_ms = 40;
+  options.faults = {{2, RuntimeFault::Kind::ThrowPermanent},
+                    {3, RuntimeFault::Kind::Stall},
+                    {5, RuntimeFault::Kind::ThrowPermanent}};
   const auto body = [](std::size_t, const util::CancelToken&) {};
 
   options.workers = 1;
@@ -246,12 +152,12 @@ TEST(JobRuntime, FaultDispositionsAreWorkerCountInvariant) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].state, parallel[i].state) << "job " << i;
-    EXPECT_EQ(serial[i].attempts, parallel[i].attempts) << "job " << i;
     EXPECT_EQ(serial[i].error, parallel[i].error) << "job " << i;
   }
-  EXPECT_EQ(serial[2].state, RunState::Failed);   // retries exhausted
-  EXPECT_EQ(serial[3].state, RunState::Failed);   // permanent
-  EXPECT_EQ(serial[7].state, RunState::Shed);     // past queue_limit
+  EXPECT_EQ(serial[2].state, RunState::Failed);
+  EXPECT_EQ(serial[3].state, RunState::Timeout);
+  EXPECT_EQ(serial[5].state, RunState::Failed);
+  EXPECT_EQ(count_state(serial, RunState::Done), 5u);
 }
 
 // ---- campaign-level integration -------------------------------------
@@ -284,23 +190,24 @@ protected:
 };
 
 // Fault-injected campaigns obey the same thread-count bit-identity
-// contract as clean ones: retried, failed and timed-out rows included.
+// contract as clean ones: failed and timed-out rows included.
 TEST_F(CampaignResilienceTest, FaultInjectedRunsAreThreadCountInvariant) {
   CampaignSpec spec = resilience_spec(1);
-  spec.max_retries = 1;
+  spec.job_timeout_ms = 200;
   RunOptions options;
-  options.faults = {{1, 1, RuntimeFault::Kind::ThrowTransient},
-                    {2, 1, RuntimeFault::Kind::ThrowPermanent}};
+  options.faults = {{1, RuntimeFault::Kind::ThrowPermanent},
+                    {2, RuntimeFault::Kind::Stall}};
 
   const CampaignResult serial = run_campaign(spec, options);
   spec.jobs = 4;
   const CampaignResult parallel = run_campaign(spec, options);
 
   ASSERT_GT(serial.jobs.size(), 2u);
-  EXPECT_EQ(serial.jobs[1].state, RunState::Done);
-  EXPECT_EQ(serial.jobs[1].attempts, 2);
-  EXPECT_EQ(serial.jobs[1].error, "injected transient fault (job 1, attempt 1)");
-  EXPECT_EQ(serial.jobs[2].state, RunState::Failed);
+  EXPECT_EQ(serial.jobs[0].state, RunState::Done);
+  EXPECT_EQ(serial.jobs[1].state, RunState::Failed);
+  EXPECT_EQ(serial.jobs[1].error, "injected permanent fault (job 1)");
+  EXPECT_TRUE(serial.jobs[1].outcomes.empty());
+  EXPECT_EQ(serial.jobs[2].state, RunState::Timeout);
   EXPECT_TRUE(serial.jobs[2].outcomes.empty());
   EXPECT_EQ(serial.signature(), parallel.signature());
   for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
@@ -314,7 +221,7 @@ TEST_F(CampaignResilienceTest, StalledJobBecomesTimeoutRow) {
   CampaignSpec spec = resilience_spec(2);
   spec.job_timeout_ms = 50;
   RunOptions options;
-  options.faults = {{0, 1, RuntimeFault::Kind::Stall}};
+  options.faults = {{0, RuntimeFault::Kind::Stall}};
 
   const CampaignResult result = run_campaign(spec, options);
   ASSERT_GT(result.jobs.size(), 1u);
@@ -409,33 +316,114 @@ TEST_F(CampaignResilienceTest, SpecDigestIgnoresNameAndJobs) {
   b.jobs = 8;
   EXPECT_EQ(campaign_spec_digest(a), campaign_spec_digest(b));
   CampaignSpec c = a;
-  c.max_retries = 3;  // resilience knobs change which rows exist
+  c.job_timeout_ms = 5000;  // the watchdog decides which rows time out
   EXPECT_NE(campaign_spec_digest(a), campaign_spec_digest(c));
 }
 
-// The validation harness rides the same runtime: injected transient
-// faults retry deterministically and stay thread-count invariant.
-TEST(ValidationResilience, FaultRetryIsThreadCountInvariant) {
+// A journal of one job kind never resumes under the other: both spec
+// digests start with a kind tag, so --resume fails with JournalError.
+TEST_F(CampaignResilienceTest, ResumeRefusesAJournalOfTheOtherKind) {
+  const CampaignSpec campaign = resilience_spec(1);
+  ValidationSpec validation;
+  validation.suite = "tiny";
+  validation.seeds_per_dim = campaign.seeds_per_dim;
+  validation.suite_base_seed = campaign.suite_base_seed;
+  validation.campaign_seed = campaign.campaign_seed;
+
+  const fs::path campaign_journal = dir_ / "campaign.journal";
+  const fs::path validation_journal = dir_ / "validation.journal";
+  RunOptions options;
+  options.journal_path = campaign_journal.string();
+  (void)run_campaign(campaign, options);
+  options.journal_path = validation_journal.string();
+  (void)run_validation(validation, options);
+
+  options.resume = true;
+  options.journal_path = validation_journal.string();
+  EXPECT_THROW((void)run_campaign(campaign, options), JournalError);
+  options.journal_path = campaign_journal.string();
+  EXPECT_THROW((void)run_validation(validation, options), JournalError);
+}
+
+// ---- validation-level integration -----------------------------------
+
+ValidationSpec validation_spec(std::size_t jobs) {
   ValidationSpec spec;
   spec.name = "resilience-test";
   spec.suite = "validation";
-  spec.seeds_per_dim = 2;
+  spec.seeds_per_dim = 3;
   spec.campaign_seed = 42;
-  spec.strategy = Strategy::Sf;
-  spec.max_retries = 1;
-  spec.jobs = 1;
-  RunOptions options;
-  options.faults = {{1, 1, RuntimeFault::Kind::ThrowTransient}};
+  spec.strategy = Strategy::Os;
+  spec.scenarios = {sim::FaultSpec::scenario("drop", 1),
+                    sim::FaultSpec::scenario("babble", 1)};
+  spec.jobs = jobs;
+  return spec;
+}
 
-  const ValidationResult serial = run_validation(spec, options);
-  spec.jobs = 4;
-  const ValidationResult parallel = run_validation(spec, options);
+class ValidationResilience : public CampaignResilienceTest {};
 
-  ASSERT_GT(serial.jobs.size(), 1u);
-  EXPECT_EQ(serial.jobs[1].state, RunState::Done);
-  EXPECT_EQ(serial.jobs[1].attempts, 2);
-  EXPECT_EQ(serial.jobs[1].error, "injected transient fault (job 1, attempt 1)");
-  EXPECT_EQ(serial.signature(), parallel.signature());
+TEST_F(ValidationResilience, SpecDigestIgnoresNameAndJobs) {
+  const ValidationSpec a = validation_spec(1);
+  ValidationSpec b = a;
+  b.name = "renamed";
+  b.jobs = 8;
+  EXPECT_EQ(validation_spec_digest(a), validation_spec_digest(b));
+  ValidationSpec fewer = a;
+  fewer.scenarios.pop_back();
+  EXPECT_NE(validation_spec_digest(a), validation_spec_digest(fewer));
+  ValidationSpec reseeded = a;
+  reseeded.scenarios[0].seed = 2;
+  EXPECT_NE(validation_spec_digest(a), validation_spec_digest(reseeded));
+  ValidationSpec budget = a;
+  budget.max_sim_events = 1000;
+  EXPECT_NE(validation_spec_digest(a), validation_spec_digest(budget));
+}
+
+// The campaign's crash-safety property, for validation: a run resumed
+// from a partial journal signs like the uninterrupted run, and the
+// recovered rows keep every reported field.
+TEST_F(ValidationResilience, PartialJournalResumeMatchesUninterruptedRun) {
+  const ValidationSpec spec = validation_spec(2);
+  const ValidationResult uninterrupted = run_validation(spec);
+  ASSERT_GE(uninterrupted.jobs.size(), 3u);
+
+  const fs::path journal = dir_ / "partial.journal";
+  RunOptions journal_options;
+  journal_options.journal_path = journal.string();
+  EXPECT_EQ(run_validation(spec, journal_options).signature(),
+            uninterrupted.signature());
+  const JournalContents full = read_journal(journal);
+  ASSERT_EQ(full.records.size(), uninterrupted.jobs.size());
+  {
+    JournalWriter writer = JournalWriter::create(journal, full.header);
+    writer.append(full.records[0]);
+    writer.append(full.records[1]);
+    writer.close();
+  }
+
+  RunOptions resume_options;
+  resume_options.journal_path = journal.string();
+  resume_options.resume = true;
+  const ValidationResult resumed = run_validation(spec, resume_options);
+
+  EXPECT_EQ(resumed.resumed_jobs, 2u);
+  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_EQ(resumed.signature(), uninterrupted.signature());
+  ASSERT_EQ(resumed.jobs.size(), uninterrupted.jobs.size());
+  for (std::size_t i = 0; i < resumed.jobs.size(); ++i) {
+    const ValidationJob& got = resumed.jobs[i];
+    const ValidationJob& want = uninterrupted.jobs[i];
+    EXPECT_EQ(got.signature(), want.signature()) << "job " << i;
+    EXPECT_EQ(got.evals, want.evals) << "job " << i;
+    ASSERT_EQ(got.scenarios.size(), want.scenarios.size()) << "job " << i;
+    for (std::size_t si = 0; si < got.scenarios.size(); ++si) {
+      EXPECT_EQ(got.scenarios[si].faults.can_frames_dropped,
+                want.scenarios[si].faults.can_frames_dropped);
+      EXPECT_EQ(got.scenarios[si].faults.babble_seizures,
+                want.scenarios[si].faults.babble_seizures);
+    }
+  }
+  EXPECT_EQ(read_journal(journal).records.size(), uninterrupted.jobs.size());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Journal crash model tests: record roundtrips, SIGKILL-style torn tails
 // (dropped and truncated away on resume), pre-tail integrity failures
-// (which must throw, never silently merge), spec-digest refusal, and the
-// JobResult codec the campaign journals through.
+// (which must throw, never silently merge), spec-digest and version
+// refusal, and the JobResult / ValidationJob codecs the suite driver
+// journals through.
 #include "mcs/exp/journal.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "mcs/exp/campaign.hpp"
+#include "mcs/exp/validation.hpp"
 
 namespace mcs::exp {
 namespace {
@@ -243,10 +245,11 @@ TEST_F(JournalTest, JobResultCodecRoundtripsEveryField) {
   job.processes = 41;
   job.messages = 17;
   job.inter_cluster_messages = 5;
-  job.state = RunState::Done;
-  job.attempts = 3;
-  job.error = "transient: injected transient fault (job 7, attempt 2)";
+  job.state = RunState::Timeout;
+  job.error = "timeout: watchdog deadline 50 ms exceeded";
   job.seconds = 1.25;
+  job.evals = 321;
+  job.delta_replays = 300;
   StrategyOutcome sf;
   sf.strategy = Strategy::Sf;
   sf.schedulable = true;
@@ -268,8 +271,10 @@ TEST_F(JournalTest, JobResultCodecRoundtripsEveryField) {
   EXPECT_EQ(back.messages, job.messages);
   EXPECT_EQ(back.inter_cluster_messages, job.inter_cluster_messages);
   EXPECT_EQ(back.state, job.state);
-  EXPECT_EQ(back.attempts, job.attempts);
   EXPECT_EQ(back.error, job.error);
+  EXPECT_EQ(back.seconds, job.seconds);
+  EXPECT_EQ(back.evals, job.evals);
+  EXPECT_EQ(back.delta_replays, job.delta_replays);
   ASSERT_EQ(back.outcomes.size(), 2u);
   EXPECT_EQ(back.outcomes[0].strategy, Strategy::Sf);
   EXPECT_EQ(back.outcomes[0].schedulable, true);
@@ -282,9 +287,20 @@ TEST_F(JournalTest, JobResultCodecRoundtripsEveryField) {
 
 TEST_F(JournalTest, DecodeRejectsMalformedPayloads) {
   EXPECT_THROW((void)decode_job_result("too short"), JournalError);
-  // A full record with an out-of-range state byte.
-  std::string payload = encode_job_result(JobResult{});
-  EXPECT_NO_THROW((void)decode_job_result(payload));
+  EXPECT_NO_THROW((void)decode_job_result(encode_job_result(JobResult{})));
+  // A full record with a state no journaled row holds: 3 is the retired
+  // `shed` state, and pending rows are never journaled.
+  for (const int state : {3, 4, 9}) {
+    JobResult job;
+    job.state = static_cast<RunState>(state);
+    EXPECT_THROW((void)decode_job_result(encode_job_result(job)), JournalError)
+        << "state " << state;
+    ValidationJob vjob;
+    vjob.state = static_cast<RunState>(state);
+    EXPECT_THROW((void)decode_validation_job(encode_validation_job(vjob)),
+                 JournalError)
+        << "state " << state;
+  }
 }
 
 // The codec reads fields in order, so a record longer than the fields it
@@ -300,19 +316,18 @@ TEST_F(JournalTest, DecodeRejectsTrailingBytes) {
   EXPECT_THROW((void)decode_job_result(payload), JournalError);
 }
 
-// A checksummed version-2 header is intact, but its records carry two
-// counters version 3 dropped: --resume must refuse it by version.
-TEST_F(JournalTest, ResumeRefusesAVersion2Journal) {
+// A checksummed header of an older version is intact, but its records use
+// another layout: --resume must refuse it by version.
+void expect_resume_refuses_version(const fs::path& p, std::uint64_t version) {
   CampaignSpec spec;
   spec.name = "version-test";
   spec.suite = "tiny";
   spec.seeds_per_dim = 1;
   spec.strategies = {Strategy::Sf};
   spec.jobs = 1;
-  const fs::path p = path("v2.journal");
   {
     JournalWriter writer =
-        JournalWriter::create(p, JournalHeader{2, campaign_spec_digest(spec)});
+        JournalWriter::create(p, JournalHeader{version, campaign_spec_digest(spec)});
     writer.append(encode_job_result(JobResult{}));
     writer.close();
   }
@@ -321,11 +336,108 @@ TEST_F(JournalTest, ResumeRefusesAVersion2Journal) {
   options.resume = true;
   try {
     (void)run_campaign(spec, options);
-    FAIL() << "a version-2 journal was resumed";
+    ADD_FAILURE() << "a version-" << version << " journal was resumed";
   } catch (const JournalError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported version 2"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("unsupported version " + std::to_string(version)),
+              std::string::npos)
         << e.what();
   }
+}
+
+// Version 2 records carry two evaluation-cache counters version 3 dropped.
+TEST_F(JournalTest, ResumeRefusesAVersion2Journal) {
+  expect_resume_refuses_version(path("v2.journal"), 2);
+}
+
+// Version 3 records store the attempt count version 4 dropped.
+TEST_F(JournalTest, ResumeRefusesAVersion3Journal) {
+  expect_resume_refuses_version(path("v3.journal"), 3);
+}
+
+// Every ValidationJob field survives the journal roundtrip — the
+// violations, each scenario outcome and all nine fault counters — so a
+// resumed validation report matches the uninterrupted one field by field.
+TEST_F(JournalTest, ValidationJobCodecRoundtripsEveryField) {
+  ValidationJob job;
+  job.job_index = 3;
+  job.dimension = 32;
+  job.replica = 2;
+  job.system_seed = 7042;
+  job.processes = 33;
+  job.messages = 21;
+  job.state = RunState::Timeout;
+  job.error = "timeout: watchdog deadline 50 ms exceeded";
+  job.seconds = 0.5;
+  job.evals = 12;
+  job.delta_replays = 9;
+  job.converged = true;
+  job.schedulable = true;
+  job.bounds_checked = true;
+  job.skip_reason = "fault-free run ended stalled";
+  job.violations = {{"message m6", 1052, 948}, {"buffer OutCAN", 40, 32}};
+  ScenarioOutcome s;
+  s.scenario = "storm";
+  s.sim_status = sim::SimStatus::EventLimitExhausted;
+  s.deadline_misses = 4;
+  s.messages_lost = 5;
+  s.config_violations = 6;
+  s.faults = {11, 12, 13, 14, 15, 16, 17, 18, 19};
+  s.max_out_can = 64;
+  s.max_out_ttp = 48;
+  s.queue_over_bound = 2;
+  s.worst_lateness = -17;
+  job.scenarios = {s, ScenarioOutcome{}};
+
+  const ValidationJob back = decode_validation_job(encode_validation_job(job));
+  EXPECT_EQ(back.job_index, job.job_index);
+  EXPECT_EQ(back.dimension, job.dimension);
+  EXPECT_EQ(back.replica, job.replica);
+  EXPECT_EQ(back.system_seed, job.system_seed);
+  EXPECT_EQ(back.processes, job.processes);
+  EXPECT_EQ(back.messages, job.messages);
+  EXPECT_EQ(back.state, job.state);
+  EXPECT_EQ(back.error, job.error);
+  EXPECT_EQ(back.seconds, job.seconds);
+  EXPECT_EQ(back.evals, job.evals);
+  EXPECT_EQ(back.delta_replays, job.delta_replays);
+  EXPECT_EQ(back.converged, job.converged);
+  EXPECT_EQ(back.schedulable, job.schedulable);
+  EXPECT_EQ(back.bounds_checked, job.bounds_checked);
+  EXPECT_EQ(back.skip_reason, job.skip_reason);
+  ASSERT_EQ(back.violations.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(back.violations[i].activity, job.violations[i].activity);
+    EXPECT_EQ(back.violations[i].simulated, job.violations[i].simulated);
+    EXPECT_EQ(back.violations[i].bound, job.violations[i].bound);
+  }
+  ASSERT_EQ(back.scenarios.size(), 2u);
+  const ScenarioOutcome& b = back.scenarios[0];
+  EXPECT_EQ(b.scenario, s.scenario);
+  EXPECT_EQ(b.sim_status, s.sim_status);
+  EXPECT_EQ(b.deadline_misses, s.deadline_misses);
+  EXPECT_EQ(b.messages_lost, s.messages_lost);
+  EXPECT_EQ(b.config_violations, s.config_violations);
+  EXPECT_EQ(b.faults.can_frames_dropped, 11);
+  EXPECT_EQ(b.faults.can_messages_lost, 12);
+  EXPECT_EQ(b.faults.can_frames_delayed, 13);
+  EXPECT_EQ(b.faults.ttp_frames_dropped, 14);
+  EXPECT_EQ(b.faults.ttp_messages_lost, 15);
+  EXPECT_EQ(b.faults.babble_seizures, 16);
+  EXPECT_EQ(b.faults.tt_jitter_events, 17);
+  EXPECT_EQ(b.faults.gateway_jitter_events, 18);
+  EXPECT_EQ(b.faults.exec_variations, 19);
+  EXPECT_EQ(b.max_out_can, s.max_out_can);
+  EXPECT_EQ(b.max_out_ttp, s.max_out_ttp);
+  EXPECT_EQ(b.queue_over_bound, s.queue_over_bound);
+  EXPECT_EQ(b.worst_lateness, s.worst_lateness);
+  EXPECT_EQ(back.scenarios[1].scenario, "");
+  EXPECT_EQ(back.signature(), job.signature());
+
+  // The codec reads fields in order: excess bytes mean another layout.
+  RecordWriter extra;
+  extra.u64(0);
+  EXPECT_THROW((void)decode_validation_job(encode_validation_job(job) + extra.bytes()),
+               JournalError);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// End-to-end crash/recovery test against the real mcs_synth binary: a
-// journaled campaign is SIGKILLed mid-run (the harshest crash the journal
-// must survive — no destructors, possibly a torn record), then resumed
-// with `--resume`; the resumed report signature must equal an
-// uninterrupted run's bit for bit.
+// End-to-end crash/recovery tests against the real mcs_synth binary: a
+// journaled campaign or validation run is SIGKILLed mid-run (the harshest
+// crash the journal must survive — no destructors, possibly a torn
+// record), then resumed with `--resume`; the resumed report signature
+// must equal an uninterrupted run's bit for bit.
 //
 // The binary path arrives via the MCS_SYNTH_BIN compile definition
 // (CMake wires it to $<TARGET_FILE:mcs_synth>); without it — e.g. a
@@ -25,6 +25,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace {
 
@@ -58,6 +59,48 @@ std::string extract_signature(const std::string& text) {
   const std::size_t at = text.find(needle);
   if (at == std::string::npos) return {};
   return text.substr(at + needle.size(), 16);
+}
+
+// Starts mcs_synth with `args` (output discarded) and SIGKILLs it as soon
+// as `journal` holds at least one record.  A child that finishes before
+// the kill is fine: resume from ANY journal prefix must reproduce the
+// signature.
+void run_and_sigkill(const std::vector<std::string>& args, const fs::path& journal) {
+  std::vector<char*> argv = {const_cast<char*>(MCS_SYNTH_BIN)};
+  for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
+  argv.push_back(nullptr);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    if (null_fd >= 0) {
+      ::dup2(null_fd, STDOUT_FILENO);
+      ::dup2(null_fd, STDERR_FILENO);
+    }
+    ::execv(MCS_SYNTH_BIN, argv.data());
+    _exit(127);  // exec failed
+  }
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool child_exited = false;
+  while (std::chrono::steady_clock::now() < give_up) {
+    int status = 0;
+    if (::waitpid(child, &status, WNOHANG) == child) {
+      child_exited = true;  // finished before we could kill it — still fine
+      break;
+    }
+    std::error_code ec;
+    const auto size = fs::file_size(journal, ec);
+    if (!ec && size > kJournalHeaderBytes) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!child_exited) {
+    ASSERT_EQ(::kill(child, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    ASSERT_EQ(WTERMSIG(status), SIGKILL);
+  }
+  ASSERT_TRUE(fs::exists(journal));
 }
 
 class ResumeKillTest : public ::testing::Test {
@@ -98,39 +141,9 @@ TEST_F(ResumeKillTest, ResumeAfterSigkillReproducesTheSignature) {
 
   // Journaled run, SIGKILLed as soon as at least one record hit the disk.
   const fs::path journal = dir_ / "kill.journal";
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    const int null_fd = ::open("/dev/null", O_WRONLY);
-    if (null_fd >= 0) {
-      ::dup2(null_fd, STDOUT_FILENO);
-      ::dup2(null_fd, STDERR_FILENO);
-    }
-    ::execl(MCS_SYNTH_BIN, MCS_SYNTH_BIN, "--campaign", spec_.c_str(),
-            "--jobs", "2", "--journal", journal.c_str(), (char*)nullptr);
-    _exit(127);  // exec failed
-  }
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  bool child_exited = false;
-  while (std::chrono::steady_clock::now() < give_up) {
-    int status = 0;
-    if (::waitpid(child, &status, WNOHANG) == child) {
-      child_exited = true;  // finished before we could kill it — still fine
-      break;
-    }
-    std::error_code ec;
-    const auto size = fs::file_size(journal, ec);
-    if (!ec && size > kJournalHeaderBytes) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  if (!child_exited) {
-    ASSERT_EQ(::kill(child, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    ASSERT_EQ(WTERMSIG(status), SIGKILL);
-  }
-  ASSERT_TRUE(fs::exists(journal));
+  ASSERT_NO_FATAL_FAILURE(run_and_sigkill(
+      {"--campaign", spec_.string(), "--jobs", "2", "--journal", journal.string()},
+      journal));
 
   // Resume: only the un-journaled jobs re-run; the merged report must be
   // indistinguishable from the uninterrupted one.
@@ -139,6 +152,35 @@ TEST_F(ResumeKillTest, ResumeAfterSigkillReproducesTheSignature) {
   ASSERT_EQ(resumed.exit_code, 0) << resumed.text;
   EXPECT_NE(resumed.text.find("resumed "), std::string::npos) << resumed.text;
   EXPECT_EQ(extract_signature(resumed.text), expected) << resumed.text;
+}
+
+// Validation journals and resumes through the same suite driver: the
+// shipped soundness spec, killed mid-run, resumes to its uninterrupted
+// signature and exit status.
+TEST_F(ResumeKillTest, ValidationResumeAfterSigkillReproducesTheSignature) {
+  const std::string spec =
+      (fs::path(MCS_TEST_DATA_DIR) / ".." / ".." / "examples" / "soundness.validation")
+          .string();
+  const RunOutput full = run_synth("--validate " + spec + " --jobs 1");
+  ASSERT_TRUE(full.exit_code == 0 || full.exit_code == 1) << full.text;
+  const std::string expected = extract_signature(full.text);
+  ASSERT_EQ(expected.size(), 16u) << full.text;
+
+  const fs::path journal = dir_ / "validation.journal";
+  ASSERT_NO_FATAL_FAILURE(run_and_sigkill(
+      {"--validate", spec, "--jobs", "1", "--journal", journal.string()}, journal));
+
+  const RunOutput resumed =
+      run_synth("--validate " + spec + " --jobs 2 --resume " + journal.string());
+  EXPECT_EQ(resumed.exit_code, full.exit_code) << resumed.text;
+  EXPECT_NE(resumed.text.find("resumed "), std::string::npos) << resumed.text;
+  EXPECT_EQ(extract_signature(resumed.text), expected) << resumed.text;
+
+  // A validation journal never resumes a campaign: exit 5, journal error.
+  const RunOutput cross = run_synth("--campaign " + spec_.string() + " --resume " +
+                                    journal.string());
+  EXPECT_EQ(cross.exit_code, 5) << cross.text;
+  EXPECT_NE(cross.text.find("journal"), std::string::npos) << cross.text;
 }
 
 TEST_F(ResumeKillTest, ResumeUnderADifferentSpecExitsWithJournalError) {

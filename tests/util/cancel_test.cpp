@@ -1,6 +1,5 @@
 // CancelToken semantics the job runtime depends on: one-shot first-cancel-
-// wins, reset() re-arming between retry attempts, and throw_if_cancelled()
-// carrying the reason into CancelledError.
+// wins, and throw_if_cancelled() carrying the reason into CancelledError.
 #include "mcs/util/cancel.hpp"
 
 #include <gtest/gtest.h>
@@ -25,18 +24,6 @@ TEST(CancelToken, FirstCancelWins) {
   token.cancel(CancelReason::Shutdown);  // loses the race, ignored
   EXPECT_TRUE(token.cancelled());
   EXPECT_EQ(token.reason(), CancelReason::Deadline);
-}
-
-TEST(CancelToken, ResetRearmsForTheNextAttempt) {
-  CancelToken token;
-  token.cancel(CancelReason::Deadline);
-  ASSERT_TRUE(token.cancelled());
-  token.reset();
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_EQ(token.reason(), CancelReason::None);
-  // After a reset the slate is clean: a different reason can win now.
-  token.cancel(CancelReason::Shutdown);
-  EXPECT_EQ(token.reason(), CancelReason::Shutdown);
 }
 
 TEST(CancelToken, ThrowIfCancelledCarriesReasonAndMessage) {

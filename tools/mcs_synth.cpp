@@ -40,45 +40,40 @@
 // (tests/obs/zero_interference_test.cpp).
 //
 // Campaign mode (parallel multi-seed/multi-suite sweeps, see
-// src/exp/campaign.hpp and DESIGN.md §4):
+// src/exp/campaign.hpp and DESIGN.md §4) and validation mode
+// (campaign-scale soundness fuzzing + fault sweeps, see
+// src/exp/validation.hpp and DESIGN.md §5) run on one job runtime and
+// share their run flags:
 //
-//   mcs_synth --campaign <spec> [--jobs N] [--report-json F] [--report-csv F]
-//             [--journal F | --resume F] [--job-timeout-ms N]
-//             [--max-retries N] [--queue-limit N]
+//   mcs_synth --campaign <spec> [run flags]
+//   mcs_synth --validate <spec> [--faults F] [run flags]
 //
 //   --campaign <spec>       run the campaign described by the key=value
 //                           spec file (examples/tiny.campaign is a sample)
-//   --jobs N                worker threads (overrides the spec; 0 = one
-//                           per hardware core)
-//   --report-json <file>    write the full per-job JSON report
-//   --report-csv <file>     write the per-(job, strategy) CSV report
-//   --journal <file>        append every settled job to a crash-safe
-//                           checkpoint journal (src/exp/journal.hpp)
-//   --resume <file>         resume from a journal written by --journal:
-//                           recovered jobs are not re-run and the merged
-//                           report signature equals an uninterrupted run's
-//   --job-timeout-ms N      per-attempt watchdog deadline (overrides the
-//                           spec; 0 = off): overruns become `timeout` rows
-//   --max-retries N         retry transient job failures up to N times
-//                           (deterministic FNV-derived backoff)
-//   --queue-limit N         shed jobs with index >= N as `shed` rows
-//
-// SIGINT/SIGTERM drain the run gracefully: in-flight jobs are cancelled,
-// settled rows are journaled, a partial report is written, and the exit
-// code is 4 (resume with --resume).  A second signal kills immediately.
-//
-// Validation mode (campaign-scale soundness fuzzing + fault sweeps, see
-// src/exp/validation.hpp and DESIGN.md §5):
-//
-//   mcs_synth --validate <spec> [--faults F] [--jobs N] [--report-json F]
-//             [--report-csv F]
-//
 //   --validate <spec>       run the validation campaign described by the
 //                           key=value spec file (examples/soundness.validation);
 //                           exit status 1 when any analytic bound was
 //                           violated on a fault-free run (a soundness bug)
 //   --faults <spec>         append the fault scenario in the spec file to
-//                           the campaign's scenario list
+//                           the validation's scenario list
+//
+// Run flags:
+//
+//   --jobs N                worker threads (overrides the spec; 0 = one
+//                           per hardware core)
+//   --report-json <file>    write the full per-job JSON report
+//   --report-csv <file>     write the CSV report
+//   --journal <file>        append every settled job to a crash-safe
+//                           checkpoint journal (src/exp/journal.hpp)
+//   --resume <file>         resume from a journal written by --journal:
+//                           recovered jobs are not re-run and the merged
+//                           report signature equals an uninterrupted run's
+//   --job-timeout-ms N      per-job watchdog deadline (overrides the spec;
+//                           0 = off): overruns become `timeout` rows
+//
+// SIGINT/SIGTERM drain the run gracefully: in-flight jobs are cancelled,
+// settled rows are journaled, a partial report is written, and the exit
+// code is 4 (resume with --resume).  A second signal kills immediately.
 //
 // Reads a plain-text system description (see src/gen/textio.hpp for the
 // grammar and examples/paper_example.mcs for a sample), synthesizes a
@@ -151,11 +146,9 @@ struct Options {
   std::optional<std::size_t> jobs;
   std::string report_json;
   std::string report_csv;
-  std::string journal;  ///< campaign checkpoint journal to write
-  std::string resume;   ///< campaign journal to resume from (implies journal)
+  std::string journal;  ///< checkpoint journal to write
+  std::string resume;   ///< journal to resume from (implies journal)
   std::optional<std::int64_t> job_timeout_ms;
-  std::optional<int> max_retries;
-  std::optional<std::size_t> queue_limit;
 };
 
 void usage() {
@@ -165,14 +158,12 @@ void usage() {
                "[--faults <spec>] [--sim-trace] [--dump-config] [--stats]\n"
                "       any mode: [--trace <file>] [--metrics <file>] "
                "[--log-level debug|info|warn|error|off]\n"
-               "       mcs_synth --campaign <spec> [--jobs N] "
-               "[--report-json <file>] [--report-csv <file>]\n"
-               "                 [--journal <file> | --resume <file>] "
-               "[--job-timeout-ms N] [--max-retries N] [--queue-limit N]\n"
-               "       mcs_synth --validate <spec> [--faults <spec>] "
-               "[--jobs N] [--job-timeout-ms N] [--max-retries N]\n"
-               "                 [--queue-limit N] [--report-json <file>] "
+               "       mcs_synth --campaign <spec> [run flags]\n"
+               "       mcs_synth --validate <spec> [--faults <spec>] [run flags]\n"
+               "       run flags: [--jobs N] [--report-json <file>] "
                "[--report-csv <file>]\n"
+               "                  [--journal <file> | --resume <file>] "
+               "[--job-timeout-ms N]\n"
                "       mcs_synth --version\n"
                "exit codes: 0 ok/schedulable, 1 unschedulable or bound "
                "violations or runtime error, 2 usage,\n"
@@ -238,18 +229,6 @@ int parse_args(int argc, char** argv, Options& options) {
         return 3;
       }
       options.job_timeout_ms = static_cast<std::int64_t>(ms);
-    } else if (arg == "--max-retries") {
-      if (++i >= argc) return 2;
-      unsigned long long retries = 0;
-      if (!parse_count_flag("--max-retries", argv[i], 100, retries)) return 3;
-      options.max_retries = static_cast<int>(retries);
-    } else if (arg == "--queue-limit") {
-      if (++i >= argc) return 2;
-      unsigned long long limit = 0;
-      if (!parse_count_flag("--queue-limit", argv[i], 1'000'000'000ULL, limit)) {
-        return 3;
-      }
-      options.queue_limit = static_cast<std::size_t>(limit);
     } else if (arg == "--report-json") {
       if (++i >= argc) return 2;
       options.report_json = argv[i];
@@ -311,21 +290,35 @@ int parse_args(int argc, char** argv, Options& options) {
                  "(--resume keeps appending to the journal it resumes)\n");
     return 3;
   }
-  if ((!options.journal.empty() || !options.resume.empty()) &&
-      options.campaign.empty()) {
+  if ((!options.journal.empty() || !options.resume.empty()) && !options.path.empty()) {
     std::fprintf(stderr,
-                 "error: --journal/--resume require --campaign mode\n");
+                 "error: --journal/--resume need --campaign or --validate mode\n");
     return 3;
   }
   return 0;
 }
 
-/// Applies the runtime flags shared by --campaign and --validate.
-void apply_run_flags(const Options& options, exp::SpecBase& spec) {
+/// Applies the run flags shared by --campaign and --validate to the spec
+/// and returns the run's execution-time options.
+exp::RunOptions apply_run_flags(const Options& options, exp::SpecBase& spec) {
   if (options.jobs) spec.jobs = *options.jobs;
   if (options.job_timeout_ms) spec.job_timeout_ms = *options.job_timeout_ms;
-  if (options.max_retries) spec.max_retries = *options.max_retries;
-  if (options.queue_limit) spec.queue_limit = *options.queue_limit;
+  exp::RunOptions run;
+  run.journal_path = options.resume.empty() ? options.journal : options.resume;
+  run.resume = !options.resume.empty();
+  run.stop = &g_stop;
+  return run;
+}
+
+/// Prints the resume note and the signature line of a suite run.
+template <typename Result>
+void print_signature(const exp::RunOptions& run, const Result& result) {
+  if (result.resumed_jobs > 0) {
+    std::printf("\nresumed %zu journaled job(s) from %s\n", result.resumed_jobs,
+                run.journal_path.c_str());
+  }
+  std::printf("\nsignature: %016llx (thread-count invariant)\n",
+              static_cast<unsigned long long>(result.signature()));
 }
 
 /// Writes --report-json / --report-csv; false when a file cannot be opened.
@@ -352,42 +345,36 @@ bool write_report_files(const Options& options, const Result& result) {
 /// One fault-free analytic-bound exceedance — a soundness bug — with the
 /// coordinates that replay it.
 void print_bound_violation(const sim::BoundViolation& v, const std::string& where) {
-  std::printf("BOUND VIOLATION: %s simulated %lld > bound %lld (%s) \n",
+  std::printf("BOUND VIOLATION: %s simulated %lld > bound %lld (%s)\n",
               v.activity.c_str(), static_cast<long long>(v.simulated),
               static_cast<long long>(v.bound), where.c_str());
 }
 
+/// Writes the report files, then ends a suite run: 1 when a report
+/// cannot be written, 4 when a shutdown drained it, else 0.
+template <typename Result>
+int finish_suite(const Options& options, const exp::RunOptions& run,
+                 const Result& result) {
+  if (!write_report_files(options, result)) return 1;
+  if (!result.interrupted) return 0;
+  std::printf("interrupted: drained in-flight jobs, %s; "
+              "re-run with --resume to finish\n",
+              run.journal_path.empty() ? "partial report only (no --journal)"
+                                       : "journal is consistent");
+  return 4;
+}
+
 int run_campaign_mode(const Options& options) {
   exp::CampaignSpec spec = exp::parse_campaign_spec_file(options.campaign);
-  apply_run_flags(options, spec);
-
-  exp::RunOptions run;
-  run.journal_path = options.resume.empty() ? options.journal : options.resume;
-  run.resume = !options.resume.empty();
-  run.stop = &g_stop;
-
+  const exp::RunOptions run = apply_run_flags(options, spec);
   const exp::CampaignResult result = exp::run_campaign(spec, run);
 
   std::printf("campaign %s: suite %s, %zu jobs on %zu worker(s), %.2f s\n\n",
               spec.name.c_str(), spec.suite.c_str(), result.jobs.size(),
               result.workers, result.wall_seconds);
   result.summary_table().print(std::cout);
-  if (result.resumed_jobs > 0) {
-    std::printf("\nresumed %zu journaled job(s) from %s\n", result.resumed_jobs,
-                run.journal_path.c_str());
-  }
-  std::printf("\nsignature: %016llx (thread-count invariant)\n",
-              static_cast<unsigned long long>(result.signature()));
-
-  if (!write_report_files(options, result)) return 1;
-  if (result.interrupted) {
-    std::printf("interrupted: drained in-flight jobs, %s; "
-                "re-run with --resume to finish\n",
-                run.journal_path.empty() ? "partial report only (no --journal)"
-                                         : "journal is consistent");
-    return 4;
-  }
-  return 0;
+  print_signature(run, result);
+  return finish_suite(options, run, result);
 }
 
 int run_validation_mode(const Options& options) {
@@ -395,10 +382,7 @@ int run_validation_mode(const Options& options) {
   if (!options.faults.empty()) {
     spec.scenarios.push_back(sim::parse_fault_spec_file(options.faults));
   }
-  apply_run_flags(options, spec);
-
-  exp::RunOptions run;
-  run.stop = &g_stop;
+  const exp::RunOptions run = apply_run_flags(options, spec);
   const exp::ValidationResult result = exp::run_validation(spec, run);
 
   std::printf(
@@ -408,8 +392,7 @@ int run_validation_mode(const Options& options) {
       exp::to_string(spec.strategy).c_str(), result.jobs.size(),
       result.workers, spec.scenarios.size(), result.wall_seconds);
   result.summary_table().print(std::cout);
-  std::printf("\nsignature: %016llx (thread-count invariant)\n",
-              static_cast<unsigned long long>(result.signature()));
+  print_signature(run, result);
 
   // Every fault-free bound violation is a soundness bug; print the
   // replayable coordinates so the instance can be regenerated exactly.
@@ -426,11 +409,7 @@ int run_validation_mode(const Options& options) {
     }
   }
 
-  if (!write_report_files(options, result)) return 1;
-  if (result.interrupted) {
-    std::printf("interrupted: drained in-flight jobs, partial report only\n");
-    return 4;
-  }
+  if (const int code = finish_suite(options, run, result); code != 0) return code;
   return result.total_violations() == 0 ? 0 : 1;
 }
 
