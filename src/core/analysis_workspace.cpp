@@ -212,7 +212,6 @@ void AnalysisWorkspace::build() {
     proc_cand_cache_[pi].list.resize(n * n);
     proc_cand_cache_[pi].cls.resize(n * n);
     proc_cand_cache_[pi].len.resize(n);
-    proc_cand_cache_[pi].order.resize(n);
   }
   {
     const std::size_t n = can_pool_.mids.size();
@@ -220,7 +219,6 @@ void AnalysisWorkspace::build() {
     can_cand_cache_.list.resize(n * n);
     can_cand_cache_.cls.resize(n * n);
     can_cand_cache_.len.resize(n);
-    can_cand_cache_.order.resize(n);
     can_cand_cache_.blk_list.resize(n * n);
     can_cand_cache_.blk_cls.resize(n * n);
     can_cand_cache_.blk_len.resize(n);
@@ -268,72 +266,6 @@ void AnalysisWorkspace::build() {
         app.message(MessageId(static_cast<MessageId::underlying_type>(i)))
             .graph.index());
   }
-}
-
-namespace {
-
-void swap_state(AnalysisWorkspace::State& a, AnalysisWorkspace::State& b) noexcept {
-  std::swap(a.o_p, b.o_p);
-  std::swap(a.e_p, b.e_p);
-  std::swap(a.j_p, b.j_p);
-  std::swap(a.w_p, b.w_p);
-  std::swap(a.r_p, b.r_p);
-  std::swap(a.o_m, b.o_m);
-  std::swap(a.e_m, b.e_m);
-  std::swap(a.j_m, b.j_m);
-  std::swap(a.w_m, b.w_m);
-  std::swap(a.r_m, b.r_m);
-  std::swap(a.d_m, b.d_m);
-  std::swap(a.ttp_wait, b.ttp_wait);
-  std::swap(a.i_m, b.i_m);
-}
-
-}  // namespace
-
-void AnalysisWorkspace::commit_mcs_capture() {
-  // Materialize copy-on-dirty passes: a snapshot flagged `from_base`
-  // recorded that the pass replayed bit-equal to the base trajectory, so
-  // its buffers were never copied — steal them from the outgoing base by
-  // swapping (both sides keep their capacity; no allocation).  Two capture
-  // records can reference the SAME base record (final-iteration elision
-  // aliases records), in which case only the first steal gets the buffers;
-  // later ones deep-copy from the first stealer.
-  McsBase& cap = mcs_capture_;
-  McsBase& base = mcs_base_;
-  if (cap.valid) {
-    steal_scratch_.assign(base.records_used * kMaxStoredPasses, nullptr);
-    for (std::size_t ri = 0; ri < cap.records_used; ++ri) {
-      RtaTrajectory& traj = cap.records[ri].traj;
-      const std::size_t bi = traj.base_record;
-      traj.base_record = RtaTrajectory::kNoBaseRecord;
-      if (bi == RtaTrajectory::kNoBaseRecord || bi >= base.records_used) {
-        continue;
-      }
-      RtaTrajectory& src = base.records[bi].traj;
-      for (std::size_t k = 0; k < traj.used; ++k) {
-        PassSnapshot& p = traj.passes[k];
-        if (!p.from_base) continue;
-        p.from_base = false;
-        if (k >= src.used) continue;  // unreachable: equal passes are covered
-        PassSnapshot*& holder = steal_scratch_[bi * kMaxStoredPasses + k];
-        if (holder == nullptr) {
-          PassSnapshot& q = src.passes[k];
-          swap_state(p.end, q.end);
-          std::swap(p.r_p_mid, q.r_p_mid);
-          std::swap(p.d_m_mid, q.d_m_mid);
-          std::swap(p.r_m_mid, q.r_m_mid);
-          holder = &p;
-        } else {
-          p.end = holder->end;
-          p.r_p_mid = holder->r_p_mid;
-          p.d_m_mid = holder->d_m_mid;
-          p.r_m_mid = holder->r_m_mid;
-        }
-        ++delta_stats_.snapshots_stolen;
-      }
-    }
-  }
-  std::swap(mcs_base_, mcs_capture_);
 }
 
 const std::vector<Time>& AnalysisWorkspace::critical_path() {

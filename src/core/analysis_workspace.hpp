@@ -83,10 +83,7 @@ struct DeltaStats {
   std::uint64_t components_recomputed = 0;
   std::uint64_t cand_cache_hits = 0;      ///< candidate lists reused as-is
   std::uint64_t cand_cache_rebuilds = 0;  ///< kernel calls that (re)built lists
-  std::uint64_t snapshots_stolen = 0;     ///< pass snapshots swapped, not copied
-  std::uint64_t mask_refinements = 0;     ///< pass-2 pools masked via read sets
   std::uint64_t intra_skips = 0;          ///< members at a confirmed fixed point
-  std::uint64_t settled_skips = 0;        ///< clean components whose replay was a no-op
   std::uint64_t p1_graph_skips = 0;       ///< pass-1 sweeps elided for quiescent graphs
 };
 
@@ -315,12 +312,12 @@ public:
     std::fill(p1_active_.begin(), p1_active_.end(), std::uint8_t{1});
   }
 
-  /// Cached priority-compacted candidate lists, reused across evaluations
-  /// (tentpole 2).  The static candidate relation of a pool member
-  /// depends only on the pool's priority vector (pair classes are baked
-  /// at build time), so the lists stay valid until a priority inside the
-  /// pool changes — and then only the members whose relative order
-  /// against a changed member flipped need rebuilding.  `prio` is the
+  /// Cached priority-compacted candidate lists, reused across evaluations.
+  /// The static candidate relation of a pool member depends only on the
+  /// pool's priority vector (pair classes are baked at build time), so the
+  /// lists stay valid until a priority inside the pool changes — and then
+  /// only the members whose relative order against a changed member
+  /// flipped need rebuilding.  `prio` is the
   /// fingerprint the kernels revalidate against on entry.
   struct CandidateCache {
     bool valid = false;
@@ -328,11 +325,6 @@ public:
     std::vector<std::uint32_t> list;  ///< stride-n: hp candidates of member x
     std::vector<std::uint8_t> cls;    ///< pair class of each stored candidate
     std::vector<std::uint32_t> len;   ///< candidate count per member
-    /// Member indices in ascending priority-value order (ties by index):
-    /// every candidate of a member precedes it, so a single sweep computes
-    /// the transitive closure of "reads a dirty member" (pass-2 refined
-    /// recompute mask).
-    std::vector<std::uint32_t> order;
     /// CAN pool only: the non-higher-priority blocking candidates.
     std::vector<std::uint32_t> blk_list;
     std::vector<std::uint8_t> blk_cls;
@@ -340,7 +332,7 @@ public:
 
     [[nodiscard]] std::size_t footprint_bytes() const noexcept {
       return (list.capacity() + blk_list.capacity() + len.capacity() +
-              blk_len.capacity() + order.capacity()) *
+              blk_len.capacity()) *
                  sizeof(std::uint32_t) +
              cls.capacity() + blk_cls.capacity() +
              prio.capacity() * sizeof(Priority);
@@ -389,12 +381,6 @@ public:
     std::vector<std::int32_t> p2_div; ///< per-process pass-2 increments
     std::int32_t can_div = 0;         ///< pass-3 increment
     std::int32_t ttp_div = 0;         ///< pass-4 increment
-    /// Copy-on-dirty capture (tentpole 3): set when this pass replayed
-    /// bit-equal to the same pass of the base trajectory, so `end` and
-    /// the mid vectors were NOT copied.  commit_mcs_capture() materializes
-    /// such passes by swapping the base's buffers in; the flag never
-    /// survives a commit.
-    bool from_base = false;
   };
 
   /// Recorded trajectory of one response-time-analysis run.  `used`
@@ -407,10 +393,6 @@ public:
     bool complete = false;
     BufferBounds bounds;
     bool bounds_valid = false;
-    /// Index of the base-run record this capture diffed against (npos
-    /// when captured cold).  Resolves `from_base` passes at commit time.
-    static constexpr std::size_t kNoBaseRecord = static_cast<std::size_t>(-1);
-    std::size_t base_record = kNoBaseRecord;
   };
 
   /// Trajectories longer than this are captured up to the cap; delta runs
@@ -458,11 +440,9 @@ public:
   [[nodiscard]] McsBase& mcs_base() noexcept { return mcs_base_; }
   /// The in-progress capture (internal to multi_cluster_scheduling).
   [[nodiscard]] McsBase& mcs_capture() noexcept { return mcs_capture_; }
-  /// Publishes the capture as the new base.  Pass snapshots flagged
-  /// `from_base` first steal (swap) their buffers from the outgoing base
-  /// trajectory they replayed, then the whole capture swaps in — no
-  /// full-state copies on the equal path.
-  void commit_mcs_capture();
+  /// Publishes the capture as the new base (a swap: the outgoing base's
+  /// buffers become the next capture's retained capacity).
+  void commit_mcs_capture() { std::swap(mcs_base_, mcs_capture_); }
   /// Drops the recorded base (the next delta-mode run falls back to cold).
   void invalidate_mcs_base() noexcept {
     mcs_base_.valid = false;
@@ -555,8 +535,6 @@ private:
   McsBase mcs_base_;
   McsBase mcs_capture_;
   std::vector<std::uint8_t> prio_changed_scratch_;
-  /// Commit-time collision map: first stealer of each base (record, pass).
-  std::vector<PassSnapshot*> steal_scratch_;
 
   std::vector<TraceRecord>* trace_sink_ = nullptr;
   int trace_iteration_ = -1;

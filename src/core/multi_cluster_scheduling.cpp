@@ -117,11 +117,9 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     // a pure function of (app, platform, tdma, constraints), so an equal
     // round, equal message pins and equal release constraints replay the
     // recorded schedule verbatim.
-    bool schedule_memoized = false;
     if (rec != nullptr && dirt.same_round_and_tx &&
         constraints.process_release == rec->constraints_release) {
       result.schedule = rec->schedule;
-      schedule_memoized = true;
       ++stats.schedule_memo_hits;
     } else {
       result.schedule = sched::list_schedule(app, platform, config.tdma(),
@@ -164,19 +162,11 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
       rta_delta.base_process_priorities = dirt.base_proc_prio;
       rta_delta.msg_prio_dirty = dirt.msg;
       rta_delta.ttp_calendar_dirty = dirt.ttp_calendar;
-      rta_delta.schedule_memoized = schedule_memoized;
       delta = &rta_delta;
     }
     workspace.set_trace_iteration(iter);
     result.analysis = response_time_analysis(
         input, workspace, delta, cap_rec != nullptr ? &cap_rec->traj : nullptr);
-    // Remember which base record this iteration replayed against so that
-    // commit_mcs_capture can resolve any from_base pass snapshots the run
-    // recorded (copy-on-dirty capture, DESIGN.md §2).
-    if (cap_rec != nullptr && rec != nullptr) {
-      cap_rec->traj.base_record =
-          base->iter_record[static_cast<std::size_t>(iter)];
-    }
 
     // Feed worst-case ETC->TTC deliveries back as TT release constraints.
     // Only gateway-bound (ET->TT) messages can generate constraints; the
@@ -302,7 +292,7 @@ McsResult multi_cluster_scheduling(const model::Application& app,
     if (base.valid) ++stats.fallbacks;
   }
 
-  // Prepare the capture buffer: current fingerprint + genotype, no records.
+  // Prepare the capture buffer: the current inputs, no records.
   McsBase& capture = workspace.mcs_capture();
   capture.valid = false;
   capture.tdma = config.tdma();

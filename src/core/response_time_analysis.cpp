@@ -90,20 +90,10 @@ struct Ctx {
   int diverged = 0;
   bool changed = false;  ///< any state value grew in the current pass
 
-  /// Copy-on-dirty equality induction (DESIGN.md §2): entering_equal
-  /// asserts the full state at the TOP of the current iteration bit-equals
-  /// the base run's (anchored on the zeroed initial state + a memoized
-  /// schedule; carried forward only by passes proven output-equal).
-  /// pass_equal accumulates the current pass's claim.
-  bool entering_equal = false;
-  bool pass_equal = false;
-
   [[nodiscard]] Time period_of(MessageId m) const { return app.period_of(m); }
   [[nodiscard]] Time period_of(ProcessId p) const { return app.period_of(p); }
 };
 
-/// Monotone update helper: raises `slot` to `value` (clamped at the cap),
-/// recording changes and divergence.
 /// Snapshot-capture copy: per-vector compare-then-copy.  Late passes of a
 /// run change only a handful of slots, so most vectors bit-match the
 /// destination's previous contents (the same snapshot slot, refreshed
@@ -133,6 +123,8 @@ void capture_state(State& dst, const State& src) {
   cp(dst.i_m, src.i_m);
 }
 
+/// Monotone update helper: raises `slot` to `value` (clamped at the cap),
+/// recording changes and divergence.
 void raise(Ctx& ctx, Time& slot, Time value) {
   if (value > ctx.cap) {
     value = ctx.cap;
@@ -516,19 +508,6 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
     if (stale) rebuild(x);
   }
   std::copy(prio, prio + n, cc.prio.begin());
-  // Priority-sorted sweep order for the refined pass-2 mask: candidates
-  // are strictly higher priority than their reader, so iterating members
-  // in ascending priority-value order visits every candidate before any
-  // member that reads it.  Ties carry no edge (neither member is a
-  // candidate of the other), so index order between equals is arbitrary;
-  // we fix it for determinism.
-  for (std::size_t x = 0; x < n; ++x) {
-    cc.order[x] = static_cast<std::uint32_t>(x);
-  }
-  std::sort(cc.order.begin(), cc.order.begin() + static_cast<std::ptrdiff_t>(n),
-            [prio](std::uint32_t a, std::uint32_t b) {
-              return prio[a] != prio[b] ? prio[a] < prio[b] : a < b;
-            });
   cc.valid = true;
 }
 
@@ -789,8 +768,8 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
 /// incoming w (the PREVIOUS pass's end value, zero on pass 0), and its
 /// priority.  A clean member can still read a dirty one through the
 /// higher-priority interference sum, so the mask recomputes the whole
-/// priority band below the highest-priority dirty member.  That
-/// refinement is sound precisely because pass 2 has no blocking term:
+/// priority band below the highest-priority dirty member.  That band
+/// rule is sound precisely because pass 2 has no blocking term:
 /// members never read lower-priority state.
 void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
            const PassSnapshot* prev, PassSnapshot* cap) {
@@ -800,143 +779,36 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
     const std::size_t n = pool.pids.size();
     const std::uint8_t* mask = nullptr;
     bool any_dirty = true;
-    bool settled = prev != nullptr;
     if (snap != nullptr) {
       std::vector<std::uint8_t>& buf = ctx.ws.packed_scratch().mask;
       any_dirty = false;
-      // Refined mask (Packed kernel only): the cached per-member lists ARE
-      // the exact read set of pass 2 — the kernel reads {o,e,j,w,r} of
-      // precisely the listed members (pruned and window entries included,
-      // since their dynamic predicates read o/r/e, all covered by the
-      // dirtiness compare below).  Recompute a member iff (a) its own
-      // candidate SET changed vs the base run — its pairwise order
-      // against some priority-changed member flipped, the same test the
-      // cache rebuild uses — or its cached row is stale vs the current
-      // priorities (so the closure below may not read it), or (b) it or
-      // anything in the transitive closure of its read set is dirty.
-      // Everything else replays base values, which a recompute would
-      // reproduce bit-exactly: same candidate set, same inputs, and the
-      // interference term is a sum over the set, so reorderings among
-      // unchanged candidates cannot alter it.  The closure sweep walks
-      // members in the cache's ascending priority-value order; seeds are
-      // pre-marked, and every non-seed member's fingerprint matches the
-      // cache, so each non-seed candidate's flag is final before its
-      // readers consult it.  More than 16 priority changes (or a cold
-      // cache) falls back to the coarser priority-band rule below.
-      bool refine = false;
-      const AnalysisWorkspace::CandidateCache& cc =
-          ctx.ws.proc_cand_cache(pool_index);
-      // Members whose priority differs from the cache fingerprint / from
-      // the base run (three priority vectors exist in a delta walk: the
-      // cache's, the base trajectory's, and the current candidate's).
-      std::size_t cache_changed[16];
-      std::size_t base_changed[16];
-      std::size_t n_cache_changed = 0;
-      std::size_t n_base_changed = 0;
-      if (ctx.opt.kernel != AnalysisKernel::Reference && cc.valid) {
-        refine = true;
-        const bool have_base = delta != nullptr &&
-                               delta->proc_prio_changed != nullptr &&
-                               delta->base_process_priorities != nullptr;
-        for (std::size_t x = 0; x < n && refine; ++x) {
-          const std::size_t pi = pool.pids[x].index();
-          if (cc.prio[x] != ctx.cfg.process_priority(pool.pids[x])) {
-            if (n_cache_changed == 16) {
-              refine = false;
-            } else {
-              cache_changed[n_cache_changed++] = x;
-            }
-          }
-          if (delta != nullptr && delta->proc_prio_changed != nullptr &&
-              (*delta->proc_prio_changed)[pi] != 0) {
-            if (!have_base || n_base_changed == 16) {
-              refine = false;
-            } else {
-              base_changed[n_base_changed++] = x;
-            }
-          }
-        }
-      }
       Priority p_star = 0;
       for (std::size_t x = 0; x < n; ++x) {
         const std::size_t pi = pool.pids[x].index();
-        bool dirty = s.o_p[pi] != snap->end.o_p[pi] ||
-                     s.e_p[pi] != snap->end.e_p[pi] ||
-                     s.j_p[pi] != snap->end.j_p[pi] ||
-                     s.r_p[pi] != snap->r_p_mid[pi] ||
-                     s.w_p[pi] != (prev != nullptr ? prev->end.w_p[pi] : 0);
-        // Settled test: if the pool stays clean, its replay is a pure
-        // no-op exactly when every raise target is already met and the
-        // base recorded no divergence at this depth (the pre-zeroed
-        // cap->p2_div row then equals the base's).
-        settled = settled && snap->end.w_p[pi] <= s.w_p[pi] &&
-                  snap->end.r_p[pi] <= s.r_p[pi] && snap->p2_div[pi] == 0;
-        if (!refine && delta != nullptr && delta->proc_prio_changed != nullptr &&
-            (*delta->proc_prio_changed)[pi] != 0) {
-          dirty = true;
-        }
-        if (refine && !dirty && (n_cache_changed + n_base_changed) != 0) {
-          const Priority cur = ctx.cfg.process_priority(pool.pids[x]);
-          // Stale cached row (the closure may not consult it).
-          for (std::size_t c = 0; c < n_cache_changed && !dirty; ++c) {
-            const std::size_t j = cache_changed[c];
-            if (j == x) {
-              dirty = true;
-            } else {
-              const Priority cur_j = ctx.cfg.process_priority(pool.pids[j]);
-              dirty = (cc.prio[j] < cc.prio[x]) != (cur_j < cur);
-            }
-          }
-          // Candidate set differs from the base run's.
-          for (std::size_t c = 0; c < n_base_changed && !dirty; ++c) {
-            const std::size_t j = base_changed[c];
-            if (j == x) {
-              dirty = true;
-            } else {
-              const std::vector<Priority>& bp =
-                  *delta->base_process_priorities;
-              const Priority cur_j = ctx.cfg.process_priority(pool.pids[j]);
-              dirty = (bp[pool.pids[j].index()] < bp[pi]) != (cur_j < cur);
-            }
-          }
-        }
+        const bool dirty =
+            s.o_p[pi] != snap->end.o_p[pi] || s.e_p[pi] != snap->end.e_p[pi] ||
+            s.j_p[pi] != snap->end.j_p[pi] || s.r_p[pi] != snap->r_p_mid[pi] ||
+            s.w_p[pi] != (prev != nullptr ? prev->end.w_p[pi] : 0) ||
+            (delta != nullptr && delta->proc_prio_changed != nullptr &&
+             (*delta->proc_prio_changed)[pi] != 0);
         buf[x] = dirty ? 1 : 0;
         if (dirty) {
-          if (!refine) {
-            // Band floor: a priority-CHANGED member affects everything
-            // below its old position as well as its new one (it stopped
-            // or started interfering with the span between them), so take
-            // the higher of the two.  State-dirty members have old == new.
-            Priority p = ctx.cfg.process_priority(pool.pids[x]);
-            if (delta != nullptr && delta->base_process_priorities != nullptr) {
-              p = std::min(p, (*delta->base_process_priorities)[pi]);
-            }
-            p_star = any_dirty ? std::min(p_star, p) : p;
+          // Band floor: a priority-CHANGED member affects everything below
+          // its old position as well as its new one (it stopped or started
+          // interfering with the span between them), so take the higher of
+          // the two.  State-dirty members have old == new.
+          Priority p = ctx.cfg.process_priority(pool.pids[x]);
+          if (delta != nullptr && delta->base_process_priorities != nullptr) {
+            p = std::min(p, (*delta->base_process_priorities)[pi]);
           }
+          p_star = any_dirty ? std::min(p_star, p) : p;
           any_dirty = true;
         }
       }
       if (any_dirty) {
-        if (refine) {
-          ++ctx.ws.delta_stats().mask_refinements;
-          for (std::size_t t = 0; t < n; ++t) {
-            const std::uint32_t x = cc.order[t];
-            if (buf[x] != 0) continue;
-            const std::uint32_t* row = cc.list.data() + std::size_t{x} * n;
-            const std::uint32_t len = cc.len[x];
-            for (std::uint32_t c = 0; c < len; ++c) {
-              if (buf[row[c]] != 0) {
-                buf[x] = 1;
-                break;
-              }
-            }
-          }
-        } else {
-          for (std::size_t x = 0; x < n; ++x) {
-            if (buf[x] == 0 &&
-                ctx.cfg.process_priority(pool.pids[x]) > p_star) {
-              buf[x] = 1;
-            }
+        for (std::size_t x = 0; x < n; ++x) {
+          if (buf[x] == 0 && ctx.cfg.process_priority(pool.pids[x]) > p_star) {
+            buf[x] = 1;
           }
         }
       }
@@ -949,17 +821,7 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       }
     }
     if (!any_dirty) {
-      if (settled) {
-        // The base pool settled at this depth: every replay raise target
-        // is already met and there is no divergence to account, so the
-        // replay writes nothing.  The intra-run bookkeeping stays exactly
-        // as valid as it was, so it is NOT invalidated here.
-        ++ctx.ws.delta_stats().settled_skips;
-        continue;
-      }
-      // Whole pool clean: replay without gathering.  With an equal
-      // entering state the replay reproduces the base values exactly, so
-      // the pass-equality claim survives untouched.  The intra-run skip
+      // Whole pool clean: replay without gathering.  The intra-run skip
       // bookkeeping was not maintained, so it cannot be trusted next pass.
       ctx.ws.intra_pool_valid(pool_index) = 0;
       for (std::size_t x = 0; x < n; ++x) {
@@ -971,18 +833,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       pass2_pool_packed(ctx, s, pool, pool_index, mask, snap, cap);
     } else {
       pass2_pool_reference(ctx, s, pool, mask, snap, cap);
-    }
-    // Copy-on-dirty: recomputed members must land exactly on the base
-    // values for the pass to stay provably equal (replayed members are
-    // equal by construction under an equal entering state).
-    if (ctx.pass_equal) {
-      for (std::size_t x = 0; x < n && ctx.pass_equal; ++x) {
-        if (mask[x] == 0) continue;
-        const std::size_t pi = pool.pids[x].index();
-        ctx.pass_equal = s.w_p[pi] == snap->end.w_p[pi] &&
-                         s.r_p[pi] == snap->end.r_p[pi] &&
-                         cap->p2_div[pi] == snap->p2_div[pi];
-      }
     }
   }
 }
@@ -1234,22 +1084,13 @@ void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
   }
   bool dirty = snap == nullptr ||
                (delta != nullptr && delta->msg_prio_dirty);
-  bool settled = !dirty && snap->can_div == 0;
-  if (!dirty) {
-    for (std::size_t x = 0; x < n && !dirty; ++x) {
-      const std::size_t mi = ctx.can_messages[x].index();
-      dirty = s.o_m[mi] != snap->end.o_m[mi] ||
-              s.e_m[mi] != snap->end.e_m[mi] ||
-              s.j_m[mi] != snap->end.j_m[mi] ||
-              s.d_m[mi] != snap->d_m_mid[mi] ||
-              s.w_m[mi] != (prev != nullptr ? prev->end.w_m[mi] : 0);
-      // Settled test: the replay below writes nothing when every raise
-      // target is already met (see pass 2).
-      settled = settled && snap->end.w_m[mi] <= s.w_m[mi] &&
-                snap->r_m_mid[mi] <= s.r_m[mi] &&
-                (ctx.route[mi] == MessageRoute::EtToTt ||
-                 snap->end.d_m[mi] <= s.d_m[mi]);
-    }
+  for (std::size_t x = 0; x < n && !dirty; ++x) {
+    const std::size_t mi = ctx.can_messages[x].index();
+    dirty = s.o_m[mi] != snap->end.o_m[mi] ||
+            s.e_m[mi] != snap->end.e_m[mi] ||
+            s.j_m[mi] != snap->end.j_m[mi] ||
+            s.d_m[mi] != snap->d_m_mid[mi] ||
+            s.w_m[mi] != (prev != nullptr ? prev->end.w_m[mi] : 0);
   }
   if (snap != nullptr) {
     DeltaStats& stats = ctx.ws.delta_stats();
@@ -1258,13 +1099,6 @@ void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
     } else {
       ++stats.components_skipped;
     }
-  }
-  if (!dirty && settled) {
-    // No-op replay: nothing to write, no divergence to account, and the
-    // pre-zeroed cap->can_div already matches the base's.  The intra-run
-    // bookkeeping is untouched, so it keeps whatever validity it had.
-    ++ctx.ws.delta_stats().settled_skips;
-    return;
   }
   if (!dirty) {
     // Replay bypasses the kernel's intra-run bookkeeping.
@@ -1299,21 +1133,6 @@ void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
   }
   if (cap != nullptr) {
     cap->can_div = static_cast<std::int32_t>(ctx.diverged - div_before);
-  }
-  // Copy-on-dirty: the recomputed bus must land exactly on the base
-  // values.  Post-pass-3 r_m is the r_m_mid snapshot; post-pass-3 d_m of
-  // an ET->TT message is still its post-pass-1 value (pass 3 skips it,
-  // pass 4 owns it), i.e. the base's d_m_mid.
-  if (ctx.pass_equal) {
-    ctx.pass_equal = cap->can_div == snap->can_div;
-    for (std::size_t x = 0; x < n && ctx.pass_equal; ++x) {
-      const std::size_t mi = ctx.can_messages[x].index();
-      const Time base_d = ctx.route[mi] == MessageRoute::EtToTt
-                              ? snap->d_m_mid[mi]
-                              : snap->end.d_m[mi];
-      ctx.pass_equal = s.w_m[mi] == snap->end.w_m[mi] &&
-                       s.r_m[mi] == snap->r_m_mid[mi] && s.d_m[mi] == base_d;
-    }
   }
 }
 
@@ -1405,25 +1224,13 @@ void pass4(Ctx& ctx, State& s, bool calendar_dirty, const PassSnapshot* snap,
     return;
   }
   bool dirty = snap == nullptr || calendar_dirty;
-  bool settled = !dirty && snap->ttp_div == 0;
-  if (!dirty) {
-    for (const MessageId mid : ctx.et_to_tt) {
-      const std::size_t mi = mid.index();
-      if (s.o_m[mi] != snap->end.o_m[mi] || s.e_m[mi] != snap->end.e_m[mi] ||
-          s.j_m[mi] != snap->end.j_m[mi] || s.w_m[mi] != snap->end.w_m[mi] ||
-          s.r_m[mi] != snap->r_m_mid[mi] ||
-          s.d_m[mi] != (prev != nullptr ? prev->end.d_m[mi] : 0) ||
-          s.ttp_wait[mi] != (prev != nullptr ? prev->end.ttp_wait[mi] : 0)) {
-        dirty = true;
-        break;
-      }
-      // Settled test: the replay's assigns already hold and its raise
-      // targets are already met (see pass 2).
-      settled = settled && s.i_m[mi] == snap->end.i_m[mi] &&
-                s.ttp_wait[mi] == snap->end.ttp_wait[mi] &&
-                snap->end.d_m[mi] <= s.d_m[mi] &&
-                snap->end.r_m[mi] <= s.r_m[mi];
-    }
+  for (std::size_t x = 0; x < ctx.et_to_tt.size() && !dirty; ++x) {
+    const std::size_t mi = ctx.et_to_tt[x].index();
+    dirty = s.o_m[mi] != snap->end.o_m[mi] || s.e_m[mi] != snap->end.e_m[mi] ||
+            s.j_m[mi] != snap->end.j_m[mi] || s.w_m[mi] != snap->end.w_m[mi] ||
+            s.r_m[mi] != snap->r_m_mid[mi] ||
+            s.d_m[mi] != (prev != nullptr ? prev->end.d_m[mi] : 0) ||
+            s.ttp_wait[mi] != (prev != nullptr ? prev->end.ttp_wait[mi] : 0);
   }
   if (snap != nullptr) {
     DeltaStats& stats = ctx.ws.delta_stats();
@@ -1432,11 +1239,6 @@ void pass4(Ctx& ctx, State& s, bool calendar_dirty, const PassSnapshot* snap,
     } else {
       ++stats.components_skipped;
     }
-  }
-  if (!dirty && settled) {
-    // No-op replay; the pre-zeroed cap->ttp_div already matches.
-    ++ctx.ws.delta_stats().settled_skips;
-    return;
   }
   if (!dirty) {
     // Replay bypasses the drain's intra-run bookkeeping.
@@ -1474,20 +1276,8 @@ void pass4(Ctx& ctx, State& s, bool calendar_dirty, const PassSnapshot* snap,
       }
     }
     if (quiet) {
-      // cap->ttp_div (pre-zeroed) and the pass-equality comparison below
-      // both read exactly what a confirming drain would leave behind.
+      // cap->ttp_div stays pre-zeroed: a confirming drain diverges nowhere.
       ws.delta_stats().intra_skips += ctx.et_to_tt.size();
-      if (ctx.pass_equal) {
-        ctx.pass_equal = cap->ttp_div == snap->ttp_div;
-        for (const MessageId mid : ctx.et_to_tt) {
-          if (!ctx.pass_equal) break;
-          const std::size_t mi = mid.index();
-          ctx.pass_equal = s.i_m[mi] == snap->end.i_m[mi] &&
-                           s.ttp_wait[mi] == snap->end.ttp_wait[mi] &&
-                           s.d_m[mi] == snap->end.d_m[mi] &&
-                           s.r_m[mi] == snap->end.r_m[mi];
-        }
-      }
       return;
     }
   }
@@ -1528,18 +1318,6 @@ void pass4(Ctx& ctx, State& s, bool calendar_dirty, const PassSnapshot* snap,
   }
   if (cap != nullptr) {
     cap->ttp_div = static_cast<std::int32_t>(ctx.diverged - div_before);
-  }
-  // Copy-on-dirty: the recomputed FIFO must land exactly on the base.
-  if (ctx.pass_equal) {
-    ctx.pass_equal = cap->ttp_div == snap->ttp_div;
-    for (const MessageId mid : ctx.et_to_tt) {
-      if (!ctx.pass_equal) break;
-      const std::size_t mi = mid.index();
-      ctx.pass_equal = s.i_m[mi] == snap->end.i_m[mi] &&
-                       s.ttp_wait[mi] == snap->end.ttp_wait[mi] &&
-                       s.d_m[mi] == snap->end.d_m[mi] &&
-                       s.r_m[mi] == snap->end.r_m[mi];
-    }
   }
 }
 
@@ -1667,19 +1445,7 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
     capture->used = 0;
     capture->complete = false;
     capture->bounds_valid = false;
-    capture->base_record = RtaTrajectory::kNoBaseRecord;
   }
-
-  // Copy-on-dirty anchor: the state starts zeroed (identical to the base
-  // run's start), so if the schedule was memoized — equal constraints,
-  // hence equal TT offsets and TTC slots, the only per-candidate inputs
-  // pass 1 reads besides priorities — the state entering iteration 0 is
-  // bit-equal to the base's.  Each pass then either replays (exact) or is
-  // compared output-equal; pass-1 determinism carries the claim across
-  // iterations.  Priority changes surface through the dirtiness masks and
-  // are caught by the output comparisons.
-  ctx.entering_equal = delta != nullptr && delta->schedule_memoized &&
-                       base != nullptr && capture != nullptr;
 
   AnalysisResult result;
   int iterations = 0;
@@ -1711,18 +1477,9 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
       if (capture->passes.size() <= capture->used) capture->passes.emplace_back();
       cap = &capture->passes[capture->used++];
     }
-    // The pass-equality claim is only worth tracking when there is a base
-    // snapshot to steal from and a capture slot to mark.
-    ctx.pass_equal = ctx.entering_equal && snap != nullptr && cap != nullptr;
     if (cap != nullptr) {
-      cap->from_base = false;
-      if (!ctx.pass_equal) {
-        // Mid-pass snapshots; skipped optimistically on the equal path
-        // (pass-1 determinism makes them bit-equal to the base's) and
-        // backfilled below if the pass turns out unequal after all.
-        cap->r_p_mid = s.r_p;
-        cap->d_m_mid = s.d_m;
-      }
+      cap->r_p_mid = s.r_p;
+      cap->d_m_mid = s.d_m;
       cap->p2_div.assign(s.r_p.size(), 0);
       cap->can_div = 0;
       cap->ttp_div = 0;
@@ -1730,27 +1487,9 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
 
     pass2(ctx, s, delta, snap, prev, cap);
     pass3(ctx, s, delta, snap, prev, cap);
-    const bool equal_through_p3 = ctx.pass_equal;
-    if (cap != nullptr && !equal_through_p3) cap->r_m_mid = s.r_m;
+    if (cap != nullptr) cap->r_m_mid = s.r_m;
     pass4(ctx, s, delta != nullptr && delta->ttp_calendar_dirty, snap, prev, cap);
-    if (cap != nullptr) {
-      if (ctx.pass_equal) {
-        // Whole pass bit-equal to the base: don't copy anything.  The
-        // commit steals (swaps) the base's buffers into this snapshot.
-        cap->from_base = true;
-      } else {
-        capture_state(cap->end, s);
-        if (ctx.entering_equal && snap != nullptr) {
-          // The optimistic skips above missed; the base's copies are
-          // bit-equal (the equality chain held through pass 1, which is
-          // what the mid snapshots capture), so backfill from there.
-          cap->r_p_mid = snap->r_p_mid;
-          cap->d_m_mid = snap->d_m_mid;
-          if (equal_through_p3) cap->r_m_mid = snap->r_m_mid;
-        }
-      }
-    }
-    ctx.entering_equal = ctx.pass_equal;
+    if (cap != nullptr) capture_state(cap->end, s);
 
     ++passes_run;
     if (std::vector<AnalysisWorkspace::TraceRecord>* sink =

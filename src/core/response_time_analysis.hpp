@@ -83,12 +83,6 @@ struct RtaDelta {
   /// gateway owns a slot, that slot's offset and length, or the round
   /// length.  Forces pass 4 to recompute.
   bool ttp_calendar_dirty = false;
-  /// The caller replayed its schedule memo for this iteration, i.e. the
-  /// TTC schedule (and hence every config-derived offset) is bit-equal to
-  /// the base run's.  Required anchor for the copy-on-dirty snapshot
-  /// capture: only then can an "all components clean" pass be recorded as
-  /// a reference into the base trajectory instead of a full State copy.
-  bool schedule_memoized = false;
 };
 
 /// Full-control overload: optional incremental plan, optional trajectory

@@ -19,7 +19,7 @@ struct FaultCounters;
 namespace mcs::obs {
 
 /// Publishes one finished job's analysis-engine counters: DeltaStats
-/// (delta replays, fallbacks, memo hits, snapshot steals, skips), the
+/// (delta replays, fallbacks, memo hits, skips), the
 /// kernel that ran and the scratch footprint (gauge, max over jobs).
 /// No-op while metrics are disabled.
 void publish_workspace(const core::AnalysisWorkspace& workspace,

@@ -109,7 +109,7 @@ TEST(DeltaOracle, RandomWalksAcrossSuitesBitIdenticalToFull) {
   const std::uint64_t evals_per_system = 10'000 / systems.size() + 1;
 
   std::uint64_t checked = 0, mismatches = 0, delta_runs = 0, fallbacks = 0;
-  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_hits = 0, skipped = 0, recomputed = 0;
   MoveTally tally{};
   for (std::size_t i = 0; i < systems.size(); ++i) {
     const MoveContext ctx(systems[i].app, systems[i].platform, McsOptions{});
@@ -122,6 +122,8 @@ TEST(DeltaOracle, RandomWalksAcrossSuitesBitIdenticalToFull) {
     delta_runs += stats.delta_runs;
     fallbacks += stats.fallbacks;
     memo_hits += stats.schedule_memo_hits;
+    skipped += stats.components_skipped;
+    recomputed += stats.components_recomputed;
   }
 
   EXPECT_EQ(mismatches, 0u);
@@ -136,6 +138,11 @@ TEST(DeltaOracle, RandomWalksAcrossSuitesBitIdenticalToFull) {
   }
   // Priority-only iterations skip list_schedule via the schedule memo.
   EXPECT_GT(memo_hits, 0u);
+  // The replays both replayed and recomputed pass components, so the
+  // pass-2 band mask and the pass-3/4 dirtiness tests were exercised on
+  // both sides.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(recomputed, 0u);
 }
 
 TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {

@@ -529,8 +529,8 @@ std::size_t report(const gen::ParsedSystem& sys, const core::Candidate& candidat
 
 // Evaluation-engine counters for the single-system synthesis run: which
 // kernel ran, how often the delta machinery replayed vs fell back, and
-// what the reuse layers (candidate-list cache, snapshot stealing,
-// intra-run skips) delivered.
+// what the reuse layers (schedule memo, candidate-list cache, intra-run
+// skips) delivered.
 void print_stats(const core::MoveContext& ctx,
                  const core::McsOptions& mcs_options) {
   const core::AnalysisWorkspace& ws = ctx.workspace();
@@ -554,23 +554,17 @@ void print_stats(const core::MoveContext& ctx,
               static_cast<unsigned long long>(d.schedule_memo_hits));
   std::printf("  elided mcs iterations  %llu\n",
               static_cast<unsigned long long>(d.elided_iterations));
-  std::printf("  pass components        %llu replayed, %llu recomputed, "
-              "%llu settled no-ops\n",
+  std::printf("  pass components        %llu replayed, %llu recomputed\n",
               static_cast<unsigned long long>(d.components_skipped),
-              static_cast<unsigned long long>(d.components_recomputed),
-              static_cast<unsigned long long>(d.settled_skips));
+              static_cast<unsigned long long>(d.components_recomputed));
   std::printf("  candidate-list cache   %llu hits, %llu rebuilds "
               "(%.1f%% hit rate)\n",
               static_cast<unsigned long long>(d.cand_cache_hits),
               static_cast<unsigned long long>(d.cand_cache_rebuilds),
               pct(d.cand_cache_hits, d.cand_cache_hits + d.cand_cache_rebuilds));
-  std::printf("  snapshots stolen       %llu\n",
-              static_cast<unsigned long long>(d.snapshots_stolen));
-  std::printf("  fixed-point skips      %llu members, %llu pass-1 graphs, "
-              "%llu pass-2 mask refinements\n",
+  std::printf("  fixed-point skips      %llu members, %llu pass-1 graphs\n",
               static_cast<unsigned long long>(d.intra_skips),
-              static_cast<unsigned long long>(d.p1_graph_skips),
-              static_cast<unsigned long long>(d.mask_refinements));
+              static_cast<unsigned long long>(d.p1_graph_skips));
   std::printf("  scratch footprint      %zu bytes (stable per workspace)\n",
               ws.scratch_footprint_bytes());
 }
