@@ -29,7 +29,8 @@
 //
 // Delta analysis (DESIGN.md §2): when `delta_mode()` is On, the
 // MultiClusterScheduling overload taking a workspace records the exact
-// per-pass trajectory of each run and, on the next run, recomputes only
+// per-pass trajectory of each run after the workspace's first (a one-shot
+// workspace never replays) and, on the next run, recomputes only
 // the components (ETC node pools, the CAN bus, the OutTTP drain) whose
 // pass inputs differ from the recorded base — everything else replays the
 // stored values.  The replay is a faithful memoization, not a warm
@@ -443,6 +444,11 @@ public:
   /// Publishes the capture as the new base (a swap: the outgoing base's
   /// buffers become the next capture's retained capacity).
   void commit_mcs_capture() { std::swap(mcs_base_, mcs_capture_); }
+  /// Records a multi_cluster_scheduling run (any mode); true when it is
+  /// the workspace's first.  A DeltaMode::On first run captures no base.
+  [[nodiscard]] bool mark_mcs_run() noexcept {
+    return !std::exchange(mcs_ran_, true);
+  }
   /// Drops the recorded base (the next delta-mode run falls back to cold).
   void invalidate_mcs_base() noexcept {
     mcs_base_.valid = false;
@@ -534,6 +540,7 @@ private:
   DeltaStats delta_stats_;
   McsBase mcs_base_;
   McsBase mcs_capture_;
+  bool mcs_ran_ = false;
   std::vector<std::uint8_t> prio_changed_scratch_;
 
   std::vector<TraceRecord>* trace_sink_ = nullptr;

@@ -77,15 +77,17 @@ struct DeltaDirt {
 
 /// One MultiClusterScheduling fixed-point run (Figure 5).  `base` enables
 /// the incremental machinery against a recorded previous run (nullptr =
-/// cold); `capture` records this run as the next base (nullptr = don't).
-/// With both null this is exactly the plain algorithm.
+/// cold); `capture` records this run as the next base (nullptr = don't);
+/// `elide` enables the final-iteration elision.  With both null and no
+/// elision this is exactly the plain algorithm.
 ///
 /// `constraints` is taken by value: the loop mutates its process_release
 /// entries as worst-case ETC->TTC deliveries feed back.
 McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
                   SystemConfig& config, sched::ScheduleConstraints constraints,
                   const McsOptions& options, AnalysisWorkspace& workspace,
-                  const McsBase* base, McsBase* capture, const DeltaDirt& dirt) {
+                  const McsBase* base, McsBase* capture, const DeltaDirt& dirt,
+                  bool elide) {
   McsResult result;
   DeltaStats& stats = workspace.delta_stats();
   std::vector<AnalysisWorkspace::TraceRecord>* sink = workspace.trace_sink();
@@ -191,13 +193,15 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     // With unchanged constraints the next iteration re-runs list_schedule
     // on identical inputs and the analysis on an identical configuration:
     // a deterministic replay of this iteration that is guaranteed to hit
-    // the fixed-point exit.  Elide it (recording-enabled modes only, so
-    // DeltaMode::Off preserves the historical iteration count exactly).
-    if (capture != nullptr && !constraints_changed &&
-        iter + 1 < options.max_iterations) {
+    // the fixed-point exit.  Elide it, reporting the iteration count the
+    // plain loop would reach.  Exact in every mode; DeltaMode::Off and the
+    // Check oracle still run it, so the seed path stays untouched.
+    if (elide && !constraints_changed && iter + 1 < options.max_iterations) {
       result.iterations = iter + 2;
       result.converged = result.analysis.converged;
-      capture->iter_record.push_back(capture->iter_record.back());
+      if (capture != nullptr) {
+        capture->iter_record.push_back(capture->iter_record.back());
+      }
       ++stats.elided_iterations;
       break;
     }
@@ -246,12 +250,25 @@ McsResult multi_cluster_scheduling(const model::Application& app,
   }
 
   const DeltaMode mode = workspace.delta_mode();
+  const bool first_run = workspace.mark_mcs_run();
   if (mode == DeltaMode::Off) {
     return mcs_run(app, platform, config, std::move(constraints), options,
-                   workspace, nullptr, nullptr, DeltaDirt{});
+                   workspace, nullptr, nullptr, DeltaDirt{}, /*elide=*/false);
   }
 
   DeltaStats& stats = workspace.delta_stats();
+
+  // A workspace's first run has no base to replay, and recording it only
+  // pays if a later run replays it.  A one-shot workspace (a validation
+  // job's single SF evaluation) never runs again, so the first run
+  // records nothing; a search's second run is then a cold run that
+  // captures, and replay starts from its third.
+  if (mode == DeltaMode::On && first_run) {
+    ++stats.full_runs;
+    return mcs_run(app, platform, config, std::move(constraints), options,
+                   workspace, nullptr, nullptr, DeltaDirt{}, /*elide=*/true);
+  }
+
   McsBase& base = workspace.mcs_base();
 
   // Delta eligibility: only a change of the analysis options or the
@@ -315,7 +332,8 @@ McsResult multi_cluster_scheduling(const model::Application& app,
   if (mode == DeltaMode::On) {
     McsResult result =
         mcs_run(app, platform, config, std::move(constraints), options,
-                workspace, eligible ? &base : nullptr, &capture, dirt);
+                workspace, eligible ? &base : nullptr, &capture, dirt,
+                /*elide=*/true);
     capture.valid = true;
     workspace.commit_mcs_capture();
     return result;
@@ -329,14 +347,15 @@ McsResult multi_cluster_scheduling(const model::Application& app,
   SystemConfig scratch_config = config;
   McsResult delta_result =
       mcs_run(app, platform, scratch_config, constraints, options, workspace,
-              eligible ? &base : nullptr, &capture, dirt);
+              eligible ? &base : nullptr, &capture, dirt, /*elide=*/true);
   capture.valid = true;
   workspace.commit_mcs_capture();
 
   std::vector<AnalysisWorkspace::TraceRecord>* sink = workspace.trace_sink();
   workspace.set_trace_sink(nullptr);
   McsResult cold = mcs_run(app, platform, config, std::move(constraints),
-                           options, workspace, nullptr, nullptr, DeltaDirt{});
+                           options, workspace, nullptr, nullptr, DeltaDirt{},
+                           /*elide=*/false);
   workspace.set_trace_sink(sink);
 
   ++stats.checked;

@@ -80,10 +80,9 @@ void Application::set_local_deadline(ProcessId p, Time deadline) {
 
 Time Application::hyper_period() const {
   if (graphs_.empty()) throw std::logic_error("hyper_period: empty application");
-  std::vector<Time> periods;
-  periods.reserve(graphs_.size());
-  for (const auto& g : graphs_) periods.push_back(g.period);
-  return util::hyper_period(periods);
+  Time h = 1;
+  for (const auto& g : graphs_) h = util::lcm64(h, g.period);
+  return h;
 }
 
 }  // namespace mcs::model

@@ -1,49 +1,34 @@
 #include "mcs/model/process_graph.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace mcs::model {
 
-namespace {
-
-/// Local in-degree map restricted to one graph.  Duplicate arcs (a message
-/// plus an explicit dependency between the same pair) are counted as-is;
-/// Kahn's algorithm handles multiplicities naturally.
-std::unordered_map<ProcessId, std::size_t> in_degrees(const Application& app, GraphId g) {
-  std::unordered_map<ProcessId, std::size_t> deg;
-  for (const ProcessId p : app.graph(g).processes) {
-    deg[p] = app.process(p).predecessors.size();
-  }
-  return deg;
-}
-
-}  // namespace
-
 std::vector<ProcessId> topological_order(const Application& app, GraphId g) {
-  auto deg = in_degrees(app, g);
-  std::deque<ProcessId> ready;
-  for (const auto& [p, d] : deg) {
-    if (d == 0) ready.push_back(p);
-  }
-  // Deterministic order regardless of hash iteration.
-  std::sort(ready.begin(), ready.end());
-
+  const std::span<const Process> procs = app.processes();
+  const std::vector<ProcessId>& members = app.graph(g).processes;
+  // In-degrees per ProcessId (only this graph's entries are read).
+  // Duplicate arcs (a message plus an explicit dependency between the same
+  // pair) are counted as-is; Kahn's algorithm handles multiplicities.
+  std::vector<std::uint32_t> deg(procs.size(), 0);
   std::vector<ProcessId> order;
-  order.reserve(deg.size());
-  while (!ready.empty()) {
-    const ProcessId p = ready.front();
-    ready.pop_front();
-    order.push_back(p);
-    for (const ProcessId s : app.process(p).successors) {
-      auto it = deg.find(s);
-      if (it == deg.end()) continue;  // defensive: successor outside graph
-      if (--it->second == 0) ready.push_back(s);
+  order.reserve(members.size());
+  for (const ProcessId p : members) {
+    deg[p.index()] =
+        static_cast<std::uint32_t>(procs[p.index()].predecessors.size());
+    if (deg[p.index()] == 0) order.push_back(p);
+  }
+  // Sources in ascending id order, then FIFO: `order` doubles as the queue.
+  std::sort(order.begin(), order.end());
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const ProcessId s : procs[order[head].index()].successors) {
+      if (procs[s.index()].graph != g) continue;  // defensive: outside graph
+      if (--deg[s.index()] == 0) order.push_back(s);
     }
   }
-  if (order.size() != app.graph(g).processes.size()) {
+  if (order.size() != members.size()) {
     throw std::invalid_argument("topological_order: graph has a cycle");
   }
   return order;
@@ -66,34 +51,35 @@ std::vector<ProcessId> sinks(const Application& app, GraphId g) {
 }
 
 std::vector<Time> longest_path_to(const Application& app, GraphId g) {
-  const auto order = topological_order(app, g);
-  std::unordered_map<ProcessId, Time> dist;
-  for (const ProcessId p : order) {
+  const std::span<const Process> procs = app.processes();
+  std::vector<Time> dist(procs.size(), 0);  // per ProcessId
+  for (const ProcessId p : topological_order(app, g)) {
     Time best = 0;
-    for (const ProcessId pred : app.process(p).predecessors) {
-      best = std::max(best, dist.at(pred));
+    for (const ProcessId pred : procs[p.index()].predecessors) {
+      best = std::max(best, dist[pred.index()]);
     }
-    dist[p] = best + app.process(p).wcet;
+    dist[p.index()] = best + procs[p.index()].wcet;
   }
   std::vector<Time> out;
-  out.reserve(order.size());
-  for (const ProcessId p : app.graph(g).processes) out.push_back(dist.at(p));
+  out.reserve(app.graph(g).processes.size());
+  for (const ProcessId p : app.graph(g).processes) out.push_back(dist[p.index()]);
   return out;
 }
 
 std::vector<Time> longest_path_from(const Application& app, GraphId g) {
-  auto order = topological_order(app, g);
-  std::unordered_map<ProcessId, Time> dist;
+  const std::span<const Process> procs = app.processes();
+  const auto order = topological_order(app, g);
+  std::vector<Time> dist(procs.size(), 0);  // per ProcessId
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Time best = 0;
-    for (const ProcessId s : app.process(*it).successors) {
-      best = std::max(best, dist.at(s));
+    for (const ProcessId s : procs[it->index()].successors) {
+      best = std::max(best, dist[s.index()]);
     }
-    dist[*it] = best + app.process(*it).wcet;
+    dist[it->index()] = best + procs[it->index()].wcet;
   }
   std::vector<Time> out;
   out.reserve(order.size());
-  for (const ProcessId p : app.graph(g).processes) out.push_back(dist.at(p));
+  for (const ProcessId p : app.graph(g).processes) out.push_back(dist[p.index()]);
   return out;
 }
 

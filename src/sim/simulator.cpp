@@ -631,35 +631,39 @@ std::size_t check_bounds(const Application& app,
                          const core::AnalysisResult& analysis,
                          SimResult& result) {
   std::size_t added = 0;
-  const auto check = [&](std::string activity, std::int64_t simulated,
-                         std::int64_t bound) {
+  // `label` builds the activity name; it runs only for a violation, so a
+  // sound run concatenates no strings.
+  const auto check = [&](std::int64_t simulated, std::int64_t bound,
+                         const auto& label) {
     if (simulated > bound) {
-      result.bound_violations.push_back(
-          BoundViolation{std::move(activity), simulated, bound});
+      result.bound_violations.push_back(BoundViolation{label(), simulated, bound});
       ++added;
     }
   };
 
   for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    check("process " + app.processes()[pi].name, result.process_completion[pi],
-          util::sat_add(analysis.process_offsets[pi],
-                        analysis.process_response[pi]));
+    check(result.process_completion[pi],
+          util::sat_add(analysis.process_offsets[pi], analysis.process_response[pi]),
+          [&] { return "process " + app.processes()[pi].name; });
   }
   for (std::size_t mi = 0; mi < app.num_messages(); ++mi) {
-    check("message " + app.messages()[mi].name, result.message_delivery[mi],
-          analysis.message_delivery[mi]);
+    check(result.message_delivery[mi], analysis.message_delivery[mi],
+          [&] { return "message " + app.messages()[mi].name; });
   }
   for (std::size_t gi = 0; gi < app.num_graphs(); ++gi) {
-    check("graph " + app.graphs()[gi].name, result.graph_response[gi],
-          analysis.graph_response[gi]);
+    check(result.graph_response[gi], analysis.graph_response[gi],
+          [&] { return "graph " + app.graphs()[gi].name; });
   }
-  check("buffer OutCAN", result.max_out_can, analysis.buffers.out_can);
-  check("buffer OutTTP", result.max_out_ttp, analysis.buffers.out_ttp);
+  check(result.max_out_can, analysis.buffers.out_can,
+        [] { return std::string("buffer OutCAN"); });
+  check(result.max_out_ttp, analysis.buffers.out_ttp,
+        [] { return std::string("buffer OutTTP"); });
   for (const auto& [node, bytes] : result.max_out_node) {
     const auto it = analysis.buffers.out_node.find(node);
     const std::int64_t bound =
         it == analysis.buffers.out_node.end() ? 0 : it->second;
-    check("buffer OutN" + std::to_string(node.index()), bytes, bound);
+    check(bytes, bound,
+          [n = node.index()] { return "buffer OutN" + std::to_string(n); });
   }
   return added;
 }

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -216,6 +217,62 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
                          paper_eval.mcs.analysis.message_delivery[m.index()];
   }
   EXPECT_TRUE(delivery_moved);
+}
+
+// The first-run rule: a DeltaMode::On workspace records nothing on its
+// first MultiClusterScheduling run (a one-shot workspace never replays),
+// captures on its second, and replays from its third.  Each run must equal
+// the seed path (DeltaMode::Off) bit for bit, published offsets included.
+TEST(DeltaFirstRun, FirstRunSkipsCaptureSecondCapturesThirdReplays) {
+  std::vector<gen::GeneratedSystem> systems;
+  systems.push_back(gen::generate(gen::tiny_suite(1).front().params));
+  systems.push_back(gen::generate(gen::validation_suite(1).front().params));
+  systems.push_back(gen::generate(gen::figure9c_suite(1).front().params));
+  for (std::size_t i = 0; i < systems.size(); ++i) {
+    SCOPED_TRACE("system " + std::to_string(i));
+    const model::Application& app = systems[i].app;
+    const arch::Platform& platform = systems[i].platform;
+    Candidate candidate = Candidate::initial(app, platform);
+    const HopaResult dm = initial_deadline_monotonic(app, platform);
+    candidate.process_priorities = dm.process_priorities;
+    candidate.message_priorities = dm.message_priorities;
+
+    AnalysisWorkspace off(app, platform);
+    off.set_delta_mode(DeltaMode::Off);
+    SystemConfig off_config = candidate.to_config(app);
+    const McsResult expected = multi_cluster_scheduling(
+        app, platform, off_config, candidate.pins, McsOptions{}, off);
+
+    AnalysisWorkspace ws(app, platform);
+    ws.set_delta_mode(DeltaMode::On);
+    const auto run = [&](int n) {
+      SCOPED_TRACE("run " + std::to_string(n));
+      SystemConfig config = candidate.to_config(app);
+      const McsResult result = multi_cluster_scheduling(
+          app, platform, config, candidate.pins, McsOptions{}, ws);
+      std::string why;
+      EXPECT_TRUE(bit_identical(result, expected, &why)) << why;
+      EXPECT_EQ(result.iterations, expected.iterations);
+      EXPECT_EQ(config.process_offsets(), off_config.process_offsets());
+      EXPECT_EQ(config.message_offsets(), off_config.message_offsets());
+    };
+
+    run(1);
+    EXPECT_FALSE(ws.mcs_base().valid);
+    EXPECT_EQ(ws.delta_stats().full_runs, 1u);
+    EXPECT_EQ(ws.delta_stats().delta_runs, 0u);
+
+    run(2);
+    EXPECT_TRUE(ws.mcs_base().valid);
+    EXPECT_EQ(ws.delta_stats().full_runs, 2u);
+    EXPECT_EQ(ws.delta_stats().delta_runs, 0u);
+
+    run(3);
+    EXPECT_EQ(ws.delta_stats().full_runs, 2u);
+    EXPECT_EQ(ws.delta_stats().delta_runs, 1u);
+    EXPECT_EQ(ws.delta_stats().fallbacks, 0u);
+    EXPECT_GT(ws.delta_stats().components_skipped, 0u);
+  }
 }
 
 // End-to-end: the real optimizers under Check mode.  SA stresses the
