@@ -197,7 +197,6 @@ void AnalysisWorkspace::build() {
   packed_scratch_.d.resize(max_pool);
   packed_scratch_.prio.resize(max_pool);
   packed_scratch_.mask.resize(max_pool);
-  packed_scratch_.vis.resize(max_pool);
   packed_scratch_.cand_a.resize(max_pool);
   packed_scratch_.cand_period.resize(max_pool);
   packed_scratch_.cand_cost.resize(max_pool);
@@ -224,42 +223,27 @@ void AnalysisWorkspace::build() {
     can_cand_cache_.blk_len.resize(n);
   }
 
-  // Intra-run fixed-point skip bookkeeping: per-process last-seen pass-2
-  // inputs and output-change flags, per-pool validity (see the pass-2
-  // kernel; invalidated at the start of every analysis run).
-  const std::size_t np = app.num_processes();
-  intra_o_.resize(np);
-  intra_e_.resize(np);
-  intra_j_.resize(np);
-  intra_r_.resize(np);
-  intra_flags_.resize(np);
-  intra_pool_valid_.resize(proc_pools_.size());
-  const std::size_t nm = app.num_messages();
-  intra_m_o_.resize(nm);
-  intra_m_e_.resize(nm);
-  intra_m_j_.resize(nm);
-  intra_m_w_.resize(nm);
-  intra_m_d_.resize(nm);
-  intra_m_r_.resize(nm);
-  intra_m_flags_.resize(nm);
-  intra_t_o_.resize(nm);
-  intra_t_e_.resize(nm);
-  intra_t_j_.resize(nm);
-  intra_t_w_.resize(nm);
-  intra_t_r_.resize(nm);
-  intra_t_d_.resize(nm);
-  intra_t_i_.resize(nm);
-  intra_t_wait_.resize(nm);
+  // Component memos of the intra-run skip rule, sized for the fields each
+  // component reads and writes: a pool's o/e/j/w/r, the bus's o/e/j/w/d/r,
+  // the drain's o/e/j/w/r/d/ttp_wait/i.
+  pool_memos_.resize(proc_pools_.size());
+  for (std::size_t pi = 0; pi < proc_pools_.size(); ++pi) {
+    pool_memos_[pi].seen.resize(5 * proc_pools_[pi].pids.size());
+  }
+  can_memo_.seen.resize(6 * can_messages_.size());
+  ttp_memo_.seen.resize(8 * et_to_tt_.size());
 
   // Pass-1 per-graph activity (propagate skip) plus the member -> graph
   // maps the passes use to re-arm a graph when they change its state.
   p1_active_.assign(app.num_graphs(), std::uint8_t{1});
+  const std::size_t np = app.num_processes();
   proc_graph_.resize(np);
   for (std::size_t i = 0; i < np; ++i) {
     proc_graph_[i] = static_cast<std::uint32_t>(
         app.process(ProcessId(static_cast<ProcessId::underlying_type>(i)))
             .graph.index());
   }
+  const std::size_t nm = app.num_messages();
   msg_graph_.resize(nm);
   for (std::size_t i = 0; i < nm; ++i) {
     msg_graph_[i] = static_cast<std::uint32_t>(

@@ -25,7 +25,8 @@
 //
 // The workspace additionally owns the fixed-point State buffers (13
 // vectors over processes/messages) which are RESET, not reallocated, on
-// every analysis call, and scratch vectors for the buffer-bound pass.
+// every analysis call, the packed kernel's scratch arrays, and one
+// intra-run skip memo per pass component (DESIGN.md §2).
 //
 // Delta analysis (DESIGN.md §2): when `delta_mode()` is On, the
 // MultiClusterScheduling overload taking a workspace records the exact
@@ -84,7 +85,7 @@ struct DeltaStats {
   std::uint64_t components_recomputed = 0;
   std::uint64_t cand_cache_hits = 0;      ///< candidate lists reused as-is
   std::uint64_t cand_cache_rebuilds = 0;  ///< kernel calls that (re)built lists
-  std::uint64_t intra_skips = 0;          ///< members at a confirmed fixed point
+  std::uint64_t intra_skips = 0;          ///< members of components skipped intra-run
   std::uint64_t p1_graph_skips = 0;       ///< pass-1 sweeps elided for quiescent graphs
 };
 
@@ -205,10 +206,6 @@ public:
     std::vector<util::Time> o, e, j, w, r, d;
     std::vector<Priority> prio;
     std::vector<std::uint8_t> mask;  ///< pass-2 recompute mask (1 = recompute)
-    /// Pool-local "visibly changed since the previous pass" flags of the
-    /// intra-run fixed-point skip (inputs changed this pass, or outputs
-    /// changed during the previous pass).
-    std::vector<std::uint8_t> vis;
     /// Per-member compacted interference candidates.  The pruning
     /// predicates and each candidate's phase/span never read the member's
     /// iterated w (its own window anchors are hoisted), so the kernel
@@ -224,76 +221,39 @@ public:
               r.capacity() + d.capacity() + cand_a.capacity() +
               cand_period.capacity() + cand_cost.capacity()) *
                  sizeof(util::Time) +
-             prio.capacity() * sizeof(Priority) + mask.capacity() +
-             vis.capacity();
+             prio.capacity() * sizeof(Priority) + mask.capacity();
     }
   };
   [[nodiscard]] PackedScratch& packed_scratch() noexcept { return packed_scratch_; }
 
-  // --- intra-run fixed-point skip bookkeeping (packed pass-2 kernel) ----
-  // Per-process values {o,e,j,r} as last seen by pass 2 within the current
-  // analysis run, plus a flags byte (bit0 = outputs changed during the
-  // previous pass, bit1 = outputs changed during the current pass).  A
-  // member whose own inputs and whole candidate read set are unchanged
-  // since the previous pass is already at its fixed point: recomputing
-  // would evaluate the ceiling-sum once, observe next <= w, and keep w —
-  // so the kernel skips the gather entirely.  Valid per pool only after
-  // the packed kernel has run a full bookkeeping pass in this analysis run.
-  [[nodiscard]] std::vector<util::Time>& intra_o() noexcept { return intra_o_; }
-  [[nodiscard]] std::vector<util::Time>& intra_e() noexcept { return intra_e_; }
-  [[nodiscard]] std::vector<util::Time>& intra_j() noexcept { return intra_j_; }
-  [[nodiscard]] std::vector<util::Time>& intra_r() noexcept { return intra_r_; }
-  [[nodiscard]] std::vector<std::uint8_t>& intra_flags() noexcept {
-    return intra_flags_;
+  // --- intra-run fixed-point skip rule (packed kernel) ------------------
+  /// Memo of one pass component (an ETC node pool, the CAN bus or the
+  /// OutTTP drain).  A component is a deterministic function of some State
+  /// fields of its members plus per-run constants, so when its last run in
+  /// this analysis run changed none of those fields and diverged nowhere,
+  /// a rerun on the same values is a no-op and the pass driver skips it.
+  struct ComponentMemo {
+    std::vector<util::Time> seen;  ///< fields after the last run, field-major
+    bool quiet = false;            ///< that run changed nothing, diverged nowhere
+
+    [[nodiscard]] std::size_t footprint_bytes() const noexcept {
+      return seen.capacity() * sizeof(util::Time);
+    }
+  };
+  [[nodiscard]] ComponentMemo& pool_memo(std::size_t pool) noexcept {
+    return pool_memos_[pool];
   }
-  [[nodiscard]] std::uint8_t& intra_pool_valid(std::size_t pool) noexcept {
-    return intra_pool_valid_[pool];
-  }
-  // Same bookkeeping for the CAN pool (pass 3): per-message last-seen
-  // values — w/d/r are legitimate entry inputs there (w seeds the
-  // recurrence, d feeds the window predicates of every reader, r is
-  // raised by pass 1 and feeds the member's own d raise).
-  [[nodiscard]] std::vector<util::Time>& intra_m_o() noexcept { return intra_m_o_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_e() noexcept { return intra_m_e_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_j() noexcept { return intra_m_j_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_w() noexcept { return intra_m_w_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_d() noexcept { return intra_m_d_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_r() noexcept { return intra_m_r_; }
-  [[nodiscard]] std::vector<std::uint8_t>& intra_m_flags() noexcept {
-    return intra_m_flags_;
-  }
-  [[nodiscard]] std::uint8_t& intra_can_valid() noexcept {
-    return intra_can_valid_;
-  }
-  // Intra-run quiescence bookkeeping for the pass-4 FIFO drain: last-seen
-  // values of every field the drain reads or writes.  The interference
-  // predicate only examines OTHER ET->TT members, so the read set is
-  // confined to the ET->TT member fields themselves — if none of them
-  // moved since the previous drain of this run, and that drain changed
-  // nothing and attempted no over-cap raise, re-running it is a no-op.
-  [[nodiscard]] std::vector<util::Time>& intra_t_o() noexcept { return intra_t_o_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_e() noexcept { return intra_t_e_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_j() noexcept { return intra_t_j_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_w() noexcept { return intra_t_w_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_r() noexcept { return intra_t_r_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_d() noexcept { return intra_t_d_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_i() noexcept { return intra_t_i_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_wait() noexcept {
-    return intra_t_wait_;
-  }
-  /// bit0: the stored values are from this run; bit1: the last drain was
-  /// change-free and divergence-free (both required to skip).
-  [[nodiscard]] std::uint8_t& intra_ttp_state() noexcept {
-    return intra_ttp_state_;
-  }
+  [[nodiscard]] ComponentMemo& can_memo() noexcept { return can_memo_; }
+  [[nodiscard]] ComponentMemo& ttp_memo() noexcept { return ttp_memo_; }
 
   // Per-graph pass-1 activity bytes: propagate sweeps a graph only while
   // its byte is set.  The byte clears when a sweep fires no raise and no
   // divergence attempt (such a sweep is provably a no-op next pass: every
   // write is either an idempotent schedule-constant assign or a raise
   // whose target is a deterministic function of the sweep-order state,
-  // and the model forbids cross-graph arcs), and re-arms whenever passes
-  // 2-4 change any value of a member of the graph.
+  // and the model forbids cross-graph arcs), and re-arms whenever a pass-2
+  // or pass-3 writeback changes a member's w, r or d (pass 4 writes no
+  // pass-1 input).
   [[nodiscard]] std::vector<std::uint8_t>& p1_active() noexcept {
     return p1_active_;
   }
@@ -304,12 +264,11 @@ public:
   [[nodiscard]] const std::vector<std::uint32_t>& msg_graph() const noexcept {
     return msg_graph_;
   }
-  /// Invalidates all per-pool intra-run bookkeeping (start of every run).
+  /// Forgets every component memo and re-arms every graph (run start).
   void reset_intra() noexcept {
-    std::fill(intra_pool_valid_.begin(), intra_pool_valid_.end(),
-              std::uint8_t{0});
-    intra_can_valid_ = 0;
-    intra_ttp_state_ = 0;
+    for (ComponentMemo& memo : pool_memos_) memo.quiet = false;
+    can_memo_.quiet = false;
+    ttp_memo_.quiet = false;
     std::fill(p1_active_.begin(), p1_active_.end(), std::uint8_t{1});
   }
 
@@ -346,11 +305,14 @@ public:
     return can_cand_cache_;
   }
 
-  /// Scratch + candidate-cache heap footprint (memory-stability tests).
+  /// Scratch, candidate-cache and component-memo heap footprint
+  /// (memory-stability tests).
   [[nodiscard]] std::size_t scratch_footprint_bytes() const noexcept {
     std::size_t total = packed_scratch_.footprint_bytes();
     for (const CandidateCache& c : proc_cand_cache_) total += c.footprint_bytes();
-    return total + can_cand_cache_.footprint_bytes();
+    for (const ComponentMemo& m : pool_memos_) total += m.footprint_bytes();
+    return total + can_cand_cache_.footprint_bytes() +
+           can_memo_.footprint_bytes() + ttp_memo_.footprint_bytes();
   }
 
   // --- reusable fixed-point state -------------------------------------
@@ -449,11 +411,6 @@ public:
   [[nodiscard]] bool mark_mcs_run() noexcept {
     return !std::exchange(mcs_ran_, true);
   }
-  /// Drops the recorded base (the next delta-mode run falls back to cold).
-  void invalidate_mcs_base() noexcept {
-    mcs_base_.valid = false;
-    mcs_capture_.valid = false;
-  }
 
   /// Pass-2 dirtiness scratch (per ProcessId; internal to the analysis).
   [[nodiscard]] std::vector<std::uint8_t>& prio_changed_scratch() noexcept {
@@ -521,16 +478,9 @@ private:
   std::vector<CandidateCache> proc_cand_cache_;
   CandidateCache can_cand_cache_;
 
-  std::vector<util::Time> intra_o_, intra_e_, intra_j_, intra_r_;
-  std::vector<std::uint8_t> intra_flags_;
-  std::vector<std::uint8_t> intra_pool_valid_;
-  std::vector<util::Time> intra_m_o_, intra_m_e_, intra_m_j_, intra_m_w_,
-      intra_m_d_, intra_m_r_;
-  std::vector<std::uint8_t> intra_m_flags_;
-  std::uint8_t intra_can_valid_ = 0;
-  std::vector<util::Time> intra_t_o_, intra_t_e_, intra_t_j_, intra_t_w_,
-      intra_t_r_, intra_t_d_, intra_t_i_, intra_t_wait_;
-  std::uint8_t intra_ttp_state_ = 0;
+  std::vector<ComponentMemo> pool_memos_;
+  ComponentMemo can_memo_;
+  ComponentMemo ttp_memo_;
   std::vector<std::uint8_t> p1_active_;
   std::vector<std::uint32_t> proc_graph_, msg_graph_;
 

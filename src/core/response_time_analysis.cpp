@@ -1,8 +1,8 @@
 #include "mcs/core/response_time_analysis.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -511,23 +511,6 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
   cc.valid = true;
 }
 
-/// An intra-run skip must reproduce the divergence count of the recompute
-/// it elides, so a member only skips when that recompute would clamp
-/// nothing: its recurrence starts below the cap (so a fixed point is
-/// confirmed, not clamped) and its response raise stays within the cap.
-/// Pass 2 raises r to J + w.
-[[nodiscard]] bool proc_skip_clamp_free(const Ctx& ctx, Time j, Time w) {
-  return w != ctx.cap && j + w <= ctx.cap;
-}
-
-/// CAN pass: r is raised to J + w + C and, except for ET->TT messages
-/// (whose d the OutTTP drain owns), d to O + r.  At a confirmed fixed
-/// point r already covers J + w + C, so O + r is the d raise target.
-[[nodiscard]] bool can_skip_clamp_free(const Ctx& ctx, Time o, Time j, Time w,
-                                       Time r, Time tx, bool et_to_tt) {
-  return w != ctx.cap && j + w + tx <= ctx.cap && (et_to_tt || o + r <= ctx.cap);
-}
-
 /// Appends interferer j to member x's compact candidate arrays.  The
 /// carry-in term of interfering_activations never reads the iterated w,
 /// so it is summed once into `carry`; the rest of the term is stored as
@@ -577,44 +560,14 @@ void push_candidate(AnalysisWorkspace::PackedScratch& ps, std::size_t& m,
 /// byte, and the window anchors of the CURRENT member hoisted out of the
 /// recurrence (its own o/e/j/w/r only change after its recurrence
 /// finishes).  The candidate scan starts from the cached
-/// priority-compacted list, members at a confirmed intra-run fixed point
-/// are skipped, and the recurrence is ceiling_sum_fixed_point over the
-/// surviving candidates.  Splitting off the carry-in only regroups an
-/// exact integer sum, so the result is bit-identical to the Reference
-/// kernel (enforced by soa_layout_test).
+/// priority-compacted list and the recurrence is ceiling_sum_fixed_point
+/// over the surviving candidates.  Splitting off the carry-in only
+/// regroups an exact integer sum, so the result is bit-identical to the
+/// Reference kernel (enforced by soa_layout_test).
 void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
                        std::size_t pool_index, const std::uint8_t* mask,
                        const PassSnapshot* snap, PassSnapshot* cap) {
   const std::size_t n = pool.pids.size();
-  constexpr std::uint8_t kOutPrev = 1, kOutCur = 2;
-  // Whole-pool fast path: when every member's pass-1 inputs are unchanged
-  // since the previous pass of this run, no member's outputs changed
-  // during that pass (kOutPrev clear pool-wide), and no member sits at
-  // the divergence cap, then every member takes the per-member skip below
-  // — all read sets live inside the pool — so the scratch fill, cache
-  // refresh, and writeback are no-ops and the whole body can be elided.
-  // Flags need no rolling: all-quiet implies they are already zero.
-  // Priorities cannot have changed mid-run (they are per-candidate
-  // constants), so the candidate cache is untouched and still valid.
-  if (ctx.ws.intra_pool_valid(pool_index) != 0) {
-    const std::uint8_t* intra = ctx.ws.intra_flags().data();
-    const Time* ipo = ctx.ws.intra_o().data();
-    const Time* ipe = ctx.ws.intra_e().data();
-    const Time* ipj = ctx.ws.intra_j().data();
-    const Time* ipr = ctx.ws.intra_r().data();
-    bool all_quiet = true;
-    for (std::size_t x = 0; x < n && all_quiet; ++x) {
-      const std::size_t pi = pool.pids[x].index();
-      all_quiet = s.o_p[pi] == ipo[pi] && s.e_p[pi] == ipe[pi] &&
-                  s.j_p[pi] == ipj[pi] && s.r_p[pi] == ipr[pi] &&
-                  intra[pi] == 0 &&
-                  proc_skip_clamp_free(ctx, s.j_p[pi], s.w_p[pi]);
-    }
-    if (all_quiet) {
-      ctx.ws.delta_stats().intra_skips += n;
-      return;
-    }
-  }
   AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
@@ -640,65 +593,14 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
     }
     cc.len[x] = len;
   });
-  // Intra-run fixed-point skip: a member whose own pass-1 inputs {o,e,j}
-  // are unchanged since the previous pass of THIS run, whose outputs did
-  // not change during the previous pass (the window-prune predicate reads
-  // the member's own w), and whose whole candidate read set is likewise
-  // quiescent, is already at its fixed point — recomputing would evaluate
-  // the ceiling-sum once with identical inputs, observe next <= w, and
-  // keep w with zero new divergences (proc_skip_clamp_free, checked).
-  // `vis[x]` = inputs changed this pass OR outputs changed last pass;
-  // kCur marks outputs changed DURING this pass, set before any later
-  // pool-order member consults it, mirroring the Gauss-Seidel order of a
-  // full recompute.
-  std::uint8_t* intra = ctx.ws.intra_flags().data();
-  Time* ipo = ctx.ws.intra_o().data();
-  Time* ipe = ctx.ws.intra_e().data();
-  Time* ipj = ctx.ws.intra_j().data();
-  Time* ipr = ctx.ws.intra_r().data();
-  std::uint8_t& pool_valid = ctx.ws.intra_pool_valid(pool_index);
-  const bool intra_ok = pool_valid != 0;
-  std::vector<std::uint8_t>& vis = ps.vis;
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    // r is both raised by pass 1 (jitter propagation) and read by the
-    // window-prune predicate of every reader, so it counts as an input.
-    const bool in_changed = !intra_ok || ps.o[x] != ipo[pi] ||
-                            ps.e[x] != ipe[pi] || ps.j[x] != ipj[pi] ||
-                            ps.r[x] != ipr[pi];
-    vis[x] = (in_changed || (intra[pi] & kOutPrev) != 0) ? 1 : 0;
-  }
-  // A member's candidate list is exactly the higher-priority pool members
-  // (the class filter only annotates entries), so "some candidate is
-  // dirty" collapses to one compare against the minimum priority seen
-  // among dirty members — pre-pass dirty (vis) plus, Gauss-Seidel style,
-  // members whose outputs changed earlier in THIS sweep (kOutCur).
-  Priority min_changed = std::numeric_limits<Priority>::max();
-  for (std::size_t x = 0; x < n; ++x) {
-    if (vis[x] != 0) min_changed = std::min(min_changed, ps.prio[x]);
-  }
-  DeltaStats& dstats = ctx.ws.delta_stats();
   const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
     if (mask != nullptr && mask[x] == 0) {
       raise(ctx, ps.w[x], snap->end.w_p[pi]);
       raise(ctx, ps.r[x], snap->end.r_p[pi]);
-      if (ps.w[x] != s.w_p[pi] || ps.r[x] != s.r_p[pi]) {
-        intra[pi] |= kOutCur;
-        min_changed = std::min(min_changed, ps.prio[x]);
-      }
       ctx.diverged += snap->p2_div[pi];
       if (cap != nullptr) cap->p2_div[pi] = snap->p2_div[pi];
-      continue;
-    }
-    if (intra_ok && vis[x] == 0 && proc_skip_clamp_free(ctx, ps.j[x], ps.w[x]) &&
-        min_changed >= ps.prio[x]) {
-      // No dirty candidate (all candidates have strictly lower priority
-      // values), own inputs and outputs quiet: cap->p2_div[pi] stays 0
-      // (pre-assigned), matching the zero divergences a confirming
-      // recompute would record.
-      ++dstats.intra_skips;
       continue;
     }
     const int div_before = ctx.diverged;
@@ -728,10 +630,6 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
                                            std::max(ps.w[x], c_i));
     raise(ctx, ps.w[x], w);
     raise(ctx, ps.r[x], j_x + ps.w[x]);
-    if (ps.w[x] != s.w_p[pi] || ps.r[x] != s.r_p[pi]) {
-      intra[pi] |= kOutCur;
-      min_changed = std::min(min_changed, ps.prio[x]);
-    }
     if (cap != nullptr) {
       cap->p2_div[pi] = static_cast<std::int32_t>(ctx.diverged - div_before);
     }
@@ -740,22 +638,63 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
   const std::uint32_t* proc_graph = ctx.ws.proc_graph().data();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
+    if (ps.w[x] == s.w_p[pi] && ps.r[x] == s.r_p[pi]) continue;
     s.w_p[pi] = ps.w[x];
     s.r_p[pi] = ps.r[x];
-    // Roll the intra-run bookkeeping: this pass's inputs become the
-    // baseline, this pass's output-change bit becomes next pass's.
-    ipo[pi] = ps.o[x];
-    ipe[pi] = ps.e[x];
-    ipj[pi] = ps.j[x];
-    ipr[pi] = ps.r[x];
-    if ((intra[pi] & kOutCur) != 0) {
-      p1_active[proc_graph[pi]] = 1;  // re-arm pass 1 for this graph
-      intra[pi] = kOutPrev;
-    } else {
-      intra[pi] = 0;
+    p1_active[proc_graph[pi]] = 1;  // re-arm pass 1 for this graph
+  }
+}
+
+/// ---- Intra-run skip rule (DESIGN.md §2) ------------------------------
+///
+/// A pass component — an ETC node pool (pass 2), the CAN bus (pass 3) or
+/// the OutTTP drain (pass 4) — is a deterministic function of a few State
+/// fields of its members plus per-run constants (priorities, the TDMA
+/// calendar, the cap).  Its memo holds those fields as the component's
+/// last run in this analysis run left them, and whether that run changed
+/// none of them and diverged nowhere.  A no-op on identical values stays a
+/// no-op, so the driver skips the component when the memo is quiet and
+/// every field still matches.  The memo compares values, so a delta replay
+/// of the component in between needs no invalidation.  Only the Packed
+/// kernel skips; the Reference oracle runs everything.
+template <std::size_t F>
+using MemoFields = std::array<const std::vector<Time>*, F>;
+
+/// Stores the members' current field values in the memo; true when they
+/// all equal what it held before.
+template <std::size_t F, typename Id>
+bool memo_update(AnalysisWorkspace::ComponentMemo& memo, const MemoFields<F>& fields,
+                 const std::vector<Id>& ids) {
+  const std::size_t n = ids.size();
+  bool same = true;
+  for (std::size_t f = 0; f < F; ++f) {
+    const Time* value = fields[f]->data();
+    Time* seen = memo.seen.data() + f * n;
+    for (std::size_t x = 0; x < n; ++x) {
+      const Time v = value[ids[x].index()];
+      same = same && seen[x] == v;
+      seen[x] = v;
     }
   }
-  pool_valid = 1;
+  return same;
+}
+
+/// Runs one component (`run`, over members `ids`) under the skip rule.
+template <std::size_t F, typename Id, typename Run>
+void run_component(Ctx& ctx, AnalysisWorkspace::ComponentMemo& memo,
+                   const MemoFields<F>& fields, const std::vector<Id>& ids,
+                   const Run& run) {
+  if (ctx.opt.kernel == AnalysisKernel::Reference) {
+    run();
+    return;
+  }
+  if (memo_update(memo, fields, ids) && memo.quiet) {
+    ctx.ws.delta_stats().intra_skips += ids.size();
+    return;
+  }
+  const int div_before = ctx.diverged;
+  run();
+  memo.quiet = memo_update(memo, fields, ids) && ctx.diverged == div_before;
 }
 
 /// Pass-2 driver: per pool, computes the recompute mask from the base
@@ -821,19 +760,21 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       }
     }
     if (!any_dirty) {
-      // Whole pool clean: replay without gathering.  The intra-run skip
-      // bookkeeping was not maintained, so it cannot be trusted next pass.
-      ctx.ws.intra_pool_valid(pool_index) = 0;
+      // Whole pool clean: replay without gathering.
       for (std::size_t x = 0; x < n; ++x) {
         replay_pass2_member(ctx, s, pool.pids[x].index(), *snap, cap);
       }
       continue;
     }
-    if (ctx.opt.kernel != AnalysisKernel::Reference) {
-      pass2_pool_packed(ctx, s, pool, pool_index, mask, snap, cap);
-    } else {
-      pass2_pool_reference(ctx, s, pool, mask, snap, cap);
-    }
+    run_component(ctx, ctx.ws.pool_memo(pool_index),
+                  MemoFields<5>{&s.o_p, &s.e_p, &s.j_p, &s.w_p, &s.r_p},
+                  pool.pids, [&] {
+                    if (ctx.opt.kernel != AnalysisKernel::Reference) {
+                      pass2_pool_packed(ctx, s, pool, pool_index, mask, snap, cap);
+                    } else {
+                      pass2_pool_reference(ctx, s, pool, mask, snap, cap);
+                    }
+                  });
   }
 }
 
@@ -879,39 +820,12 @@ void can_message_recurrences(Ctx& ctx, State& s) {
 }
 
 /// Packed CAN kernel: the pass-2 treatment (gathered scratch, hoisted
-/// window anchors, intra-run skips, the same ceiling-sum) with cached
-/// candidate AND blocking lists, both keyed on the message priority
-/// vector and resolved through the precomputed pair-class matrices.
+/// window anchors, the same ceiling-sum) with cached candidate AND
+/// blocking lists, both keyed on the message priority vector and resolved
+/// through the precomputed pair-class matrices.
 void can_recurrences_packed(Ctx& ctx, State& s) {
   const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
   const std::size_t n = cp.mids.size();
-  constexpr std::uint8_t kOutPrev = 1, kOutCur = 2;
-  // Whole-bus fast path, mirroring pass2_pool_packed: all read sets (hp
-  // interference + lp blocking lists) live inside the bus pool, so a
-  // fully quiet pool skips every member and the body can be elided.
-  if (ctx.ws.intra_can_valid() != 0) {
-    const std::uint8_t* intra = ctx.ws.intra_m_flags().data();
-    const Time* imo = ctx.ws.intra_m_o().data();
-    const Time* ime = ctx.ws.intra_m_e().data();
-    const Time* imj = ctx.ws.intra_m_j().data();
-    const Time* imw = ctx.ws.intra_m_w().data();
-    const Time* imd = ctx.ws.intra_m_d().data();
-    const Time* imr = ctx.ws.intra_m_r().data();
-    bool all_quiet = true;
-    for (std::size_t x = 0; x < n && all_quiet; ++x) {
-      const std::size_t mi = cp.mids[x].index();
-      all_quiet = s.o_m[mi] == imo[mi] && s.e_m[mi] == ime[mi] &&
-                  s.j_m[mi] == imj[mi] && s.w_m[mi] == imw[mi] &&
-                  s.d_m[mi] == imd[mi] && s.r_m[mi] == imr[mi] &&
-                  intra[mi] == 0 &&
-                  can_skip_clamp_free(ctx, s.o_m[mi], s.j_m[mi], s.w_m[mi],
-                                      s.r_m[mi], cp.tx[x], cp.is_et_to_tt[x] != 0);
-    }
-    if (all_quiet) {
-      ctx.ws.delta_stats().intra_skips += n;
-      return;
-    }
-  }
   AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t mi = cp.mids[x].index();
@@ -919,6 +833,7 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
     ps.e[x] = s.e_m[mi];
     ps.j[x] = s.j_m[mi];
     ps.w[x] = s.w_m[mi];
+    ps.r[x] = s.r_m[mi];
     ps.d[x] = s.d_m[mi];
     ps.prio[x] = ctx.cfg.message_priority(cp.mids[x]);
   }
@@ -947,55 +862,11 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
     cc.len[x] = len;
     cc.blk_len[x] = blen;
   });
-  // Intra-run fixed-point skip, mirroring pass 2: a message whose own
-  // entry values {o,e,j,w,d,r} are unchanged since the previous pass of
-  // this run and whose whole read set — hp interference candidates
-  // ({o,e,j,w,d}) AND lp blocking candidates ({e,d}) — is quiescent is
-  // already at its fixed point; recomputing would confirm next <= w with
-  // zero divergences (can_skip_clamp_free) and every raise would be a
-  // no-op.  r counts as an input because pass 1 raises it (sender r_p
-  // propagation) and the member's own d raise reads it.
-  std::uint8_t* intra = ctx.ws.intra_m_flags().data();
-  Time* imo = ctx.ws.intra_m_o().data();
-  Time* ime = ctx.ws.intra_m_e().data();
-  Time* imj = ctx.ws.intra_m_j().data();
-  Time* imw = ctx.ws.intra_m_w().data();
-  Time* imd = ctx.ws.intra_m_d().data();
-  Time* imr = ctx.ws.intra_m_r().data();
-  std::uint8_t& can_valid = ctx.ws.intra_can_valid();
-  const bool intra_ok = can_valid != 0;
-  std::vector<std::uint8_t>& vis = ps.vis;
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t mi = cp.mids[x].index();
-    const bool in_changed = !intra_ok || ps.o[x] != imo[mi] ||
-                            ps.e[x] != ime[mi] || ps.j[x] != imj[mi] ||
-                            ps.w[x] != imw[mi] || ps.d[x] != imd[mi] ||
-                            s.r_m[mi] != imr[mi];
-    vis[x] = (in_changed || (intra[mi] & kOutPrev) != 0) ? 1 : 0;
-  }
-  // The interference and blocking lists PARTITION the other bus members
-  // (every k != x lands in one of them; the class bytes only annotate),
-  // so "some candidate of x is dirty" collapses to "some member other
-  // than x is dirty".  One running count replaces both O(n) scans: vis
-  // members are counted up front, and a member whose outputs first
-  // change mid-sweep (kOutCur, Gauss-Seidel order) joins when it does —
-  // only if it was not already vis-counted.
-  std::size_t num_dirty = 0;
-  for (std::size_t x = 0; x < n; ++x) num_dirty += vis[x];
-  DeltaStats& dstats = ctx.ws.delta_stats();
   const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
-    if (intra_ok && vis[x] == 0 && num_dirty == 0 &&
-        can_skip_clamp_free(ctx, ps.o[x], ps.j[x], ps.w[x],
-                            s.r_m[cp.mids[x].index()], cp.tx[x],
-                            cp.is_et_to_tt[x] != 0)) {
-      ++dstats.intra_skips;
-      continue;
-    }
     const Time latest_x = ps.o[x] + ps.j[x] + ps.w[x] + cp.tx[x];
     const Time arrival_x = ps.o[x] + ps.j[x];
     const Time j_x = ps.j[x];
-    const Time r_before = s.r_m[cp.mids[x].index()];
     Time blocking = 0;
     {
       const std::uint32_t* blk = cc.blk_list.data() + x * n;
@@ -1035,37 +906,23 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
     const Time w =
         ceiling_sum_fixed_point(ctx, ps, m, blocking + carry_total, ps.w[x]);
     raise(ctx, ps.w[x], w);
-    const std::size_t mi = cp.mids[x].index();
-    raise(ctx, s.r_m[mi], ps.j[x] + ps.w[x] + cp.tx[x]);
+    raise(ctx, ps.r[x], ps.j[x] + ps.w[x] + cp.tx[x]);
     if (cp.is_et_to_tt[x] == 0) {
-      raise(ctx, ps.d[x], ps.o[x] + s.r_m[mi]);
-    }
-    if (ps.w[x] != s.w_m[mi] || ps.d[x] != s.d_m[mi] ||
-        s.r_m[mi] != r_before) {
-      intra[mi] |= kOutCur;
-      if (vis[x] == 0) ++num_dirty;  // not yet counted by the vis scan
+      raise(ctx, ps.d[x], ps.o[x] + ps.r[x]);
     }
   }
   std::uint8_t* p1_active = ctx.ws.p1_active().data();
   const std::uint32_t* msg_graph = ctx.ws.msg_graph().data();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t mi = cp.mids[x].index();
-    s.w_m[mi] = ps.w[x];
-    s.d_m[mi] = ps.d[x];
-    imo[mi] = ps.o[x];
-    ime[mi] = ps.e[x];
-    imj[mi] = ps.j[x];
-    imw[mi] = ps.w[x];
-    imd[mi] = ps.d[x];
-    imr[mi] = s.r_m[mi];
-    if ((intra[mi] & kOutCur) != 0) {
-      p1_active[msg_graph[mi]] = 1;  // re-arm pass 1 for this graph
-      intra[mi] = kOutPrev;
-    } else {
-      intra[mi] = 0;
+    if (ps.w[x] == s.w_m[mi] && ps.r[x] == s.r_m[mi] && ps.d[x] == s.d_m[mi]) {
+      continue;
     }
+    s.w_m[mi] = ps.w[x];
+    s.r_m[mi] = ps.r[x];
+    s.d_m[mi] = ps.d[x];
+    p1_active[msg_graph[mi]] = 1;  // re-arm pass 1 for this graph
   }
-  can_valid = 1;
 }
 
 /// Pass-3 driver: the CAN bus is one component — the lp blocking term
@@ -1101,8 +958,6 @@ void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
     }
   }
   if (!dirty) {
-    // Replay bypasses the kernel's intra-run bookkeeping.
-    ctx.ws.intra_can_valid() = 0;
     std::uint8_t* p1_active = ctx.ws.p1_active().data();
     const std::uint32_t* msg_graph = ctx.ws.msg_graph().data();
     for (std::size_t x = 0; x < n; ++x) {
@@ -1126,11 +981,15 @@ void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
     return;
   }
   const int div_before = ctx.diverged;
-  if (ctx.opt.kernel != AnalysisKernel::Reference) {
-    can_recurrences_packed(ctx, s);
-  } else {
-    can_message_recurrences(ctx, s);
-  }
+  run_component(ctx, ctx.ws.can_memo(),
+                MemoFields<6>{&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.d_m, &s.r_m},
+                ctx.can_messages, [&] {
+                  if (ctx.opt.kernel != AnalysisKernel::Reference) {
+                    can_recurrences_packed(ctx, s);
+                  } else {
+                    can_message_recurrences(ctx, s);
+                  }
+                });
   if (cap != nullptr) {
     cap->can_div = static_cast<std::int32_t>(ctx.diverged - div_before);
   }
@@ -1241,8 +1100,6 @@ void pass4(Ctx& ctx, State& s, bool calendar_dirty, const PassSnapshot* snap,
     }
   }
   if (!dirty) {
-    // Replay bypasses the drain's intra-run bookkeeping.
-    ctx.ws.intra_ttp_state() = 0;
     for (const MessageId mid : ctx.et_to_tt) {
       const std::size_t mi = mid.index();
       // i_m / ttp_wait are direct-assigned by the drain; d / r are raised.
@@ -1255,67 +1112,11 @@ void pass4(Ctx& ctx, State& s, bool calendar_dirty, const PassSnapshot* snap,
     if (cap != nullptr) cap->ttp_div = snap->ttp_div;
     return;
   }
-  // Intra-run quiescence skip (Packed kernel only, like the pass-2/3 skips):
-  // the drain reads and writes only the ET->TT members' own fields, so if
-  // all eight are unchanged since the previous drain of this run and that
-  // drain was change- and divergence-free, re-running it is a no-op.
   const int div_before = ctx.diverged;
-  const bool track = ctx.opt.kernel != AnalysisKernel::Reference;
-  AnalysisWorkspace& ws = ctx.ws;
-  if (track && ws.intra_ttp_state() == 3) {
-    bool quiet = true;
-    for (const MessageId mid : ctx.et_to_tt) {
-      const std::size_t mi = mid.index();
-      if (s.o_m[mi] != ws.intra_t_o()[mi] || s.e_m[mi] != ws.intra_t_e()[mi] ||
-          s.j_m[mi] != ws.intra_t_j()[mi] || s.w_m[mi] != ws.intra_t_w()[mi] ||
-          s.r_m[mi] != ws.intra_t_r()[mi] || s.d_m[mi] != ws.intra_t_d()[mi] ||
-          s.i_m[mi] != ws.intra_t_i()[mi] ||
-          s.ttp_wait[mi] != ws.intra_t_wait()[mi]) {
-        quiet = false;
-        break;
-      }
-    }
-    if (quiet) {
-      // cap->ttp_div stays pre-zeroed: a confirming drain diverges nowhere.
-      ws.delta_stats().intra_skips += ctx.et_to_tt.size();
-      return;
-    }
-  }
-  if (track) {
-    for (const MessageId mid : ctx.et_to_tt) {
-      const std::size_t mi = mid.index();
-      ws.intra_t_o()[mi] = s.o_m[mi];
-      ws.intra_t_e()[mi] = s.e_m[mi];
-      ws.intra_t_j()[mi] = s.j_m[mi];
-      ws.intra_t_w()[mi] = s.w_m[mi];
-      ws.intra_t_r()[mi] = s.r_m[mi];
-      ws.intra_t_d()[mi] = s.d_m[mi];
-      ws.intra_t_i()[mi] = s.i_m[mi];
-      ws.intra_t_wait()[mi] = s.ttp_wait[mi];
-    }
-  }
-  out_ttp_drain(ctx, s);
-  if (track) {
-    bool quiet = ctx.diverged == div_before;
-    for (const MessageId mid : ctx.et_to_tt) {
-      if (!quiet) break;
-      const std::size_t mi = mid.index();
-      quiet = s.r_m[mi] == ws.intra_t_r()[mi] &&
-              s.d_m[mi] == ws.intra_t_d()[mi] &&
-              s.i_m[mi] == ws.intra_t_i()[mi] &&
-              s.ttp_wait[mi] == ws.intra_t_wait()[mi];
-    }
-    if (!quiet) {
-      for (const MessageId mid : ctx.et_to_tt) {
-        const std::size_t mi = mid.index();
-        ws.intra_t_r()[mi] = s.r_m[mi];
-        ws.intra_t_d()[mi] = s.d_m[mi];
-        ws.intra_t_i()[mi] = s.i_m[mi];
-        ws.intra_t_wait()[mi] = s.ttp_wait[mi];
-      }
-    }
-    ws.intra_ttp_state() = quiet ? 3 : 1;
-  }
+  run_component(ctx, ctx.ws.ttp_memo(),
+                MemoFields<8>{&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.r_m, &s.d_m,
+                              &s.ttp_wait, &s.i_m},
+                ctx.et_to_tt, [&] { out_ttp_drain(ctx, s); });
   if (cap != nullptr) {
     cap->ttp_div = static_cast<std::int32_t>(ctx.diverged - div_before);
   }

@@ -42,7 +42,6 @@ public:
 
   // --- beta ----------------------------------------------------------
   [[nodiscard]] const arch::TdmaRound& tdma() const noexcept { return tdma_; }
-  void set_tdma(arch::TdmaRound round) { tdma_ = std::move(round); }
 
   // --- pi ------------------------------------------------------------
   [[nodiscard]] Priority process_priority(ProcessId p) const {

@@ -151,8 +151,7 @@ JournalWriter::JournalWriter(int fd, std::filesystem::path path)
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       path_(std::move(other.path_)),
-      appends_since_sync_(other.appends_since_sync_),
-      sync_every_(other.sync_every_) {}
+      appends_since_sync_(other.appends_since_sync_) {}
 
 JournalWriter::~JournalWriter() {
   if (fd_ >= 0) {
@@ -216,7 +215,7 @@ void JournalWriter::append(std::string_view payload) {
   // One write(2) per record: a kill can tear at most the final record,
   // which parse_journal drops as the torn tail.
   write_all(fd_, record, "append '" + path_.string() + "'");
-  if (++appends_since_sync_ >= sync_every_) {
+  if (++appends_since_sync_ >= kSyncEvery) {
     if (::fsync(fd_) != 0) throw_errno("fsync '" + path_.string() + "'");
     appends_since_sync_ = 0;
   }

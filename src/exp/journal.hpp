@@ -24,8 +24,8 @@
 // simply re-run).  Anything wrong *before* the tail (bad magic, bad header
 // checksum, mid-file corruption) is a real integrity failure and throws.
 // Appends are written with a single write(2) call each and fsync'd every
-// `sync_every` records, so at most one record is torn by a process kill
-// and at most a batch is lost to a machine crash.
+// `JournalWriter::kSyncEvery` records, so at most one record is torn by a
+// process kill and at most a batch is lost to a machine crash.
 #pragma once
 
 #include <cstdint>
@@ -97,8 +97,13 @@ public:
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
 
+  /// Records per fsync batch.  Campaign jobs cost seconds each, so a sync
+  /// per append would be cheap there; the batch keeps the journal overhead
+  /// unmeasurable for sub-millisecond validation jobs.
+  static constexpr std::size_t kSyncEvery = 16;
+
   /// Appends one checksummed record (single write(2) call; fsync every
-  /// `sync_every()` appends).  Throws JournalError on I/O failure.
+  /// kSyncEvery appends).  Throws JournalError on I/O failure.
   void append(std::string_view payload);
 
   /// Forces an fsync of everything appended so far.
@@ -109,12 +114,6 @@ public:
 
   [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
 
-  /// Records per fsync batch (1 = every append).  Campaign jobs cost
-  /// seconds each, so even 1 is cheap; the batch default keeps the
-  /// journal overhead unmeasurable for sub-millisecond validation jobs.
-  [[nodiscard]] std::size_t sync_every() const noexcept { return sync_every_; }
-  void set_sync_every(std::size_t n) noexcept { sync_every_ = n == 0 ? 1 : n; }
-
 private:
   JournalWriter(int fd, std::filesystem::path path);
 
@@ -122,7 +121,6 @@ private:
   std::filesystem::path path_;
   std::mutex mutex_;
   std::size_t appends_since_sync_ = 0;
-  std::size_t sync_every_ = 16;
 };
 
 /// Builder for record payloads: fixed-width little-endian scalars and

@@ -292,15 +292,18 @@ GeneratedSystem generate(const GeneratorParams& p) {
   const Time deadline = std::max<Time>(
       1, static_cast<Time>(static_cast<double>(p.period) * p.deadline_factor));
   std::vector<util::GraphId> graphs;
+  // Names use append() rather than "G" + ...: GCC 12 reports a false
+  // -Wrestrict overlap on operator+(const char*, std::string&&).
   for (std::size_t g = 0; g < bp.num_graphs; ++g) {
-    graphs.push_back(
-        out.app.add_graph("G" + std::to_string(g), p.period, deadline));
+    graphs.push_back(out.app.add_graph(std::string("G").append(std::to_string(g)),
+                                       p.period, deadline));
   }
   std::vector<ProcessId> procs;
   procs.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
     procs.push_back(out.app.add_process(graphs[bp.graph_of[i]],
-                                        "P" + std::to_string(i), bp.node[i],
+                                        std::string("P").append(std::to_string(i)),
+                                        bp.node[i],
                                         bp.wcet[i]));
   }
   for (const Edge& e : bp.edges) {

@@ -9,8 +9,9 @@ PaperExample make_paper_example() {
   arch::TtpBusParams ttp{/*time_per_byte=*/1, /*frame_overhead=*/0};
   arch::CanBusParams can = arch::CanBusParams::linear(/*base=*/10, /*per_byte=*/0);
 
+  // Every member is listed: the ids are assigned below.
   PaperExample ex{arch::Platform(ttp, can), model::Application{},
-                  {}, {}, {}, {}, {}, {}, {}, {}, {}};
+                  {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}};
   ex.n1 = ex.platform.add_tt_node("N1");
   ex.n2 = ex.platform.add_et_node("N2");
   ex.ng = ex.platform.add_gateway("NG");

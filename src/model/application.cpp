@@ -46,7 +46,9 @@ MessageId Application::add_message(ProcessId src, ProcessId dst,
     throw std::invalid_argument("add_message: processes belong to different graphs");
   }
   const MessageId id(static_cast<MessageId::underlying_type>(messages_.size()));
-  if (name.empty()) name = "m" + std::to_string(id.value());
+  // append() rather than "m" + ...: GCC 12 reports a false -Wrestrict
+  // overlap on operator+(const char*, std::string&&).
+  if (name.empty()) name = std::string("m").append(std::to_string(id.value()));
   messages_.push_back(Message{std::move(name), s.graph, src, dst, size_bytes});
   s.successors.push_back(dst);
   s.out_messages.push_back(id);

@@ -1,7 +1,8 @@
 // The structure-of-arrays recurrence kernel (AnalysisKernel::Packed) is a
 // pure evaluation-order optimization: gathered pool state, precomputed
-// interference-pair classes, cached candidate lists, intra-run skips and
-// in-place Gauss-Seidel on the scratch arrays.  It must be bit-identical to the original scalar code — kept as
+// interference-pair classes, cached candidate lists, the intra-run skip
+// rule and in-place Gauss-Seidel on the scratch arrays.  It must be
+// bit-identical to the original scalar code — kept as
 // AnalysisKernel::Reference — on every system, fresh or through a reused
 // workspace, and they must not perturb a single optimizer decision: the
 // SF/OS/OR/SA/HOPA trajectories (accept/reject sequences, final genotype)
@@ -202,15 +203,24 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
         EXPECT_EQ(cfg_p.process_offsets(), cfg_r.process_offsets());
         EXPECT_EQ(cfg_p.message_offsets(), cfg_r.message_offsets());
       }
+      // Every identity above would also hold if no component ever skipped,
+      // so require the intra-run skip rule to fire on Packed wherever there
+      // is a pool or a bus to skip, and never on the Reference oracle.
+      if (!ws_packed.proc_pools().empty() || !ws_packed.can_pool().mids.empty()) {
+        EXPECT_GT(ws_packed.delta_stats().intra_skips, 0u)
+            << "delta mode " << static_cast<int>(mode);
+      }
+      EXPECT_EQ(ws_reference.delta_stats().intra_skips, 0u);
     }
   }
 }
 
-// PackedScratch + candidate-cache memory behavior: one workspace driven
-// across a cross-suite walk (paper example, tiny suite, generated small
-// systems; every move kind) must reach its high-water scratch capacity in
-// the first round and never grow again — and the reused scratch must stay
-// bit-identical to a fresh workspace on every single evaluation.
+// PackedScratch, candidate-cache and component-memo memory behavior: one
+// workspace driven across a cross-suite walk (paper example, tiny suite,
+// generated small systems; every move kind) must reach its high-water
+// scratch capacity in the first round and never grow again — and the
+// reused scratch must stay bit-identical to a fresh workspace on every
+// single evaluation.
 TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
   struct SystemUnderTest {
     model::Application app;

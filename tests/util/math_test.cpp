@@ -15,8 +15,8 @@ TEST(Math, CeilDiv) {
   EXPECT_EQ(ceil_div(5, 5), 1);
   EXPECT_EQ(ceil_div(6, 5), 2);
   EXPECT_EQ(ceil_div(-3, 5), 0);  // clamped: analyses use non-negative loads
-  EXPECT_THROW(ceil_div(1, 0), std::invalid_argument);
-  EXPECT_THROW(ceil_div(1, -2), std::invalid_argument);
+  EXPECT_THROW((void)ceil_div(1, 0), std::invalid_argument);
+  EXPECT_THROW((void)ceil_div(1, -2), std::invalid_argument);
 }
 
 TEST(Math, FloorMod) {
@@ -24,16 +24,16 @@ TEST(Math, FloorMod) {
   EXPECT_EQ(floor_mod(-7, 5), 3);
   EXPECT_EQ(floor_mod(0, 5), 0);
   EXPECT_EQ(floor_mod(-5, 5), 0);
-  EXPECT_THROW(floor_mod(1, 0), std::invalid_argument);
+  EXPECT_THROW((void)floor_mod(1, 0), std::invalid_argument);
 }
 
 TEST(Math, Lcm) {
   EXPECT_EQ(lcm64(4, 6), 12);
   EXPECT_EQ(lcm64(7, 13), 91);
   EXPECT_EQ(lcm64(10, 10), 10);
-  EXPECT_THROW(lcm64(0, 3), std::invalid_argument);
-  EXPECT_THROW(lcm64(-4, 3), std::invalid_argument);
-  EXPECT_THROW(lcm64(kTimeInfinity - 1, kTimeInfinity - 2), std::overflow_error);
+  EXPECT_THROW((void)lcm64(0, 3), std::invalid_argument);
+  EXPECT_THROW((void)lcm64(-4, 3), std::invalid_argument);
+  EXPECT_THROW((void)lcm64(kTimeInfinity - 1, kTimeInfinity - 2), std::overflow_error);
 }
 
 TEST(Math, HyperPeriod) {
@@ -41,7 +41,7 @@ TEST(Math, HyperPeriod) {
   EXPECT_EQ(hyper_period(periods), 60);
   const std::array<Time, 1> single{240};
   EXPECT_EQ(hyper_period(single), 240);
-  EXPECT_THROW(hyper_period(std::span<const Time>{}), std::invalid_argument);
+  EXPECT_THROW((void)hyper_period(std::span<const Time>{}), std::invalid_argument);
 }
 
 TEST(Math, SatMul) {
