@@ -42,7 +42,7 @@ enum class TtpQueueModel {
 enum class AnalysisKernel {
   /// Structure-of-arrays kernel: per-pool state gathered into contiguous
   /// parallel arrays with precomputed interference-pair classes, cached
-  /// candidate lists and intra-run fixed-point skips (see DESIGN.md §2).
+  /// candidate lists and intra-run record replays (see DESIGN.md §2).
   Packed,
   /// The original scalar reference implementation, kept as the oracle
   /// baseline for differential tests.
@@ -70,8 +70,8 @@ struct AnalysisOptions {
   /// in AnalysisResult::diverged_activities.
 };
 
-/// Field-wise equality; the delta-eligibility gate (a cached trajectory
-/// recorded under different options must never be reused).
+/// Field-wise equality; keys the component-record generation (a record
+/// written under different options must never replay).
 [[nodiscard]] constexpr bool same_options(const AnalysisOptions& a,
                                           const AnalysisOptions& b) noexcept {
   return a.offset_pruning == b.offset_pruning &&

@@ -196,11 +196,10 @@ void AnalysisWorkspace::build() {
   packed_scratch_.r.resize(max_pool);
   packed_scratch_.d.resize(max_pool);
   packed_scratch_.prio.resize(max_pool);
-  packed_scratch_.mask.resize(max_pool);
+  packed_scratch_.key.resize(std::max(max_pool, kTtpKey));
   packed_scratch_.cand_a.resize(max_pool);
   packed_scratch_.cand_period.resize(max_pool);
   packed_scratch_.cand_cost.resize(max_pool);
-  prio_changed_scratch_.resize(app.num_processes());
 
   // Candidate-list caches: sized for their pools up front so the steady
   // state never allocates; built lazily by the kernels (valid = false).
@@ -223,15 +222,17 @@ void AnalysisWorkspace::build() {
     can_cand_cache_.blk_len.resize(n);
   }
 
-  // Component memos of the intra-run skip rule, sized for the fields each
-  // component reads and writes: a pool's o/e/j/w/r, the bus's o/e/j/w/d/r,
-  // the drain's o/e/j/w/r/d/ttp_wait/i.
-  pool_memos_.resize(proc_pools_.size());
-  for (std::size_t pi = 0; pi < proc_pools_.size(); ++pi) {
-    pool_memos_[pi].seen.resize(5 * proc_pools_[pi].pids.size());
+  // Component record offsets inside a (MCS iteration, pass) slot.
+  std::size_t offset = 0;
+  for (const ProcPool& pool : proc_pools_) {
+    record_layout_.pool.push_back(offset);
+    offset += record_size(pool.pids.size(), pool.pids.size(), kPoolEntry, kPoolLeft);
   }
-  can_memo_.seen.resize(6 * can_messages_.size());
-  ttp_memo_.seen.resize(8 * et_to_tt_.size());
+  record_layout_.can = offset;
+  offset += record_size(can_messages_.size(), can_messages_.size(), kCanEntry, kCanLeft);
+  record_layout_.ttp = offset;
+  offset += record_size(et_to_tt_.size(), kTtpKey, kTtpEntry, kTtpLeft);
+  record_layout_.slot_size = offset;
 
   // Pass-1 per-graph activity (propagate skip) plus the member -> graph
   // maps the passes use to re-arm a graph when they change its state.
@@ -257,6 +258,32 @@ const std::vector<Time>& AnalysisWorkspace::critical_path() {
     critical_path_ = sched::critical_path_priorities(*app_);
   }
   return critical_path_;
+}
+
+Time* AnalysisWorkspace::record_slot(std::size_t iteration, std::size_t pass) {
+  const std::size_t index =
+      iteration * kMaxStoredPasses + std::min(pass, kMaxStoredPasses - 1);
+  if (record_slots_.size() <= index) record_slots_.resize(index + 1);
+  std::vector<Time>& slot = record_slots_[index];
+  if (slot.empty()) slot.assign(record_layout_.slot_size, 0);
+  return slot.data();
+}
+
+std::size_t AnalysisWorkspace::record_bytes() const noexcept {
+  std::size_t bytes = record_slots_.capacity() * sizeof(std::vector<Time>) +
+                      schedule_records_.capacity() * sizeof(ScheduleRecord);
+  for (const std::vector<Time>& slot : record_slots_) {
+    bytes += slot.capacity() * sizeof(Time);
+  }
+  for (const ScheduleRecord& r : schedule_records_) {
+    bytes += r.slots.capacity() * sizeof(arch::Slot) +
+             (r.pins.capacity() + r.release.capacity() +
+              r.schedule.process_start.capacity()) *
+                 sizeof(Time) +
+             r.schedule.message_slot.capacity() *
+                 sizeof(r.schedule.message_slot[0]);
+  }
+  return bytes;
 }
 
 AnalysisWorkspace::State& AnalysisWorkspace::reset_state() {

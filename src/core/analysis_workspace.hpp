@@ -18,25 +18,26 @@
 //     (WCETs/periods/frame times packed contiguously, plus precomputed
 //     interference-pair classes so the inner loops never chase the
 //     reachability index),
-//   * trajectory storage for the incremental (delta) re-analysis.
+//   * the layout of the pass-component records.
 //
 // The critical-path priorities list scheduling orders TT processes by are
 // computed on the first MultiClusterScheduling run and kept for the rest.
 //
 // The workspace additionally owns the fixed-point State buffers (13
 // vectors over processes/messages) which are RESET, not reallocated, on
-// every analysis call, the packed kernel's scratch arrays, and one
-// intra-run skip memo per pass component (DESIGN.md §2).
+// every analysis call, the packed kernel's scratch arrays, and the
+// component records (DESIGN.md §2 "Component records").
 //
-// Delta analysis (DESIGN.md §2): when `delta_mode()` is On, the
-// MultiClusterScheduling overload taking a workspace records the exact
-// per-pass trajectory of each run after the workspace's first (a one-shot
-// workspace never replays) and, on the next run, recomputes only
-// the components (ETC node pools, the CAN bus, the OutTTP drain) whose
-// pass inputs differ from the recorded base — everything else replays the
-// stored values.  The replay is a faithful memoization, not a warm
-// start, so results are bit-identical to a cold run by construction.
-// Mode Check runs delta AND cold and throws on any difference.
+// Component records: every (MCS iteration, pass, component) coordinate
+// holds one record of the component's entry (the State fields and
+// per-run constants it reads) and the fields it left.  A component is a
+// pure function of its entry, so a record whose entry matches replays
+// exactly, whichever run or pass wrote it.  The analysis replays the
+// record an earlier run left at the same coordinate when `delta_mode()`
+// is On (cross-run replay), otherwise the one this run left at the
+// previous pass (intra-run skip, Packed kernel only), and otherwise runs
+// the component and writes its record.  Mode Check runs the replaying
+// leg AND a cold leg and throws on any difference.
 //
 // Ownership contract (DESIGN.md §4): a workspace is SINGLE-THREADED by
 // design — one search loop, one workspace, owned by exactly one thread
@@ -51,8 +52,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "mcs/arch/ttp.hpp"
@@ -63,9 +62,10 @@
 namespace mcs::core {
 
 /// Incremental-evaluation policy of the MultiClusterScheduling overload
-/// that reuses a workspace.  Off = always cold (the seed behavior); On =
-/// trajectory-replay delta with automatic fallback; Check = run delta and
-/// cold, compare bitwise, throw std::logic_error on any mismatch.
+/// that reuses a workspace.  Off = no cross-run replay (the seed
+/// behavior); On = replay the records earlier runs left; Check = run the
+/// replaying leg and a cold leg, compare bitwise, throw std::logic_error
+/// on any mismatch.
 enum class DeltaMode { Off, On, Check };
 
 /// Resolves the mode from the environment: MCS_DELTA_CHECK=1 selects
@@ -74,18 +74,18 @@ enum class DeltaMode { Off, On, Check };
 
 /// Counters of the incremental-evaluation machinery (per workspace).
 struct DeltaStats {
-  std::uint64_t full_runs = 0;      ///< cold MCS runs (no base, or a fallback)
-  std::uint64_t delta_runs = 0;     ///< trajectory-replay MCS runs
-  std::uint64_t fallbacks = 0;      ///< cold runs over a valid base (options moved)
+  std::uint64_t full_runs = 0;      ///< MCS runs without cross-run replay
+  std::uint64_t delta_runs = 0;     ///< MCS runs with cross-run replay enabled
+  std::uint64_t fallbacks = 0;      ///< record generation bumps (options moved)
   std::uint64_t checked = 0;        ///< Check-mode comparisons performed
   std::uint64_t mismatches = 0;     ///< Check-mode divergences detected
-  std::uint64_t schedule_memo_hits = 0;   ///< list_schedule calls skipped
+  std::uint64_t schedule_memo_hits = 0;   ///< schedule records replayed
   std::uint64_t elided_iterations = 0;    ///< provably-redundant MCS iterations
-  std::uint64_t components_skipped = 0;   ///< pass components replayed from base
-  std::uint64_t components_recomputed = 0;
+  std::uint64_t components_skipped = 0;   ///< cross-run record replays
+  std::uint64_t components_recomputed = 0;  ///< components run where replay applied
   std::uint64_t cand_cache_hits = 0;      ///< candidate lists reused as-is
   std::uint64_t cand_cache_rebuilds = 0;  ///< kernel calls that (re)built lists
-  std::uint64_t intra_skips = 0;          ///< members of components skipped intra-run
+  std::uint64_t intra_skips = 0;          ///< members of intra-run record replays
   std::uint64_t p1_graph_skips = 0;       ///< pass-1 sweeps elided for quiescent graphs
 };
 
@@ -205,7 +205,7 @@ public:
   struct PackedScratch {
     std::vector<util::Time> o, e, j, w, r, d;
     std::vector<Priority> prio;
-    std::vector<std::uint8_t> mask;  ///< pass-2 recompute mask (1 = recompute)
+    std::vector<util::Time> key;  ///< a component's record key (run_component)
     /// Per-member compacted interference candidates.  The pruning
     /// predicates and each candidate's phase/span never read the member's
     /// iterated w (its own window anchors are hoisted), so the kernel
@@ -218,33 +218,13 @@ public:
     /// memory-stability test asserts this stops growing after warmup.
     [[nodiscard]] std::size_t footprint_bytes() const noexcept {
       return (o.capacity() + e.capacity() + j.capacity() + w.capacity() +
-              r.capacity() + d.capacity() + cand_a.capacity() +
+              r.capacity() + d.capacity() + key.capacity() + cand_a.capacity() +
               cand_period.capacity() + cand_cost.capacity()) *
                  sizeof(util::Time) +
-             prio.capacity() * sizeof(Priority) + mask.capacity();
+             prio.capacity() * sizeof(Priority);
     }
   };
   [[nodiscard]] PackedScratch& packed_scratch() noexcept { return packed_scratch_; }
-
-  // --- intra-run fixed-point skip rule (packed kernel) ------------------
-  /// Memo of one pass component (an ETC node pool, the CAN bus or the
-  /// OutTTP drain).  A component is a deterministic function of some State
-  /// fields of its members plus per-run constants, so when its last run in
-  /// this analysis run changed none of those fields and diverged nowhere,
-  /// a rerun on the same values is a no-op and the pass driver skips it.
-  struct ComponentMemo {
-    std::vector<util::Time> seen;  ///< fields after the last run, field-major
-    bool quiet = false;            ///< that run changed nothing, diverged nowhere
-
-    [[nodiscard]] std::size_t footprint_bytes() const noexcept {
-      return seen.capacity() * sizeof(util::Time);
-    }
-  };
-  [[nodiscard]] ComponentMemo& pool_memo(std::size_t pool) noexcept {
-    return pool_memos_[pool];
-  }
-  [[nodiscard]] ComponentMemo& can_memo() noexcept { return can_memo_; }
-  [[nodiscard]] ComponentMemo& ttp_memo() noexcept { return ttp_memo_; }
 
   // Per-graph pass-1 activity bytes: propagate sweeps a graph only while
   // its byte is set.  The byte clears when a sweep fires no raise and no
@@ -264,11 +244,8 @@ public:
   [[nodiscard]] const std::vector<std::uint32_t>& msg_graph() const noexcept {
     return msg_graph_;
   }
-  /// Forgets every component memo and re-arms every graph (run start).
-  void reset_intra() noexcept {
-    for (ComponentMemo& memo : pool_memos_) memo.quiet = false;
-    can_memo_.quiet = false;
-    ttp_memo_.quiet = false;
+  /// Re-arms every graph (run start).
+  void arm_all_graphs() noexcept {
     std::fill(p1_active_.begin(), p1_active_.end(), std::uint8_t{1});
   }
 
@@ -305,14 +282,11 @@ public:
     return can_cand_cache_;
   }
 
-  /// Scratch, candidate-cache and component-memo heap footprint
-  /// (memory-stability tests).
+  /// Scratch and candidate-cache heap footprint (memory-stability tests).
   [[nodiscard]] std::size_t scratch_footprint_bytes() const noexcept {
     std::size_t total = packed_scratch_.footprint_bytes();
     for (const CandidateCache& c : proc_cand_cache_) total += c.footprint_bytes();
-    for (const ComponentMemo& m : pool_memos_) total += m.footprint_bytes();
-    return total + can_cand_cache_.footprint_bytes() +
-           can_memo_.footprint_bytes() + ttp_memo_.footprint_bytes();
+    return total + can_cand_cache_.footprint_bytes();
   }
 
   // --- reusable fixed-point state -------------------------------------
@@ -330,92 +304,77 @@ public:
   /// after the first call) and returns it.
   [[nodiscard]] State& reset_state();
 
-  // --- delta-analysis trajectory storage ------------------------------
-  /// Snapshot of one outer fixed-point pass: the state at the pass
-  /// boundary plus the mid-pass values the dirtiness checks need (r_p and
-  /// d_m after propagation, r_m after CAN arbitration) and the
-  /// divergence-counter increments each component contributed, so a
-  /// replayed component reproduces the diverged accounting exactly.
-  struct PassSnapshot {
-    State end;                        ///< state after pass 4
-    std::vector<util::Time> r_p_mid;  ///< r_p after pass 1
-    std::vector<util::Time> d_m_mid;  ///< d_m after pass 1
-    std::vector<util::Time> r_m_mid;  ///< r_m after pass 3
-    std::vector<std::int32_t> p2_div; ///< per-process pass-2 increments
-    std::int32_t can_div = 0;         ///< pass-3 increment
-    std::int32_t ttp_div = 0;         ///< pass-4 increment
-  };
-
-  /// Recorded trajectory of one response-time-analysis run.  `used`
-  /// passes are valid (buffers beyond it are retained capacity);
-  /// `complete` means every executed pass was captured, so the last
-  /// snapshot IS the final state (required for the buffer-bound replay).
-  struct RtaTrajectory {
-    std::vector<PassSnapshot> passes;
-    std::size_t used = 0;
-    bool complete = false;
-    BufferBounds bounds;
-    bool bounds_valid = false;
-  };
-
-  /// Trajectories longer than this are captured up to the cap; delta runs
-  /// recompute the uncovered tail (still exact, just not incremental).
-  /// Bounds memory on pathological non-converging systems.
+  // --- component records (DESIGN.md §2 "Component records") ------------
+  /// Passes at or past this index share the last record slot of their MCS
+  /// iteration, which bounds the store on slowly converging systems.
   static constexpr std::size_t kMaxStoredPasses = 24;
 
-  /// One MultiClusterScheduling iteration of the recorded base run.
-  struct McsIterRecord {
-    std::vector<util::Time> constraints_release;  ///< as fed to list_schedule
-    sched::TtcSchedule schedule;
-    RtaTrajectory traj;
-  };
+  /// Per-member State fields each component kind reads (entry) and
+  /// writes (left), and its key values; the pass drivers in
+  /// response_time_analysis.cpp list the fields in this order.
+  ///   pool:  entry o e j w r,          left w r,         key: priorities
+  ///   bus:   entry o e j w d r,        left w r d,       key: priorities
+  ///   drain: entry o e j w r d wait,   left i wait d r,  key: calendar (4)
+  static constexpr std::size_t kPoolEntry = 5, kPoolLeft = 2;
+  static constexpr std::size_t kCanEntry = 6, kCanLeft = 3;
+  static constexpr std::size_t kTtpEntry = 7, kTtpLeft = 4, kTtpKey = 4;
 
-  /// The recorded base MCS run plus the inputs later runs compare against.
-  /// Only the analysis options and the iteration cap gate eligibility: a
-  /// mismatch there forces the cold fallback (which re-captures a fresh
-  /// base).  The TDMA round keys the schedule memo and the pass-4 drain
-  /// calendar, the message pins key the memo, and priorities feed the
-  /// per-component dirtiness.  Everything else each pass compares in the
-  /// state itself.
-  struct McsBase {
-    bool valid = false;
-    // Eligibility gate.
-    AnalysisOptions analysis_options;
-    int max_iterations = 0;
-    // Compared per input.
-    std::optional<arch::TdmaRound> tdma;
-    std::vector<util::Time> pins_tx;
-    std::vector<Priority> process_priorities;
-    std::vector<Priority> message_priorities;
-    // Iteration records; iter_record maps loop index -> record index so
-    // elided iterations alias the record they replay.
-    std::vector<McsIterRecord> records;
-    std::size_t records_used = 0;
-    std::vector<std::size_t> iter_record;
+  /// Record length of a component: {generation, divergence increment,
+  /// key, entry fields, fields left}, fields stored field-major.
+  [[nodiscard]] static constexpr std::size_t record_size(std::size_t members,
+                                                         std::size_t key,
+                                                         std::size_t entry,
+                                                         std::size_t left) noexcept {
+    return 2 + key + (entry + left) * members;
+  }
+  /// Offset of each component's record inside a slot, and the slot size.
+  struct RecordLayout {
+    std::vector<std::size_t> pool;  ///< per ProcPool
+    std::size_t can = 0;
+    std::size_t ttp = 0;
+    std::size_t slot_size = 0;
   };
+  [[nodiscard]] const RecordLayout& record_layout() const noexcept {
+    return record_layout_;
+  }
+  /// The record slot of pass `pass` of MCS iteration `iteration`, allocated
+  /// zeroed (generation 0 never matches) on first use.
+  [[nodiscard]] util::Time* record_slot(std::size_t iteration, std::size_t pass);
+
+  /// The record generation of `options`: records written under other
+  /// analysis options never replay, so a change of options starts a new
+  /// generation (counted as a fallback unless it is the first run's).
+  [[nodiscard]] util::Time record_generation(const AnalysisOptions& options) noexcept {
+    if (generation_ == 0 || !same_options(options, generation_options_)) {
+      if (generation_ != 0) ++delta_stats_.fallbacks;
+      ++generation_;
+      generation_options_ = options;
+    }
+    return generation_;
+  }
+
+  /// The schedule record of one MCS iteration: list_schedule is a pure
+  /// function of the round's slots, the message pins and the release
+  /// constraints, so equal inputs replay `schedule`.
+  struct ScheduleRecord {
+    bool valid = false;
+    std::vector<arch::Slot> slots;
+    std::vector<util::Time> pins;
+    std::vector<util::Time> release;
+    sched::TtcSchedule schedule;
+  };
+  [[nodiscard]] ScheduleRecord& schedule_record(std::size_t iteration) {
+    if (schedule_records_.size() <= iteration) schedule_records_.resize(iteration + 1);
+    return schedule_records_[iteration];
+  }
+
+  /// Heap bytes of the record store: component slots plus schedule records.
+  [[nodiscard]] std::size_t record_bytes() const noexcept;
 
   [[nodiscard]] DeltaMode delta_mode() const noexcept { return delta_mode_; }
   void set_delta_mode(DeltaMode mode) noexcept { delta_mode_ = mode; }
   [[nodiscard]] DeltaStats& delta_stats() noexcept { return delta_stats_; }
   [[nodiscard]] const DeltaStats& delta_stats() const noexcept { return delta_stats_; }
-
-  /// The committed base run (internal to multi_cluster_scheduling).
-  [[nodiscard]] McsBase& mcs_base() noexcept { return mcs_base_; }
-  /// The in-progress capture (internal to multi_cluster_scheduling).
-  [[nodiscard]] McsBase& mcs_capture() noexcept { return mcs_capture_; }
-  /// Publishes the capture as the new base (a swap: the outgoing base's
-  /// buffers become the next capture's retained capacity).
-  void commit_mcs_capture() { std::swap(mcs_base_, mcs_capture_); }
-  /// Records a multi_cluster_scheduling run (any mode); true when it is
-  /// the workspace's first.  A DeltaMode::On first run captures no base.
-  [[nodiscard]] bool mark_mcs_run() noexcept {
-    return !std::exchange(mcs_ran_, true);
-  }
-
-  /// Pass-2 dirtiness scratch (per ProcessId; internal to the analysis).
-  [[nodiscard]] std::vector<std::uint8_t>& prio_changed_scratch() noexcept {
-    return prio_changed_scratch_;
-  }
 
   // --- convergence trace sink -----------------------------------------
   /// One fixed-point trace record: the FNV-1a hash of the complete State
@@ -434,8 +393,6 @@ public:
   void set_trace_sink(std::vector<TraceRecord>* sink) noexcept {
     trace_sink_ = sink;
   }
-  [[nodiscard]] int trace_iteration() const noexcept { return trace_iteration_; }
-  void set_trace_iteration(int iteration) noexcept { trace_iteration_ = iteration; }
 
   // --- observability sampling ------------------------------------------
   /// Monotonic analysis-run counter, bumped on EVERY mcs_run regardless of
@@ -478,23 +435,21 @@ private:
   std::vector<CandidateCache> proc_cand_cache_;
   CandidateCache can_cand_cache_;
 
-  std::vector<ComponentMemo> pool_memos_;
-  ComponentMemo can_memo_;
-  ComponentMemo ttp_memo_;
   std::vector<std::uint8_t> p1_active_;
   std::vector<std::uint32_t> proc_graph_, msg_graph_;
 
   State state_;
 
+  RecordLayout record_layout_;
+  std::vector<std::vector<util::Time>> record_slots_;
+  std::vector<ScheduleRecord> schedule_records_;
+  util::Time generation_ = 0;
+  AnalysisOptions generation_options_;
+
   DeltaMode delta_mode_ = DeltaMode::Off;
   DeltaStats delta_stats_;
-  McsBase mcs_base_;
-  McsBase mcs_capture_;
-  bool mcs_ran_ = false;
-  std::vector<std::uint8_t> prio_changed_scratch_;
 
   std::vector<TraceRecord>* trace_sink_ = nullptr;
-  int trace_iteration_ = -1;
 
   std::uint64_t obs_runs_ = 0;
   bool obs_sampled_ = false;

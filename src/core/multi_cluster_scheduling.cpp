@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,9 +19,6 @@ bool McsResult::schedulable(const model::Application& app) const {
 }
 
 namespace {
-
-using McsBase = AnalysisWorkspace::McsBase;
-using McsIterRecord = AnalysisWorkspace::McsIterRecord;
 
 /// FNV-1a hash of a TTC schedule (the pass -1 trace record).
 [[nodiscard]] std::uint64_t schedule_hash(const sched::TtcSchedule& ttc) {
@@ -44,50 +42,18 @@ using McsIterRecord = AnalysisWorkspace::McsIterRecord;
   return h.digest();
 }
 
-/// Whether the pass-4 drain reads the same calendar from both rounds:
-/// whether the gateway owns a slot, that slot's offset and length, and the
-/// round length.
-[[nodiscard]] bool same_drain_calendar(const arch::TdmaRound& a,
-                                       const arch::TdmaRound& b,
-                                       util::NodeId gateway) {
-  const bool owned = a.owns_slot(gateway);
-  if (a.round_length() != b.round_length() || owned != b.owns_slot(gateway)) {
-    return false;
-  }
-  if (!owned) return true;
-  const std::size_t sa = a.slot_of(gateway);
-  const std::size_t sb = b.slot_of(gateway);
-  return a.slot_offset(sa) == b.slot_offset(sb) &&
-         a.slot(sa).length == b.slot(sb).length;
-}
-
-/// Differences between the current inputs and the recorded base run's.
-/// Priorities propagate through the per-component dirtiness; the TDMA
-/// round reaches the analysis only through the TTC schedule (pass 1) and
-/// the gateway drain calendar (pass 4).
-struct DeltaDirt {
-  const std::vector<std::uint8_t>* proc = nullptr;  ///< per ProcessId
-  const std::vector<Priority>* base_proc_prio = nullptr;  ///< base run's pi
-  bool msg = false;  ///< any CAN-borne message priority differs
-  /// TDMA round and message pins equal the base's: list_schedule's inputs
-  /// then differ at most in the per-iteration release constraints.
-  bool same_round_and_tx = false;
-  bool ttp_calendar = false;  ///< the gateway drain calendar differs
-};
-
-/// One MultiClusterScheduling fixed-point run (Figure 5).  `base` enables
-/// the incremental machinery against a recorded previous run (nullptr =
-/// cold); `capture` records this run as the next base (nullptr = don't);
-/// `elide` enables the final-iteration elision.  With both null and no
-/// elision this is exactly the plain algorithm.
+/// One MultiClusterScheduling fixed-point run (Figure 5).  `replay` lets
+/// the run replay the schedule and component records earlier runs left in
+/// the workspace (DESIGN.md §2 "Component records") and enables the
+/// final-iteration elision.  With it off this is exactly the plain
+/// algorithm.
 ///
 /// `constraints` is taken by value: the loop mutates its process_release
 /// entries as worst-case ETC->TTC deliveries feed back.
 McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
                   SystemConfig& config, sched::ScheduleConstraints constraints,
                   const McsOptions& options, AnalysisWorkspace& workspace,
-                  const McsBase* base, McsBase* capture, const DeltaDirt& dirt,
-                  bool elide) {
+                  bool replay) {
   McsResult result;
   DeltaStats& stats = workspace.delta_stats();
   std::vector<AnalysisWorkspace::TraceRecord>* sink = workspace.trace_sink();
@@ -108,24 +74,29 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     std::optional<obs::Span> iter_span;
     if (sampled) iter_span.emplace("mcs.iteration", static_cast<std::uint64_t>(iter));
 
-    const McsIterRecord* rec = nullptr;
-    if (base != nullptr &&
-        static_cast<std::size_t>(iter) < base->iter_record.size()) {
-      rec = &base->records[base->iter_record[static_cast<std::size_t>(iter)]];
-    }
-
     // phi = StaticScheduling(Gamma, rho, beta): list scheduling under the
     // current worst-case ETC->TTC delivery constraints.  list_schedule is
-    // a pure function of (app, platform, tdma, constraints), so an equal
-    // round, equal message pins and equal release constraints replay the
-    // recorded schedule verbatim.
-    if (rec != nullptr && dirt.same_round_and_tx &&
-        constraints.process_release == rec->constraints_release) {
+    // a pure function of (app, platform, round slots, message pins,
+    // release constraints), so the iteration's schedule record replays it
+    // when those match.
+    AnalysisWorkspace::ScheduleRecord* rec =
+        replay ? &workspace.schedule_record(static_cast<std::size_t>(iter)) : nullptr;
+    const std::span<const arch::Slot> slots = config.tdma().slots();
+    if (rec != nullptr && rec->valid && std::ranges::equal(slots, rec->slots) &&
+        constraints.message_tx == rec->pins &&
+        constraints.process_release == rec->release) {
       result.schedule = rec->schedule;
       ++stats.schedule_memo_hits;
     } else {
       result.schedule = sched::list_schedule(app, platform, config.tdma(),
                                              constraints, workspace.critical_path());
+      if (rec != nullptr) {
+        rec->valid = true;
+        rec->slots.assign(slots.begin(), slots.end());
+        rec->pins = constraints.message_tx;
+        rec->release = constraints.process_release;
+        rec->schedule = result.schedule;
+      }
     }
     for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
       const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
@@ -137,18 +108,6 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
       sink->push_back({iter, -1, schedule_hash(result.schedule)});
     }
 
-    McsIterRecord* cap_rec = nullptr;
-    if (capture != nullptr) {
-      if (capture->records.size() <= capture->records_used) {
-        capture->records.emplace_back();
-      }
-      cap_rec = &capture->records[capture->records_used];
-      capture->iter_record.push_back(capture->records_used);
-      ++capture->records_used;
-      cap_rec->constraints_release = constraints.process_release;
-      cap_rec->schedule = result.schedule;
-    }
-
     // rho = ResponseTimeAnalysis(Gamma, phi, pi).
     AnalysisInput input;
     input.app = &app;
@@ -156,19 +115,8 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     input.config = &config;
     input.ttc_schedule = &result.schedule;
     input.options = options.analysis;
-    RtaDelta rta_delta;
-    const RtaDelta* delta = nullptr;
-    if (rec != nullptr) {
-      rta_delta.base = &rec->traj;
-      rta_delta.proc_prio_changed = dirt.proc;
-      rta_delta.base_process_priorities = dirt.base_proc_prio;
-      rta_delta.msg_prio_dirty = dirt.msg;
-      rta_delta.ttp_calendar_dirty = dirt.ttp_calendar;
-      delta = &rta_delta;
-    }
-    workspace.set_trace_iteration(iter);
     result.analysis = response_time_analysis(
-        input, workspace, delta, cap_rec != nullptr ? &cap_rec->traj : nullptr);
+        input, workspace, static_cast<std::size_t>(iter), replay);
 
     // Feed worst-case ETC->TTC deliveries back as TT release constraints.
     // Only gateway-bound (ET->TT) messages can generate constraints; the
@@ -196,12 +144,9 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     // the fixed-point exit.  Elide it, reporting the iteration count the
     // plain loop would reach.  Exact in every mode; DeltaMode::Off and the
     // Check oracle still run it, so the seed path stays untouched.
-    if (elide && !constraints_changed && iter + 1 < options.max_iterations) {
+    if (replay && !constraints_changed && iter + 1 < options.max_iterations) {
       result.iterations = iter + 2;
       result.converged = result.analysis.converged;
-      if (capture != nullptr) {
-        capture->iter_record.push_back(capture->iter_record.back());
-      }
       ++stats.elided_iterations;
       break;
     }
@@ -250,112 +195,30 @@ McsResult multi_cluster_scheduling(const model::Application& app,
   }
 
   const DeltaMode mode = workspace.delta_mode();
-  const bool first_run = workspace.mark_mcs_run();
-  if (mode == DeltaMode::Off) {
-    return mcs_run(app, platform, config, std::move(constraints), options,
-                   workspace, nullptr, nullptr, DeltaDirt{}, /*elide=*/false);
-  }
-
   DeltaStats& stats = workspace.delta_stats();
-
-  // A workspace's first run has no base to replay, and recording it only
-  // pays if a later run replays it.  A one-shot workspace (a validation
-  // job's single SF evaluation) never runs again, so the first run
-  // records nothing; a search's second run is then a cold run that
-  // captures, and replay starts from its third.
-  if (mode == DeltaMode::On && first_run) {
+  if (mode == DeltaMode::Off) {
     ++stats.full_runs;
     return mcs_run(app, platform, config, std::move(constraints), options,
-                   workspace, nullptr, nullptr, DeltaDirt{}, /*elide=*/true);
+                   workspace, /*replay=*/false);
   }
-
-  McsBase& base = workspace.mcs_base();
-
-  // Delta eligibility: only a change of the analysis options or the
-  // iteration cap falls back to a cold run (which re-captures a fresh
-  // base).  The TDMA round and the pins are inputs the schedule memo and
-  // pass 4 compare themselves; passes 2 and 3 compare their state inputs
-  // against the base snapshot at the same (iteration, pass) coordinate.
-  const bool eligible = base.valid &&
-                        same_options(options.analysis, base.analysis_options) &&
-                        options.max_iterations == base.max_iterations;
-
-  DeltaDirt dirt;
-  if (eligible) {
-    dirt.same_round_and_tx =
-        std::ranges::equal(config.tdma().slots(), base.tdma->slots()) &&
-        constraints.message_tx == base.pins_tx;
-    dirt.ttp_calendar =
-        !same_drain_calendar(config.tdma(), *base.tdma, workspace.gateway());
-    std::vector<std::uint8_t>& flags = workspace.prio_changed_scratch();
-    for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-      const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
-      flags[pi] =
-          config.process_priority(p) != base.process_priorities[pi] ? 1 : 0;
-    }
-    dirt.proc = &flags;
-    dirt.base_proc_prio = &base.process_priorities;
-    for (const util::MessageId m : workspace.can_messages()) {
-      if (config.message_priority(m) != base.message_priorities[m.index()]) {
-        dirt.msg = true;
-        break;
-      }
-    }
-  }
-  if (eligible) {
-    ++stats.delta_runs;
-  } else {
-    ++stats.full_runs;
-    if (base.valid) ++stats.fallbacks;
-  }
-
-  // Prepare the capture buffer: the current inputs, no records.
-  McsBase& capture = workspace.mcs_capture();
-  capture.valid = false;
-  capture.tdma = config.tdma();
-  capture.pins_tx = constraints.message_tx;
-  capture.analysis_options = options.analysis;
-  capture.max_iterations = options.max_iterations;
-  capture.process_priorities.resize(app.num_processes());
-  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
-    capture.process_priorities[pi] = config.process_priority(p);
-  }
-  capture.message_priorities.resize(app.num_messages());
-  for (std::size_t mi = 0; mi < app.num_messages(); ++mi) {
-    const util::MessageId m(static_cast<util::MessageId::underlying_type>(mi));
-    capture.message_priorities[mi] = config.message_priority(m);
-  }
-  capture.records_used = 0;
-  capture.iter_record.clear();
-
+  ++stats.delta_runs;
   if (mode == DeltaMode::On) {
-    McsResult result =
-        mcs_run(app, platform, config, std::move(constraints), options,
-                workspace, eligible ? &base : nullptr, &capture, dirt,
-                /*elide=*/true);
-    capture.valid = true;
-    workspace.commit_mcs_capture();
-    return result;
+    return mcs_run(app, platform, config, std::move(constraints), options,
+                   workspace, /*replay=*/true);
   }
 
-  // DeltaMode::Check: run the incremental path against a scratch copy of
-  // the configuration, then the plain algorithm against the real one, and
-  // require field-by-field identity.  The capture/commit happens on the
-  // incremental leg so the check exercises exactly the machinery that
-  // DeltaMode::On would use, base records included.
+  // DeltaMode::Check: run the replaying path against a scratch copy of the
+  // configuration, then the plain algorithm against the real one, and
+  // require field-by-field identity.
   SystemConfig scratch_config = config;
   McsResult delta_result =
       mcs_run(app, platform, scratch_config, constraints, options, workspace,
-              eligible ? &base : nullptr, &capture, dirt, /*elide=*/true);
-  capture.valid = true;
-  workspace.commit_mcs_capture();
+              /*replay=*/true);
 
   std::vector<AnalysisWorkspace::TraceRecord>* sink = workspace.trace_sink();
   workspace.set_trace_sink(nullptr);
   McsResult cold = mcs_run(app, platform, config, std::move(constraints),
-                           options, workspace, nullptr, nullptr, DeltaDirt{},
-                           /*elide=*/false);
+                           options, workspace, /*replay=*/false);
   workspace.set_trace_sink(sink);
 
   ++stats.checked;

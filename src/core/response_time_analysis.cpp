@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -61,9 +61,6 @@ using util::Time;
 /// the divergence cap) guarantees termination.
 using State = AnalysisWorkspace::State;
 
-using PassSnapshot = AnalysisWorkspace::PassSnapshot;
-using RtaTrajectory = AnalysisWorkspace::RtaTrajectory;
-
 /// Per-call view: configuration-dependent quantities plus const references
 /// into the workspace's hoisted invariant structure.
 struct Ctx {
@@ -89,39 +86,15 @@ struct Ctx {
   Time cap = 0;         ///< divergence cap
   int diverged = 0;
   bool changed = false;  ///< any state value grew in the current pass
+  // Component records of the current pass (DESIGN.md §2).
+  Time generation = 0;
+  Time* slot = nullptr;        ///< this pass's record slot
+  const Time* prev = nullptr;  ///< the previous pass's (intra-run skip), or null
+  bool cross = false;          ///< replay records earlier runs left in `slot`
 
   [[nodiscard]] Time period_of(MessageId m) const { return app.period_of(m); }
   [[nodiscard]] Time period_of(ProcessId p) const { return app.period_of(p); }
 };
-
-/// Snapshot-capture copy: per-vector compare-then-copy.  Late passes of a
-/// run change only a handful of slots, so most vectors bit-match the
-/// destination's previous contents (the same snapshot slot, refreshed
-/// every run over the same topology) — eliding those stores roughly
-/// halves the capture's memory traffic.  Sizes always match after the
-/// first run; the plain copy covers the cold path.
-void capture_state(State& dst, const State& src) {
-  const auto cp = [](auto& d, const auto& s) {
-    if (d.size() == s.size() &&
-        std::memcmp(d.data(), s.data(), s.size() * sizeof(s[0])) == 0) {
-      return;
-    }
-    d = s;
-  };
-  cp(dst.o_p, src.o_p);
-  cp(dst.e_p, src.e_p);
-  cp(dst.j_p, src.j_p);
-  cp(dst.w_p, src.w_p);
-  cp(dst.r_p, src.r_p);
-  cp(dst.o_m, src.o_m);
-  cp(dst.e_m, src.e_m);
-  cp(dst.j_m, src.j_m);
-  cp(dst.w_m, src.w_m);
-  cp(dst.r_m, src.r_m);
-  cp(dst.d_m, src.d_m);
-  cp(dst.ttp_wait, src.ttp_wait);
-  cp(dst.i_m, src.i_m);
-}
 
 /// Monotone update helper: raises `slot` to `value` (clamped at the cap),
 /// recording changes and divergence.
@@ -393,45 +366,12 @@ void propagate(Ctx& ctx, State& s) {
 /// s.w_p holds the FULL level-i busy window including the process's own
 /// WCET (preemptions landing while the process executes delay it too);
 /// the paper's "interference" I_i = w - C_i is recovered at export time.
-///
-/// Both kernels take an optional recompute `mask` over the pool (nullptr
-/// = recompute all).  Masked-off members replay the base snapshot's
-/// post-pass values instead of iterating their recurrence; replays stay
-/// interleaved in pool order so a recomputing member reads exactly the
-/// mix of updated/not-yet-updated neighbor values a cold run would see
-/// (Gauss-Seidel order is part of the fixed point's identity).
-
-/// Replays one clean pool member from the base snapshot: raising to the
-/// stored values reproduces `changed` exactly (the stored value IS what
-/// the cold pass would compute), and the stored per-process divergence
-/// increment reproduces the diverged accounting.
-void replay_pass2_member(Ctx& ctx, State& s, std::size_t pi,
-                         const PassSnapshot& snap, PassSnapshot* cap) {
-  const Time w0 = s.w_p[pi];
-  const Time r0 = s.r_p[pi];
-  raise(ctx, s.w_p[pi], snap.end.w_p[pi]);
-  raise(ctx, s.r_p[pi], snap.end.r_p[pi]);
-  if (s.w_p[pi] != w0 || s.r_p[pi] != r0) {
-    ctx.ws.p1_active()[ctx.ws.proc_graph()[pi]] = 1;
-  }
-  ctx.diverged += snap.p2_div[pi];
-  if (cap != nullptr) cap->p2_div[pi] = snap.p2_div[pi];
-}
 
 void pass2_pool_reference(Ctx& ctx, State& s,
-                          const AnalysisWorkspace::ProcPool& pool,
-                          const std::uint8_t* mask, const PassSnapshot* snap,
-                          PassSnapshot* cap) {
+                          const AnalysisWorkspace::ProcPool& pool) {
   const Application& app = ctx.app;
-  const std::size_t n = pool.pids.size();
-  for (std::size_t x = 0; x < n; ++x) {
-    const ProcessId pid = pool.pids[x];
+  for (const ProcessId pid : pool.pids) {
     const std::size_t pi = pid.index();
-    if (mask != nullptr && mask[x] == 0) {
-      replay_pass2_member(ctx, s, pi, *snap, cap);
-      continue;
-    }
-    const int div_before = ctx.diverged;
     const Time c_i = app.process(pid).wcet;
     Time w = std::max(s.w_p[pi], c_i);
     for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
@@ -457,9 +397,6 @@ void pass2_pool_reference(Ctx& ctx, State& s,
     }
     raise(ctx, s.w_p[pi], w);
     raise(ctx, s.r_p[pi], s.j_p[pi] + s.w_p[pi]);
-    if (cap != nullptr) {
-      cap->p2_div[pi] = static_cast<std::int32_t>(ctx.diverged - div_before);
-    }
   }
 }
 
@@ -565,8 +502,7 @@ void push_candidate(AnalysisWorkspace::PackedScratch& ps, std::size_t& m,
 /// regroups an exact integer sum, so the result is bit-identical to the
 /// Reference kernel (enforced by soa_layout_test).
 void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
-                       std::size_t pool_index, const std::uint8_t* mask,
-                       const PassSnapshot* snap, PassSnapshot* cap) {
+                       std::size_t pool_index) {
   const std::size_t n = pool.pids.size();
   AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
   for (std::size_t x = 0; x < n; ++x) {
@@ -595,15 +531,6 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
   });
   const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    if (mask != nullptr && mask[x] == 0) {
-      raise(ctx, ps.w[x], snap->end.w_p[pi]);
-      raise(ctx, ps.r[x], snap->end.r_p[pi]);
-      ctx.diverged += snap->p2_div[pi];
-      if (cap != nullptr) cap->p2_div[pi] = snap->p2_div[pi];
-      continue;
-    }
-    const int div_before = ctx.diverged;
     const Time c_i = pool.wcet[x];
     const Time j_x = ps.j[x];
     const Time latest_x = ps.o[x] + j_x + std::max(ps.w[x], c_i);
@@ -630,9 +557,6 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
                                            std::max(ps.w[x], c_i));
     raise(ctx, ps.w[x], w);
     raise(ctx, ps.r[x], j_x + ps.w[x]);
-    if (cap != nullptr) {
-      cap->p2_div[pi] = static_cast<std::int32_t>(ctx.diverged - div_before);
-    }
   }
   std::uint8_t* p1_active = ctx.ws.p1_active().data();
   const std::uint32_t* proc_graph = ctx.ws.proc_graph().data();
@@ -645,136 +569,139 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
   }
 }
 
-/// ---- Intra-run skip rule (DESIGN.md §2) ------------------------------
+/// ---- Component records (DESIGN.md §2) --------------------------------
 ///
 /// A pass component — an ETC node pool (pass 2), the CAN bus (pass 3) or
-/// the OutTTP drain (pass 4) — is a deterministic function of a few State
-/// fields of its members plus per-run constants (priorities, the TDMA
-/// calendar, the cap).  Its memo holds those fields as the component's
-/// last run in this analysis run left them, and whether that run changed
-/// none of them and diverged nowhere.  A no-op on identical values stays a
-/// no-op, so the driver skips the component when the memo is quiet and
-/// every field still matches.  The memo compares values, so a delta replay
-/// of the component in between needs no invalidation.  Only the Packed
-/// kernel skips; the Reference oracle runs everything.
-template <std::size_t F>
-using MemoFields = std::array<const std::vector<Time>*, F>;
+/// the OutTTP drain (pass 4) — is a pure function of its entry: a few
+/// State fields of its members plus a key of per-run constants
+/// (priorities, the gateway calendar), under one set of analysis options
+/// (the record generation).  Its record holds {generation, divergence
+/// increment, key, entry, fields left}, so a record whose generation, key
+/// and entry match the current ones replays exactly: raising to the stored
+/// fields reproduces `changed` (the component itself only raises them, or
+/// assigns the first `assigned` of them), and adding the stored increment
+/// reproduces the divergence count.
+template <std::size_t E, std::size_t L, typename Id>
+struct Component {
+  const std::vector<Id>& ids;
+  std::size_t record;  ///< offset of the record in a slot
+  std::span<const Time> key;
+  std::array<const std::vector<Time>*, E> entry;
+  std::array<std::vector<Time>*, L> left;
+  std::size_t assigned;        ///< left fields assigned rather than raised
+  const std::uint32_t* graph;  ///< re-arms a changed member's graph, or null
 
-/// Stores the members' current field values in the memo; true when they
-/// all equal what it held before.
-template <std::size_t F, typename Id>
-bool memo_update(AnalysisWorkspace::ComponentMemo& memo, const MemoFields<F>& fields,
-                 const std::vector<Id>& ids) {
-  const std::size_t n = ids.size();
-  bool same = true;
-  for (std::size_t f = 0; f < F; ++f) {
-    const Time* value = fields[f]->data();
-    Time* seen = memo.seen.data() + f * n;
+  [[nodiscard]] std::size_t size() const noexcept {
+    return AnalysisWorkspace::record_size(ids.size(), key.size(), E, L);
+  }
+};
+
+template <std::size_t E, std::size_t L, typename Id>
+[[nodiscard]] bool record_matches(const Ctx& ctx, const Time* rec,
+                                  const Component<E, L, Id>& c) {
+  if (rec[0] != ctx.generation ||
+      !std::ranges::equal(c.key, std::span(rec + 2, c.key.size()))) {
+    return false;
+  }
+  const Time* stored = rec + 2 + c.key.size();
+  const std::size_t n = c.ids.size();
+  for (const std::vector<Time>* field : c.entry) {
+    const Time* value = field->data();
     for (std::size_t x = 0; x < n; ++x) {
-      const Time v = value[ids[x].index()];
-      same = same && seen[x] == v;
-      seen[x] = v;
+      if (stored[x] != value[c.ids[x].index()]) return false;
+    }
+    stored += n;
+  }
+  return true;
+}
+
+template <std::size_t E, std::size_t L, typename Id>
+void replay_record(Ctx& ctx, const Time* rec, const Component<E, L, Id>& c) {
+  const std::size_t n = c.ids.size();
+  const Time* stored = rec + 2 + c.key.size() + E * n;
+  for (std::size_t f = 0; f < L; ++f, stored += n) {
+    Time* value = c.left[f]->data();
+    for (std::size_t x = 0; x < n; ++x) {
+      Time& slot = value[c.ids[x].index()];
+      if (f < c.assigned) {
+        slot = stored[x];
+      } else if (stored[x] > slot) {
+        slot = stored[x];
+        ctx.changed = true;
+        if (c.graph != nullptr) ctx.ws.p1_active()[c.graph[c.ids[x].index()]] = 1;
+      }
     }
   }
-  return same;
+  ctx.diverged += static_cast<int>(rec[1]);
 }
 
-/// Runs one component (`run`, over members `ids`) under the skip rule.
-template <std::size_t F, typename Id, typename Run>
-void run_component(Ctx& ctx, AnalysisWorkspace::ComponentMemo& memo,
-                   const MemoFields<F>& fields, const std::vector<Id>& ids,
-                   const Run& run) {
-  if (ctx.opt.kernel == AnalysisKernel::Reference) {
-    run();
+/// Gathers the members' values of `fields` into `out`, field-major.
+template <typename Fields, typename Id>
+Time* store_fields(Time* out, const Fields& fields, const std::vector<Id>& ids) {
+  for (const auto* field : fields) {
+    for (const Id id : ids) *out++ = (*field)[id.index()];
+  }
+  return out;
+}
+
+/// Runs one component under the record rule: replays the record an
+/// earlier run left in this pass's slot (cross-run replay), else the one
+/// this run left at the previous pass (intra-run skip, Packed only; it is
+/// copied forward so the slot describes this pass), else runs `kernel`
+/// and writes the record.
+template <std::size_t E, std::size_t L, typename Id, typename Kernel>
+void run_component(Ctx& ctx, const Component<E, L, Id>& c, const Kernel& kernel) {
+  DeltaStats& stats = ctx.ws.delta_stats();
+  Time* rec = ctx.slot + c.record;
+  if (ctx.cross && record_matches(ctx, rec, c)) {
+    replay_record(ctx, rec, c);
+    ++stats.components_skipped;
     return;
   }
-  if (memo_update(memo, fields, ids) && memo.quiet) {
-    ctx.ws.delta_stats().intra_skips += ids.size();
-    return;
+  if (ctx.prev != nullptr) {
+    const Time* prev = ctx.prev + c.record;
+    if (record_matches(ctx, prev, c)) {
+      replay_record(ctx, prev, c);
+      if (prev != rec) std::copy(prev, prev + c.size(), rec);
+      stats.intra_skips += c.ids.size();
+      return;
+    }
   }
+  if (ctx.cross) ++stats.components_recomputed;
+  rec[0] = ctx.generation;
+  std::ranges::copy(c.key, rec + 2);
+  Time* left = store_fields(rec + 2 + c.key.size(), c.entry, c.ids);
   const int div_before = ctx.diverged;
-  run();
-  memo.quiet = memo_update(memo, fields, ids) && ctx.diverged == div_before;
+  kernel();
+  rec[1] = ctx.diverged - div_before;
+  store_fields(left, c.left, c.ids);
 }
 
-/// Pass-2 driver: per pool, computes the recompute mask from the base
-/// snapshot (nullptr snap = cold: recompute everything) and dispatches to
-/// the selected kernel.
-///
-/// Dirtiness inputs of one member: its post-pass-1 {o,e,j} (compared to
-/// the base's end-of-pass values — pass 2 does not change them), its
-/// post-pass-1 r (compared to the base's post-pass-1 snapshot), its
-/// incoming w (the PREVIOUS pass's end value, zero on pass 0), and its
-/// priority.  A clean member can still read a dirty one through the
-/// higher-priority interference sum, so the mask recomputes the whole
-/// priority band below the highest-priority dirty member.  That band
-/// rule is sound precisely because pass 2 has no blocking term:
-/// members never read lower-priority state.
-void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
-           const PassSnapshot* prev, PassSnapshot* cap) {
+/// Pass-2 driver: each ETC node pool is one component.
+void pass2(Ctx& ctx, State& s) {
   const std::vector<AnalysisWorkspace::ProcPool>& pools = ctx.ws.proc_pools();
+  std::vector<Time>& key = ctx.ws.packed_scratch().key;
   for (std::size_t pool_index = 0; pool_index < pools.size(); ++pool_index) {
     const AnalysisWorkspace::ProcPool& pool = pools[pool_index];
-    const std::size_t n = pool.pids.size();
-    const std::uint8_t* mask = nullptr;
-    bool any_dirty = true;
-    if (snap != nullptr) {
-      std::vector<std::uint8_t>& buf = ctx.ws.packed_scratch().mask;
-      any_dirty = false;
-      Priority p_star = 0;
-      for (std::size_t x = 0; x < n; ++x) {
-        const std::size_t pi = pool.pids[x].index();
-        const bool dirty =
-            s.o_p[pi] != snap->end.o_p[pi] || s.e_p[pi] != snap->end.e_p[pi] ||
-            s.j_p[pi] != snap->end.j_p[pi] || s.r_p[pi] != snap->r_p_mid[pi] ||
-            s.w_p[pi] != (prev != nullptr ? prev->end.w_p[pi] : 0) ||
-            (delta != nullptr && delta->proc_prio_changed != nullptr &&
-             (*delta->proc_prio_changed)[pi] != 0);
-        buf[x] = dirty ? 1 : 0;
-        if (dirty) {
-          // Band floor: a priority-CHANGED member affects everything below
-          // its old position as well as its new one (it stopped or started
-          // interfering with the span between them), so take the higher of
-          // the two.  State-dirty members have old == new.
-          Priority p = ctx.cfg.process_priority(pool.pids[x]);
-          if (delta != nullptr && delta->base_process_priorities != nullptr) {
-            p = std::min(p, (*delta->base_process_priorities)[pi]);
-          }
-          p_star = any_dirty ? std::min(p_star, p) : p;
-          any_dirty = true;
-        }
-      }
-      if (any_dirty) {
-        for (std::size_t x = 0; x < n; ++x) {
-          if (buf[x] == 0 && ctx.cfg.process_priority(pool.pids[x]) > p_star) {
-            buf[x] = 1;
-          }
-        }
-      }
-      mask = buf.data();
-      DeltaStats& stats = ctx.ws.delta_stats();
-      if (any_dirty) {
-        ++stats.components_recomputed;
+    for (std::size_t x = 0; x < pool.pids.size(); ++x) {
+      key[x] = ctx.cfg.process_priority(pool.pids[x]);
+    }
+    const Component<AnalysisWorkspace::kPoolEntry, AnalysisWorkspace::kPoolLeft,
+                    ProcessId>
+        pool_component{.ids = pool.pids,
+                       .record = ctx.ws.record_layout().pool[pool_index],
+                       .key = std::span(key.data(), pool.pids.size()),
+                       .entry = {&s.o_p, &s.e_p, &s.j_p, &s.w_p, &s.r_p},
+                       .left = {&s.w_p, &s.r_p},
+                       .assigned = 0,
+                       .graph = ctx.ws.proc_graph().data()};
+    run_component(ctx, pool_component, [&] {
+      if (ctx.opt.kernel != AnalysisKernel::Reference) {
+        pass2_pool_packed(ctx, s, pool, pool_index);
       } else {
-        ++stats.components_skipped;
+        pass2_pool_reference(ctx, s, pool);
       }
-    }
-    if (!any_dirty) {
-      // Whole pool clean: replay without gathering.
-      for (std::size_t x = 0; x < n; ++x) {
-        replay_pass2_member(ctx, s, pool.pids[x].index(), *snap, cap);
-      }
-      continue;
-    }
-    run_component(ctx, ctx.ws.pool_memo(pool_index),
-                  MemoFields<5>{&s.o_p, &s.e_p, &s.j_p, &s.w_p, &s.r_p},
-                  pool.pids, [&] {
-                    if (ctx.opt.kernel != AnalysisKernel::Reference) {
-                      pass2_pool_packed(ctx, s, pool, pool_index, mask, snap, cap);
-                    } else {
-                      pass2_pool_reference(ctx, s, pool, mask, snap, cap);
-                    }
-                  });
+    });
   }
 }
 
@@ -926,73 +853,30 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
 }
 
 /// Pass-3 driver: the CAN bus is one component — the lp blocking term
-/// couples every message to every other regardless of priority order, so
-/// there is no per-member or per-band refinement here.
-/// Dirtiness inputs:
-/// any CAN message's post-pass-1 {o,e,j}, its post-pass-1 d (vs the base's
-/// post-pass-1 snapshot), its incoming w (previous pass's end), or any
-/// CAN priority change.
-void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
-           const PassSnapshot* prev, PassSnapshot* cap) {
+/// couples every message to every other regardless of priority order.
+void pass3(Ctx& ctx, State& s) {
   const std::size_t n = ctx.can_messages.size();
-  if (n == 0) {
-    if (cap != nullptr) cap->can_div = 0;
-    return;
+  if (n == 0) return;
+  std::vector<Time>& key = ctx.ws.packed_scratch().key;
+  for (std::size_t x = 0; x < n; ++x) {
+    key[x] = ctx.cfg.message_priority(ctx.can_messages[x]);
   }
-  bool dirty = snap == nullptr ||
-               (delta != nullptr && delta->msg_prio_dirty);
-  for (std::size_t x = 0; x < n && !dirty; ++x) {
-    const std::size_t mi = ctx.can_messages[x].index();
-    dirty = s.o_m[mi] != snap->end.o_m[mi] ||
-            s.e_m[mi] != snap->end.e_m[mi] ||
-            s.j_m[mi] != snap->end.j_m[mi] ||
-            s.d_m[mi] != snap->d_m_mid[mi] ||
-            s.w_m[mi] != (prev != nullptr ? prev->end.w_m[mi] : 0);
-  }
-  if (snap != nullptr) {
-    DeltaStats& stats = ctx.ws.delta_stats();
-    if (dirty) {
-      ++stats.components_recomputed;
+  const Component<AnalysisWorkspace::kCanEntry, AnalysisWorkspace::kCanLeft,
+                  MessageId>
+      bus{.ids = ctx.can_messages,
+          .record = ctx.ws.record_layout().can,
+          .key = std::span(key.data(), n),
+          .entry = {&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.d_m, &s.r_m},
+          .left = {&s.w_m, &s.r_m, &s.d_m},
+          .assigned = 0,
+          .graph = ctx.ws.msg_graph().data()};
+  run_component(ctx, bus, [&] {
+    if (ctx.opt.kernel != AnalysisKernel::Reference) {
+      can_recurrences_packed(ctx, s);
     } else {
-      ++stats.components_skipped;
+      can_message_recurrences(ctx, s);
     }
-  }
-  if (!dirty) {
-    std::uint8_t* p1_active = ctx.ws.p1_active().data();
-    const std::uint32_t* msg_graph = ctx.ws.msg_graph().data();
-    for (std::size_t x = 0; x < n; ++x) {
-      const std::size_t mi = ctx.can_messages[x].index();
-      const Time w0 = s.w_m[mi];
-      const Time r0 = s.r_m[mi];
-      const Time d0 = s.d_m[mi];
-      raise(ctx, s.w_m[mi], snap->end.w_m[mi]);
-      // r is replayed from the post-pass-3 snapshot, NOT the end state:
-      // an ET->TT message's end r includes the pass-4 drain raise.
-      raise(ctx, s.r_m[mi], snap->r_m_mid[mi]);
-      if (ctx.route[mi] != MessageRoute::EtToTt) {
-        raise(ctx, s.d_m[mi], snap->end.d_m[mi]);
-      }
-      if (s.w_m[mi] != w0 || s.r_m[mi] != r0 || s.d_m[mi] != d0) {
-        p1_active[msg_graph[mi]] = 1;  // re-arm pass 1 for this graph
-      }
-    }
-    ctx.diverged += snap->can_div;
-    if (cap != nullptr) cap->can_div = snap->can_div;
-    return;
-  }
-  const int div_before = ctx.diverged;
-  run_component(ctx, ctx.ws.can_memo(),
-                MemoFields<6>{&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.d_m, &s.r_m},
-                ctx.can_messages, [&] {
-                  if (ctx.opt.kernel != AnalysisKernel::Reference) {
-                    can_recurrences_packed(ctx, s);
-                  } else {
-                    can_message_recurrences(ctx, s);
-                  }
-                });
-  if (cap != nullptr) {
-    cap->can_div = static_cast<std::int32_t>(ctx.diverged - div_before);
-  }
+  });
 }
 
 /// ---- Pass 4: OutTTP FIFO drain through the gateway slot (§4.1.2) ------
@@ -1063,63 +947,33 @@ void out_ttp_drain(Ctx& ctx, State& s) {
 }
 
 /// Pass-4 driver: the OutTTP FIFO is one component (arrival order couples
-/// all ET->TT messages).  Dirtiness inputs per member: post-pass-3
-/// {o,e,j,w} (end values — pass 4 never changes them), post-pass-3 r, and
-/// the incoming d/ttp_wait (previous pass's end).  The one input outside
-/// the state is the drain calendar (gateway slot ownership, offset and
-/// length, round length): `calendar_dirty` recomputes the drain when it
-/// differs from the base's.  Message priorities do NOT matter here: the
-/// FIFO count is priority-blind (message_can_interfere's state checks use
-/// no priorities).
+/// all ET->TT messages).  Its key is the drain calendar: whether the
+/// gateway owns a slot, that slot's offset and length, and the round
+/// length.  Message priorities do NOT matter here: the FIFO count is
+/// priority-blind (message_can_interfere's state checks use none).
 ///
 /// Pass 4 never re-arms the pass-1 graph skip: it only writes i/ttp_wait/
 /// d/r of ET->TT messages, and none of those slots are pass-1 inputs (an
 /// ET->TT destination is a TT process, whose pinned branch reads no
 /// incoming-message state).
-void pass4(Ctx& ctx, State& s, bool calendar_dirty, const PassSnapshot* snap,
-           const PassSnapshot* prev, PassSnapshot* cap) {
-  if (ctx.et_to_tt.empty()) {
-    if (cap != nullptr) cap->ttp_div = 0;
-    return;
-  }
-  bool dirty = snap == nullptr || calendar_dirty;
-  for (std::size_t x = 0; x < ctx.et_to_tt.size() && !dirty; ++x) {
-    const std::size_t mi = ctx.et_to_tt[x].index();
-    dirty = s.o_m[mi] != snap->end.o_m[mi] || s.e_m[mi] != snap->end.e_m[mi] ||
-            s.j_m[mi] != snap->end.j_m[mi] || s.w_m[mi] != snap->end.w_m[mi] ||
-            s.r_m[mi] != snap->r_m_mid[mi] ||
-            s.d_m[mi] != (prev != nullptr ? prev->end.d_m[mi] : 0) ||
-            s.ttp_wait[mi] != (prev != nullptr ? prev->end.ttp_wait[mi] : 0);
-  }
-  if (snap != nullptr) {
-    DeltaStats& stats = ctx.ws.delta_stats();
-    if (dirty) {
-      ++stats.components_recomputed;
-    } else {
-      ++stats.components_skipped;
-    }
-  }
-  if (!dirty) {
-    for (const MessageId mid : ctx.et_to_tt) {
-      const std::size_t mi = mid.index();
-      // i_m / ttp_wait are direct-assigned by the drain; d / r are raised.
-      s.i_m[mi] = snap->end.i_m[mi];
-      s.ttp_wait[mi] = snap->end.ttp_wait[mi];
-      raise(ctx, s.d_m[mi], snap->end.d_m[mi]);
-      raise(ctx, s.r_m[mi], snap->end.r_m[mi]);
-    }
-    ctx.diverged += snap->ttp_div;
-    if (cap != nullptr) cap->ttp_div = snap->ttp_div;
-    return;
-  }
-  const int div_before = ctx.diverged;
-  run_component(ctx, ctx.ws.ttp_memo(),
-                MemoFields<8>{&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.r_m, &s.d_m,
-                              &s.ttp_wait, &s.i_m},
-                ctx.et_to_tt, [&] { out_ttp_drain(ctx, s); });
-  if (cap != nullptr) {
-    cap->ttp_div = static_cast<std::int32_t>(ctx.diverged - div_before);
-  }
+void pass4(Ctx& ctx, State& s) {
+  if (ctx.et_to_tt.empty()) return;
+  const arch::TdmaRound& tdma = ctx.cfg.tdma();
+  std::vector<Time>& key = ctx.ws.packed_scratch().key;
+  key[0] = ctx.has_sg_slot ? 1 : 0;
+  key[1] = ctx.has_sg_slot ? tdma.slot_offset(ctx.sg_slot) : 0;
+  key[2] = ctx.has_sg_slot ? tdma.slot(ctx.sg_slot).length : 0;
+  key[3] = tdma.round_length();
+  const Component<AnalysisWorkspace::kTtpEntry, AnalysisWorkspace::kTtpLeft,
+                  MessageId>
+      drain{.ids = ctx.et_to_tt,
+            .record = ctx.ws.record_layout().ttp,
+            .key = std::span(key.data(), AnalysisWorkspace::kTtpKey),
+            .entry = {&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.r_m, &s.d_m, &s.ttp_wait},
+            .left = {&s.i_m, &s.ttp_wait, &s.d_m, &s.r_m},
+            .assigned = 2,
+            .graph = nullptr};
+  run_component(ctx, drain, [&] { out_ttp_drain(ctx, s); });
 }
 
 /// ---- Buffer bounds (§4.1.1 - §4.1.2) -----------------------------------
@@ -1193,8 +1047,7 @@ BufferBounds buffer_bounds(const Ctx& ctx, const State& s) {
 
 AnalysisResult response_time_analysis(const AnalysisInput& input,
                                       AnalysisWorkspace& workspace,
-                                      const RtaDelta* delta,
-                                      AnalysisWorkspace::RtaTrajectory* capture) {
+                                      std::size_t iteration, bool replay) {
   if (input.app == nullptr || input.platform == nullptr || input.config == nullptr) {
     throw std::invalid_argument("response_time_analysis: null input");
   }
@@ -1239,14 +1092,9 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
   }
 
   State& s = workspace.reset_state();
-  workspace.reset_intra();
-
-  const RtaTrajectory* base = (delta != nullptr) ? delta->base : nullptr;
-  if (capture != nullptr) {
-    capture->used = 0;
-    capture->complete = false;
-    capture->bounds_valid = false;
-  }
+  workspace.arm_all_graphs();
+  ctx.generation = workspace.record_generation(ctx.opt);
+  const bool intra = ctx.opt.kernel != AnalysisKernel::Reference;
 
   AnalysisResult result;
   int iterations = 0;
@@ -1259,91 +1107,35 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
     if (workspace.obs_sampled()) {
       pass_span.emplace("rta.pass", static_cast<std::uint64_t>(passes_run));
     }
-    // Base snapshot of the pass at the same depth (nullptr past the stored
-    // tail — the pass then recomputes everything, which is still exact).
+    // Record slots: this pass's, and the previous pass's for the intra-run
+    // skip.  Past kMaxStoredPasses both are the shared last slot, so only
+    // the intra-run check applies there.
     const std::size_t k = static_cast<std::size_t>(passes_run);
-    const PassSnapshot* snap =
-        (base != nullptr && k < base->used) ? &base->passes[k] : nullptr;
-    const PassSnapshot* prev =
-        (snap != nullptr && k >= 1) ? &base->passes[k - 1] : nullptr;
+    ctx.prev = (intra && k > 0) ? workspace.record_slot(iteration, k - 1) : nullptr;
+    ctx.slot = workspace.record_slot(iteration, k);
+    ctx.cross = replay && k < AnalysisWorkspace::kMaxStoredPasses;
 
     // Pass 1 is the conduit through which every cross-component effect
     // travels; it sweeps every graph whose activity byte is armed and
     // elides graphs proven quiescent (see propagate).
     propagate(ctx, s);
-
-    PassSnapshot* cap = nullptr;
-    if (capture != nullptr &&
-        capture->used < AnalysisWorkspace::kMaxStoredPasses) {
-      if (capture->passes.size() <= capture->used) capture->passes.emplace_back();
-      cap = &capture->passes[capture->used++];
-    }
-    if (cap != nullptr) {
-      cap->r_p_mid = s.r_p;
-      cap->d_m_mid = s.d_m;
-      cap->p2_div.assign(s.r_p.size(), 0);
-      cap->can_div = 0;
-      cap->ttp_div = 0;
-    }
-
-    pass2(ctx, s, delta, snap, prev, cap);
-    pass3(ctx, s, delta, snap, prev, cap);
-    if (cap != nullptr) cap->r_m_mid = s.r_m;
-    pass4(ctx, s, delta != nullptr && delta->ttp_calendar_dirty, snap, prev, cap);
-    if (cap != nullptr) capture_state(cap->end, s);
+    pass2(ctx, s);
+    pass3(ctx, s);
+    pass4(ctx, s);
 
     ++passes_run;
     if (std::vector<AnalysisWorkspace::TraceRecord>* sink =
             workspace.trace_sink()) {
-      sink->push_back({workspace.trace_iteration(), passes_run - 1, state_hash(s)});
+      sink->push_back({static_cast<int>(iteration), passes_run - 1, state_hash(s)});
     }
     if (!ctx.changed) break;
-  }
-  if (capture != nullptr) {
-    capture->complete =
-        (capture->used == static_cast<std::size_t>(passes_run));
   }
   result.converged =
       (iterations < ctx.opt.max_outer_iterations) && (ctx.diverged == 0);
   result.outer_iterations = iterations;
   result.diverged_activities = ctx.diverged;
 
-  // Buffer bounds need the complete final state.  They read only the CAN
-  // pool's {o,e,j,w,d}, the ET->TT i_m, and CAN priorities, so when all of
-  // those match the base's final state the stored bounds replay directly
-  // (the O(pool^2) pass is the dominant post-loop cost).
-  bool bounds_replayed = false;
-  if (base != nullptr && base->complete && base->bounds_valid &&
-      base->used > 0 && !(delta != nullptr && delta->msg_prio_dirty)) {
-    const State& fin = base->passes[base->used - 1].end;
-    bool same = true;
-    for (const MessageId mid : ctx.can_messages) {
-      const std::size_t mi = mid.index();
-      if (s.o_m[mi] != fin.o_m[mi] || s.e_m[mi] != fin.e_m[mi] ||
-          s.j_m[mi] != fin.j_m[mi] || s.w_m[mi] != fin.w_m[mi] ||
-          s.d_m[mi] != fin.d_m[mi]) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      for (const MessageId mid : ctx.et_to_tt) {
-        if (s.i_m[mid.index()] != fin.i_m[mid.index()]) {
-          same = false;
-          break;
-        }
-      }
-    }
-    if (same) {
-      result.buffers = base->bounds;
-      bounds_replayed = true;
-    }
-  }
-  if (!bounds_replayed) result.buffers = buffer_bounds(ctx, s);
-  if (capture != nullptr) {
-    capture->bounds = result.buffers;
-    capture->bounds_valid = true;
-  }
+  result.buffers = buffer_bounds(ctx, s);
 
   // Graph responses: completion of the latest process (sinks dominate, but
   // the max over all processes is robust to mid-fixed-point offsets).
@@ -1380,7 +1172,7 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
 
 AnalysisResult response_time_analysis(const AnalysisInput& input,
                                       AnalysisWorkspace& workspace) {
-  return response_time_analysis(input, workspace, nullptr, nullptr);
+  return response_time_analysis(input, workspace, 0, false);
 }
 
 AnalysisResult response_time_analysis(const AnalysisInput& input,

@@ -58,38 +58,15 @@ struct AnalysisInput {
 [[nodiscard]] AnalysisResult response_time_analysis(const AnalysisInput& input,
                                                     AnalysisWorkspace& workspace);
 
-/// Incremental re-analysis plan (DESIGN.md §2).  `base` is a trajectory
-/// recorded by a previous run under the same analysis options; its TTC
-/// schedule, TDMA round and priorities may differ.  Pass 1 always runs.
-/// Passes 2 and 3 compare their state inputs against the base snapshot at
-/// the same pass; the inputs they cannot see in the state (priorities,
-/// the gateway drain calendar) are flagged below by the caller, normally
-/// multi_cluster_scheduling.  The run replays each stored pass,
-/// recomputing only components whose exact pre-pass inputs differ from
-/// the base, so the result is bit-identical to a cold run for any base
-/// whose flags are right (a distant base costs time, never correctness).
-struct RtaDelta {
-  const AnalysisWorkspace::RtaTrajectory* base = nullptr;
-  /// Per-ProcessId flags: priority differs from the base run's.
-  const std::vector<std::uint8_t>* proc_prio_changed = nullptr;
-  /// Per-ProcessId priorities OF THE BASE RUN.  A priority-changed process
-  /// stops/starts interfering with everything between its old and its new
-  /// priority, so the pass-2 recompute band must extend up to the HIGHER
-  /// (numerically smaller) of the two.
-  const std::vector<Priority>* base_process_priorities = nullptr;
-  /// Any CAN-borne message priority differs from the base run's.
-  bool msg_prio_dirty = false;
-  /// The OutTTP drain calendar differs from the base run's: whether the
-  /// gateway owns a slot, that slot's offset and length, or the round
-  /// length.  Forces pass 4 to recompute.
-  bool ttp_calendar_dirty = false;
-};
-
-/// Full-control overload: optional incremental plan, optional trajectory
-/// capture (for use as the next run's base).  Both convenience overloads
-/// forward here with {nullptr, nullptr}.
-[[nodiscard]] AnalysisResult response_time_analysis(
-    const AnalysisInput& input, AnalysisWorkspace& workspace,
-    const RtaDelta* delta, AnalysisWorkspace::RtaTrajectory* capture);
+/// Record-rule overload (DESIGN.md §2 "Component records"): the run
+/// reads and writes the component records of MCS iteration `iteration`
+/// and replays the ones an earlier run left there only when `replay` is
+/// set.  Every record validates itself, so the result is bit-identical to
+/// a cold run either way.  The workspace overload forwards here with
+/// {0, false}.
+[[nodiscard]] AnalysisResult response_time_analysis(const AnalysisInput& input,
+                                                    AnalysisWorkspace& workspace,
+                                                    std::size_t iteration,
+                                                    bool replay);
 
 }  // namespace mcs::core

@@ -77,7 +77,7 @@ struct JobRow {
   /// functions of the job's inputs — but not signed, since delta replay
   /// changes them without changing any paper output.
   std::uint64_t evals = 0;            ///< total strategy evaluations
-  std::uint64_t delta_replays = 0;    ///< MCS runs that replayed a recorded base
+  std::uint64_t delta_replays = 0;    ///< MCS runs with cross-run record replay
 
   [[nodiscard]] bool failed() const { return state == RunState::Failed; }
 };

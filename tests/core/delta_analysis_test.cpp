@@ -1,21 +1,23 @@
-// Differential-testing oracle for the incremental (delta) evaluation path
-// (DESIGN.md §2).  Under DeltaMode::Check every MultiClusterScheduling run
-// through a workspace executes BOTH the trajectory-replay delta path and
-// the plain cold algorithm and throws std::logic_error unless the two
-// McsResults are bit-identical (including published offsets).  The tests
-// below drive long random move walks — the same neighborhoods SA and the
-// hill climbers explore — through Check mode, so every evaluation after
-// every move (accepted and rejected alike) is a delta-vs-full comparison.
+// Differential-testing oracle for the component records (DESIGN.md §2
+// "Component records").  Under DeltaMode::Check every
+// MultiClusterScheduling run through a workspace executes BOTH the leg
+// that replays records earlier runs left and the plain cold algorithm,
+// and throws std::logic_error unless the two McsResults are bit-identical
+// (including published offsets).  The tests below drive long random move
+// walks — the same neighborhoods SA and the hill climbers explore —
+// through Check mode, so every evaluation after every move (accepted and
+// rejected alike) is a replay-vs-cold comparison.
 //
 // Every move kind replays on a warm workspace: priority swaps, and also
 // the gateway/TTC-schedule moves (slot resizes, slot swaps, TTC shifts),
-// whose new schedule and drain calendar each pass compares against its own
-// inputs.  Only a change of the analysis options falls back to a cold run.
-// The walks tally the move kinds they evaluated and the stats assert that
-// every evaluation after the first took the delta path — an oracle that
-// silently never takes the path under test proves nothing.
+// whose new schedule and drain calendar each record compares as part of
+// its entry.  Only a change of the analysis options starts a new record
+// generation (a fallback).  The walks tally the move kinds they evaluated
+// and the stats assert that records both replayed and were recomputed —
+// an oracle that silently never takes the path under test proves nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -129,19 +131,18 @@ TEST(DeltaOracle, RandomWalksAcrossSuitesBitIdenticalToFull) {
 
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GE(checked, 10'000u);
-  // Every evaluation but each system's first (no base yet) replays: the
-  // walks never change the analysis options, so nothing falls back.
+  // Every Check-mode run replays; the walks never change the analysis
+  // options, so no record generation is bumped.
   EXPECT_EQ(fallbacks, 0u);
-  EXPECT_EQ(delta_runs, checked - systems.size());
+  EXPECT_EQ(delta_runs, checked);
   // ...and the replays covered every move kind, TDMA and shift moves too.
   for (std::size_t kind = 0; kind < tally.size(); ++kind) {
     EXPECT_GE(tally[kind], 1u) << "move kind " << kind << " never evaluated";
   }
   // Priority-only iterations skip list_schedule via the schedule memo.
   EXPECT_GT(memo_hits, 0u);
-  // The replays both replayed and recomputed pass components, so the
-  // pass-2 band mask and the pass-3/4 dirtiness tests were exercised on
-  // both sides.
+  // The runs both replayed and recomputed pass components, so every
+  // record compare was exercised on both sides.
   EXPECT_GT(skipped, 0u);
   EXPECT_GT(recomputed, 0u);
 }
@@ -176,15 +177,24 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
   }
   EXPECT_EQ(ctx.delta_stats().mismatches, 0u);
 
-  // A change of the analysis options is the one cold fallback left.
-  McsOptions conservative = ctx.mcs_options();
-  conservative.analysis.offset_pruning = false;
+  // A change of the analysis options starts a new record generation: one
+  // fallback per switch, and no record of another generation replays.
   SystemConfig cfg = base.to_config(sys.app);
-  const std::uint64_t fallbacks_before = ctx.delta_stats().fallbacks;
-  (void)multi_cluster_scheduling(sys.app, sys.platform, cfg, base.pins, conservative,
-                                 ctx.workspace());
-  EXPECT_EQ(ctx.delta_stats().fallbacks, fallbacks_before + 1);
-  EXPECT_EQ(ctx.delta_stats().mismatches, 0u);
+  McsOptions options = ctx.mcs_options();
+  const auto switch_to = [&](const McsOptions& next, const char* what) {
+    SCOPED_TRACE(what);
+    const std::uint64_t fallbacks_before = ctx.delta_stats().fallbacks;
+    EXPECT_NO_THROW((void)multi_cluster_scheduling(sys.app, sys.platform, cfg,
+                                                   base.pins, next, ctx.workspace()));
+    EXPECT_EQ(ctx.delta_stats().fallbacks, fallbacks_before + 1);
+    EXPECT_EQ(ctx.delta_stats().mismatches, 0u);
+  };
+  options.analysis.offset_pruning = false;
+  switch_to(options, "offset_pruning = false");
+  options.analysis = AnalysisOptions{};
+  options.analysis.ttp_queue_model = TtpQueueModel::PaperFormula;
+  switch_to(options, "ttp_queue_model = PaperFormula");
+  switch_to(ctx.mcs_options(), "default options");
 
   // The paper example's gateway-slot resize moves the OutTTP drain
   // calendar under ET->TT traffic.  The gateway slot closes the round and
@@ -219,11 +229,10 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
   EXPECT_TRUE(delivery_moved);
 }
 
-// The first-run rule: a DeltaMode::On workspace records nothing on its
-// first MultiClusterScheduling run (a one-shot workspace never replays),
-// captures on its second, and replays from its third.  Each run must equal
-// the seed path (DeltaMode::Off) bit for bit, published offsets included.
-TEST(DeltaFirstRun, FirstRunSkipsCaptureSecondCapturesThirdReplays) {
+// A workspace's first DeltaMode::On run has no record to replay: it equals
+// the seed path (DeltaMode::Off) bit for bit, published offsets included,
+// and replays no component.  Its second run on the same candidate replays.
+TEST(DeltaFirstRun, FirstRunEqualsOffSecondReplays) {
   std::vector<gen::GeneratedSystem> systems;
   systems.push_back(gen::generate(gen::tiny_suite(1).front().params));
   systems.push_back(gen::generate(gen::validation_suite(1).front().params));
@@ -258,21 +267,72 @@ TEST(DeltaFirstRun, FirstRunSkipsCaptureSecondCapturesThirdReplays) {
     };
 
     run(1);
-    EXPECT_FALSE(ws.mcs_base().valid);
-    EXPECT_EQ(ws.delta_stats().full_runs, 1u);
-    EXPECT_EQ(ws.delta_stats().delta_runs, 0u);
+    EXPECT_EQ(ws.delta_stats().delta_runs, 1u);
+    EXPECT_EQ(ws.delta_stats().full_runs, 0u);
+    EXPECT_EQ(ws.delta_stats().components_skipped, 0u);
+    EXPECT_EQ(ws.delta_stats().fallbacks, 0u);
 
     run(2);
-    EXPECT_TRUE(ws.mcs_base().valid);
-    EXPECT_EQ(ws.delta_stats().full_runs, 2u);
-    EXPECT_EQ(ws.delta_stats().delta_runs, 0u);
-
-    run(3);
-    EXPECT_EQ(ws.delta_stats().full_runs, 2u);
-    EXPECT_EQ(ws.delta_stats().delta_runs, 1u);
+    EXPECT_EQ(ws.delta_stats().delta_runs, 2u);
     EXPECT_EQ(ws.delta_stats().fallbacks, 0u);
     EXPECT_GT(ws.delta_stats().components_skipped, 0u);
+    EXPECT_GT(ws.delta_stats().schedule_memo_hits, 0u);
   }
+}
+
+// Passes at or past kMaxStoredPasses share their iteration's last record
+// slot.  On node Y, A1's response sets A2's jitter, A2 preempts B2, and
+// B2's pending span preempts A1 again: the loop creeps up for more than
+// kMaxStoredPasses passes before it converges.  Node X's lone source
+// process settles after pass 0 and is skipped intra-run from then on, the
+// shared-slot passes included.  Check mode compares every run, the
+// replaying second one too, against a cold run.
+TEST(DeltaOracle, PassesPastTheStoreShareTheLastSlot) {
+  arch::Platform platform(arch::TtpBusParams{1, 0}, arch::CanBusParams::linear(10, 0));
+  const util::NodeId t = platform.add_tt_node("T");
+  const util::NodeId x = platform.add_et_node("X");
+  const util::NodeId y = platform.add_et_node("Y");
+  platform.add_gateway("G");
+  platform.set_gateway_transfer({5, 10});
+  model::Application app;
+  const util::GraphId g0 = app.add_graph("G0", 1000, 1000);
+  const util::GraphId g1 = app.add_graph("G1", 230, 230);
+  const util::GraphId g2 = app.add_graph("G2", 140, 140);
+  (void)app.add_process(g0, "T0", t, 10);
+  const util::ProcessId a1 = app.add_process(g1, "A1", y, 107);
+  const util::ProcessId a2 = app.add_process(g1, "A2", y, 86);
+  const util::ProcessId b1 = app.add_process(g2, "B1", x, 51);
+  const util::ProcessId b2 = app.add_process(g2, "B2", y, 63);
+  (void)app.add_message(a1, a2, 4, "ma");
+  (void)app.add_message(b1, b2, 4, "mb");
+
+  Candidate candidate = Candidate::initial(app, platform);
+  candidate.process_priorities[a1.index()] = 6;
+  candidate.process_priorities[a2.index()] = 1;
+  candidate.process_priorities[b1.index()] = 6;
+  candidate.process_priorities[b2.index()] = 2;
+
+  AnalysisWorkspace ws(app, platform);
+  ws.set_delta_mode(DeltaMode::Check);
+  std::vector<AnalysisWorkspace::TraceRecord> trace;
+  ws.set_trace_sink(&trace);
+  for (int run = 0; run < 2; ++run) {
+    SystemConfig config = candidate.to_config(app);
+    EXPECT_NO_THROW((void)multi_cluster_scheduling(app, platform, config,
+                                                   candidate.pins, McsOptions{}, ws))
+        << "run " << run;
+  }
+  ws.set_trace_sink(nullptr);
+
+  int passes = 0;
+  for (const AnalysisWorkspace::TraceRecord& record : trace) {
+    passes = std::max(passes, record.pass + 1);
+  }
+  EXPECT_GT(passes, static_cast<int>(AnalysisWorkspace::kMaxStoredPasses));
+  EXPECT_EQ(ws.delta_stats().checked, 2u);
+  EXPECT_EQ(ws.delta_stats().mismatches, 0u);
+  EXPECT_GT(ws.delta_stats().intra_skips, 0u);
+  EXPECT_GT(ws.delta_stats().components_skipped, 0u);
 }
 
 // End-to-end: the real optimizers under Check mode.  SA stresses the

@@ -215,12 +215,12 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
   }
 }
 
-// PackedScratch, candidate-cache and component-memo memory behavior: one
+// PackedScratch, candidate-cache and record-store memory behavior: one
 // workspace driven across a cross-suite walk (paper example, tiny suite,
 // generated small systems; every move kind) must reach its high-water
-// scratch capacity in the first round and never grow again — and the
-// reused scratch must stay bit-identical to a fresh workspace on every
-// single evaluation.
+// scratch capacity and record store in the first round and never grow
+// again — and the reused scratch must stay bit-identical to a fresh
+// workspace on every single evaluation.
 TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
   struct SystemUnderTest {
     model::Application app;
@@ -247,6 +247,7 @@ TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
     const std::vector<Candidate> family = candidate_family(ctx);
     AnalysisWorkspace reused(sut.app, sut.platform);
     std::size_t high_water = 0;
+    std::size_t records = 0;
     for (int round = 0; round < 3; ++round) {
       for (const Candidate& cand : family) {
         SystemConfig cfg = cand.to_config(sut.app);
@@ -262,10 +263,14 @@ TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
       }
       if (round == 0) {
         high_water = reused.scratch_footprint_bytes();
+        records = reused.record_bytes();
         EXPECT_GT(high_water, 0u);
+        EXPECT_GT(records, 0u);
       } else {
         EXPECT_EQ(reused.scratch_footprint_bytes(), high_water)
             << "scratch grew after warm-up round (unbounded growth)";
+        EXPECT_EQ(reused.record_bytes(), records)
+            << "record store grew after warm-up round (unbounded growth)";
       }
     }
   }

@@ -113,14 +113,18 @@ TEST(StatsCli, PrintsEveryEngineCounter) {
        {"evaluation engine stats:", "  analysis kernel ", "  mcs runs ",
         "  delta checks ", "  schedule memo hits ", "  elided mcs iterations ",
         "  pass components ", "  candidate-list cache ", "  fixed-point skips ",
-        "  scratch footprint "}) {
+        "  scratch footprint ", "  record store "}) {
     EXPECT_NE(text.find(label), std::string::npos) << label << "\n" << text;
   }
-  // OR re-evaluates one system many times: all but the first run replay.
+  // OR re-evaluates one system many times, every run with replay enabled.
   const std::size_t full = text.find(" full, ");
   ASSERT_NE(full, std::string::npos) << text;
   EXPECT_GT(std::stoull(text.substr(full + 7)), 0u) << text;
   EXPECT_NE(text.find(" delta replays, "), std::string::npos) << text;
+  // ...and left records behind.
+  const std::size_t store = text.find("  record store ");
+  ASSERT_NE(store, std::string::npos) << text;
+  EXPECT_GT(std::stoull(text.substr(store + 15)), 0u) << text;
   for (const char* gone : {"settled", "stolen", "refinement"}) {
     EXPECT_EQ(text.find(gone), std::string::npos) << gone << "\n" << text;
   }

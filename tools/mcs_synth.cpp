@@ -21,7 +21,7 @@
 //                           run: active analysis kernel, DeltaStats
 //                           (replays/fallbacks/memo hits/skips),
 //                           candidate-list cache hit rate, scratch
-//                           footprint
+//                           footprint, record store size
 //
 // Observability (every mode, DESIGN.md §7):
 //
@@ -528,9 +528,9 @@ std::size_t report(const gen::ParsedSystem& sys, const core::Candidate& candidat
 }
 
 // Evaluation-engine counters for the single-system synthesis run: which
-// kernel ran, how often the delta machinery replayed vs fell back, and
-// what the reuse layers (schedule memo, candidate-list cache, intra-run
-// skips) delivered.
+// kernel ran, how often records replayed across and within runs, and
+// what the other reuse layers (candidate-list cache, pass-1 skips)
+// delivered.
 void print_stats(const core::MoveContext& ctx,
                  const core::McsOptions& mcs_options) {
   const core::AnalysisWorkspace& ws = ctx.workspace();
@@ -567,6 +567,9 @@ void print_stats(const core::MoveContext& ctx,
               static_cast<unsigned long long>(d.p1_graph_skips));
   std::printf("  scratch footprint      %zu bytes (stable per workspace)\n",
               ws.scratch_footprint_bytes());
+  std::printf("  record store           %zu bytes (component slots + schedule "
+              "records)\n",
+              ws.record_bytes());
 }
 
 /// Dispatches to the selected mode and returns the process exit code.
