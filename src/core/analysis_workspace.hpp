@@ -10,7 +10,7 @@
 //
 //   * message routes (classify_route) and per-message CAN frame times,
 //   * the activity pools (CAN-borne, ET->TT, TT->ET, per-node OutNi),
-//   * ET processes grouped by node, topological orders per graph,
+//   * topological orders per graph,
 //   * the precedence reachability closure,
 //   * the gateway transfer WCET and the divergence cap,
 //   * an empty TTC schedule for pure-ET analyses,
@@ -50,6 +50,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -72,6 +73,11 @@ enum class DeltaMode { Off, On, Check };
 /// Check, MCS_DELTA=0/off selects Off, otherwise On.
 [[nodiscard]] DeltaMode delta_mode_from_env() noexcept;
 
+/// Inclusive upper bounds of the per-run fixed-point iteration buckets
+/// (DeltaStats::runs_by_iterations); one overflow bucket follows.
+inline constexpr std::array<std::int64_t, 8> kIterationBounds = {1, 2, 3, 4,
+                                                                 6, 8, 12, 16};
+
 /// Counters of the incremental-evaluation machinery (per workspace).
 struct DeltaStats {
   std::uint64_t full_runs = 0;      ///< MCS runs without cross-run replay
@@ -87,6 +93,18 @@ struct DeltaStats {
   std::uint64_t cand_cache_rebuilds = 0;  ///< kernel calls that (re)built lists
   std::uint64_t intra_skips = 0;          ///< members of intra-run record replays
   std::uint64_t p1_graph_skips = 0;       ///< pass-1 sweeps elided for quiescent graphs
+  /// MCS runs by iteration count: bucket b counts the runs of at most
+  /// kIterationBounds[b] iterations no earlier bucket counts; the last
+  /// bucket counts the rest.  A Check-mode run counts both of its legs.
+  std::array<std::uint64_t, kIterationBounds.size() + 1> runs_by_iterations{};
+  std::uint64_t iterations = 0;  ///< fixed-point iterations over those runs
+
+  void record_run(int run_iterations) noexcept {
+    std::size_t b = 0;
+    while (b < kIterationBounds.size() && run_iterations > kIterationBounds[b]) ++b;
+    ++runs_by_iterations[b];
+    iterations += static_cast<std::uint64_t>(run_iterations);
+  }
 };
 
 class AnalysisWorkspace {
@@ -116,9 +134,6 @@ public:
   [[nodiscard]] const std::vector<MessageRoute>& routes() const noexcept {
     return routes_;
   }
-  [[nodiscard]] MessageRoute route(util::MessageId m) const {
-    return routes_[m.index()];
-  }
   /// C_m on the CAN bus, 0 for messages that never touch CAN.
   [[nodiscard]] const std::vector<util::Time>& can_tx() const noexcept {
     return can_tx_;
@@ -131,11 +146,6 @@ public:
   }
   [[nodiscard]] const std::vector<util::MessageId>& tt_to_et() const noexcept {
     return tt_to_et_;
-  }
-  /// ETC processes per node index (dense over all nodes).
-  [[nodiscard]] const std::vector<std::vector<util::ProcessId>>& et_procs_by_node()
-      const noexcept {
-    return et_procs_by_node_;
   }
   /// ET-sourced CAN messages per sender node index (OutNi pools).
   [[nodiscard]] const std::vector<std::vector<util::MessageId>>& out_ni_by_node()
@@ -419,7 +429,6 @@ private:
   std::vector<util::MessageId> can_messages_;
   std::vector<util::MessageId> et_to_tt_;
   std::vector<util::MessageId> tt_to_et_;
-  std::vector<std::vector<util::ProcessId>> et_procs_by_node_;
   std::vector<std::vector<util::MessageId>> out_ni_by_node_;
   std::vector<std::vector<util::ProcessId>> topo_;
   bool has_gateway_ = false;

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "mcs/obs/metrics.hpp"
 #include "mcs/obs/trace.hpp"
 #include "mcs/util/hash.hpp"
 #include "mcs/util/log.hpp"
@@ -169,12 +168,7 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
   }
 
   workspace.set_obs_sampled(false);
-  if (obs::metrics_enabled()) {
-    static constexpr std::int64_t kIterBounds[] = {1, 2, 3, 4, 6, 8, 12, 16};
-    static const obs::Histogram h =
-        obs::histogram("mcs.iterations_per_run", kIterBounds);
-    h.record(result.iterations);
-  }
+  stats.record_run(result.iterations);
   return result;
 }
 

@@ -74,7 +74,6 @@ struct Ctx {
 
   const std::vector<MessageRoute>& route;
   const std::vector<Time>& can_tx;       ///< C_m on the CAN bus (0 if not CAN-borne)
-  const std::vector<std::vector<ProcessId>>& et_procs_by_node;  ///< dense by node index
   const std::vector<MessageId>& can_messages;
   const std::vector<MessageId>& et_to_tt;
   const std::vector<MessageId>& tt_to_et;
@@ -1071,7 +1070,6 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
           workspace,
           workspace.routes(),
           workspace.can_tx(),
-          workspace.et_procs_by_node(),
           workspace.can_messages(),
           workspace.et_to_tt(),
           workspace.tt_to_et(),

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "mcs/obs/metrics.hpp"
 #include "mcs/obs/trace.hpp"
 #include "mcs/util/log.hpp"
 
@@ -75,16 +74,12 @@ SaResult simulated_annealing(const MoveContext& ctx, const Candidate& start,
         result.best_cost = cost;
       }
       if (options.target_cost && result.best_cost <= *options.target_cost) {
-        static const obs::Counter evals_counter = obs::counter("sa.evaluations");
-        evals_counter.add(static_cast<std::uint64_t>(result.evaluations));
         return result;
       }
     }
     temperature *= options.cooling;
   }
 
-  static const obs::Counter evals_counter = obs::counter("sa.evaluations");
-  evals_counter.add(static_cast<std::uint64_t>(result.evaluations));
   const DeltaStats& delta = ctx.delta_stats();
   MCS_LOG(Info) << "simulated_annealing: best cost " << result.best_cost
                 << " after " << result.evaluations << " evaluations ("

@@ -17,7 +17,7 @@ constexpr const char* kSpecContext = "campaign spec";
 
 /// Runs the spec's strategies on one generated instance.
 void run_job(const CampaignSpec& spec, const gen::GeneratedSystem& sys, JobResult& job,
-             const util::CancelToken& cancel) {
+             MetricsSnapshot& engine, const util::CancelToken& cancel) {
   job.inter_cluster_messages = sys.inter_cluster_messages;
   JobSynthesis synthesis(sys, spec, cancel);
 
@@ -70,7 +70,7 @@ void run_job(const CampaignSpec& spec, const gen::GeneratedSystem& sys, JobResul
     job.evals += static_cast<std::uint64_t>(outcome.evaluations);
     job.outcomes.push_back(outcome);
   }
-  synthesis.record_counters(job);
+  synthesis.record_counters(job, engine);
 }
 
 /// The deviation metric a strategy is compared on: buffer campaigns (SAR
@@ -198,8 +198,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& options)
                                       decode_job_result};
   return run_suite<CampaignResult>(
       spec, options, "campaign.job", codec,
-      [&spec](const gen::GeneratedSystem& sys, JobResult& job,
-              const util::CancelToken& cancel) { run_job(spec, sys, job, cancel); });
+      [&spec](auto&... args) { run_job(spec, args...); });
 }
 
 util::Table CampaignResult::summary_table() const {
@@ -313,6 +312,19 @@ void write_json(const CampaignResult& result, std::ostream& out) {
     out << "]}" << (ji + 1 < result.jobs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
+}
+
+MetricsSnapshot metrics_snapshot(const CampaignResult& result) {
+  MetricsSnapshot s = suite_metrics(result);
+  for (const JobResult& job : result.jobs) {
+    for (const StrategyOutcome& o : job.outcomes) {
+      if (!o.skipped && (o.strategy == Strategy::Sas || o.strategy == Strategy::Sar)) {
+        merge(s, {{"sa.evaluations", MetricValue::counter(
+                                         static_cast<std::uint64_t>(o.evaluations))}});
+      }
+    }
+  }
+  return s;
 }
 
 void write_csv(const CampaignResult& result, std::ostream& out) {

@@ -128,6 +128,9 @@ struct CampaignResult : SuiteResult<CampaignSpec, JobResult> {
 /// Machine-readable reports next to the summary table.
 void write_json(const CampaignResult& result, std::ostream& out);
 void write_csv(const CampaignResult& result, std::ostream& out);
+/// The --metrics snapshot (metrics.hpp): the suite metrics plus
+/// sa.evaluations, the evaluations of every annealing outcome that ran.
+[[nodiscard]] MetricsSnapshot metrics_snapshot(const CampaignResult& result);
 
 /// The seed the campaign hands a stochastic strategy in a given job —
 /// FNV-1a(campaign_seed, job_index, strategy_index).  Exposed so tests

@@ -7,7 +7,6 @@
 #include <string>
 #include <thread>
 
-#include "mcs/obs/metrics.hpp"
 #include "mcs/obs/trace.hpp"
 #include "mcs/util/thread_pool.hpp"
 
@@ -201,23 +200,6 @@ std::vector<JobDisposition> run_jobs(
       }
       if (on_settled) on_settled(i, disp);
     });
-  }
-
-  if (obs::metrics_enabled()) {
-    // Published once, after the pool has joined, from this single thread:
-    // the totals are a pure function of the dispositions and therefore
-    // identical for any worker count.
-    static const obs::Counter done_c = obs::counter("runtime.jobs_done");
-    static const obs::Counter timeout_c = obs::counter("runtime.jobs_timeout");
-    static const obs::Counter failed_c = obs::counter("runtime.jobs_failed");
-    for (const JobDisposition& disp : dispositions) {
-      switch (disp.state) {
-        case RunState::Done: done_c.add(); break;
-        case RunState::Timeout: timeout_c.add(); break;
-        case RunState::Failed: failed_c.add(); break;
-        case RunState::Pending: break;
-      }
-    }
   }
 
   if (report != nullptr) {

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <utility>
 
-#include "mcs/obs/metrics.hpp"
 #include "mcs/obs/trace.hpp"
 #include "mcs/util/hash.hpp"
 
@@ -151,7 +150,9 @@ JournalWriter::JournalWriter(int fd, std::filesystem::path path)
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       path_(std::move(other.path_)),
-      appends_since_sync_(other.appends_since_sync_) {}
+      appends_since_sync_(other.appends_since_sync_),
+      appends_(other.appends_),
+      payload_bytes_(other.payload_bytes_) {}
 
 JournalWriter::~JournalWriter() {
   if (fd_ >= 0) {
@@ -201,10 +202,6 @@ JournalWriter JournalWriter::open_or_create(const std::filesystem::path& path,
 
 void JournalWriter::append(std::string_view payload) {
   const obs::Span span("journal.append", payload.size());
-  static const obs::Counter appends = obs::counter("journal.appends");
-  static const obs::Counter bytes = obs::counter("journal.bytes");
-  appends.add();
-  bytes.add(payload.size());
   const std::lock_guard lock(mutex_);
   if (fd_ < 0) throw JournalError("append to closed journal '" + path_.string() + "'");
   std::string record;
@@ -215,6 +212,8 @@ void JournalWriter::append(std::string_view payload) {
   // One write(2) per record: a kill can tear at most the final record,
   // which parse_journal drops as the torn tail.
   write_all(fd_, record, "append '" + path_.string() + "'");
+  ++appends_;
+  payload_bytes_ += payload.size();
   if (++appends_since_sync_ >= kSyncEvery) {
     if (::fsync(fd_) != 0) throw_errno("fsync '" + path_.string() + "'");
     appends_since_sync_ = 0;

@@ -46,13 +46,14 @@ public:
       : std::runtime_error("journal: " + message) {}
 };
 
-/// Journal format version.  4: every record starts with the shared row
+/// Journal format version.  5: every record starts with the shared row
 /// fields (identity, state, error, seconds, evals, delta_replays) and
-/// stores no attempt count; validation rows are journaled too.  Version 3
-/// stored a campaign row's attempts, version 2 two evaluation-cache
-/// counters, version 1 `delta_fallbacks` last, so an older journal is
-/// refused rather than resumed mislabelled.
-inline constexpr std::uint64_t kJournalVersion = 4;
+/// stores no attempt count; validation rows are journaled too.  Version 4
+/// had the same layout but its `delta_replays` counted MCS runs, not
+/// replayed pass components; version 3 stored a campaign row's attempts,
+/// version 2 two evaluation-cache counters, version 1 `delta_fallbacks`
+/// last, so an older journal is refused rather than resumed mislabelled.
+inline constexpr std::uint64_t kJournalVersion = 5;
 
 struct JournalHeader {
   std::uint64_t version = kJournalVersion;
@@ -113,6 +114,9 @@ public:
   void close();
 
   [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
+  /// Records this writer appended, and their payload bytes.
+  [[nodiscard]] std::uint64_t appends() const noexcept { return appends_; }
+  [[nodiscard]] std::uint64_t payload_bytes() const noexcept { return payload_bytes_; }
 
 private:
   JournalWriter(int fd, std::filesystem::path path);
@@ -121,6 +125,8 @@ private:
   std::filesystem::path path_;
   std::mutex mutex_;
   std::size_t appends_since_sync_ = 0;
+  std::uint64_t appends_ = 0;
+  std::uint64_t payload_bytes_ = 0;
 };
 
 /// Builder for record payloads: fixed-width little-endian scalars and

@@ -5,7 +5,6 @@
 
 #include "mcs/core/straightforward.hpp"
 #include "mcs/exp/suite_driver.hpp"
-#include "mcs/obs/export.hpp"
 
 namespace mcs::exp {
 
@@ -119,10 +118,9 @@ StrategyRun JobSynthesis::step(Strategy strategy) {
   throw std::invalid_argument("the synthesis step runs sf, os or or only");
 }
 
-void JobSynthesis::record_counters(JobRow& row) const {
-  row.delta_replays = ctx_.workspace().delta_stats().delta_runs;
-  obs::publish_workspace(ctx_.workspace(),
-                         core::kernel_name(ctx_.mcs_options().analysis.kernel));
+void JobSynthesis::record_counters(JobRow& row, MetricsSnapshot& engine) const {
+  row.delta_replays = ctx_.delta_stats().components_skipped;
+  engine = engine_metrics(ctx_.workspace(), ctx_.mcs_options().analysis.kernel);
 }
 
 void sign(util::Fnv1a& h, const std::string& s) {

@@ -11,6 +11,7 @@
 // modes and observability on/off.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "mcs/core/multi_cluster_scheduling.hpp"
 #include "mcs/exp/job_runtime.hpp"
+#include "mcs/exp/metrics.hpp"
 #include "mcs/util/hash.hpp"
 
 namespace mcs::exp {
@@ -76,8 +78,8 @@ struct JobRow {
   /// Per-job engine metrics (DESIGN.md §7): deterministic — pure
   /// functions of the job's inputs — but not signed, since delta replay
   /// changes them without changing any paper output.
-  std::uint64_t evals = 0;            ///< total strategy evaluations
-  std::uint64_t delta_replays = 0;    ///< MCS runs with cross-run record replay
+  std::uint64_t evals = 0;          ///< total strategy evaluations
+  std::uint64_t delta_replays = 0;  ///< pass components replayed from earlier runs
 
   [[nodiscard]] bool failed() const { return state == RunState::Failed; }
 };
@@ -94,6 +96,16 @@ struct SuiteResult {
   bool interrupted = false;
   std::size_t resumed_jobs = 0;  ///< jobs recovered from the journal
   double wall_seconds = 0.0;
+  /// engine_metrics() of every job this run executed to the end, merged
+  /// (metrics.hpp).  Jobs a --resume recovered add nothing.
+  MetricsSnapshot engine;
+  std::uint64_t journal_appends = 0;  ///< records this run journaled
+  std::uint64_t journal_bytes = 0;    ///< their payload bytes
+
+  [[nodiscard]] std::size_t count(RunState state) const {
+    return static_cast<std::size_t>(std::count_if(
+        jobs.begin(), jobs.end(), [state](const Job& j) { return j.state == state; }));
+  }
 
   /// Digest of every job signature: equal across runs with any
   /// `spec.jobs`, delta mode or observability setting.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <functional>
 #include <iosfwd>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -59,9 +60,9 @@ public:
   /// instead of being recomputed.
   [[nodiscard]] StrategyRun step(Strategy strategy);
 
-  /// Copies the job-local delta-replay count into `row` and publishes the
-  /// workspace metrics.
-  void record_counters(JobRow& row) const;
+  /// Copies the job's replayed-component count into `row` and its
+  /// engine_metrics() into `engine`.
+  void record_counters(JobRow& row, MetricsSnapshot& engine) const;
 
 private:
   core::MoveContext ctx_;
@@ -97,6 +98,22 @@ void write_csv_job_identity(std::ostream& out, const std::string& name,
                             const JobRow& row);
 void write_csv_job_metrics(std::ostream& out, const JobRow& row, double seconds);
 
+/// The metrics every suite run reports: the merged engine metrics of the
+/// jobs it executed, the journal writer's count and the rows by state.
+template <typename Spec, typename Job>
+[[nodiscard]] MetricsSnapshot suite_metrics(const SuiteResult<Spec, Job>& result) {
+  MetricsSnapshot s = result.engine;
+  if (result.journal_appends > 0) {
+    s["journal.appends"] = MetricValue::counter(result.journal_appends);
+    s["journal.bytes"] = MetricValue::counter(result.journal_bytes);
+  }
+  for (const RunState state : {RunState::Done, RunState::Timeout, RunState::Failed}) {
+    s[std::string("runtime.jobs_") + to_string(state)] =
+        MetricValue::counter(result.count(state));
+  }
+  return s;
+}
+
 // --- journal pieces shared by both kinds -------------------------------------
 
 /// The shared head of every spec digest: the kind tag (so a journal of one
@@ -118,10 +135,11 @@ struct JournalCodec {
   Job (*decode)(const std::string&) = nullptr;
 };
 
-/// Runs `body(sys, row, cancel)` for every point of the spec's suite on
-/// the job runtime.  The driver fills each row's identity and wall time,
-/// turns runtime dispositions into degraded and pending rows, and, with
-/// a journal_path, journals settled rows through `codec`.
+/// Runs `body(sys, row, engine, cancel)` for every point of the spec's
+/// suite on the job runtime.  The driver fills each row's identity and
+/// wall time, merges each completed body's `engine` metrics into the
+/// result, turns runtime dispositions into degraded and pending rows,
+/// and, with a journal_path, journals settled rows through `codec`.
 template <typename Result, typename Body>
 Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
                  const char* job_span,
@@ -184,6 +202,7 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
   runtime.stop = options.stop;
   runtime.faults = options.faults;
 
+  std::mutex engine_mutex;
   RuntimeReport report;
   const std::vector<JobDisposition> dispositions = run_jobs(
       runtime, suite.size(),
@@ -197,9 +216,12 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
         const gen::GeneratedSystem sys = gen::generate(suite[i].params);
         job.processes = sys.app.num_processes();
         job.messages = sys.app.num_messages();
-        body(sys, job, cancel);
+        MetricsSnapshot engine;
+        body(sys, job, engine, cancel);
         job.seconds = seconds_since(job_start);
         result.jobs[i] = std::move(job);
+        const std::lock_guard lock(engine_mutex);
+        merge(result.engine, engine);
       },
       options.resume ? &done : nullptr,
       [&](std::size_t i, const JobDisposition& disposition) {
@@ -223,6 +245,8 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
   if (journal) {
     journal->sync();
     journal->close();
+    result.journal_appends = journal->appends();
+    result.journal_bytes = journal->payload_bytes();
   }
   result.workers = report.workers;
   result.interrupted = report.interrupted;

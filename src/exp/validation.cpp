@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "mcs/exp/suite_driver.hpp"
-#include "mcs/obs/export.hpp"
 
 namespace mcs::exp {
 
@@ -78,7 +77,8 @@ constexpr const char* kSpecContext = "validation spec";
   return outcome;
 }
 
-/// The nine FaultCounters fields in journal order (const or mutable).
+/// The nine FaultCounters fields in journal order (const or mutable), and
+/// their names.
 template <typename Counters>
 [[nodiscard]] auto fault_fields(Counters& c) {
   return std::array{&c.can_frames_dropped,  &c.can_messages_lost,
@@ -87,17 +87,21 @@ template <typename Counters>
                     &c.tt_jitter_events,    &c.gateway_jitter_events,
                     &c.exec_variations};
 }
+constexpr std::array<const char*, 9> kFaultFieldNames = {
+    "can_frames_dropped", "can_messages_lost", "can_frames_delayed",
+    "ttp_frames_dropped", "ttp_messages_lost", "babble_seizures",
+    "tt_jitter_events",   "gateway_jitter_events", "exec_variations"};
 
 /// One instance end to end: synthesize, soundness-check the fault-free
 /// run, then sweep the fault scenarios.
 void run_job(const ValidationSpec& spec, const gen::GeneratedSystem& sys,
-             ValidationJob& job, const util::CancelToken& cancel) {
+             ValidationJob& job, MetricsSnapshot& engine, const util::CancelToken& cancel) {
   JobSynthesis synthesis(sys, spec, cancel);
   const StrategyRun run = synthesis.step(spec.strategy);
   job.evals = static_cast<std::uint64_t>(run.evaluations);
   job.converged = run.eval.mcs.converged;
   job.schedulable = run.eval.schedulable;
-  synthesis.record_counters(job);
+  synthesis.record_counters(job, engine);
 
   // Bounds from a non-converged fixed point are not claims the analysis
   // makes, so there is nothing sound to check (mirrors the cross
@@ -128,7 +132,6 @@ void run_job(const ValidationSpec& spec, const gen::GeneratedSystem& sys,
     const sim::SimResult faulted = sim::simulate(
         sys.app, sys.platform, nominal.config, run.eval.mcs.schedule, sim_options,
         scenario);
-    obs::publish_fault_counters(faulted.faults);
     job.scenarios.push_back(summarize(scenario, sys.app, run.eval.mcs.analysis, faulted));
     if (faulted.status == sim::SimStatus::EventLimitExhausted) {
       job.state = RunState::Timeout;
@@ -233,11 +236,6 @@ std::size_t ValidationResult::total_violations() const {
   return total;
 }
 
-std::size_t ValidationResult::count(RunState state) const {
-  return static_cast<std::size_t>(std::count_if(
-      jobs.begin(), jobs.end(), [state](const ValidationJob& j) { return j.state == state; }));
-}
-
 std::uint64_t validation_spec_digest(const ValidationSpec& spec) {
   util::Fnv1a h;
   sign_spec(h, "validation", spec);
@@ -336,8 +334,7 @@ ValidationResult run_validation(const ValidationSpec& spec, const RunOptions& op
                                           decode_validation_job};
   return run_suite<ValidationResult>(
       spec, options, "validation.job", codec,
-      [&spec](const gen::GeneratedSystem& sys, ValidationJob& job,
-              const util::CancelToken& cancel) { run_job(spec, sys, job, cancel); });
+      [&spec](auto&... args) { run_job(spec, args...); });
 }
 
 util::Table ValidationResult::summary_table() const {
@@ -447,6 +444,26 @@ void write_json(const ValidationResult& result, std::ostream& out) {
     out << "]}" << (ji + 1 < result.jobs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
+}
+
+MetricsSnapshot metrics_snapshot(const ValidationResult& result) {
+  MetricsSnapshot s = suite_metrics(result);
+  bool simulated = false;
+  std::array<std::uint64_t, kFaultFieldNames.size()> faults{};
+  for (const ValidationJob& job : result.jobs) {
+    for (const ScenarioOutcome& scenario : job.scenarios) {
+      simulated = true;
+      const auto fields = fault_fields(scenario.faults);
+      for (std::size_t f = 0; f < faults.size(); ++f) {
+        faults[f] += static_cast<std::uint64_t>(*fields[f]);
+      }
+    }
+  }
+  if (!simulated) return s;
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    s[std::string("sim.faults.") + kFaultFieldNames[f]] = MetricValue::counter(faults[f]);
+  }
+  return s;
 }
 
 void write_csv(const ValidationResult& result, std::ostream& out) {

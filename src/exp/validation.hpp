@@ -103,7 +103,6 @@ struct ValidationJob : JobRow {
 
 struct ValidationResult : SuiteResult<ValidationSpec, ValidationJob> {
   [[nodiscard]] std::size_t total_violations() const;
-  [[nodiscard]] std::size_t count(RunState state) const;
 
   /// Per-dimension roll-up: job statuses, checked/violating instances,
   /// and per scenario the total deadline misses and lost messages.
@@ -145,5 +144,8 @@ struct NominalRun {
 
 void write_json(const ValidationResult& result, std::ostream& out);
 void write_csv(const ValidationResult& result, std::ostream& out);
+/// The --metrics snapshot (metrics.hpp): the suite metrics plus
+/// sim.faults.*, each fault counter summed over every scenario outcome.
+[[nodiscard]] MetricsSnapshot metrics_snapshot(const ValidationResult& result);
 
 }  // namespace mcs::exp

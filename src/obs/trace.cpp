@@ -46,7 +46,9 @@ struct TraceState {
 };
 
 TraceState& state() {
-  static TraceState* s = new TraceState();  // leaked: see metrics.cpp
+  // Leaked on purpose: a worker thread that exits after main() returns
+  // may still close a span into its buffer.
+  static TraceState* s = new TraceState();
   return *s;
 }
 

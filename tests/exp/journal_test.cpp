@@ -354,6 +354,11 @@ TEST_F(JournalTest, ResumeRefusesAVersion3Journal) {
   expect_resume_refuses_version(path("v3.journal"), 3);
 }
 
+// Version 4 records' delta_replays counts MCS runs, not replayed components.
+TEST_F(JournalTest, ResumeRefusesAVersion4Journal) {
+  expect_resume_refuses_version(path("v4.journal"), 4);
+}
+
 // Every ValidationJob field survives the journal roundtrip — the
 // violations, each scenario outcome and all nine fault counters — so a
 // resumed validation report matches the uninterrupted one field by field.

@@ -8,7 +8,8 @@
 // paths find 4 violations; once the analysis is fixed both find 0, and
 // the test keeps holding.
 //
-// The same harness also pins the `--stats` report of a synthesis run.
+// The same harness also pins the `--stats` report and the `--metrics`
+// file of a synthesis run.
 #include <gtest/gtest.h>
 
 #ifdef MCS_SYNTH_BIN
@@ -128,6 +129,37 @@ TEST(StatsCli, PrintsEveryEngineCounter) {
   for (const char* gone : {"settled", "stolen", "refinement"}) {
     EXPECT_EQ(text.find(gone), std::string::npos) << gone << "\n" << text;
   }
+}
+
+// Single-system mode writes the engine metrics of its one MoveContext.
+TEST(MetricsCli, SingleSystemWritesTheEngineCounters) {
+  std::string dir = (fs::temp_directory_path() / "mcs_metrics_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const fs::path metrics = fs::path(dir) / "metrics.json";
+  std::string text;
+  const int status = run_mcs_synth(
+      std::string(MCS_TEST_DATA_DIR) + "/../../examples/paper_example.mcs --metrics " +
+          metrics.string(),
+      text, "MCS_DELTA=on MCS_DELTA_CHECK=0 ");
+  std::ifstream in(metrics);
+  std::ostringstream json;
+  json << in.rdbuf();
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  ASSERT_TRUE(WIFEXITED(status)) << text;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << text;
+
+  const std::string body = json.str();
+  for (const char* name : {"\"delta.full_runs\"", "\"kernel.jobs.packed\"",
+                           "\"mcs.iterations_per_run\"",
+                           "\"workspace.scratch_bytes_max\""}) {
+    EXPECT_NE(body.find(name), std::string::npos) << name << "\n" << body;
+  }
+  // Every OR evaluation of the paper example is a delta run.
+  const std::string key = "{\"name\": \"delta.delta_runs\", \"type\": \"counter\", \"value\": ";
+  const std::size_t at = body.find(key);
+  ASSERT_NE(at, std::string::npos) << body;
+  EXPECT_GT(std::stoull(body.substr(at + key.size())), 0u) << body;
 }
 
 }  // namespace

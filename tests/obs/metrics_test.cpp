@@ -1,189 +1,240 @@
-// Metrics registry unit tests: cross-thread counter merging, snapshot
-// name ordering, shape-conflict detection, gauge max semantics, the
-// disabled-gate no-op, histogram bucketing and JSON well-formedness.
-#include "mcs/obs/metrics.hpp"
+// The --metrics snapshot is a report of a finished run (DESIGN.md §7).
+// These tests derive it from a small campaign and a small validation and
+// check each metric against the result it is computed from: the
+// iteration histogram against the jobs' MCS runs, the runtime counters
+// against the row states, the fault counters against the scenarios, the
+// summed engine counters against the per-row column, the journal
+// counters against the records written, and the JSON's shape.
+#include "mcs/exp/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
+#include <filesystem>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
+
+#include "mcs/exp/campaign.hpp"
+#include "mcs/exp/validation.hpp"
+#include "mcs/sim/fault.hpp"
 
 #include "json_check.hpp"
 
-namespace mcs::obs {
+namespace mcs::exp {
 namespace {
 
-// The registry is process-global; each gtest runs in its own process via
-// ctest, but tests within one filter still share it, so every test uses
-// unique metric names and resets recorded values up front.
-class MetricsTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    reset_metrics();
-    set_metrics_enabled(true);
-  }
-  void TearDown() override { set_metrics_enabled(false); }
-};
-
-TEST_F(MetricsTest, CounterSumsAcrossThreads) {
-  const Counter c = counter("test.threads.counter");
-  constexpr int kThreads = 8;
-  constexpr int kAdds = 1000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c] {
-      for (int i = 0; i < kAdds; ++i) c.add();
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const MetricValue* m = snapshot.find("test.threads.counter");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->kind, MetricValue::Kind::Counter);
-  EXPECT_EQ(m->value, static_cast<std::uint64_t>(kThreads) * kAdds);
+CampaignSpec campaign_spec(std::size_t jobs) {
+  CampaignSpec spec;
+  spec.name = "metrics-test";
+  spec.suite = "tiny";
+  spec.seeds_per_dim = 2;
+  spec.suite_base_seed = 500;
+  spec.campaign_seed = 42;
+  spec.strategies = {Strategy::Sf, Strategy::Os, Strategy::Sas};
+  spec.budgets.sa_max_evaluations = 60;
+  spec.jobs = jobs;
+  return spec;
 }
 
-TEST_F(MetricsTest, SnapshotIsSortedByName) {
-  (void)counter("test.order.zz");
-  (void)counter("test.order.aa");
-  (void)counter("test.order.mm");
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  std::vector<std::string> names;
-  names.reserve(snapshot.metrics.size());
-  for (const MetricValue& m : snapshot.metrics) names.push_back(m.name);
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  EXPECT_NE(snapshot.find("test.order.aa"), nullptr);
+ValidationSpec validation_spec(std::size_t jobs) {
+  ValidationSpec spec;
+  spec.name = "metrics-test";
+  spec.suite = "validation";
+  spec.seeds_per_dim = 2;
+  spec.campaign_seed = 42;
+  spec.strategy = Strategy::Sf;
+  spec.scenarios = {sim::FaultSpec::scenario("drop", 1),
+                    sim::FaultSpec::scenario("babble", 1)};
+  spec.jobs = jobs;
+  return spec;
 }
 
-TEST_F(MetricsTest, SameShapeReRegistrationReturnsSameMetric) {
-  const Counter a = counter("test.shared.counter");
-  const Counter b = counter("test.shared.counter");
-  a.add(2);
-  b.add(3);
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const MetricValue* m = snapshot.find("test.shared.counter");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->value, 5u);
+[[nodiscard]] std::uint64_t value(const MetricsSnapshot& snapshot, const std::string& name) {
+  const auto it = snapshot.find(name);
+  EXPECT_NE(it, snapshot.end()) << name;
+  return it == snapshot.end() ? 0 : it->second.value;
 }
 
-TEST_F(MetricsTest, ShapeConflictThrows) {
-  (void)counter("test.conflict.kind");
-  EXPECT_THROW((void)gauge("test.conflict.kind"), std::logic_error);
-
-  constexpr std::array<std::int64_t, 2> bounds_a{1, 2};
-  constexpr std::array<std::int64_t, 2> bounds_b{1, 3};
-  (void)histogram("test.conflict.bounds", bounds_a);
-  EXPECT_THROW((void)histogram("test.conflict.bounds", bounds_b),
-               std::logic_error);
-  // Same bounds are not a conflict.
-  EXPECT_NO_THROW((void)histogram("test.conflict.bounds", bounds_a));
-}
-
-TEST_F(MetricsTest, GaugeSetAndRecordMax) {
-  const Gauge g = gauge("test.gauge.max");
-  g.set(10);
-  g.record_max(7);  // below: no change
-  g.record_max(42);
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const MetricValue* m = snapshot.find("test.gauge.max");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->kind, MetricValue::Kind::Gauge);
-  EXPECT_EQ(m->gauge, 42);
-}
-
-TEST_F(MetricsTest, GaugeRecordMaxAcrossThreads) {
-  const Gauge g = gauge("test.gauge.concurrent");
-  std::vector<std::thread> threads;
-  for (int t = 1; t <= 8; ++t) {
-    threads.emplace_back([&g, t] {
-      for (int i = 0; i < 100; ++i) g.record_max(t * 100 + i);
-    });
-  }
-  for (auto& th : threads) th.join();
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const MetricValue* m = snapshot.find("test.gauge.concurrent");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->gauge, 899);  // max over every thread's stream
-}
-
-TEST_F(MetricsTest, DisabledRecordingIsANoOp) {
-  const Counter c = counter("test.disabled.counter");
-  const Gauge g = gauge("test.disabled.gauge");
-  set_metrics_enabled(false);
-  c.add(100);
-  g.set(100);
-  set_metrics_enabled(true);
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  EXPECT_EQ(snapshot.find("test.disabled.counter")->value, 0u);
-  EXPECT_EQ(snapshot.find("test.disabled.gauge")->gauge, 0);
-}
-
-TEST_F(MetricsTest, HistogramBucketsCountAndSum) {
-  constexpr std::array<std::int64_t, 3> bounds{1, 2, 4};
-  const Histogram h = histogram("test.hist.basic", bounds);
-  for (const std::int64_t v : {0, 1, 2, 3, 4, 5}) h.record(v);
-
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const MetricValue* m = snapshot.find("test.hist.basic");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->kind, MetricValue::Kind::Histogram);
-  ASSERT_EQ(m->buckets.size(), 4u);  // 3 bounds + overflow
-  EXPECT_EQ(m->buckets[0], 2u);      // 0, 1  (le 1)
-  EXPECT_EQ(m->buckets[1], 1u);      // 2     (le 2)
-  EXPECT_EQ(m->buckets[2], 2u);      // 3, 4  (le 4)
-  EXPECT_EQ(m->buckets[3], 1u);      // 5     (overflow)
-  EXPECT_EQ(m->count, 6u);
-  EXPECT_EQ(m->sum, 15u);
-}
-
-TEST_F(MetricsTest, HistogramNegativeValueClampsSum) {
-  constexpr std::array<std::int64_t, 1> bounds{10};
-  const Histogram h = histogram("test.hist.negative", bounds);
-  h.record(-5);
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const MetricValue* m = snapshot.find("test.hist.negative");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->buckets[0], 1u);  // -5 <= 10: first bucket
-  EXPECT_EQ(m->count, 1u);
-  EXPECT_EQ(m->sum, 0u);  // negative contributions clamp to 0
-}
-
-TEST_F(MetricsTest, JsonSnapshotIsValidJson) {
-  (void)counter("test.json.counter");
-  const Gauge g = gauge("test.json.gauge");
-  g.set(-3);
-  constexpr std::array<std::int64_t, 2> bounds{1, 8};
-  const Histogram h = histogram("test.json.hist", bounds);
-  h.record(2);
-
+[[nodiscard]] std::string json_text(const MetricsSnapshot& snapshot) {
   std::ostringstream out;
-  write_metrics_json(snapshot_metrics(), out);
-  const std::string text = out.str();
-  EXPECT_TRUE(mcs::test::is_valid_json(text)) << text;
-  EXPECT_NE(text.find("\"test.json.counter\""), std::string::npos);
-  EXPECT_NE(text.find("\"type\": \"histogram\""), std::string::npos);
-  EXPECT_NE(text.find("\"le\": \"inf\""), std::string::npos);
+  write_metrics_json(snapshot, out);
+  return out.str();
 }
 
-TEST_F(MetricsTest, ResetZeroesValuesButKeepsRegistrations) {
-  const Counter c = counter("test.reset.counter");
-  c.add(9);
-  reset_metrics();
-  const MetricsSnapshot snapshot = snapshot_metrics();
-  const MetricValue* m = snapshot.find("test.reset.counter");
-  ASSERT_NE(m, nullptr);  // registration survives
-  EXPECT_EQ(m->value, 0u);
-  c.add(1);  // handle still records
-  const MetricsSnapshot after = snapshot_metrics();
-  EXPECT_EQ(after.find("test.reset.counter")->value, 1u);
+TEST(MetricsTest, HistogramBucketsCountAndSum) {
+  core::DeltaStats stats;
+  for (const int iterations : {1, 2, 3, 4, 5, 16, 17}) stats.record_run(iterations);
+  EXPECT_EQ(stats.runs_by_iterations[0], 1u);  // 1       (le 1)
+  EXPECT_EQ(stats.runs_by_iterations[1], 1u);  // 2       (le 2)
+  EXPECT_EQ(stats.runs_by_iterations[2], 1u);  // 3       (le 3)
+  EXPECT_EQ(stats.runs_by_iterations[3], 1u);  // 4       (le 4)
+  EXPECT_EQ(stats.runs_by_iterations[4], 1u);  // 5       (le 6)
+  EXPECT_EQ(stats.runs_by_iterations[7], 1u);  // 16      (le 16)
+  EXPECT_EQ(stats.runs_by_iterations[8], 1u);  // 17      (overflow)
+  EXPECT_EQ(stats.iterations, 48u);
+
+  // In a campaign the histogram counts every MCS run of every job: one
+  // per full or delta run, plus the cold leg of each Check-mode run.
+  const MetricsSnapshot snapshot = metrics_snapshot(run_campaign(campaign_spec(2)));
+  const MetricValue& runs = snapshot.at("mcs.iterations_per_run");
+  EXPECT_EQ(runs.kind, MetricValue::Kind::Histogram);
+  ASSERT_EQ(runs.buckets.size(), core::kIterationBounds.size() + 1);
+  EXPECT_GT(runs.count(), 0u);
+  EXPECT_EQ(runs.count(), value(snapshot, "delta.delta_runs") +
+                              value(snapshot, "delta.full_runs") +
+                              value(snapshot, "delta.checked"));
+  EXPECT_GE(runs.sum, runs.count());  // every run iterates at least once
+}
+
+TEST(MetricsTest, MergeSumsCountersAndKeepsTheGaugeMax) {
+  const auto job = [](std::uint64_t count, std::uint64_t scratch, std::uint64_t runs) {
+    return MetricsSnapshot{
+        {"c", MetricValue::counter(count)},
+        {"g", {MetricValue::Kind::Gauge, scratch, {}, 0}},
+        {"h", {MetricValue::Kind::Histogram, 0, {runs, 0, 1}, 2 * runs + 3}}};
+  };
+  MetricsSnapshot total;
+  merge(total, job(2, 700, 1));
+  merge(total, job(5, 300, 4));
+  merge(total, {{"only.later", MetricValue::counter(9)}});
+  EXPECT_EQ(total.at("c").value, 7u);
+  EXPECT_EQ(total.at("g").value, 700u);
+  EXPECT_EQ(total.at("h").buckets, (std::vector<std::uint64_t>{5, 0, 2}));
+  EXPECT_EQ(total.at("h").count(), 7u);
+  EXPECT_EQ(total.at("h").sum, 16u);
+  EXPECT_EQ(total.at("only.later").value, 9u);
+}
+
+TEST(MetricsTest, RuntimeCountersCountRowStates) {
+  RunOptions options;
+  options.faults = {{1, RuntimeFault::Kind::ThrowPermanent}};
+  const CampaignResult result = run_campaign(campaign_spec(2), options);
+  const MetricsSnapshot snapshot = metrics_snapshot(result);
+  ASSERT_EQ(result.count(RunState::Failed), 1u);
+  EXPECT_EQ(value(snapshot, "runtime.jobs_done"), result.count(RunState::Done));
+  EXPECT_EQ(value(snapshot, "runtime.jobs_done"), result.jobs.size() - 1);
+  EXPECT_EQ(value(snapshot, "runtime.jobs_failed"), 1u);
+  EXPECT_EQ(value(snapshot, "runtime.jobs_timeout"), 0u);
+  // The failed job's workspace never reached the totals.
+  EXPECT_EQ(value(snapshot, "kernel.jobs.packed"), result.jobs.size() - 1);
+}
+
+TEST(MetricsTest, FaultCountersSumTheScenarios) {
+  const ValidationResult result = run_validation(validation_spec(2));
+  const MetricsSnapshot snapshot = metrics_snapshot(result);
+  sim::FaultCounters sum;
+  std::size_t scenarios = 0;
+  for (const ValidationJob& job : result.jobs) {
+    for (const ScenarioOutcome& s : job.scenarios) {
+      ++scenarios;
+      sum.can_frames_dropped += s.faults.can_frames_dropped;
+      sum.can_messages_lost += s.faults.can_messages_lost;
+      sum.can_frames_delayed += s.faults.can_frames_delayed;
+      sum.ttp_frames_dropped += s.faults.ttp_frames_dropped;
+      sum.ttp_messages_lost += s.faults.ttp_messages_lost;
+      sum.babble_seizures += s.faults.babble_seizures;
+      sum.tt_jitter_events += s.faults.tt_jitter_events;
+      sum.gateway_jitter_events += s.faults.gateway_jitter_events;
+      sum.exec_variations += s.faults.exec_variations;
+    }
+  }
+  ASSERT_GT(scenarios, 0u);
+  ASSERT_GT(sum.total(), 0);  // the scenarios injected something to compare
+  for (const auto& [name, expected] :
+       {std::pair{"can_frames_dropped", sum.can_frames_dropped},
+        {"can_messages_lost", sum.can_messages_lost},
+        {"can_frames_delayed", sum.can_frames_delayed},
+        {"ttp_frames_dropped", sum.ttp_frames_dropped},
+        {"ttp_messages_lost", sum.ttp_messages_lost},
+        {"babble_seizures", sum.babble_seizures},
+        {"tt_jitter_events", sum.tt_jitter_events},
+        {"gateway_jitter_events", sum.gateway_jitter_events},
+        {"exec_variations", sum.exec_variations}}) {
+    EXPECT_EQ(value(snapshot, std::string("sim.faults.") + name),
+              static_cast<std::uint64_t>(expected))
+        << name;
+  }
+  EXPECT_EQ(value(snapshot, "runtime.jobs_done"), result.count(RunState::Done));
+}
+
+// Each job's counters are summed into the result on whichever worker ran
+// it; the totals must equal the per-row report columns.
+TEST(MetricsTest, CounterSumsAcrossThreads) {
+  const CampaignResult result = run_campaign(campaign_spec(4));
+  const MetricsSnapshot snapshot = metrics_snapshot(result);
+  std::uint64_t replays = 0, annealing = 0;
+  for (const JobResult& job : result.jobs) {
+    ASSERT_EQ(job.state, RunState::Done) << job.error;
+    replays += job.delta_replays;
+    for (const StrategyOutcome& o : job.outcomes) {
+      if (o.strategy == Strategy::Sas) annealing += static_cast<std::uint64_t>(o.evaluations);
+    }
+  }
+  EXPECT_EQ(value(snapshot, "delta.components_skipped"), replays);
+  EXPECT_EQ(value(snapshot, "sa.evaluations"), annealing);
+  EXPECT_GT(annealing, 0u);
+  EXPECT_EQ(value(snapshot, "kernel.jobs.packed"), result.jobs.size());
+  EXPECT_GT(value(snapshot, "workspace.scratch_bytes_max"), 0u);
+  EXPECT_EQ(json_text(snapshot), json_text(metrics_snapshot(run_campaign(campaign_spec(1)))));
+}
+
+TEST(MetricsTest, JournalCountersCountTheAppendedRecords) {
+  const CampaignSpec spec = campaign_spec(2);
+  EXPECT_EQ(metrics_snapshot(run_campaign(spec)).count("journal.appends"), 0u);
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "mcs_metrics_test.journal";
+  RunOptions options;
+  options.journal_path = path.string();
+  const CampaignResult result = run_campaign(spec, options);
+  std::filesystem::remove(path);
+  std::uint64_t bytes = 0;
+  for (const JobResult& job : result.jobs) bytes += encode_job_result(job).size();
+  const MetricsSnapshot snapshot = metrics_snapshot(result);
+  EXPECT_EQ(value(snapshot, "journal.appends"), result.jobs.size());
+  EXPECT_EQ(value(snapshot, "journal.bytes"), bytes);
+}
+
+TEST(MetricsTest, SnapshotIsSortedByName) {
+  const std::string text = json_text(metrics_snapshot(run_campaign(campaign_spec(2))));
+  std::vector<std::string> names;
+  const std::string key = "{\"name\": \"";
+  for (std::size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at + 1)) {
+    const std::size_t begin = at + key.size();
+    names.push_back(text.substr(begin, text.find('"', begin) - begin));
+  }
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end())) << text;
+  const std::vector<std::string> expected = {
+      "delta.cand_cache_hits",    "delta.cand_cache_rebuilds",
+      "delta.checked",            "delta.components_recomputed",
+      "delta.components_skipped", "delta.delta_runs",
+      "delta.elided_iterations",  "delta.fallbacks",
+      "delta.full_runs",          "delta.intra_skips",
+      "delta.mismatches",         "delta.p1_graph_skips",
+      "delta.schedule_memo_hits", "kernel.jobs.packed",
+      "mcs.iterations_per_run",   "runtime.jobs_done",
+      "runtime.jobs_failed",      "runtime.jobs_timeout",
+      "sa.evaluations",           "workspace.scratch_bytes_max"};
+  EXPECT_EQ(names, expected) << text;
+}
+
+TEST(MetricsTest, JsonSnapshotIsValidJson) {
+  for (const std::string& text :
+       {json_text(metrics_snapshot(run_campaign(campaign_spec(2)))),
+        json_text(metrics_snapshot(run_validation(validation_spec(2)))),
+        json_text(MetricsSnapshot{})}) {
+    EXPECT_TRUE(mcs::test::is_valid_json(text)) << text;
+  }
+  const std::string text = json_text(metrics_snapshot(run_campaign(campaign_spec(2))));
+  EXPECT_NE(text.find("\"type\": \"counter\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"type\": \"gauge\""), std::string::npos) << text;
+  EXPECT_NE(text.find("\"type\": \"histogram\""), std::string::npos) << text;
+  EXPECT_NE(text.find("{\"le\": 16, \"count\": "), std::string::npos) << text;
+  EXPECT_NE(text.find("{\"le\": \"inf\", \"count\": "), std::string::npos) << text;
 }
 
 }  // namespace
-}  // namespace mcs::obs
+}  // namespace mcs::exp

@@ -1,7 +1,7 @@
 // The observability layer's acceptance contract (DESIGN.md §7): arming
-// metrics and tracing must not change a single deterministic result bit,
-// for any worker count — and the metrics a campaign publishes must
-// themselves be bit-stable across worker counts.  The report signature
+// tracing must not change a single deterministic result bit, for any
+// worker count — and the metrics snapshot computed from a run's result
+// must itself be bit-stable across worker counts.  The report signature
 // contract rides along: one signature per kind across delta modes,
 // worker counts and observability.
 #include <gtest/gtest.h>
@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "mcs/exp/campaign.hpp"
+#include "mcs/exp/metrics.hpp"
 #include "mcs/exp/validation.hpp"
-#include "mcs/obs/metrics.hpp"
 #include "mcs/obs/trace.hpp"
 #include "mcs/sim/fault.hpp"
 
@@ -49,15 +49,12 @@ ValidationSpec validation_spec(std::size_t jobs) {
   return spec;
 }
 
-/// Runs `body` with metrics + tracing armed; returns the trace JSON.
+/// Runs `body` with tracing armed; returns the trace JSON.
 template <typename Fn>
 std::string with_observability(Fn&& body) {
-  obs::reset_metrics();
-  obs::set_metrics_enabled(true);
   obs::start_tracing();
   body();
   obs::stop_tracing();
-  obs::set_metrics_enabled(false);
   std::ostringstream out;
   obs::write_chrome_trace(out);
   return out.str();
@@ -90,9 +87,11 @@ private:
   std::optional<std::string> old_;
 };
 
-[[nodiscard]] std::string metrics_json_text() {
+/// The --metrics JSON of a finished run.
+template <typename Result>
+[[nodiscard]] std::string metrics_json_text(const Result& result) {
   std::ostringstream out;
-  obs::write_metrics_json(obs::snapshot_metrics(), out);
+  write_metrics_json(metrics_snapshot(result), out);
   return out.str();
 }
 
@@ -120,14 +119,15 @@ TEST(ZeroInterference, CampaignSignatureUnchangedByObservability) {
 }
 
 TEST(ZeroInterference, CampaignMetricsSnapshotStableAcrossWorkerCounts) {
-  with_observability([] { (void)run_campaign(campaign_spec(1)); });
-  const std::string serial = metrics_json_text();
+  CampaignResult result;
+  with_observability([&] { result = run_campaign(campaign_spec(1)); });
+  const std::string serial = metrics_json_text(result);
 
-  with_observability([] { (void)run_campaign(campaign_spec(4)); });
-  const std::string parallel = metrics_json_text();
+  with_observability([&] { result = run_campaign(campaign_spec(4)); });
+  const std::string parallel = metrics_json_text(result);
 
-  // Every published metric is a deterministic per-job total merged by
-  // commutative addition, so the whole JSON document must match byte for
+  // Every metric is a deterministic per-job value merged by commutative
+  // addition (or max), so the whole JSON document must match byte for
   // byte whatever the sharding.
   EXPECT_EQ(serial, parallel);
   EXPECT_TRUE(mcs::test::is_valid_json(serial));
@@ -224,15 +224,16 @@ TEST(ZeroInterference, ValidationSignatureUnchangedByObservability) {
 }
 
 TEST(ZeroInterference, ValidationMetricsSnapshotStableAcrossWorkerCounts) {
-  with_observability([] { (void)run_validation(validation_spec(1)); });
-  const std::string serial = metrics_json_text();
+  ValidationResult result;
+  with_observability([&] { result = run_validation(validation_spec(1)); });
+  const std::string serial = metrics_json_text(result);
 
-  with_observability([] { (void)run_validation(validation_spec(4)); });
-  const std::string parallel = metrics_json_text();
+  with_observability([&] { result = run_validation(validation_spec(4)); });
+  const std::string parallel = metrics_json_text(result);
 
   EXPECT_EQ(serial, parallel);
   EXPECT_TRUE(mcs::test::is_valid_json(serial));
-  // The fault sweep publishes simulator degradation counters.
+  // The fault sweep reports simulator degradation counters.
   EXPECT_NE(serial.find("\"sim.faults."), std::string::npos) << serial;
 }
 

@@ -29,14 +29,17 @@
 //                           the run (campaign jobs, optimizer phases,
 //                           sampled fixed-point iterations); load it in
 //                           chrome://tracing or ui.perfetto.dev
-//   --metrics <file>        write one JSON snapshot of the metrics
-//                           registry (counters, gauges, histograms) at
-//                           the end of the run
+//   --metrics <file>        write one JSON snapshot of the run's metrics
+//                           (counters, gauges, histograms), computed
+//                           from the finished result: engine counters
+//                           summed over the jobs, row states, annealing
+//                           evaluations, fault counters, journal records
 //   --log-level <lvl>       debug|info|warn|error|off; overrides the
 //                           MCS_LOG_LEVEL environment variable
 //
 // Arming --trace/--metrics cannot change any result: every campaign and
-// validation signature is bit-identical with observability on or off
+// validation signature is bit-identical with observability on or off, and
+// the metrics file is byte-identical for any --jobs value
 // (tests/obs/zero_interference_test.cpp).
 //
 // Campaign mode (parallel multi-seed/multi-suite sweeps, see
@@ -95,10 +98,10 @@
 #include "mcs/core/straightforward.hpp"
 #include "mcs/exp/campaign.hpp"
 #include "mcs/exp/journal.hpp"
+#include "mcs/exp/metrics.hpp"
 #include "mcs/exp/validation.hpp"
 #include "mcs/gen/textio.hpp"
 #include "mcs/model/validation.hpp"
-#include "mcs/obs/metrics.hpp"
 #include "mcs/obs/trace.hpp"
 #include "mcs/sim/simulator.hpp"
 #include "mcs/util/log.hpp"
@@ -364,7 +367,7 @@ int finish_suite(const Options& options, const exp::RunOptions& run,
   return 4;
 }
 
-int run_campaign_mode(const Options& options) {
+int run_campaign_mode(const Options& options, exp::MetricsSnapshot& metrics) {
   exp::CampaignSpec spec = exp::parse_campaign_spec_file(options.campaign);
   const exp::RunOptions run = apply_run_flags(options, spec);
   const exp::CampaignResult result = exp::run_campaign(spec, run);
@@ -374,10 +377,11 @@ int run_campaign_mode(const Options& options) {
               result.workers, result.wall_seconds);
   result.summary_table().print(std::cout);
   print_signature(run, result);
+  metrics = exp::metrics_snapshot(result);
   return finish_suite(options, run, result);
 }
 
-int run_validation_mode(const Options& options) {
+int run_validation_mode(const Options& options, exp::MetricsSnapshot& metrics) {
   exp::ValidationSpec spec = exp::parse_validation_spec_file(options.validate);
   if (!options.faults.empty()) {
     spec.scenarios.push_back(sim::parse_fault_spec_file(options.faults));
@@ -393,6 +397,7 @@ int run_validation_mode(const Options& options) {
       result.workers, spec.scenarios.size(), result.wall_seconds);
   result.summary_table().print(std::cout);
   print_signature(run, result);
+  metrics = exp::metrics_snapshot(result);
 
   // Every fault-free bound violation is a soundness bug; print the
   // replayable coordinates so the instance can be regenerated exactly.
@@ -572,17 +577,18 @@ void print_stats(const core::MoveContext& ctx,
               ws.record_bytes());
 }
 
-/// Dispatches to the selected mode and returns the process exit code.
-/// Split out of main() so the observability epilogue (trace / metrics
-/// file writes) runs on every exit path short of a signal kill.  Takes a
-/// copy: the fault-sweep shortcut below flips `simulate` locally.
-int run(Options options) {
+/// Dispatches to the selected mode, fills `metrics` from what the run
+/// produced and returns the process exit code.  Split out of main() so
+/// the observability epilogue (trace / metrics file writes) runs on every
+/// exit path short of a signal kill.  Takes a copy: the fault-sweep
+/// shortcut below flips `simulate` locally.
+int run(Options options, exp::MetricsSnapshot& metrics) {
   try {
     if (!options.campaign.empty() || !options.validate.empty()) {
       install_signal_handlers();
     }
-    if (!options.campaign.empty()) return run_campaign_mode(options);
-    if (!options.validate.empty()) return run_validation_mode(options);
+    if (!options.campaign.empty()) return run_campaign_mode(options, metrics);
+    if (!options.validate.empty()) return run_validation_mode(options, metrics);
 
     // A fault sweep only makes sense against a simulated run.
     if (!options.faults.empty()) options.simulate = true;
@@ -607,6 +613,7 @@ int run(Options options) {
     const auto finish = [&](const core::Candidate& best, const core::Evaluation& eval) {
       const std::size_t violations = report(sys, best, eval, options);
       if (options.stats) print_stats(ctx, mcs_options);
+      metrics = exp::engine_metrics(ctx.workspace(), mcs_options.analysis.kernel);
       return eval.schedulable && violations == 0 ? 0 : 1;
     };
     if (options.strategy == "sf") {
@@ -628,10 +635,12 @@ int run(Options options) {
   }
 }
 
-/// Writes the span trace and metrics snapshot armed by --trace/--metrics.
-/// A failed write turns an otherwise-clean exit into code 1, but never
+/// Writes the span trace and metrics snapshot armed by --trace/--metrics
+/// (an empty metrics list when the run ended before it had a result).  A
+/// failed write turns an otherwise-clean exit into code 1, but never
 /// masks a real failure code from the run itself.
-int finalize_observability(const Options& options, int code) {
+int finalize_observability(const Options& options,
+                           const exp::MetricsSnapshot& metrics, int code) {
   if (!options.trace_json.empty()) {
     obs::stop_tracing();
     std::ofstream out(options.trace_json, std::ios::binary);
@@ -644,7 +653,7 @@ int finalize_observability(const Options& options, int code) {
   }
   if (!options.metrics_json.empty()) {
     std::ofstream out(options.metrics_json, std::ios::binary);
-    if (out) obs::write_metrics_json(obs::snapshot_metrics(), out);
+    if (out) exp::write_metrics_json(metrics, out);
     if (!out || !out.flush()) {
       std::fprintf(stderr, "error: failed to write metrics to '%s'\n",
                    options.metrics_json.c_str());
@@ -663,10 +672,10 @@ int main(int argc, char** argv) {
     return status;
   }
   if (options.log_level) util::set_log_level(*options.log_level);
-  // Arm observability before any analysis runs.  Neither switch may change
-  // a deterministic result byte (tests/obs/zero_interference_test.cpp).
-  if (!options.metrics_json.empty()) obs::set_metrics_enabled(true);
+  // Arm the tracer before any analysis runs.  It may not change a
+  // deterministic result byte (tests/obs/zero_interference_test.cpp).
   if (!options.trace_json.empty()) obs::start_tracing();
-  const int code = run(options);
-  return finalize_observability(options, code);
+  exp::MetricsSnapshot metrics;
+  const int code = run(options, metrics);
+  return finalize_observability(options, metrics, code);
 }
