@@ -4,8 +4,8 @@
 // paper's heuristics search over exactly these knobs.  Ends with a
 // simulated Gantt-style trace of the best configuration found.
 //
-// The grid is embarrassingly parallel, so the points are evaluated on a
-// util::ThreadPool the same way exp::run_campaign shards synthesis jobs:
+// The grid is embarrassingly parallel, so the points are evaluated with
+// util::parallel_for the same way exp::run_campaign shards synthesis jobs:
 // every point owns its mutable state (config + analysis) and writes into
 // its preassigned slot, and the winner is picked by a deterministic scan
 // in grid order afterwards — the output is identical for any thread
@@ -21,8 +21,8 @@
 #include "mcs/core/multi_cluster_scheduling.hpp"
 #include "mcs/gen/paper_example.hpp"
 #include "mcs/sim/simulator.hpp"
+#include "mcs/util/parallel.hpp"
 #include "mcs/util/table.hpp"
-#include "mcs/util/thread_pool.hpp"
 
 using namespace mcs;
 
@@ -56,8 +56,7 @@ int main() {
                                      gen::make_figure4_config(ex, gen::Figure4Variant::A),
                                      {}});
 
-  util::ThreadPool pool(util::ThreadPool::default_workers());
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
+  util::parallel_for(util::default_workers(), grid.size(), [&](std::size_t i) {
     const GridPoint& gp = grid[i];
     std::vector<arch::Slot> slots;
     const arch::Slot sg{ex.ng, 20};

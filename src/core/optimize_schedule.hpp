@@ -31,7 +31,7 @@ struct OptimizeScheduleOptions {
   std::size_t max_lengths_per_slot = 6;
   /// Cooperative cancellation, polled before every candidate evaluation
   /// (slot sweep and — via OptimizeResources — every hill-climb neighbor).
-  /// A set token unwinds with util::CancelledError.  Not owned; may be null.
+  /// A fired token unwinds with util::CancelledError.  Not owned; may be null.
   const util::CancelToken* cancel = nullptr;
 };
 

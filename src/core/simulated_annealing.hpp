@@ -34,8 +34,8 @@ struct SaOptions {
   /// examples/runtime_comparison.cpp: "time for SA to match OS quality").
   std::optional<double> target_cost;
   /// Cooperative cancellation: polled once per evaluation alongside the
-  /// wall-clock budget; a set token unwinds with util::CancelledError so
-  /// the job runtime records a deterministic timeout row (no partial,
+  /// wall-clock budget; a fired token unwinds with util::CancelledError so
+  /// the suite driver records a deterministic row (no partial,
   /// clock-dependent result escapes).  Not owned; may be null.
   const util::CancelToken* cancel = nullptr;
   std::uint64_t seed = 1;

@@ -270,7 +270,7 @@ void write_json(const CampaignResult& result, std::ostream& out) {
     out << (i ? ", " : "") << "\"" << to_string(spec.strategies[i]) << "\"";
   }
   out << "],\n";
-  write_json_run_keys(out, result.workers, result.interrupted, result.resumed_jobs,
+  write_json_run_keys(out, result.workers, result.interrupted(), result.resumed_jobs,
                       result.wall_seconds, result.signature());
 
   // Campaign-wide runtime percentiles per strategy (wall clock, thus the

@@ -1,12 +1,12 @@
 // Parallel campaign engine — the paper's §6 evaluation as a declarative,
-// thread-pooled sweep.
+// multi-threaded sweep.
 //
 // A campaign is "suite × strategies × seeds": a generator suite (the
 // Figure 9 grids or the tiny smoke grid) enumerates system instances, and
 // every instance is one JOB that runs the requested strategies in order
 // (SF, OS, OR, and the annealing references SAS/SAR) and records their
 // verdict, degree of schedulability, buffer need and run time.  Jobs are
-// sharded across a util::ThreadPool and aggregated into per-dimension
+// sharded across threads by util::parallel_for and aggregated into per-dimension
 // series (schedulable fraction, deviation from the annealing reference,
 // delta/s_total averages) plus campaign-wide runtime percentiles, written
 // as a plain-text table, JSON and CSV.
@@ -116,7 +116,7 @@ struct CampaignResult : SuiteResult<CampaignSpec, JobResult> {
 
 /// Digest of the kind tag "campaign" and every spec field that determines
 /// which results a campaign produces (suite, seeds, strategies, budgets,
-/// watchdog deadline — NOT `name` or `jobs`).  Stamped into journal
+/// job deadline — NOT `name` or `jobs`).  Stamped into journal
 /// headers so --resume refuses a journal written under a different spec.
 [[nodiscard]] std::uint64_t campaign_spec_digest(const CampaignSpec& spec);
 

@@ -220,20 +220,18 @@ void JournalWriter::append(std::string_view payload) {
   }
 }
 
-void JournalWriter::sync() {
+void JournalWriter::close() {
   const obs::Span span("journal.sync");
   const std::lock_guard lock(mutex_);
   if (fd_ < 0) return;
-  if (::fsync(fd_) != 0) throw_errno("fsync '" + path_.string() + "'");
-  appends_since_sync_ = 0;
-}
-
-void JournalWriter::close() {
-  const std::lock_guard lock(mutex_);
-  if (fd_ < 0) return;
-  ::fsync(fd_);
-  ::close(fd_);
-  fd_ = -1;
+  const int fd = std::exchange(fd_, -1);
+  if (::fsync(fd) != 0) {
+    const int error = errno;
+    ::close(fd);
+    errno = error;
+    throw_errno("fsync '" + path_.string() + "'");
+  }
+  if (::close(fd) != 0) throw_errno("close '" + path_.string() + "'");
 }
 
 void RecordWriter::u64(std::uint64_t value) { put_u64(buffer_, value); }

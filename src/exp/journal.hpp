@@ -75,7 +75,8 @@ struct JournalContents {
 [[nodiscard]] JournalContents read_journal(const std::filesystem::path& path);
 
 /// Append-only journal writer.  Thread-safe: append() may be called from
-/// concurrent worker threads (the suite driver journals from on_settled).
+/// concurrent worker threads (the suite driver journals each settled row
+/// from the worker that ran it).
 class JournalWriter {
 public:
   /// Creates a fresh journal at `path` (truncating any existing file) and
@@ -107,10 +108,9 @@ public:
   /// kSyncEvery appends).  Throws JournalError on I/O failure.
   void append(std::string_view payload);
 
-  /// Forces an fsync of everything appended so far.
-  void sync();
-
-  /// Syncs and closes the file; further appends throw.
+  /// Syncs and closes the file; further appends throw.  Throws
+  /// JournalError when the final fsync or close fails (the file is closed
+  /// either way).
   void close();
 
   [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }

@@ -1,7 +1,9 @@
 #include "mcs/exp/pipeline.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <ostream>
+#include <thread>
 
 #include "mcs/core/straightforward.hpp"
 #include "mcs/exp/suite_driver.hpp"
@@ -27,6 +29,39 @@ Strategy parse_strategy(const std::string& name) {
   if (name == "sar") return Strategy::Sar;
   throw std::invalid_argument("unknown strategy '" + name +
                               "' (expected sf, os, or, sas or sar)");
+}
+
+const char* to_string(RunState state) noexcept {
+  switch (state) {
+    case RunState::Done: return "done";
+    case RunState::Timeout: return "timeout";
+    case RunState::Failed: return "failed";
+    case RunState::Pending: return "pending";
+  }
+  return "unknown";
+}
+
+void inject_fault(const RunOptions& options, std::int64_t job_timeout_ms,
+                  std::size_t job_index, const util::CancelToken& cancel) {
+  for (const RuntimeFault& fault : options.faults) {
+    if (fault.job_index != job_index) continue;
+    const std::string where = " (job " + std::to_string(job_index) + ")";
+    switch (fault.kind) {
+      case RuntimeFault::Kind::ThrowPermanent:
+        throw std::runtime_error("injected permanent fault" + where);
+      case RuntimeFault::Kind::Stall:
+        // Spin until the deadline passes or shutdown is requested.  A
+        // stall with neither armed would hang forever — fail loudly instead.
+        if (job_timeout_ms <= 0 && options.stop == nullptr) {
+          throw std::runtime_error("injected stall without deadline or stop flag" +
+                                   where);
+        }
+        for (;;) {
+          cancel.throw_if_cancelled();
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+  }
 }
 
 core::McsOptions SpecBase::mcs_options() const {

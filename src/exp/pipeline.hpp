@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "mcs/core/multi_cluster_scheduling.hpp"
-#include "mcs/exp/job_runtime.hpp"
 #include "mcs/exp/metrics.hpp"
 #include "mcs/util/hash.hpp"
 
@@ -32,6 +31,28 @@ enum class Strategy { Sf, Os, Or, Sas, Sar };
 [[nodiscard]] std::string to_string(Strategy strategy);
 /// Parses "sf" | "os" | "or" | "sas" | "sar" (throws std::invalid_argument).
 [[nodiscard]] Strategy parse_strategy(const std::string& name);
+
+/// How a job settled (DESIGN.md §6).  The values are signed and journaled;
+/// 3 is retired and must not be reused.
+enum class RunState : std::uint8_t {
+  Done = 0,     ///< body completed
+  Timeout = 1,  ///< wall-clock deadline passed (CancelledError unwound)
+  Failed = 2,   ///< the body threw
+  Pending = 4,  ///< never finished (shutdown drained the run first)
+};
+
+[[nodiscard]] const char* to_string(RunState state) noexcept;
+
+/// Test-only fault injection: the suite driver raises the configured
+/// failure for job `job_index` *before* invoking its body.
+struct RuntimeFault {
+  enum class Kind : std::uint8_t {
+    ThrowPermanent,  ///< std::runtime_error — the job fails
+    Stall,           ///< spin until the job's token cancels it
+  };
+  std::size_t job_index = 0;
+  Kind kind = Kind::ThrowPermanent;
+};
 
 /// Search budgets (laptop-sized defaults; paper scale needs larger SA budgets).
 struct CampaignBudgets {
@@ -55,14 +76,14 @@ struct SpecBase {
   bool paper_ttp = false;             ///< closed-form OutTTP model
   CampaignBudgets budgets{};
   std::size_t jobs = 1;  ///< worker threads (0 = one per hardware core)
-  /// Per-job watchdog deadline (job_runtime.hpp; 0 = off).
+  /// Per-job wall-clock deadline in milliseconds (DESIGN.md §6; 0 = off).
   std::int64_t job_timeout_ms = 0;
 
   [[nodiscard]] core::McsOptions mcs_options() const;
 };
 
 /// The part of a report row every job kind shares: which instance it is,
-/// how the job runtime settled it (DESIGN.md §6) and the engine counters.
+/// how the suite driver settled it (DESIGN.md §6) and the engine counters.
 /// Rows that are not `done` carry `error` explaining why; they never
 /// abort the run or discard other jobs.
 struct JobRow {
@@ -91,9 +112,6 @@ struct SuiteResult {
   Spec spec;
   std::vector<Job> jobs;    ///< indexed by job_index (= suite order)
   std::size_t workers = 1;  ///< resolved thread count actually used
-  /// A shutdown request drained the run before every job settled;
-  /// `pending` rows mark the jobs a --resume will pick up.
-  bool interrupted = false;
   std::size_t resumed_jobs = 0;  ///< jobs recovered from the journal
   double wall_seconds = 0.0;
   /// engine_metrics() of every job this run executed to the end, merged
@@ -106,6 +124,10 @@ struct SuiteResult {
     return static_cast<std::size_t>(std::count_if(
         jobs.begin(), jobs.end(), [state](const Job& j) { return j.state == state; }));
   }
+
+  /// A shutdown request drained the run before every job settled;
+  /// `pending` rows mark the jobs a --resume will pick up.
+  [[nodiscard]] bool interrupted() const { return count(RunState::Pending) > 0; }
 
   /// Digest of every job signature: equal across runs with any
   /// `spec.jobs`, delta mode or observability setting.
@@ -130,7 +152,7 @@ struct RunOptions {
   bool resume = false;
   /// Graceful shutdown flag (signal handlers set it).  Not owned.
   const std::atomic<bool>* stop = nullptr;
-  /// Test-only fault injection, forwarded to the runtime.
+  /// Test-only fault injection (see RuntimeFault).
   std::vector<RuntimeFault> faults;
 };
 

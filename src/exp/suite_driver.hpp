@@ -2,6 +2,7 @@
 // and report helpers behind run_campaign() and run_validation().
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <iosfwd>
@@ -18,8 +19,9 @@
 #include "mcs/gen/generator.hpp"
 #include "mcs/gen/suites.hpp"
 #include "mcs/obs/trace.hpp"
+#include "mcs/util/cancel.hpp"
 #include "mcs/util/kv_parse.hpp"
-#include "mcs/util/thread_pool.hpp"
+#include "mcs/util/parallel.hpp"
 
 namespace mcs::exp {
 
@@ -135,11 +137,19 @@ struct JournalCodec {
   Job (*decode)(const std::string&) = nullptr;
 };
 
-/// Runs `body(sys, row, engine, cancel)` for every point of the spec's
-/// suite on the job runtime.  The driver fills each row's identity and
-/// wall time, merges each completed body's `engine` metrics into the
-/// result, turns runtime dispositions into degraded and pending rows,
-/// and, with a journal_path, journals settled rows through `codec`.
+/// Raises the RuntimeFault `options` configures for job `job_index`, if
+/// any: a permanent fault throws, a stall spins until `cancel` fires.
+void inject_fault(const RunOptions& options, std::int64_t job_timeout_ms,
+                  std::size_t job_index, const util::CancelToken& cancel);
+
+/// Runs `body(sys, row, engine, cancel)` once for every point of the
+/// spec's suite, on `spec.jobs` worker threads.  The driver fills each
+/// row's identity and wall time, merges each completed body's `engine`
+/// metrics into the result, settles a body that throws into a degraded
+/// row (`timeout` for a passed deadline, `failed` otherwise, `pending`
+/// for a shutdown), and, with a journal_path, journals settled rows
+/// through `codec`.  Pending rows are never journaled: --resume re-runs
+/// exactly those.
 template <typename Result, typename Body>
 Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
                  const char* job_span,
@@ -171,23 +181,23 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
     return job;
   };
 
-  // Checkpoint/resume: recover journaled rows first, then hand run_jobs
-  // the done[] mask so recovered jobs never re-run.
+  // Checkpoint/resume: recover journaled rows first; recovered jobs never
+  // re-run.
   std::optional<JournalWriter> journal;
-  std::vector<char> done(suite.size(), 0);
+  std::vector<char> recovered(suite.size(), 0);
   if (!options.journal_path.empty()) {
     const JournalHeader header{kJournalVersion, codec.spec_digest};
     if (options.resume) {
-      JournalContents recovered;
+      JournalContents contents;
       journal.emplace(
-          JournalWriter::open_or_create(options.journal_path, header, recovered));
-      for (const std::string& record : recovered.records) {
+          JournalWriter::open_or_create(options.journal_path, header, contents));
+      for (const std::string& record : contents.records) {
         Job job = codec.decode(record);
-        if (job.job_index >= suite.size() || done[job.job_index]) {
+        if (job.job_index >= suite.size() || recovered[job.job_index]) {
           throw JournalError("journal record for unexpected job " +
                              std::to_string(job.job_index));
         }
-        done[job.job_index] = 1;
+        recovered[job.job_index] = 1;
         ++result.resumed_jobs;
         result.jobs[job.job_index] = std::move(job);
       }
@@ -196,60 +206,61 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
     }
   }
 
-  RuntimeOptions runtime;
-  runtime.workers = spec.jobs == 0 ? util::ThreadPool::default_workers() : spec.jobs;
-  runtime.job_timeout_ms = spec.job_timeout_ms;
-  runtime.stop = options.stop;
-  runtime.faults = options.faults;
-
+  result.workers = std::min(spec.jobs == 0 ? util::default_workers() : spec.jobs,
+                            std::max<std::size_t>(1, suite.size()));
   std::mutex engine_mutex;
-  RuntimeReport report;
-  const std::vector<JobDisposition> dispositions = run_jobs(
-      runtime, suite.size(),
-      [&](std::size_t i, const util::CancelToken& cancel) {
-        // Everything mutable is local to this call and thus to the one
-        // worker thread executing it; only a completed body assigns the
-        // slot, so a cancelled or failed job leaves no partial state.
-        const obs::Span span(job_span, static_cast<std::uint64_t>(i));
-        const auto job_start = std::chrono::steady_clock::now();
-        Job job = identified(i);
-        const gen::GeneratedSystem sys = gen::generate(suite[i].params);
-        job.processes = sys.app.num_processes();
-        job.messages = sys.app.num_messages();
-        MetricsSnapshot engine;
-        body(sys, job, engine, cancel);
-        job.seconds = seconds_since(job_start);
-        result.jobs[i] = std::move(job);
-        const std::lock_guard lock(engine_mutex);
-        merge(result.engine, engine);
-      },
-      options.resume ? &done : nullptr,
-      [&](std::size_t i, const JobDisposition& disposition) {
-        Job& job = result.jobs[i];
-        if (disposition.state != RunState::Done) {
-          job = degraded(i, disposition.state, disposition.error);
-        }
-        if (journal) journal->append(codec.encode(job));
-      },
-      &report);
+  util::parallel_for(result.workers, suite.size(), [&](std::size_t i) {
+    // Everything mutable is local to this call and thus to the one worker
+    // thread executing it.  The slot holds a degraded row until the body
+    // completes, so a cancelled or failed job leaves no partial result.
+    if (recovered[i]) return;
+    Job& row = result.jobs[i];
+    row = degraded(i, RunState::Pending,
+                   "pending: shutdown requested before the job finished");
+    if (options.stop != nullptr && options.stop->load()) return;
 
-  // Jobs the shutdown drain left unfinished (never started, or cancelled
-  // mid-attempt with the partial result discarded): attributable `pending`
-  // rows, deliberately NOT journaled — --resume re-runs exactly these.
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    if (dispositions[i].state != RunState::Pending) continue;
-    result.jobs[i] = degraded(i, RunState::Pending,
-                              "pending: shutdown requested before the job finished");
-  }
+    std::optional<util::CancelToken::Clock::time_point> deadline;
+    if (spec.job_timeout_ms > 0) {
+      deadline = util::CancelToken::Clock::now() +
+                 std::chrono::milliseconds(spec.job_timeout_ms);
+    }
+    const util::CancelToken cancel(deadline, options.stop);
+    try {
+      // Inside the try block: stack unwinding on any failure path closes
+      // the spans, keeping B/E events balanced.
+      const obs::Span attempt("job.attempt", static_cast<std::uint64_t>(i));
+      inject_fault(options, spec.job_timeout_ms, i, cancel);
+      const obs::Span span(job_span, static_cast<std::uint64_t>(i));
+      const auto job_start = std::chrono::steady_clock::now();
+      Job job = identified(i);
+      const gen::GeneratedSystem sys = gen::generate(suite[i].params);
+      job.processes = sys.app.num_processes();
+      job.messages = sys.app.num_messages();
+      MetricsSnapshot engine;
+      body(sys, job, engine, cancel);
+      job.seconds = seconds_since(job_start);
+      row = std::move(job);
+      const std::lock_guard lock(engine_mutex);
+      merge(result.engine, engine);
+    } catch (const util::CancelledError& error) {
+      // A shutdown leaves the job pending (result discarded, the resume
+      // re-runs it); a deadline is a terminal timeout.
+      if (error.reason() == util::CancelReason::Shutdown) return;
+      obs::instant("job.timeout", static_cast<std::uint64_t>(i));
+      row = degraded(i, RunState::Timeout,
+                     "timeout: watchdog deadline " +
+                         std::to_string(spec.job_timeout_ms) + " ms exceeded");
+    } catch (const std::exception& error) {
+      row = degraded(i, RunState::Failed, error.what());
+    }
+    if (journal) journal->append(codec.encode(row));
+  });
 
   if (journal) {
-    journal->sync();
     journal->close();
     result.journal_appends = journal->appends();
     result.journal_bytes = journal->payload_bytes();
   }
-  result.workers = report.workers;
-  result.interrupted = report.interrupted;
   result.wall_seconds = seconds_since(start);
   return result;
 }

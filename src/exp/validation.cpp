@@ -326,8 +326,8 @@ ValidationJob decode_validation_job(const std::string& payload) {
 }
 
 ValidationResult run_validation(const ValidationSpec& spec, const RunOptions& options) {
-  // Graceful degradation via the job runtime: a throwing job becomes a
-  // `failed` row, a watchdog overrun a `timeout` row — never an abort
+  // Graceful degradation via the suite driver: a throwing job becomes a
+  // `failed` row, a deadline overrun a `timeout` row — never an abort
   // (same contract as run_campaign).
   const JournalCodec<ValidationJob> codec{validation_spec_digest(spec),
                                           encode_validation_job,
@@ -401,7 +401,7 @@ void write_json(const ValidationResult& result, std::ostream& out) {
     out << (i ? ", " : "") << "\"" << json_escape(spec.scenarios[i].name) << "\"";
   }
   out << "],\n";
-  write_json_run_keys(out, result.workers, result.interrupted, result.resumed_jobs,
+  write_json_run_keys(out, result.workers, result.interrupted(), result.resumed_jobs,
                       result.wall_seconds, result.signature());
   out << "  \"totals\": {\"jobs\": " << result.jobs.size() << ", \"ok\": "
       << result.count(RunState::Done) << ", \"timeout\": "

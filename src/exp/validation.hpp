@@ -1,7 +1,7 @@
 // Campaign-scale soundness fuzzing and fault-tolerance sweeps.
 //
 // A validation campaign turns the discrete-event simulator into a
-// standing adversarial validator of the analysis (ROADMAP item 5): for
+// standing adversarial validator of the analysis (DESIGN.md §5): for
 // every system of a generator suite it
 //
 //   1. synthesizes a configuration with one strategy (SF/OS/OR),
@@ -81,7 +81,8 @@ struct ScenarioOutcome {
 /// One instance: synthesis verdict, soundness check, degradation rows.
 /// The row's `state` is Done ("ok" in reports) when synthesis and every
 /// simulation ran to the end; Timeout covers both the deterministic event
-/// budget and the runtime's watchdog (error/skip_reason tell them apart).
+/// budget and the per-job wall-clock deadline (error/skip_reason tell them
+/// apart).
 struct ValidationJob : JobRow {
   bool converged = false;
   bool schedulable = false;

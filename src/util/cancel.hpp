@@ -1,16 +1,19 @@
 // Cooperative cancellation for long-running synthesis jobs.
 //
-// A CancelToken is a tiny atomic flag the job runtime (src/exp/job_runtime)
-// sets from its watchdog thread when a job overruns its wall-clock budget.
-// The search loops — simulated annealing, OptimizeSchedule's slot sweep,
-// OptimizeResources' hill climbs — poll the token between evaluations and
-// unwind with CancelledError, so a diverging or pathological job degrades
-// to a deterministic `timeout` report row instead of hanging its worker.
+// A CancelToken is an immutable value the suite driver
+// (src/exp/suite_driver.hpp) builds for each job: an optional wall-clock
+// deadline plus a pointer to the process's graceful-shutdown flag.  The
+// search loops — simulated annealing, OptimizeSchedule's slot sweep,
+// OptimizeResources' hill climbs — poll it between evaluations and unwind
+// with CancelledError, so a diverging or pathological job degrades to a
+// deterministic `timeout` report row instead of hanging its worker, and a
+// SIGINT drains the run within one evaluation per worker.
 //
 // The poll granularity is one candidate evaluation: a single fixed-point
 // run is already bounded by the divergence cap (DESIGN.md §2), so the
-// loops cannot stall between two polls.  Polling is one relaxed atomic
-// load — negligible next to the evaluation it guards.
+// loops cannot stall between two polls.  A poll is one relaxed atomic
+// load, plus one steady_clock read when a deadline is armed — negligible
+// next to the evaluation it guards.
 //
 // Cancellation deliberately THROWS instead of returning partial results:
 // a partially explored search would depend on where the wall clock cut
@@ -19,14 +22,15 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <stdexcept>
 
 namespace mcs::util {
 
-enum class CancelReason : int {
-  None = 0,
-  Deadline = 1,  ///< watchdog: wall-clock budget exceeded
-  Shutdown = 2,  ///< process is draining (SIGINT/SIGTERM)
+enum class CancelReason {
+  Deadline,  ///< the job's wall-clock budget is spent
+  Shutdown,  ///< process is draining (SIGINT/SIGTERM)
 };
 
 class CancelledError : public std::runtime_error {
@@ -43,32 +47,31 @@ private:
   CancelReason reason_;
 };
 
-/// One-shot cancellation flag: the first cancel() wins.  Safe to cancel
-/// from any thread while the owning job polls.
+/// A job's cancellation condition: its deadline (if any) has passed, or
+/// the stop flag (if any) is up.  Nothing ever cancels a token; it checks
+/// both conditions itself whenever it is polled.
 class CancelToken {
 public:
-  void cancel(CancelReason reason) noexcept {
-    int expected = 0;
-    reason_.compare_exchange_strong(expected, static_cast<int>(reason),
-                                    std::memory_order_relaxed);
-  }
+  using Clock = std::chrono::steady_clock;
 
-  [[nodiscard]] bool cancelled() const noexcept {
-    return reason_.load(std::memory_order_relaxed) != 0;
-  }
+  CancelToken(std::optional<Clock::time_point> deadline,
+              const std::atomic<bool>* stop) noexcept
+      : deadline_(deadline), stop_(stop) {}
 
-  [[nodiscard]] CancelReason reason() const noexcept {
-    return static_cast<CancelReason>(reason_.load(std::memory_order_relaxed));
-  }
-
-  /// The poll the search loops call between evaluations.
+  /// The poll the search loops call between evaluations.  The stop flag
+  /// wins over an expired deadline: a draining run leaves the job pending.
   void throw_if_cancelled() const {
-    const int r = reason_.load(std::memory_order_relaxed);
-    if (r != 0) throw CancelledError(static_cast<CancelReason>(r));
+    if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) {
+      throw CancelledError(CancelReason::Shutdown);
+    }
+    if (deadline_ && Clock::now() >= *deadline_) {
+      throw CancelledError(CancelReason::Deadline);
+    }
   }
 
 private:
-  std::atomic<int> reason_{0};
+  std::optional<Clock::time_point> deadline_;
+  const std::atomic<bool>* stop_;
 };
 
 }  // namespace mcs::util

@@ -4,6 +4,9 @@
 // SG-first order is not (R = 210).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
+
 #include "mcs/core/hopa.hpp"
 #include "mcs/core/optimize_resources.hpp"
 #include "mcs/core/optimize_schedule.hpp"
@@ -165,6 +168,29 @@ TEST(OptimizeSchedule, SeedsAreSortedSchedulableFirst) {
   }
 }
 
+// A token whose stop flag is up: every search loop must unwind with
+// CancelledError at its first poll instead of returning a result.
+const std::atomic<bool> kStopRaised{true};
+const util::CancelToken kStopped(std::nullopt, &kStopRaised);
+
+TEST(OptimizeSchedule, UnwindsOnARaisedStopFlag) {
+  const auto ex = gen::make_paper_example();
+  const auto ctx = make_ctx(ex);
+  OptimizeScheduleOptions options;
+  options.cancel = &kStopped;
+  EXPECT_THROW((void)optimize_schedule(ctx, options), util::CancelledError);
+}
+
+TEST(OptimizeResources, UnwindsOnARaisedStopFlag) {
+  const auto ex = gen::make_paper_example();
+  const auto ctx = make_ctx(ex);
+  // Step 1 runs without the token, so the throw comes from OR's own climbs.
+  OptimizeResourcesOptions options;
+  const OptimizeScheduleResult step1 = optimize_schedule(ctx, options.schedule);
+  options.schedule.cancel = &kStopped;
+  EXPECT_THROW((void)optimize_resources(ctx, step1, options), util::CancelledError);
+}
+
 TEST(OptimizeResources, NeverWorseThanOptimizeSchedule) {
   const auto ex = gen::make_paper_example();
   const auto ctx = make_ctx(ex);
@@ -206,6 +232,16 @@ TEST(SimulatedAnnealing, SasReachesSchedulableOnPaperExample) {
   const auto result = simulated_annealing(ctx, start, options);
   EXPECT_TRUE(result.best_eval.schedulable)
       << "best cost " << result.best_cost;
+}
+
+TEST(SimulatedAnnealing, UnwindsOnARaisedStopFlag) {
+  const auto ex = gen::make_paper_example();
+  const auto ctx = make_ctx(ex);
+  SaOptions options;
+  options.cancel = &kStopped;
+  EXPECT_THROW((void)simulated_annealing(ctx, Candidate::initial(ex.app, ex.platform),
+                                         options),
+               util::CancelledError);
 }
 
 TEST(SimulatedAnnealing, SarCostPenalizesInfeasible) {

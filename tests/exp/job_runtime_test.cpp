@@ -1,21 +1,21 @@
-// Job-runtime tests: watchdog timeouts, failed jobs, graceful drain,
-// journal-recovered jobs, and — at the campaign and validation level —
-// fault-injected runs staying bit-identical across thread counts and a
-// partial journal resuming to the exact uninterrupted signature.
-#include "mcs/exp/job_runtime.hpp"
-
+// Job-runtime tests: the suite driver's one job loop (run_suite) under a
+// test body — deadlines, failed jobs, graceful drain, journal-recovered
+// jobs — and, at the campaign and validation level, fault-injected runs
+// staying bit-identical across thread counts and a partial journal
+// resuming to the exact uninterrupted signature.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <mutex>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "mcs/exp/campaign.hpp"
 #include "mcs/exp/journal.hpp"
+#include "mcs/exp/suite_driver.hpp"
 #include "mcs/exp/validation.hpp"
 
 namespace mcs::exp {
@@ -23,141 +23,228 @@ namespace {
 
 namespace fs = std::filesystem;
 
-RuntimeOptions fast_options() {
-  RuntimeOptions options;
-  options.workers = 2;
-  return options;
+class TempDirTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    std::string tmpl = (fs::temp_directory_path() / "mcs_runtime_XXXXXX").string();
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+    dir_ = tmpl;
+  }
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+  fs::path dir_;
+};
+
+class JobRuntime : public TempDirTest {};
+
+/// A tiny-suite spec with `count` jobs (even) on `workers` threads.
+CampaignSpec bodies_spec(std::size_t workers, std::size_t count) {
+  CampaignSpec spec;
+  spec.name = "runtime-test";
+  spec.suite = "tiny";
+  spec.seeds_per_dim = count / 2;
+  spec.suite_base_seed = 500;
+  spec.jobs = workers;
+  return spec;
 }
 
-std::size_t count_state(const std::vector<JobDisposition>& dispositions,
-                        RunState state) {
-  return static_cast<std::size_t>(
-      std::count_if(dispositions.begin(), dispositions.end(),
-                    [state](const JobDisposition& d) { return d.state == state; }));
+/// Runs the suite driver with `body(job_index, cancel)` in place of a
+/// synthesis job.
+CampaignResult run_bodies(
+    const CampaignSpec& spec, const RunOptions& options,
+    const std::function<void(std::size_t, const util::CancelToken&)>& body) {
+  const JournalCodec<JobResult> codec{campaign_spec_digest(spec), encode_job_result,
+                                      decode_job_result};
+  return run_suite<CampaignResult>(
+      spec, options, "test.job", codec,
+      [&body](const gen::GeneratedSystem&, JobResult& job, MetricsSnapshot&,
+              const util::CancelToken& cancel) { body(job.job_index, cancel); });
 }
 
-TEST(JobRuntime, HappyPathRunsEveryJobExactlyOnce) {
+std::vector<std::size_t> journaled_jobs(const fs::path& journal) {
+  std::vector<std::size_t> jobs;
+  for (const std::string& record : read_journal(journal).records) {
+    jobs.push_back(decode_job_result(record).job_index);
+  }
+  return jobs;
+}
+
+TEST_F(JobRuntime, HappyPathRunsEveryJobExactlyOnce) {
   std::vector<std::atomic<int>> runs(16);
-  RuntimeReport report;
-  const auto dispositions = run_jobs(
-      fast_options(), runs.size(),
-      [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); },
-      nullptr, {}, &report);
-  ASSERT_EQ(dispositions.size(), runs.size());
+  const CampaignResult result =
+      run_bodies(bodies_spec(2, runs.size()), {},
+                 [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); });
+  ASSERT_EQ(result.jobs.size(), runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     EXPECT_EQ(runs[i].load(), 1) << "job " << i;
-    EXPECT_EQ(dispositions[i].state, RunState::Done);
-    EXPECT_TRUE(dispositions[i].error.empty());
+    EXPECT_EQ(result.jobs[i].job_index, i);
+    EXPECT_EQ(result.jobs[i].state, RunState::Done);
+    EXPECT_TRUE(result.jobs[i].error.empty());
   }
-  EXPECT_EQ(report.workers, 2u);
-  EXPECT_FALSE(report.interrupted);
+  EXPECT_EQ(result.workers, 2u);
+  EXPECT_FALSE(result.interrupted());
 }
 
-TEST(JobRuntime, PermanentFaultIsNeverRetried) {
-  std::atomic<int> body_runs{0};
-  RuntimeOptions options = fast_options();
+TEST_F(JobRuntime, PermanentFaultIsNeverRetried) {
+  std::vector<std::atomic<int>> runs(2);
+  RunOptions options;
   options.faults = {{0, RuntimeFault::Kind::ThrowPermanent}};
-  const auto dispositions = run_jobs(
-      options, 1, [&](std::size_t, const util::CancelToken&) { ++body_runs; });
-  EXPECT_EQ(dispositions[0].state, RunState::Failed);
-  EXPECT_EQ(dispositions[0].error, "injected permanent fault (job 0)");
-  EXPECT_EQ(body_runs.load(), 0);  // the fault fired before the body, once
+  const CampaignResult result =
+      run_bodies(bodies_spec(2, runs.size()), options,
+                 [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); });
+  EXPECT_EQ(result.jobs[0].state, RunState::Failed);
+  EXPECT_EQ(result.jobs[0].error, "injected permanent fault (job 0)");
+  EXPECT_EQ(runs[0].load(), 0);  // the fault fired before the body, once
+  EXPECT_EQ(result.jobs[1].state, RunState::Done);
+  EXPECT_EQ(runs[1].load(), 1);
 }
 
-TEST(JobRuntime, WatchdogDeadlineYieldsTimeoutRow) {
-  RuntimeOptions options = fast_options();
-  options.job_timeout_ms = 40;
+TEST_F(JobRuntime, WatchdogDeadlineYieldsTimeoutRow) {
+  CampaignSpec spec = bodies_spec(2, 2);
+  spec.job_timeout_ms = 40;
+  RunOptions options;
   options.faults = {{0, RuntimeFault::Kind::Stall}};
   std::atomic<int> body_runs{0};
-  const auto dispositions = run_jobs(
-      options, 2, [&](std::size_t, const util::CancelToken&) { ++body_runs; });
-  EXPECT_EQ(dispositions[0].state, RunState::Timeout);
-  EXPECT_EQ(dispositions[0].error, "timeout: watchdog deadline 40 ms exceeded");
-  EXPECT_EQ(dispositions[1].state, RunState::Done);
-  EXPECT_EQ(count_state(dispositions, RunState::Timeout), 1u);
+  const CampaignResult result =
+      run_bodies(spec, options, [&](std::size_t, const util::CancelToken&) { ++body_runs; });
+  EXPECT_EQ(result.jobs[0].state, RunState::Timeout);
+  EXPECT_EQ(result.jobs[0].error, "timeout: watchdog deadline 40 ms exceeded");
+  EXPECT_EQ(result.jobs[1].state, RunState::Done);
+  EXPECT_EQ(result.count(RunState::Timeout), 1u);
   EXPECT_EQ(body_runs.load(), 1);  // the stalled job never reached the body
+  EXPECT_FALSE(result.interrupted());
 }
 
-TEST(JobRuntime, PreSetStopFlagLeavesEverythingPending) {
-  RuntimeOptions options = fast_options();
-  std::atomic<bool> stop{true};
+TEST_F(JobRuntime, PreSetStopFlagLeavesEverythingPending) {
+  const std::atomic<bool> stop{true};
+  RunOptions options;
   options.stop = &stop;
+  options.journal_path = (dir_ / "stopped.journal").string();
   std::atomic<int> body_runs{0};
-  std::atomic<int> settled{0};
-  RuntimeReport report;
-  const auto dispositions = run_jobs(
-      options, 4, [&](std::size_t, const util::CancelToken&) { ++body_runs; },
-      nullptr, [&](std::size_t, const JobDisposition&) { ++settled; }, &report);
-  EXPECT_EQ(count_state(dispositions, RunState::Pending), 4u);
-  EXPECT_EQ(body_runs.load(), 0);
-  EXPECT_EQ(settled.load(), 0);  // pending jobs are not settled (or journaled)
-  EXPECT_TRUE(report.interrupted);
-}
-
-TEST(JobRuntime, MidRunStopDrainsRemainingJobs) {
-  RuntimeOptions options = fast_options();
-  options.workers = 1;  // deterministic 0,1,2,... execution order
-  std::atomic<bool> stop{false};
-  options.stop = &stop;
-  RuntimeReport report;
-  const auto dispositions = run_jobs(
-      options, 4,
-      [&](std::size_t i, const util::CancelToken&) {
-        if (i == 0) stop.store(true);  // request shutdown after job 0's work
-      },
-      nullptr, {}, &report);
-  EXPECT_EQ(dispositions[0].state, RunState::Done);
-  for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(dispositions[i].state, RunState::Pending) << "job " << i;
+  const CampaignResult result = run_bodies(
+      bodies_spec(2, 4), options, [&](std::size_t, const util::CancelToken&) { ++body_runs; });
+  ASSERT_EQ(result.jobs.size(), 4u);
+  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+    EXPECT_EQ(result.jobs[i].job_index, i);
+    EXPECT_EQ(result.jobs[i].state, RunState::Pending) << "job " << i;
+    EXPECT_EQ(result.jobs[i].error,
+              "pending: shutdown requested before the job finished");
   }
-  EXPECT_TRUE(report.interrupted);
-  EXPECT_EQ(count_state(dispositions, RunState::Done), 1u);
-  EXPECT_EQ(count_state(dispositions, RunState::Pending), 3u);
+  EXPECT_EQ(body_runs.load(), 0);
+  EXPECT_TRUE(result.interrupted());
+  // Pending jobs are not settled, so nothing is journaled.
+  EXPECT_EQ(result.journal_appends, 0u);
+  EXPECT_TRUE(read_journal(options.journal_path).records.empty());
 }
 
-TEST(JobRuntime, AlreadyDoneJobsAreSkippedAndNotResettled) {
-  const std::vector<char> done_mask = {1, 0, 1};
-  std::vector<std::atomic<int>> runs(3);
-  std::vector<int> settled;
-  std::mutex settled_mutex;
-  const auto dispositions = run_jobs(
-      fast_options(), 3,
-      [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); },
-      &done_mask,
-      [&](std::size_t i, const JobDisposition&) {
-        const std::lock_guard lock(settled_mutex);
-        settled.push_back(static_cast<int>(i));
+// A body that raises the stop flag and then polls its own token unwinds
+// at once: the token reads the flag itself, no other thread is involved.
+// The job ends pending, and the jobs after it never start.
+TEST_F(JobRuntime, MidRunStopDrainsRemainingJobs) {
+  std::atomic<bool> stop{false};
+  RunOptions options;
+  options.stop = &stop;
+  options.journal_path = (dir_ / "drained.journal").string();
+  std::vector<std::atomic<int>> runs(4);
+  bool polled_through = false;
+  const CampaignResult result =  // one worker: jobs run in order 0, 1, 2, ...
+      run_bodies(bodies_spec(1, runs.size()), options,
+                 [&](std::size_t i, const util::CancelToken& cancel) {
+                   runs[i].fetch_add(1);
+                   if (i != 1) return;
+                   stop.store(true);
+                   cancel.throw_if_cancelled();
+                   polled_through = true;
+                 });
+  EXPECT_FALSE(polled_through);
+  EXPECT_EQ(result.jobs[0].state, RunState::Done);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(result.jobs[i].state, RunState::Pending) << "job " << i;
+    EXPECT_EQ(runs[i].load(), i == 1 ? 1 : 0) << "job " << i;
+  }
+  EXPECT_TRUE(result.interrupted());
+  EXPECT_EQ(result.count(RunState::Done), 1u);
+  EXPECT_EQ(result.count(RunState::Pending), 3u);
+  EXPECT_EQ(journaled_jobs(options.journal_path), std::vector<std::size_t>{0});
+}
+
+// A shutdown request that lands after the last job settled drains
+// nothing: every row is done, so the run is complete, not interrupted.
+TEST_F(JobRuntime, StopAfterTheLastJobSettledIsNotAnInterruption) {
+  std::atomic<bool> stop{false};
+  RunOptions options;
+  options.stop = &stop;
+  const CampaignResult result =
+      run_bodies(bodies_spec(1, 4), options, [&](std::size_t i, const util::CancelToken&) {
+        if (i == 3) stop.store(true);
       });
+  EXPECT_EQ(result.count(RunState::Done), 4u);
+  EXPECT_FALSE(result.interrupted());
+}
+
+TEST_F(JobRuntime, AlreadyDoneJobsAreSkippedAndNotResettled) {
+  const CampaignSpec spec = bodies_spec(2, 4);
+  const fs::path journal = dir_ / "recovered.journal";
+  RunOptions journal_options;
+  journal_options.journal_path = journal.string();
+  (void)run_bodies(spec, journal_options, [](std::size_t, const util::CancelToken&) {});
+  // Keep only the records of jobs 0 and 2, as if the run died after them.
+  const JournalContents full = read_journal(journal);
+  {
+    JournalWriter writer = JournalWriter::create(journal, full.header);
+    for (const std::string& record : full.records) {
+      const std::size_t job = decode_job_result(record).job_index;
+      if (job == 0 || job == 2) writer.append(record);
+    }
+    writer.close();
+  }
+
+  RunOptions resume_options = journal_options;
+  resume_options.resume = true;
+  std::vector<std::atomic<int>> runs(4);
+  const CampaignResult result =
+      run_bodies(spec, resume_options,
+                 [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); });
   EXPECT_EQ(runs[0].load(), 0);  // recovered, not re-run
   EXPECT_EQ(runs[1].load(), 1);
   EXPECT_EQ(runs[2].load(), 0);
-  EXPECT_EQ(count_state(dispositions, RunState::Done), 3u);
-  ASSERT_EQ(settled.size(), 1u);  // only the freshly run job is journaled
-  EXPECT_EQ(settled[0], 1);
+  EXPECT_EQ(runs[3].load(), 1);
+  EXPECT_EQ(result.count(RunState::Done), 4u);
+  EXPECT_EQ(result.resumed_jobs, 2u);
+  // Only the freshly run jobs are journaled, after the recovered records.
+  EXPECT_EQ(result.journal_appends, 2u);
+  const std::vector<std::size_t> journaled = journaled_jobs(journal);
+  ASSERT_EQ(journaled.size(), 4u);
+  EXPECT_EQ(std::multiset<std::size_t>(journaled.begin() + 2, journaled.end()),
+            (std::multiset<std::size_t>{1, 3}));
 }
 
-TEST(JobRuntime, FaultDispositionsAreWorkerCountInvariant) {
-  RuntimeOptions options = fast_options();
-  options.job_timeout_ms = 40;
+TEST_F(JobRuntime, FaultDispositionsAreWorkerCountInvariant) {
+  CampaignSpec spec = bodies_spec(1, 8);
+  spec.job_timeout_ms = 40;
+  RunOptions options;
   options.faults = {{2, RuntimeFault::Kind::ThrowPermanent},
                     {3, RuntimeFault::Kind::Stall},
                     {5, RuntimeFault::Kind::ThrowPermanent}};
   const auto body = [](std::size_t, const util::CancelToken&) {};
 
-  options.workers = 1;
-  const auto serial = run_jobs(options, 8, body);
-  options.workers = 4;
-  const auto parallel = run_jobs(options, 8, body);
+  const CampaignResult serial = run_bodies(spec, options, body);
+  spec.jobs = 4;
+  const CampaignResult parallel = run_bodies(spec, options, body);
 
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].state, parallel[i].state) << "job " << i;
-    EXPECT_EQ(serial[i].error, parallel[i].error) << "job " << i;
+  ASSERT_EQ(serial.jobs.size(), parallel.jobs.size());
+  for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
+    EXPECT_EQ(serial.jobs[i].state, parallel.jobs[i].state) << "job " << i;
+    EXPECT_EQ(serial.jobs[i].error, parallel.jobs[i].error) << "job " << i;
   }
-  EXPECT_EQ(serial[2].state, RunState::Failed);
-  EXPECT_EQ(serial[3].state, RunState::Timeout);
-  EXPECT_EQ(serial[5].state, RunState::Failed);
-  EXPECT_EQ(count_state(serial, RunState::Done), 5u);
+  EXPECT_EQ(serial.jobs[2].state, RunState::Failed);
+  EXPECT_EQ(serial.jobs[3].state, RunState::Timeout);
+  EXPECT_EQ(serial.jobs[5].state, RunState::Failed);
+  EXPECT_EQ(serial.count(RunState::Done), 5u);
+  EXPECT_EQ(parallel.workers, 4u);
 }
 
 // ---- campaign-level integration -------------------------------------
@@ -174,20 +261,7 @@ CampaignSpec resilience_spec(std::size_t jobs) {
   return spec;
 }
 
-class CampaignResilienceTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    std::string tmpl = (fs::temp_directory_path() / "mcs_runtime_XXXXXX").string();
-    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
-    dir_ = tmpl;
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-
-  fs::path dir_;
-};
+class CampaignResilienceTest : public TempDirTest {};
 
 // Fault-injected campaigns obey the same thread-count bit-identity
 // contract as clean ones: failed and timed-out rows included.
@@ -229,15 +303,15 @@ TEST_F(CampaignResilienceTest, StalledJobBecomesTimeoutRow) {
   EXPECT_EQ(result.jobs[0].error, "timeout: watchdog deadline 50 ms exceeded");
   EXPECT_TRUE(result.jobs[0].outcomes.empty());
   EXPECT_EQ(result.jobs[1].state, RunState::Done);
-  EXPECT_FALSE(result.interrupted);
+  EXPECT_FALSE(result.interrupted());
 }
 
 // The crash-safety acceptance property: a campaign resumed from a PARTIAL
 // journal — only some jobs checkpointed — reproduces the uninterrupted
 // run's signature exactly, re-running only the missing jobs.  The
 // resilience layers themselves must not touch a signed field either: a
-// fully journaled run and a run under a watchdog generous enough never
-// to fire both sign like the bare run.
+// fully journaled run and a run under a deadline generous enough never
+// to pass both sign like the bare run.
 TEST_F(CampaignResilienceTest, PartialJournalResumeMatchesUninterruptedRun) {
   const CampaignSpec spec = resilience_spec(2);
   const CampaignResult uninterrupted = run_campaign(spec);
@@ -269,7 +343,7 @@ TEST_F(CampaignResilienceTest, PartialJournalResumeMatchesUninterruptedRun) {
   const CampaignResult resumed = run_campaign(spec, resume_options);
 
   EXPECT_EQ(resumed.resumed_jobs, 2u);
-  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_FALSE(resumed.interrupted());
   EXPECT_EQ(resumed.signature(), uninterrupted.signature());
   ASSERT_EQ(resumed.jobs.size(), uninterrupted.jobs.size());
   for (std::size_t i = 0; i < resumed.jobs.size(); ++i) {
@@ -316,7 +390,7 @@ TEST_F(CampaignResilienceTest, SpecDigestIgnoresNameAndJobs) {
   b.jobs = 8;
   EXPECT_EQ(campaign_spec_digest(a), campaign_spec_digest(b));
   CampaignSpec c = a;
-  c.job_timeout_ms = 5000;  // the watchdog decides which rows time out
+  c.job_timeout_ms = 5000;  // the deadline decides which rows time out
   EXPECT_NE(campaign_spec_digest(a), campaign_spec_digest(c));
 }
 
@@ -407,7 +481,7 @@ TEST_F(ValidationResilience, PartialJournalResumeMatchesUninterruptedRun) {
   const ValidationResult resumed = run_validation(spec, resume_options);
 
   EXPECT_EQ(resumed.resumed_jobs, 2u);
-  EXPECT_FALSE(resumed.interrupted);
+  EXPECT_FALSE(resumed.interrupted());
   EXPECT_EQ(resumed.signature(), uninterrupted.signature());
   ASSERT_EQ(resumed.jobs.size(), uninterrupted.jobs.size());
   for (std::size_t i = 0; i < resumed.jobs.size(); ++i) {

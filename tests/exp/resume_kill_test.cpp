@@ -1,8 +1,9 @@
 // End-to-end crash/recovery tests against the real mcs_synth binary: a
 // journaled campaign or validation run is SIGKILLed mid-run (the harshest
 // crash the journal must survive — no destructors, possibly a torn
-// record), then resumed with `--resume`; the resumed report signature
-// must equal an uninterrupted run's bit for bit.
+// record) or sent SIGINT (the graceful drain), then resumed with
+// `--resume`; the resumed report signature must equal an uninterrupted
+// run's bit for bit.
 //
 // The binary path arrives via the MCS_SYNTH_BIN compile definition
 // (CMake wires it to $<TARGET_FILE:mcs_synth>); without it — e.g. a
@@ -26,6 +27,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "mcs/exp/journal.hpp"
 
 namespace {
 
@@ -61,11 +64,12 @@ std::string extract_signature(const std::string& text) {
   return text.substr(at + needle.size(), 16);
 }
 
-// Starts mcs_synth with `args` (output discarded) and SIGKILLs it as soon
-// as `journal` holds at least one record.  A child that finishes before
-// the kill is fine: resume from ANY journal prefix must reproduce the
-// signature.
-void run_and_sigkill(const std::vector<std::string>& args, const fs::path& journal) {
+// Starts mcs_synth with `args` (output discarded) and sends it `signo` as
+// soon as `journal` holds at least one record; `status` receives the
+// child's wait status.  A child that finishes before the signal is fine:
+// resume from ANY journal prefix must reproduce the signature.
+void run_and_signal(const std::vector<std::string>& args, const fs::path& journal,
+                    int signo, int& status) {
   std::vector<char*> argv = {const_cast<char*>(MCS_SYNTH_BIN)};
   for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
   argv.push_back(nullptr);
@@ -81,26 +85,27 @@ void run_and_sigkill(const std::vector<std::string>& args, const fs::path& journ
     _exit(127);  // exec failed
   }
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  bool child_exited = false;
   while (std::chrono::steady_clock::now() < give_up) {
-    int status = 0;
     if (::waitpid(child, &status, WNOHANG) == child) {
-      child_exited = true;  // finished before we could kill it — still fine
-      break;
+      ASSERT_TRUE(fs::exists(journal));
+      return;  // finished before we could signal it — still fine
     }
     std::error_code ec;
     const auto size = fs::file_size(journal, ec);
     if (!ec && size > kJournalHeaderBytes) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  if (!child_exited) {
-    ASSERT_EQ(::kill(child, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    ASSERT_EQ(WTERMSIG(status), SIGKILL);
-  }
+  ASSERT_EQ(::kill(child, signo), 0);
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
   ASSERT_TRUE(fs::exists(journal));
+}
+
+// SIGKILL: no signal handler, no destructors — the child dies at once
+// unless it had already exited on its own.
+void run_and_sigkill(const std::vector<std::string>& args, const fs::path& journal) {
+  int status = 0;
+  ASSERT_NO_FATAL_FAILURE(run_and_signal(args, journal, SIGKILL, status));
+  if (WIFSIGNALED(status)) ASSERT_EQ(WTERMSIG(status), SIGKILL);
 }
 
 class ResumeKillTest : public ::testing::Test {
@@ -181,6 +186,33 @@ TEST_F(ResumeKillTest, ValidationResumeAfterSigkillReproducesTheSignature) {
                                     journal.string());
   EXPECT_EQ(cross.exit_code, 5) << cross.text;
   EXPECT_NE(cross.text.find("journal"), std::string::npos) << cross.text;
+}
+
+// SIGINT drains the run gracefully: in-flight jobs are discarded as
+// pending, settled ones are journaled, and the exit code is 4 — or 0 when
+// the signal landed after the last job settled.  The journal holds only
+// whole records, and --resume finishes the run to the uninterrupted
+// signature.
+TEST_F(ResumeKillTest, ResumeAfterSigintReproducesTheSignature) {
+  const RunOutput full = run_synth("--campaign " + spec_.string() + " --jobs 2");
+  ASSERT_EQ(full.exit_code, 0) << full.text;
+  const std::string expected = extract_signature(full.text);
+  ASSERT_EQ(expected.size(), 16u) << full.text;
+
+  const fs::path journal = dir_ / "sigint.journal";
+  int status = 0;
+  ASSERT_NO_FATAL_FAILURE(run_and_signal(
+      {"--campaign", spec_.string(), "--jobs", "2", "--journal", journal.string()},
+      journal, SIGINT, status));
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_TRUE(WEXITSTATUS(status) == 4 || WEXITSTATUS(status) == 0)
+      << "exit " << WEXITSTATUS(status);
+
+  EXPECT_FALSE(mcs::exp::read_journal(journal).truncated);
+  const RunOutput resumed = run_synth("--campaign " + spec_.string() +
+                                      " --jobs 2 --resume " + journal.string());
+  ASSERT_EQ(resumed.exit_code, 0) << resumed.text;
+  EXPECT_EQ(extract_signature(resumed.text), expected) << resumed.text;
 }
 
 TEST_F(ResumeKillTest, ResumeUnderADifferentSpecExitsWithJournalError) {

@@ -1,34 +1,38 @@
-// CancelToken semantics the job runtime depends on: one-shot first-cancel-
-// wins, and throw_if_cancelled() carrying the reason into CancelledError.
+// CancelToken semantics the suite driver depends on: a token fires when
+// its stop flag is up or its deadline has passed, the stop flag wins, and
+// throw_if_cancelled() carries the reason into CancelledError.
 #include "mcs/util/cancel.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <thread>
-#include <vector>
+#include <atomic>
+#include <chrono>
 
 namespace mcs::util {
 namespace {
 
-TEST(CancelToken, StartsUncancelled) {
-  CancelToken token;
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_EQ(token.reason(), CancelReason::None);
-  EXPECT_NO_THROW(token.throw_if_cancelled());
+using Clock = CancelToken::Clock;
+
+CancelReason reason_of(const CancelToken& token) {
+  try {
+    token.throw_if_cancelled();
+  } catch (const CancelledError& e) {
+    return e.reason();
+  }
+  ADD_FAILURE() << "expected CancelledError";
+  return CancelReason::Deadline;
 }
 
-TEST(CancelToken, FirstCancelWins) {
-  CancelToken token;
-  token.cancel(CancelReason::Deadline);
-  token.cancel(CancelReason::Shutdown);  // loses the race, ignored
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(token.reason(), CancelReason::Deadline);
+TEST(CancelToken, StartsUncancelled) {
+  EXPECT_NO_THROW(CancelToken(std::nullopt, nullptr).throw_if_cancelled());
+  const std::atomic<bool> stop{false};
+  EXPECT_NO_THROW(CancelToken(std::nullopt, &stop).throw_if_cancelled());
+  const CancelToken far(Clock::now() + std::chrono::hours(1), &stop);
+  EXPECT_NO_THROW(far.throw_if_cancelled());
 }
 
 TEST(CancelToken, ThrowIfCancelledCarriesReasonAndMessage) {
-  CancelToken deadline;
-  deadline.cancel(CancelReason::Deadline);
+  const CancelToken deadline(Clock::now() - std::chrono::milliseconds(1), nullptr);
   try {
     deadline.throw_if_cancelled();
     FAIL() << "expected CancelledError";
@@ -37,8 +41,8 @@ TEST(CancelToken, ThrowIfCancelledCarriesReasonAndMessage) {
     EXPECT_STREQ(e.what(), "cancelled: wall-clock deadline exceeded");
   }
 
-  CancelToken shutdown;
-  shutdown.cancel(CancelReason::Shutdown);
+  const std::atomic<bool> stop{true};
+  const CancelToken shutdown(std::nullopt, &stop);
   try {
     shutdown.throw_if_cancelled();
     FAIL() << "expected CancelledError";
@@ -48,19 +52,22 @@ TEST(CancelToken, ThrowIfCancelledCarriesReasonAndMessage) {
   }
 }
 
-// The watchdog cancels from its own thread while the job polls; racing
-// cancellers must settle on exactly one of the attempted reasons.
-TEST(CancelToken, ConcurrentCancelSettlesOnOneReason) {
-  for (int round = 0; round < 50; ++round) {
-    CancelToken token;
-    std::vector<std::thread> threads;
-    threads.emplace_back([&] { token.cancel(CancelReason::Deadline); });
-    threads.emplace_back([&] { token.cancel(CancelReason::Shutdown); });
-    for (auto& t : threads) t.join();
-    const CancelReason reason = token.reason();
-    EXPECT_TRUE(reason == CancelReason::Deadline ||
-                reason == CancelReason::Shutdown);
-  }
+// A token reads the flag at every poll: raising it after the token was
+// built cancels the next poll.
+TEST(CancelToken, SeesAStopFlagRaisedAfterConstruction) {
+  std::atomic<bool> stop{false};
+  const CancelToken token(std::nullopt, &stop);
+  EXPECT_NO_THROW(token.throw_if_cancelled());
+  stop.store(true);
+  EXPECT_EQ(reason_of(token), CancelReason::Shutdown);
+}
+
+// A draining run leaves the job pending rather than timed out, so the
+// stop flag wins over a deadline that has passed as well.
+TEST(CancelToken, StopFlagWinsOverAnExpiredDeadline) {
+  const std::atomic<bool> stop{true};
+  const CancelToken token(Clock::now() - std::chrono::milliseconds(1), &stop);
+  EXPECT_EQ(reason_of(token), CancelReason::Shutdown);
 }
 
 }  // namespace

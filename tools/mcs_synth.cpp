@@ -45,7 +45,7 @@
 // Campaign mode (parallel multi-seed/multi-suite sweeps, see
 // src/exp/campaign.hpp and DESIGN.md §4) and validation mode
 // (campaign-scale soundness fuzzing + fault sweeps, see
-// src/exp/validation.hpp and DESIGN.md §5) run on one job runtime and
+// src/exp/validation.hpp and DESIGN.md §5) run on one suite driver and
 // share their run flags:
 //
 //   mcs_synth --campaign <spec> [run flags]
@@ -71,12 +71,14 @@
 //   --resume <file>         resume from a journal written by --journal:
 //                           recovered jobs are not re-run and the merged
 //                           report signature equals an uninterrupted run's
-//   --job-timeout-ms N      per-job watchdog deadline (overrides the spec;
+//   --job-timeout-ms N      per-job wall-clock deadline (overrides the spec;
 //                           0 = off): overruns become `timeout` rows
 //
-// SIGINT/SIGTERM drain the run gracefully: in-flight jobs are cancelled,
+// SIGINT/SIGTERM drain the run gracefully: in-flight jobs see the stop
+// flag at their next cancellation poll and are discarded as `pending`,
 // settled rows are journaled, a partial report is written, and the exit
-// code is 4 (resume with --resume).  A second signal kills immediately.
+// code is 4 (resume with --resume) — or 0 when every job had already
+// settled.  A second signal kills immediately.
 //
 // Reads a plain-text system description (see src/gen/textio.hpp for the
 // grammar and examples/paper_example.mcs for a sample), synthesizes a
@@ -113,9 +115,10 @@ namespace {
 
 constexpr const char* kVersion = "0.8.0";
 
-/// Graceful-shutdown flag the signal handler raises; the job runtime
-/// polls it and drains (std::atomic<bool> is lock-free on every target we
-/// build for, so the store below is async-signal-safe).
+/// Graceful-shutdown flag the signal handler raises; every job's cancel
+/// token polls it, and the suite driver starts no job once it is up
+/// (std::atomic<bool> is lock-free on every target we build for, so the
+/// store below is async-signal-safe).
 std::atomic<bool> g_stop{false};
 
 extern "C" void handle_shutdown_signal(int) { g_stop.store(true); }
@@ -227,7 +230,7 @@ int parse_args(int argc, char** argv, Options& options) {
     } else if (arg == "--job-timeout-ms") {
       if (++i >= argc) return 2;
       unsigned long long ms = 0;
-      // A week-long deadline bound keeps the watchdog arithmetic safe.
+      // A week-long bound keeps the deadline arithmetic safe.
       if (!parse_count_flag("--job-timeout-ms", argv[i], 604'800'000ULL, ms)) {
         return 3;
       }
@@ -359,7 +362,7 @@ template <typename Result>
 int finish_suite(const Options& options, const exp::RunOptions& run,
                  const Result& result) {
   if (!write_report_files(options, result)) return 1;
-  if (!result.interrupted) return 0;
+  if (!result.interrupted()) return 0;
   std::printf("interrupted: drained in-flight jobs, %s; "
               "re-run with --resume to finish\n",
               run.journal_path.empty() ? "partial report only (no --journal)"
