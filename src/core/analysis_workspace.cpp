@@ -30,6 +30,13 @@ DeltaMode delta_mode_from_env() noexcept {
   return DeltaMode::On;
 }
 
+AnalysisKernel kernel_from_env() noexcept {
+  const char* kernel = std::getenv("MCS_KERNEL");
+  return kernel != nullptr && std::strcmp(kernel, "reference") == 0
+             ? AnalysisKernel::Reference
+             : AnalysisKernel::Packed;
+}
+
 AnalysisWorkspace::AnalysisWorkspace(const Application& app,
                                      const arch::Platform& platform)
     : app_(&app),
@@ -198,6 +205,7 @@ void AnalysisWorkspace::build() {
   packed_scratch_.d.resize(max_pool);
   packed_scratch_.prio.resize(max_pool);
   packed_scratch_.key.resize(std::max(max_pool, kTtpKey));
+  packed_scratch_.survivors.resize(max_pool);
   packed_scratch_.cand_a.resize(max_pool);
   packed_scratch_.cand_period.resize(max_pool);
   packed_scratch_.cand_cost.resize(max_pool);

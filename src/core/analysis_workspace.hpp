@@ -73,6 +73,11 @@ enum class DeltaMode { Off, On, Check };
 /// Check, MCS_DELTA=0/off selects Off, otherwise On.
 [[nodiscard]] DeltaMode delta_mode_from_env() noexcept;
 
+/// Resolves the analysis kernel from the environment: MCS_KERNEL=reference
+/// selects the Reference oracle, otherwise Packed.  exp::SpecBase's
+/// mcs_options() reads it, so it reaches every mcs_synth run.
+[[nodiscard]] AnalysisKernel kernel_from_env() noexcept;
+
 /// Inclusive upper bounds of the per-run fixed-point iteration buckets
 /// (DeltaStats::runs_by_iterations); one overflow bucket follows.
 inline constexpr std::array<std::int64_t, 8> kIterationBounds = {1, 2, 3, 4,
@@ -219,9 +224,12 @@ public:
     /// Per-member compacted interference candidates.  The pruning
     /// predicates and each candidate's phase/span never read the member's
     /// iterated w (its own window anchors are hoisted), so the kernel
-    /// resolves them ONCE per member and the w-recurrence reduces to a
-    /// tight ceiling-sum over these parallel arrays: the w-independent
-    /// addend a = J_x + J_j - phase_j, the period and the cost.
+    /// resolves them ONCE per member, in two stages: the pool indices of
+    /// the candidates that pass the predicates go to `survivors`, then the
+    /// survivors' terms go to the parallel arrays the w-recurrence sums
+    /// over: the w-independent addend a = J_x + J_j - phase_j, the period
+    /// and the cost.
+    std::vector<std::uint32_t> survivors;
     std::vector<util::Time> cand_a, cand_period, cand_cost;
 
     /// Total heap bytes currently reserved by the scratch arrays; the
@@ -231,7 +239,8 @@ public:
               r.capacity() + d.capacity() + key.capacity() + cand_a.capacity() +
               cand_period.capacity() + cand_cost.capacity()) *
                  sizeof(util::Time) +
-             prio.capacity() * sizeof(Priority);
+             prio.capacity() * sizeof(Priority) +
+             survivors.capacity() * sizeof(std::uint32_t);
     }
   };
   [[nodiscard]] PackedScratch& packed_scratch() noexcept { return packed_scratch_; }

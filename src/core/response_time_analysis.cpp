@@ -447,28 +447,33 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
   cc.valid = true;
 }
 
-/// Appends interferer j to member x's compact candidate arrays.  The
-/// carry-in term of interfering_activations never reads the iterated w,
-/// so it is summed once into `carry`; the rest of the term is stored as
-/// the w-independent addend a = J_x + J_j - phase_j, the period and the
-/// cost.
-void push_candidate(AnalysisWorkspace::PackedScratch& ps, std::size_t& m,
-                    Time& carry, Time j_x, Time o_x, Time o_j, Time j_j,
-                    Time span_j, Time t_j, Time c_j) {
-  const Time phase = relative_phase(o_j, o_x, t_j);
+/// Writes interferer j into slot i of member x's compact candidate
+/// arrays.  The carry-in term of interfering_activations never reads the
+/// iterated w, so it is returned for the caller to sum once; the rest of
+/// the term is stored as the w-independent addend a = J_x + J_j - phase_j,
+/// the period and the cost.  Almost every phase difference lies in
+/// [-T_j, T_j) and almost every carry-in count is 0 or 1, so both are
+/// taken by comparison and divide only outside those ranges; the results
+/// equal relative_phase and the ceil_div of interfering_activations.
+[[nodiscard]] Time push_candidate(AnalysisWorkspace::PackedScratch& ps,
+                                  std::size_t i, Time j_x, Time o_x, Time o_j,
+                                  Time j_j, Time span_j, Time t_j, Time c_j) {
+  const Time d = o_j - o_x;
+  const Time phase = (d >= -t_j && d < t_j) ? d + (d < 0 ? t_j : 0)
+                                            : relative_phase(o_j, o_x, t_j);
   const Time distance = (phase == 0) ? t_j : t_j - phase;
-  if (span_j + j_x > distance) {
-    carry += util::ceil_div(span_j + j_x - distance, t_j) * c_j;
-  }
-  ps.cand_a[m] = j_x + j_j - phase;
-  ps.cand_period[m] = t_j;
-  ps.cand_cost[m] = c_j;
-  ++m;
+  const Time v = span_j + j_x - distance;
+  ps.cand_a[i] = j_x + j_j - phase;
+  ps.cand_period[i] = t_j;
+  ps.cand_cost[i] = c_j;
+  return ((v > 0) + (v > t_j ? util::ceil_div(v, t_j) - 1 : 0)) * c_j;
 }
 
 /// Iterates w = base + sum_i (w + a_i < 0 ? 0 : (w + a_i) / T_i + 1) * C_i
 /// over the first `m` candidates from `w` up to its least fixed point
 /// (clamped at the divergence cap), exactly like the Reference recurrence.
+/// Most activation counts are 0 or 1 (w + a_i < T_i), so the quotient is
+/// taken only when w + a_i >= T_i.
 [[nodiscard]] Time ceiling_sum_fixed_point(Ctx& ctx,
                                            const AnalysisWorkspace::PackedScratch& ps,
                                            std::size_t m, Time base, Time w) {
@@ -479,7 +484,7 @@ void push_candidate(AnalysisWorkspace::PackedScratch& ps, std::size_t& m,
     Time next = base;
     for (std::size_t i = 0; i < m; ++i) {
       const Time x = w + a[i];
-      if (x >= 0) next += (x / period[i] + 1) * cost[i];
+      next += ((x >= 0) + (x >= period[i] ? x / period[i] : 0)) * cost[i];
     }
     if (next > ctx.cap) {
       next = ctx.cap;
@@ -491,15 +496,39 @@ void push_candidate(AnalysisWorkspace::PackedScratch& ps, std::size_t& m,
   return w;
 }
 
+/// Stage 1 of a Packed candidate scan: writes each of the `len` cached
+/// candidates into ps.survivors and advances the count only for a survivor
+/// (every candidate without offset pruning; else one of class Always, or
+/// of class Window whose `in_window` test holds).  No branch depends on a
+/// candidate, because the window outcomes of a scan do not follow a
+/// pattern a branch predictor can learn.  Returns the survivor count.
+template <typename InWindow>
+[[nodiscard]] std::size_t compact_survivors(AnalysisWorkspace::PackedScratch& ps,
+                                            const std::uint32_t* cand,
+                                            const std::uint8_t* cls,
+                                            std::uint32_t len, bool prune,
+                                            const InWindow& in_window) {
+  std::uint32_t* out = ps.survivors.data();
+  std::size_t m = 0;
+  for (std::uint32_t t = 0; t < len; ++t) {
+    out[m] = cand[t];
+    m += !prune | (cls[t] == AnalysisWorkspace::kPairAlways) |
+         ((cls[t] == AnalysisWorkspace::kPairWindow) & in_window(cand[t]));
+  }
+  return m;
+}
+
 /// Packed pass-2 kernel: pool state gathered into contiguous scratch
 /// arrays, the pruning predicates' static parts resolved to one pair-class
 /// byte, and the window anchors of the CURRENT member hoisted out of the
 /// recurrence (its own o/e/j/w/r only change after its recurrence
-/// finishes).  The candidate scan starts from the cached
-/// priority-compacted list and the recurrence is ceiling_sum_fixed_point
-/// over the surviving candidates.  Splitting off the carry-in only
-/// regroups an exact integer sum, so the result is bit-identical to the
-/// Reference kernel (enforced by soa_layout_test).
+/// finishes).  The candidate scan runs in two stages over the cached
+/// priority-compacted list: compact_survivors applies the pruning
+/// predicates, then push_candidate fills the candidate arrays for the
+/// survivors only, and the recurrence is ceiling_sum_fixed_point over
+/// them.  Splitting off the carry-in only regroups an exact integer sum,
+/// so the result is bit-identical to the Reference kernel (enforced by
+/// soa_layout_test).
 void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
                        std::size_t pool_index) {
   const std::size_t n = pool.pids.size();
@@ -536,21 +565,16 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
     const std::uint32_t* cand = cc.list.data() + x * n;
     const std::uint8_t* ccls = cc.cls.data() + x * n;
     const std::uint32_t clen = cc.len[x];
-    std::size_t m = 0;
+    const std::size_t m = compact_survivors(
+        ps, cand, ccls, clen, prune, [&](std::size_t jj) {
+          return (ps.o[jj] + ps.r[jj] > ps.e[x]) & (ps.e[jj] < latest_x);
+        });
     Time carry_total = 0;
-    for (std::uint32_t t = 0; t < clen; ++t) {
-      const std::size_t jj = cand[t];
-      if (prune) {
-        const std::uint8_t cls = ccls[t];
-        if (cls == AnalysisWorkspace::kPairPruned) continue;
-        if (cls == AnalysisWorkspace::kPairWindow) {
-          if (ps.o[jj] + ps.r[jj] <= ps.e[x]) continue;
-          if (ps.e[jj] >= latest_x) continue;
-        }
-      }
-      push_candidate(ps, m, carry_total, j_x, ps.o[x], ps.o[jj], ps.j[jj],
-                     ps.j[jj] + std::max(ps.w[jj], pool.wcet[jj]),
-                     pool.period[jj], pool.wcet[jj]);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t jj = ps.survivors[i];
+      carry_total += push_candidate(ps, i, j_x, ps.o[x], ps.o[jj], ps.j[jj],
+                                    ps.j[jj] + std::max(ps.w[jj], pool.wcet[jj]),
+                                    pool.period[jj], pool.wcet[jj]);
     }
     const Time w = ceiling_sum_fixed_point(ctx, ps, m, c_i + carry_total,
                                            std::max(ps.w[x], c_i));
@@ -746,9 +770,11 @@ void can_message_recurrences(Ctx& ctx, State& s) {
 }
 
 /// Packed CAN kernel: the pass-2 treatment (gathered scratch, hoisted
-/// window anchors, the same ceiling-sum) with cached candidate AND
-/// blocking lists, both keyed on the message priority vector and resolved
-/// through the precomputed pair-class matrices.
+/// window anchors, the two-stage candidate scan, the same ceiling-sum)
+/// with cached candidate AND blocking lists, both keyed on the message
+/// priority vector and resolved through the precomputed pair-class
+/// matrices.  The blocking term is a masked max: a lower-priority frame
+/// that cannot block contributes tx & 0.
 void can_recurrences_packed(Ctx& ctx, State& s) {
   const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
   const std::size_t n = cp.mids.size();
@@ -800,34 +826,26 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
       const std::uint32_t blen = cc.blk_len[x];
       for (std::uint32_t t = 0; t < blen; ++t) {
         const std::size_t k = blk[t];
-        if (prune) {
-          const std::uint8_t cls = bcls[t];
-          if (cls == AnalysisWorkspace::kPairPruned) continue;
-          if (cls == AnalysisWorkspace::kPairWindow) {
-            if (ps.e[k] >= arrival_x) continue;
-            if (ps.d[k] <= ps.e[x]) continue;
-          }
-        }
-        blocking = std::max(blocking, cp.tx[k]);
+        const bool can_block =
+            !prune | (bcls[t] == AnalysisWorkspace::kPairAlways) |
+            ((bcls[t] == AnalysisWorkspace::kPairWindow) & (ps.e[k] < arrival_x) &
+             (ps.d[k] > ps.e[x]));
+        blocking = std::max(blocking, cp.tx[k] & -Time{can_block});
       }
     }
     const std::uint32_t* cand = cc.list.data() + x * n;
     const std::uint8_t* ccls = cc.cls.data() + x * n;
     const std::uint32_t clen = cc.len[x];
-    std::size_t m = 0;
+    const std::size_t m = compact_survivors(
+        ps, cand, ccls, clen, prune, [&](std::size_t jj) {
+          return (ps.d[jj] > ps.e[x]) & (ps.e[jj] < latest_x);
+        });
     Time carry_total = 0;
-    for (std::uint32_t t = 0; t < clen; ++t) {
-      const std::size_t jj = cand[t];
-      if (prune) {
-        const std::uint8_t cls = ccls[t];
-        if (cls == AnalysisWorkspace::kPairPruned) continue;
-        if (cls == AnalysisWorkspace::kPairWindow) {
-          if (ps.d[jj] <= ps.e[x]) continue;
-          if (ps.e[jj] >= latest_x) continue;
-        }
-      }
-      push_candidate(ps, m, carry_total, j_x, ps.o[x], ps.o[jj], ps.j[jj],
-                     ps.j[jj] + ps.w[jj] + cp.tx[jj], cp.period[jj], cp.tx[jj]);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t jj = ps.survivors[i];
+      carry_total += push_candidate(ps, i, j_x, ps.o[x], ps.o[jj], ps.j[jj],
+                                    ps.j[jj] + ps.w[jj] + cp.tx[jj], cp.period[jj],
+                                    cp.tx[jj]);
     }
     const Time w =
         ceiling_sum_fixed_point(ctx, ps, m, blocking + carry_total, ps.w[x]);

@@ -69,6 +69,7 @@ core::McsOptions SpecBase::mcs_options() const {
   options.analysis.offset_pruning = !conservative;
   options.analysis.ttp_queue_model =
       paper_ttp ? core::TtpQueueModel::PaperFormula : core::TtpQueueModel::Exact;
+  options.analysis.kernel = core::kernel_from_env();
   return options;
 }
 

@@ -79,6 +79,8 @@ struct SpecBase {
   /// Per-job wall-clock deadline in milliseconds (DESIGN.md §6; 0 = off).
   std::int64_t job_timeout_ms = 0;
 
+  /// The analysis options of the spec's keys; the kernel comes from
+  /// core::kernel_from_env (MCS_KERNEL).
   [[nodiscard]] core::McsOptions mcs_options() const;
 };
 

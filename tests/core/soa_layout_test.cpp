@@ -74,6 +74,42 @@ process Q2 G2 N4 1
 message q1 Q1 Q2 1
 )";
 
+/// A multi-rate system that drives all three division fallbacks of the
+/// Packed kernel (push_candidate's phase and carry-in count,
+/// ceiling_sum_fixed_point's activation count) in pass 2 and in the CAN
+/// pass at ordinary periods.  The paper example and the generated systems
+/// never reach them; the period-1 system does, but only through its
+/// period-1 traffic.  Here B1/B2 (period 20) share ETC nodes N2/N3 with
+/// the G1 chain, and b1 (period 20) shares the CAN bus with a1..a3.
+///  - Phase: the G1 members after A1 are released 40-170 after B1, B2 and
+///    b1, so their offset difference lies outside [-20, 20).
+///  - Carry-in: the jitter G1 inherits along a1 -> A2 -> a2 -> A3 -> a3
+///    grows to several periods of 20, so a count from B1, B2 or b1
+///    exceeds 1.
+///  - Activation count: busy windows of A2 (WCET 40) and of the CAN
+///    messages exceed 20, so a quotient of 1 or more occurs.
+constexpr const char* kMultiRateSystem = R"(
+ttp 1 0
+can linear 10 0
+gateway_transfer 5 10
+node N1 tt
+node N2 et
+node N3 et
+node NG gateway
+graph G1 240 240
+process A1 G1 N1 30
+process A2 G1 N2 40
+process A3 G1 N3 20
+process A4 G1 N2 20
+message a1 A1 A2 8
+message a2 A2 A3 8
+message a3 A3 A4 8
+graph G2 20 20
+process B1 G2 N2 3
+process B2 G2 N3 3
+message b1 B1 B2 4
+)";
+
 void expect_same_candidate(const Candidate& a, const Candidate& b) {
   ASSERT_EQ(a.tdma.num_slots(), b.tdma.num_slots());
   for (std::size_t s = 0; s < a.tdma.num_slots(); ++s) {
@@ -168,8 +204,8 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
     auto sys = gen::generate(small_system(seed));
     systems.push_back({std::move(sys.app), std::move(sys.platform)});
   }
-  {
-    std::istringstream in(kPeriodOneSystem);
+  for (const char* text : {kPeriodOneSystem, kMultiRateSystem}) {
+    std::istringstream in(text);
     auto sys = gen::parse_system(in);
     ASSERT_TRUE(model::validate(sys.app, sys.platform).ok());
     systems.push_back({std::move(sys.app), std::move(sys.platform)});

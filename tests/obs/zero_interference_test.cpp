@@ -156,10 +156,11 @@ TEST(ZeroInterference, CampaignInstrumentationFieldsAreDeterministic) {
 // --- signature contract ---------------------------------------------
 
 // A report signature digests the paper outputs only (pipeline.hpp), so
-// each kind has ONE signature across delta Off/On/Check x jobs {1, 4} x
-// observability {off, on}.  The engine counters it leaves out do differ
-// across those runs — no delta replays under Off, some under On — so
-// equal signatures prove the counters are excluded, not equal by chance.
+// each kind has ONE signature across kernel {Packed, Reference} x delta
+// Off/On/Check x jobs {1, 4} x observability {off, on}.  The engine
+// counters it leaves out do differ across those runs — no delta replays
+// under Off, some under On — so equal signatures prove the counters are
+// excluded, not equal by chance.
 TEST(ZeroInterference, SignatureIsInvariantAcrossDeltaModesJobsAndObservability) {
   struct DeltaEnv {
     const char* delta;
@@ -167,34 +168,42 @@ TEST(ZeroInterference, SignatureIsInvariantAcrossDeltaModesJobsAndObservability)
   };
   const DeltaEnv on{nullptr, nullptr}, off{"0", nullptr}, check{nullptr, "1"};
   std::set<std::uint64_t> campaign_signatures, validation_signatures;
-  for (const DeltaEnv* mode : {&on, &off, &check}) {
-    const ScopedEnv delta("MCS_DELTA", mode->delta);
-    const ScopedEnv delta_check("MCS_DELTA_CHECK", mode->check);
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool observed : {false, true}) {
-        CampaignResult campaign;
-        ValidationResult validation;
-        const auto run = [&] {
-          campaign = run_campaign(campaign_spec(jobs));
-          validation = run_validation(validation_spec(jobs));
-        };
-        if (observed) {
-          (void)with_observability(run);
-        } else {
-          run();
-        }
-        campaign_signatures.insert(campaign.signature());
-        validation_signatures.insert(validation.signature());
+  for (const char* kernel : {static_cast<const char*>(nullptr), "reference"}) {
+    const ScopedEnv kernel_env("MCS_KERNEL", kernel);
+    // The engine metrics name the kernel every job ran.
+    const std::string ran = kernel != nullptr ? "kernel.jobs.reference"
+                                              : "kernel.jobs.packed";
+    for (const DeltaEnv* mode : {&on, &off, &check}) {
+      const ScopedEnv delta("MCS_DELTA", mode->delta);
+      const ScopedEnv delta_check("MCS_DELTA_CHECK", mode->check);
+      for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        for (const bool observed : {false, true}) {
+          CampaignResult campaign;
+          ValidationResult validation;
+          const auto run = [&] {
+            campaign = run_campaign(campaign_spec(jobs));
+            validation = run_validation(validation_spec(jobs));
+          };
+          if (observed) {
+            (void)with_observability(run);
+          } else {
+            run();
+          }
+          campaign_signatures.insert(campaign.signature());
+          validation_signatures.insert(validation.signature());
+          EXPECT_EQ(campaign.engine.at(ran).value, campaign.jobs.size()) << ran;
+          EXPECT_EQ(validation.engine.at(ran).value, validation.jobs.size()) << ran;
 
-        // A zero sum of the unsigned counters means zero on every job.
-        std::uint64_t campaign_replays = 0;
-        for (const JobResult& job : campaign.jobs) campaign_replays += job.delta_replays;
-        std::uint64_t all_replays = campaign_replays;
-        for (const ValidationJob& job : validation.jobs) all_replays += job.delta_replays;
-        if (mode == &off) {
-          EXPECT_EQ(all_replays, 0u) << "jobs=" << jobs;
-        } else if (mode == &on) {
-          EXPECT_GT(campaign_replays, 0u) << "jobs=" << jobs;
+          // A zero sum of the unsigned counters means zero on every job.
+          std::uint64_t campaign_replays = 0;
+          for (const JobResult& job : campaign.jobs) campaign_replays += job.delta_replays;
+          std::uint64_t all_replays = campaign_replays;
+          for (const ValidationJob& job : validation.jobs) all_replays += job.delta_replays;
+          if (mode == &off) {
+            EXPECT_EQ(all_replays, 0u) << "jobs=" << jobs;
+          } else if (mode == &on) {
+            EXPECT_GT(campaign_replays, 0u) << "jobs=" << jobs;
+          }
         }
       }
     }

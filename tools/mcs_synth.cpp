@@ -203,7 +203,7 @@ int parse_args(int argc, char** argv, Options& options) {
     const std::string arg = argv[i];
     if (arg == "--version") {
       std::printf("mcs_synth %s (analysis kernel: %s)\n", kVersion,
-                  core::kernel_name(core::McsOptions{}.analysis.kernel));
+                  core::kernel_name(core::kernel_from_env()));
       std::exit(0);
     } else if (arg == "--campaign") {
       if (++i >= argc) return 2;
