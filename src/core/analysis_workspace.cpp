@@ -269,13 +269,30 @@ const std::vector<Time>& AnalysisWorkspace::critical_path() {
   return critical_path_;
 }
 
+namespace {
+
+/// Index of the (MCS iteration, pass) record slot; passes at or past
+/// kMaxStoredPasses share their iteration's last slot.
+[[nodiscard]] std::size_t slot_index(std::size_t iteration, std::size_t pass) noexcept {
+  constexpr std::size_t kPasses = AnalysisWorkspace::kMaxStoredPasses;
+  return iteration * kPasses + std::min(pass, kPasses - 1);
+}
+
+}  // namespace
+
 Time* AnalysisWorkspace::record_slot(std::size_t iteration, std::size_t pass) {
-  const std::size_t index =
-      iteration * kMaxStoredPasses + std::min(pass, kMaxStoredPasses - 1);
+  const std::size_t index = slot_index(iteration, pass);
   if (record_slots_.size() <= index) record_slots_.resize(index + 1);
   std::vector<Time>& slot = record_slots_[index];
   if (slot.empty()) slot.assign(record_layout_.slot_size, 0);
   return slot.data();
+}
+
+const Time* AnalysisWorkspace::stored_slot(std::size_t iteration,
+                                           std::size_t pass) const noexcept {
+  const std::size_t index = slot_index(iteration, pass);
+  if (index >= record_slots_.size() || record_slots_[index].empty()) return nullptr;
+  return record_slots_[index].data();
 }
 
 std::size_t AnalysisWorkspace::record_bytes() const noexcept {

@@ -35,9 +35,11 @@
 // exactly, whichever run or pass wrote it.  The analysis replays the
 // record an earlier run left at the same coordinate when `delta_mode()`
 // is On (cross-run replay), otherwise the one this run left at the
-// previous pass (intra-run skip, Packed kernel only), and otherwise runs
-// the component and writes its record.  Mode Check runs the replaying
-// leg AND a cold leg and throws on any difference.
+// previous pass (intra-run skip, Packed kernel only), otherwise, with
+// cross-run replay on, the one this run's previous MCS iteration left at
+// the same pass, and otherwise runs the component and writes its record.
+// Mode Check runs the replaying leg AND a cold leg and throws on any
+// difference.
 //
 // Ownership contract (DESIGN.md §4): a workspace is SINGLE-THREADED by
 // design — one search loop, one workspace, owned by exactly one thread
@@ -97,6 +99,7 @@ struct DeltaStats {
   std::uint64_t cand_cache_hits = 0;      ///< candidate lists reused as-is
   std::uint64_t cand_cache_rebuilds = 0;  ///< kernel calls that (re)built lists
   std::uint64_t intra_skips = 0;          ///< members of intra-run record replays
+  std::uint64_t iteration_skips = 0;      ///< previous-MCS-iteration record replays
   std::uint64_t p1_graph_skips = 0;       ///< pass-1 sweeps elided for quiescent graphs
   /// MCS runs by iteration count: bucket b counts the runs of at most
   /// kIterationBounds[b] iterations no earlier bucket counts; the last
@@ -359,6 +362,9 @@ public:
   /// The record slot of pass `pass` of MCS iteration `iteration`, allocated
   /// zeroed (generation 0 never matches) on first use.
   [[nodiscard]] util::Time* record_slot(std::size_t iteration, std::size_t pass);
+  /// The same slot for lookup only: null when it was never allocated.
+  [[nodiscard]] const util::Time* stored_slot(std::size_t iteration,
+                                              std::size_t pass) const noexcept;
 
   /// The record generation of `options`: records written under other
   /// analysis options never replay, so a change of options starts a new

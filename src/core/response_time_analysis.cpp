@@ -55,6 +55,18 @@ using util::Time;
   return n;
 }
 
+/// Where run_component looks for a matching component record, in this
+/// order (DESIGN.md §2 "Component records"): the record an earlier run
+/// left at this (MCS iteration, pass) coordinate, the one this run left at
+/// the previous pass, and the one this run's previous MCS iteration left
+/// at this pass.
+enum RecordSource : std::size_t {
+  kEarlierRun,
+  kPreviousPass,
+  kPreviousIteration,
+  kRecordSources
+};
+
 /// All mutable per-activity state of the fixed-point iteration (owned by
 /// the AnalysisWorkspace so repeated runs reuse the allocations).  Every
 /// field is monotonically non-decreasing across iterations, which (with
@@ -87,9 +99,9 @@ struct Ctx {
   bool changed = false;  ///< any state value grew in the current pass
   // Component records of the current pass (DESIGN.md §2).
   Time generation = 0;
-  Time* slot = nullptr;        ///< this pass's record slot
-  const Time* prev = nullptr;  ///< the previous pass's (intra-run skip), or null
-  bool cross = false;          ///< replay records earlier runs left in `slot`
+  Time* slot = nullptr;  ///< this pass's record slot
+  /// The slots run_component looks in, by RecordSource; null = source off.
+  std::array<const Time*, kRecordSources> sources{};
 
   [[nodiscard]] Time period_of(MessageId m) const { return app.period_of(m); }
   [[nodiscard]] Time period_of(ProcessId p) const { return app.period_of(p); }
@@ -667,30 +679,27 @@ Time* store_fields(Time* out, const Fields& fields, const std::vector<Id>& ids) 
   return out;
 }
 
-/// Runs one component under the record rule: replays the record an
-/// earlier run left in this pass's slot (cross-run replay), else the one
-/// this run left at the previous pass (intra-run skip, Packed only; it is
-/// copied forward so the slot describes this pass), else runs `kernel`
-/// and writes the record.
+/// Runs one component under the record rule: replays the first matching
+/// record of its sources (copied forward, so the slot describes this
+/// pass), else runs `kernel` and writes the record.
 template <std::size_t E, std::size_t L, typename Id, typename Kernel>
 void run_component(Ctx& ctx, const Component<E, L, Id>& c, const Kernel& kernel) {
   DeltaStats& stats = ctx.ws.delta_stats();
   Time* rec = ctx.slot + c.record;
-  if (ctx.cross && record_matches(ctx, rec, c)) {
-    replay_record(ctx, rec, c);
-    ++stats.components_skipped;
+  for (std::size_t source = 0; source < kRecordSources; ++source) {
+    if (ctx.sources[source] == nullptr) continue;
+    const Time* found = ctx.sources[source] + c.record;
+    if (!record_matches(ctx, found, c)) continue;
+    replay_record(ctx, found, c);
+    if (found != rec) std::copy(found, found + c.size(), rec);
+    switch (source) {
+      case kEarlierRun: ++stats.components_skipped; break;
+      case kPreviousPass: stats.intra_skips += c.ids.size(); break;
+      case kPreviousIteration: ++stats.iteration_skips; break;
+    }
     return;
   }
-  if (ctx.prev != nullptr) {
-    const Time* prev = ctx.prev + c.record;
-    if (record_matches(ctx, prev, c)) {
-      replay_record(ctx, prev, c);
-      if (prev != rec) std::copy(prev, prev + c.size(), rec);
-      stats.intra_skips += c.ids.size();
-      return;
-    }
-  }
-  if (ctx.cross) ++stats.components_recomputed;
+  if (ctx.sources[kEarlierRun] != nullptr) ++stats.components_recomputed;
   rec[0] = ctx.generation;
   std::ranges::copy(c.key, rec + 2);
   Time* left = store_fields(rec + 2 + c.key.size(), c.entry, c.ids);
@@ -1123,13 +1132,20 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
     if (workspace.obs_sampled()) {
       pass_span.emplace("rta.pass", static_cast<std::uint64_t>(passes_run));
     }
-    // Record slots: this pass's, and the previous pass's for the intra-run
-    // skip.  Past kMaxStoredPasses both are the shared last slot, so only
-    // the intra-run check applies there.
+    // Record slots: this pass's, and its sources by RecordSource.  Earlier
+    // runs' and the previous MCS iteration's records need replay, so Off
+    // and Check's cold leg stay the plain algorithm; the previous pass's
+    // needs the Packed kernel.  Past kMaxStoredPasses this pass and the
+    // previous one share the last slot, so only the intra-run skip
+    // applies there.
     const std::size_t k = static_cast<std::size_t>(passes_run);
-    ctx.prev = (intra && k > 0) ? workspace.record_slot(iteration, k - 1) : nullptr;
+    const bool cross = replay && k < AnalysisWorkspace::kMaxStoredPasses;
     ctx.slot = workspace.record_slot(iteration, k);
-    ctx.cross = replay && k < AnalysisWorkspace::kMaxStoredPasses;
+    ctx.sources = {
+        cross ? ctx.slot : nullptr,
+        (intra && k > 0) ? workspace.record_slot(iteration, k - 1) : nullptr,
+        (cross && iteration > 0) ? workspace.stored_slot(iteration - 1, k)
+                                 : nullptr};
 
     // Pass 1 is the conduit through which every cross-component effect
     // travels; it sweeps every graph whose activity byte is armed and

@@ -112,7 +112,7 @@ TEST(DeltaOracle, RandomWalksAcrossSuitesBitIdenticalToFull) {
   const std::uint64_t evals_per_system = 10'000 / systems.size() + 1;
 
   std::uint64_t checked = 0, mismatches = 0, delta_runs = 0, fallbacks = 0;
-  std::uint64_t memo_hits = 0, skipped = 0, recomputed = 0;
+  std::uint64_t memo_hits = 0, skipped = 0, recomputed = 0, iteration_skips = 0;
   MoveTally tally{};
   for (std::size_t i = 0; i < systems.size(); ++i) {
     const MoveContext ctx(systems[i].app, systems[i].platform, McsOptions{});
@@ -127,6 +127,7 @@ TEST(DeltaOracle, RandomWalksAcrossSuitesBitIdenticalToFull) {
     memo_hits += stats.schedule_memo_hits;
     skipped += stats.components_skipped;
     recomputed += stats.components_recomputed;
+    iteration_skips += stats.iteration_skips;
   }
 
   EXPECT_EQ(mismatches, 0u);
@@ -145,6 +146,9 @@ TEST(DeltaOracle, RandomWalksAcrossSuitesBitIdenticalToFull) {
   // record compare was exercised on both sides.
   EXPECT_GT(skipped, 0u);
   EXPECT_GT(recomputed, 0u);
+  // Later MCS iterations replayed the records earlier ones left, each
+  // replay compared against the cold leg too.
+  EXPECT_GT(iteration_skips, 0u);
 }
 
 TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
@@ -229,9 +233,11 @@ TEST(DeltaOracle, GlobalMovesReplayAndOptionChangesFallBack) {
   EXPECT_TRUE(delivery_moved);
 }
 
-// A workspace's first DeltaMode::On run has no record to replay: it equals
-// the seed path (DeltaMode::Off) bit for bit, published offsets included,
-// and replays no component.  Its second run on the same candidate replays.
+// A workspace's first DeltaMode::On run has no earlier run's record to
+// replay: it equals the seed path (DeltaMode::Off) bit for bit, published
+// offsets included, and replays components only from the records its own
+// earlier MCS iterations left.  Its second run on the same candidate
+// replays the first run's records.
 TEST(DeltaFirstRun, FirstRunEqualsOffSecondReplays) {
   std::vector<gen::GeneratedSystem> systems;
   systems.push_back(gen::generate(gen::tiny_suite(1).front().params));
@@ -271,6 +277,14 @@ TEST(DeltaFirstRun, FirstRunEqualsOffSecondReplays) {
     EXPECT_EQ(ws.delta_stats().full_runs, 0u);
     EXPECT_EQ(ws.delta_stats().components_skipped, 0u);
     EXPECT_EQ(ws.delta_stats().fallbacks, 0u);
+    // The tiny-suite system's fixed point takes three MCS iterations: its
+    // later iterations replay components from the records its earlier
+    // ones left, and still equal the Off run above.
+    if (i == 0) {
+      ASSERT_GE(expected.iterations, 2);
+      EXPECT_GT(ws.delta_stats().iteration_skips, 0u);
+    }
+    EXPECT_EQ(off.delta_stats().iteration_skips, 0u);
 
     run(2);
     EXPECT_EQ(ws.delta_stats().delta_runs, 2u);

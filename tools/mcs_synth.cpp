@@ -536,9 +536,9 @@ std::size_t report(const gen::ParsedSystem& sys, const core::Candidate& candidat
 }
 
 // Evaluation-engine counters for the single-system synthesis run: which
-// kernel ran, how often records replayed across and within runs, and
-// what the other reuse layers (candidate-list cache, pass-1 skips)
-// delivered.
+// kernel ran, how often records replayed across runs, iterations and
+// passes, and what the other reuse layers (candidate-list cache, pass-1
+// skips) delivered.
 void print_stats(const core::MoveContext& ctx,
                  const core::McsOptions& mcs_options) {
   const core::AnalysisWorkspace& ws = ctx.workspace();
@@ -562,8 +562,10 @@ void print_stats(const core::MoveContext& ctx,
               static_cast<unsigned long long>(d.schedule_memo_hits));
   std::printf("  elided mcs iterations  %llu\n",
               static_cast<unsigned long long>(d.elided_iterations));
-  std::printf("  pass components        %llu replayed, %llu recomputed\n",
+  std::printf("  pass components        %llu replayed from earlier runs, %llu "
+              "from the previous iteration, %llu recomputed\n",
               static_cast<unsigned long long>(d.components_skipped),
+              static_cast<unsigned long long>(d.iteration_skips),
               static_cast<unsigned long long>(d.components_recomputed));
   std::printf("  candidate-list cache   %llu hits, %llu rebuilds "
               "(%.1f%% hit rate)\n",
