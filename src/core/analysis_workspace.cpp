@@ -296,18 +296,9 @@ const Time* AnalysisWorkspace::stored_slot(std::size_t iteration,
 }
 
 std::size_t AnalysisWorkspace::record_bytes() const noexcept {
-  std::size_t bytes = record_slots_.capacity() * sizeof(std::vector<Time>) +
-                      schedule_records_.capacity() * sizeof(ScheduleRecord);
+  std::size_t bytes = record_slots_.capacity() * sizeof(std::vector<Time>);
   for (const std::vector<Time>& slot : record_slots_) {
     bytes += slot.capacity() * sizeof(Time);
-  }
-  for (const ScheduleRecord& r : schedule_records_) {
-    bytes += r.slots.capacity() * sizeof(arch::Slot) +
-             (r.pins.capacity() + r.release.capacity() +
-              r.schedule.process_start.capacity()) *
-                 sizeof(Time) +
-             r.schedule.message_slot.capacity() *
-                 sizeof(r.schedule.message_slot[0]);
   }
   return bytes;
 }

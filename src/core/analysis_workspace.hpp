@@ -92,7 +92,6 @@ struct DeltaStats {
   std::uint64_t fallbacks = 0;      ///< record generation bumps (options moved)
   std::uint64_t checked = 0;        ///< Check-mode comparisons performed
   std::uint64_t mismatches = 0;     ///< Check-mode divergences detected
-  std::uint64_t schedule_memo_hits = 0;   ///< schedule records replayed
   std::uint64_t elided_iterations = 0;    ///< provably-redundant MCS iterations
   std::uint64_t components_skipped = 0;   ///< cross-run record replays
   std::uint64_t components_recomputed = 0;  ///< components run where replay applied
@@ -274,10 +273,9 @@ public:
   /// Cached priority-compacted candidate lists, reused across evaluations.
   /// The static candidate relation of a pool member depends only on the
   /// pool's priority vector (pair classes are baked at build time), so the
-  /// lists stay valid until a priority inside the pool changes — and then
-  /// only the members whose relative order against a changed member
-  /// flipped need rebuilding.  `prio` is the
-  /// fingerprint the kernels revalidate against on entry.
+  /// lists stay valid until a priority inside the pool changes, which
+  /// rebuilds them all.  `prio` is the fingerprint the kernels revalidate
+  /// against on entry.
   struct CandidateCache {
     bool valid = false;
     std::vector<Priority> prio;       ///< priorities the lists were built under
@@ -378,22 +376,7 @@ public:
     return generation_;
   }
 
-  /// The schedule record of one MCS iteration: list_schedule is a pure
-  /// function of the round's slots, the message pins and the release
-  /// constraints, so equal inputs replay `schedule`.
-  struct ScheduleRecord {
-    bool valid = false;
-    std::vector<arch::Slot> slots;
-    std::vector<util::Time> pins;
-    std::vector<util::Time> release;
-    sched::TtcSchedule schedule;
-  };
-  [[nodiscard]] ScheduleRecord& schedule_record(std::size_t iteration) {
-    if (schedule_records_.size() <= iteration) schedule_records_.resize(iteration + 1);
-    return schedule_records_[iteration];
-  }
-
-  /// Heap bytes of the record store: component slots plus schedule records.
+  /// Heap bytes of the record store (the component slots).
   [[nodiscard]] std::size_t record_bytes() const noexcept;
 
   [[nodiscard]] DeltaMode delta_mode() const noexcept { return delta_mode_; }
@@ -466,7 +449,6 @@ private:
 
   RecordLayout record_layout_;
   std::vector<std::vector<util::Time>> record_slots_;
-  std::vector<ScheduleRecord> schedule_records_;
   util::Time generation_ = 0;
   AnalysisOptions generation_options_;
 

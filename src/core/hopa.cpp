@@ -164,14 +164,6 @@ HopaResult initial_deadline_monotonic(const Application& app,
 
 HopaResult hopa_priorities(const Application& app, const arch::Platform& platform,
                            const arch::TdmaRound& tdma,
-                           const model::ReachabilityIndex& reachability,
-                           const HopaOptions& options) {
-  AnalysisWorkspace workspace(app, platform, reachability);
-  return hopa_priorities(app, platform, tdma, workspace, options);
-}
-
-HopaResult hopa_priorities(const Application& app, const arch::Platform& platform,
-                           const arch::TdmaRound& tdma,
                            AnalysisWorkspace& workspace, const HopaOptions& options) {
   return run_hopa(app, platform, tdma, McsOptions{}, workspace, options);
 }

@@ -32,15 +32,8 @@ struct HopaResult {
 };
 
 /// Computes priorities for the ETC processes and CAN messages under the
-/// given TDMA round, analyzing under default McsOptions.  TT activities
-/// keep their (unused) default priority.
-[[nodiscard]] HopaResult hopa_priorities(const model::Application& app,
-                                         const arch::Platform& platform,
-                                         const arch::TdmaRound& tdma,
-                                         const model::ReachabilityIndex& reachability,
-                                         const HopaOptions& options = {});
-
-/// Same, but every analysis round reuses `workspace`.
+/// given TDMA round, analyzing under default McsOptions on `workspace`.
+/// TT activities keep their (unused) default priority.
 [[nodiscard]] HopaResult hopa_priorities(const model::Application& app,
                                          const arch::Platform& platform,
                                          const arch::TdmaRound& tdma,

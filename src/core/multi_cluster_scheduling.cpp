@@ -1,8 +1,6 @@
 #include "mcs/core/multi_cluster_scheduling.hpp"
 
-#include <algorithm>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -42,10 +40,9 @@ namespace {
 }
 
 /// One MultiClusterScheduling fixed-point run (Figure 5).  `replay` lets
-/// the run replay the schedule and component records earlier runs left in
-/// the workspace (DESIGN.md §2 "Component records") and enables the
-/// final-iteration elision.  With it off this is exactly the plain
-/// algorithm.
+/// the run replay the component records earlier runs left in the workspace
+/// (DESIGN.md §2 "Component records") and enables the final-iteration
+/// elision.  With it off this is exactly the plain algorithm.
 ///
 /// `constraints` is taken by value: the loop mutates its process_release
 /// entries as worst-case ETC->TTC deliveries feed back.
@@ -74,29 +71,9 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     if (sampled) iter_span.emplace("mcs.iteration", static_cast<std::uint64_t>(iter));
 
     // phi = StaticScheduling(Gamma, rho, beta): list scheduling under the
-    // current worst-case ETC->TTC delivery constraints.  list_schedule is
-    // a pure function of (app, platform, round slots, message pins,
-    // release constraints), so the iteration's schedule record replays it
-    // when those match.
-    AnalysisWorkspace::ScheduleRecord* rec =
-        replay ? &workspace.schedule_record(static_cast<std::size_t>(iter)) : nullptr;
-    const std::span<const arch::Slot> slots = config.tdma().slots();
-    if (rec != nullptr && rec->valid && std::ranges::equal(slots, rec->slots) &&
-        constraints.message_tx == rec->pins &&
-        constraints.process_release == rec->release) {
-      result.schedule = rec->schedule;
-      ++stats.schedule_memo_hits;
-    } else {
-      result.schedule = sched::list_schedule(app, platform, config.tdma(),
-                                             constraints, workspace.critical_path());
-      if (rec != nullptr) {
-        rec->valid = true;
-        rec->slots.assign(slots.begin(), slots.end());
-        rec->pins = constraints.message_tx;
-        rec->release = constraints.process_release;
-        rec->schedule = result.schedule;
-      }
-    }
+    // current worst-case ETC->TTC delivery constraints.
+    result.schedule = sched::list_schedule(app, platform, config.tdma(), constraints,
+                                           workspace.critical_path());
     for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
       const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
       if (platform.is_tt(app.process(p).node)) {

@@ -415,46 +415,23 @@ void pass2_pool_reference(Ctx& ctx, State& s,
 /// candidate relation of member x — "jj != x and prio(jj) < prio(x)",
 /// annotated with the baked pair class — depends only on the priority
 /// vector, so the lists survive every evaluation that leaves this pool's
-/// priorities untouched.  On a change, only members whose relative order
-/// against a changed member flipped are rebuilt (O(n * changed) instead
-/// of O(n^2)).  Pruned pairs are STORED with their class byte (the
-/// offset_pruning=false path must still see them); window-class entries
-/// keep their per-pass state checks in the kernel.  `rebuild` emits
-/// member x's list in ascending index order — the exact scan order of the
-/// scalar kernels, so candidate order (and thus every sum) is identical.
+/// priorities untouched; any change rebuilds every member's list.  Pruned
+/// pairs are STORED with their class byte (the offset_pruning=false path
+/// must still see them); window-class entries keep their per-pass state
+/// checks in the kernel.  `rebuild` emits member x's list in ascending
+/// index order — the exact scan order of the scalar kernels, so candidate
+/// order (and thus every sum) is identical.
 template <typename Rebuild>
 void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
                         const Priority* prio, std::size_t n,
                         const Rebuild& rebuild) {
   DeltaStats& stats = ctx.ws.delta_stats();
-  std::size_t changed[16];
-  std::size_t num_changed = 0;
-  bool full = !cc.valid;
-  if (!full) {
-    for (std::size_t x = 0; x < n; ++x) {
-      if (cc.prio[x] != prio[x]) {
-        if (num_changed == 16) {
-          full = true;
-          break;
-        }
-        changed[num_changed++] = x;
-      }
-    }
-  }
-  if (!full && num_changed == 0) {
+  if (cc.valid && std::equal(prio, prio + n, cc.prio.begin())) {
     ++stats.cand_cache_hits;
     return;
   }
   ++stats.cand_cache_rebuilds;
-  for (std::size_t x = 0; x < n; ++x) {
-    bool stale = full || cc.prio[x] != prio[x];
-    for (std::size_t c = 0; c < num_changed && !stale; ++c) {
-      const std::size_t j = changed[c];
-      // Relation flip: j moved across x in the priority order.
-      stale = (cc.prio[j] < cc.prio[x]) != (prio[j] < prio[x]);
-    }
-    if (stale) rebuild(x);
-  }
+  for (std::size_t x = 0; x < n; ++x) rebuild(x);
   std::copy(prio, prio + n, cc.prio.begin());
   cc.valid = true;
 }
@@ -1205,15 +1182,6 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
 AnalysisResult response_time_analysis(const AnalysisInput& input,
                                       AnalysisWorkspace& workspace) {
   return response_time_analysis(input, workspace, 0, false);
-}
-
-AnalysisResult response_time_analysis(const AnalysisInput& input,
-                                      const model::ReachabilityIndex& reach) {
-  if (input.app == nullptr || input.platform == nullptr) {
-    throw std::invalid_argument("response_time_analysis: null input");
-  }
-  AnalysisWorkspace workspace(*input.app, *input.platform, reach);
-  return response_time_analysis(input, workspace);
 }
 
 AnalysisResult response_time_analysis(const AnalysisInput& input) {

@@ -45,15 +45,10 @@ struct AnalysisInput {
 /// returns every worst-case quantity.  Deterministic and side-effect free.
 [[nodiscard]] AnalysisResult response_time_analysis(const AnalysisInput& input);
 
-/// Convenience overload that also reuses a prebuilt reachability index
-/// (the optimizers call the analysis thousands of times on one model).
-[[nodiscard]] AnalysisResult response_time_analysis(
-    const AnalysisInput& input, const model::ReachabilityIndex& reachability);
-
 /// Hot-path overload: reuses every application/platform-invariant
 /// precomputation and the fixed-point State buffers owned by `workspace`
 /// (built once per search; see DESIGN.md §1).  Produces bit-identical
-/// results to the convenience overloads.  Throws std::invalid_argument if
+/// results to the convenience overload.  Throws std::invalid_argument if
 /// the workspace was built for different objects.
 [[nodiscard]] AnalysisResult response_time_analysis(const AnalysisInput& input,
                                                     AnalysisWorkspace& workspace);

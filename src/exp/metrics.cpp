@@ -18,7 +18,7 @@ MetricsSnapshot engine_metrics(const core::AnalysisWorkspace& workspace,
   for (const auto& [name, value] :
        {std::pair{"full_runs", d.full_runs}, {"delta_runs", d.delta_runs},
         {"fallbacks", d.fallbacks}, {"checked", d.checked},
-        {"mismatches", d.mismatches}, {"schedule_memo_hits", d.schedule_memo_hits},
+        {"mismatches", d.mismatches},
         {"elided_iterations", d.elided_iterations},
         {"components_skipped", d.components_skipped},
         {"components_recomputed", d.components_recomputed},

@@ -119,11 +119,11 @@ TEST(Hopa, InitialAssignmentOrdersByPathProgress) {
 
 TEST(Hopa, FindsSchedulablePrioritiesForGoodBus) {
   const auto ex = gen::make_paper_example();
-  const model::ReachabilityIndex reach(ex.app);
+  AnalysisWorkspace ws(ex.app, ex.platform);
   // S1-first round: schedulable with the right priorities (Figure 4b).
   const arch::TdmaRound round({arch::Slot{ex.n1, 20}, arch::Slot{ex.ng, 20}},
                               ex.platform.ttp());
-  const auto hopa = hopa_priorities(ex.app, ex.platform, round, reach);
+  const auto hopa = hopa_priorities(ex.app, ex.platform, round, ws);
   EXPECT_TRUE(hopa.delta.schedulable())
       << "f1=" << hopa.delta.f1 << " f2=" << hopa.delta.f2;
 }

@@ -239,11 +239,20 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
         EXPECT_EQ(cfg_p.process_offsets(), cfg_r.process_offsets());
         EXPECT_EQ(cfg_p.message_offsets(), cfg_r.message_offsets());
       }
-      // Every identity above would also hold if no component ever skipped,
-      // so require the intra-run skip rule to fire on Packed wherever there
-      // is a pool or a bus to skip, and never on the Reference oracle.
+      // Every identity above would also hold if no component ever skipped
+      // and no candidate list were ever reused, so require the intra-run
+      // skip rule to fire on Packed wherever there is a pool or a bus to
+      // skip, and never on the Reference oracle; and require Packed to
+      // both reuse cached candidate lists and rebuild them after a
+      // priority move (more rebuilds than caches: each cache builds once
+      // on first use, so any further rebuild follows a priority change).
       if (!ws_packed.proc_pools().empty() || !ws_packed.can_pool().mids.empty()) {
-        EXPECT_GT(ws_packed.delta_stats().intra_skips, 0u)
+        const DeltaStats& stats = ws_packed.delta_stats();
+        EXPECT_GT(stats.intra_skips, 0u) << "delta mode " << static_cast<int>(mode);
+        EXPECT_GT(stats.cand_cache_hits, 0u) << "delta mode " << static_cast<int>(mode);
+        const std::size_t caches = ws_packed.proc_pools().size() +
+                                   (ws_packed.can_pool().mids.empty() ? 0 : 1);
+        EXPECT_GT(stats.cand_cache_rebuilds, caches)
             << "delta mode " << static_cast<int>(mode);
       }
       EXPECT_EQ(ws_reference.delta_stats().intra_skips, 0u);

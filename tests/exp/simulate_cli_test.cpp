@@ -22,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mcs/exp/validation.hpp"
 #include "mcs/gen/generator.hpp"
@@ -112,7 +113,7 @@ TEST(StatsCli, PrintsEveryEngineCounter) {
 
   for (const char* label :
        {"evaluation engine stats:", "  analysis kernel ", "  mcs runs ",
-        "  delta checks ", "  schedule memo hits ", "  elided mcs iterations ",
+        "  delta checks ", "  elided mcs iterations ",
         "  pass components ", "  candidate-list cache ", "  fixed-point skips ",
         "  scratch footprint ", "  record store "}) {
     EXPECT_NE(text.find(label), std::string::npos) << label << "\n" << text;
@@ -126,7 +127,7 @@ TEST(StatsCli, PrintsEveryEngineCounter) {
   const std::size_t store = text.find("  record store ");
   ASSERT_NE(store, std::string::npos) << text;
   EXPECT_GT(std::stoull(text.substr(store + 15)), 0u) << text;
-  for (const char* gone : {"settled", "stolen", "refinement"}) {
+  for (const char* gone : {"settled", "stolen", "refinement", "memo"}) {
     EXPECT_EQ(text.find(gone), std::string::npos) << gone << "\n" << text;
   }
 }
@@ -160,6 +161,57 @@ TEST(MetricsCli, SingleSystemWritesTheEngineCounters) {
   const std::size_t at = body.find(key);
   ASSERT_NE(at, std::string::npos) << body;
   EXPECT_GT(std::stoull(body.substr(at + key.size())), 0u) << body;
+}
+
+// A flag the selected mode does not read is refused before anything runs:
+// one `error:` line naming the flag (and the spec key that does its job in
+// a suite run), exit 3, and no report file.
+TEST(FlagCli, RejectsFlagsTheModeDoesNotRead) {
+  const std::string examples = std::string(MCS_TEST_DATA_DIR) + "/../../examples/";
+  const std::string system = examples + "paper_example.mcs";
+  const std::string campaign = "--campaign " + examples + "tiny.campaign";
+  const std::string validate = "--validate " + examples + "soundness.validation";
+  std::string dir = (fs::temp_directory_path() / "mcs_flags_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string report = (fs::path(dir) / "report").string();
+  struct Case {
+    std::string args;
+    std::string message;  ///< the whole error line after "error: "
+  };
+  const std::vector<Case> cases = {
+      {campaign + " --strategy sf", "--strategy applies to a system file; set the "
+                                    "spec key 'strategies' instead"},
+      {validate + " --strategy sf", "--strategy applies to a system file; set the "
+                                    "spec key 'strategy' instead"},
+      {campaign + " --conservative", "--conservative applies to a system file; set "
+                                     "the spec key 'conservative' instead"},
+      {validate + " --paper-ttp", "--paper-ttp applies to a system file; set the "
+                                  "spec key 'paper_ttp' instead"},
+      {campaign + " --simulate", "--simulate applies only to a system file"},
+      {validate + " --sim-trace", "--sim-trace applies only to a system file"},
+      {campaign + " --dump-config", "--dump-config applies only to a system file"},
+      {validate + " --stats", "--stats applies only to a system file"},
+      {campaign + " --faults " + examples + "drop.faults",
+       "--faults needs a system file or --validate mode"},
+      {system + " --jobs 2", "--jobs needs --campaign or --validate mode"},
+      {system + " --report-json " + report,
+       "--report-json needs --campaign or --validate mode"},
+      {system + " --report-csv " + report,
+       "--report-csv needs --campaign or --validate mode"},
+      {system + " --job-timeout-ms 100",
+       "--job-timeout-ms needs --campaign or --validate mode"},
+      {system + " --journal " + report, "--journal needs --campaign or --validate mode"},
+  };
+  for (const Case& c : cases) {
+    std::string text;
+    const int status = run_mcs_synth(c.args, text);
+    ASSERT_TRUE(WIFEXITED(status)) << c.args << "\n" << text;
+    EXPECT_EQ(WEXITSTATUS(status), 3) << c.args << "\n" << text;
+    EXPECT_EQ(text, "error: " + c.message + "\n") << c.args;
+    EXPECT_FALSE(fs::exists(report)) << c.args;
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace

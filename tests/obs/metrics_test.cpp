@@ -214,11 +214,10 @@ TEST(MetricsTest, SnapshotIsSortedByName) {
       "delta.elided_iterations",  "delta.fallbacks",
       "delta.full_runs",          "delta.intra_skips",
       "delta.iteration_skips",    "delta.mismatches",
-      "delta.p1_graph_skips",     "delta.schedule_memo_hits",
-      "kernel.jobs.packed",       "mcs.iterations_per_run",
-      "runtime.jobs_done",        "runtime.jobs_failed",
-      "runtime.jobs_timeout",     "sa.evaluations",
-      "workspace.scratch_bytes_max"};
+      "delta.p1_graph_skips",     "kernel.jobs.packed",
+      "mcs.iterations_per_run",   "runtime.jobs_done",
+      "runtime.jobs_failed",      "runtime.jobs_timeout",
+      "sa.evaluations",           "workspace.scratch_bytes_max"};
   EXPECT_EQ(names, expected) << text;
 }
 

@@ -19,7 +19,7 @@
 //                           priorities, schedule table)
 //   --stats                 print evaluation-engine counters after the
 //                           run: active analysis kernel, DeltaStats
-//                           (replays/fallbacks/memo hits/skips),
+//                           (replays/fallbacks/elisions/skips),
 //                           candidate-list cache hit rate, scratch
 //                           footprint, record store size
 //
@@ -73,6 +73,11 @@
 //                           report signature equals an uninterrupted run's
 //   --job-timeout-ms N      per-job wall-clock deadline (overrides the spec;
 //                           0 = off): overruns become `timeout` rows
+//
+// A flag the selected mode does not read is an error (exit 3): run flags
+// with a system file, single-system flags and --campaign's --faults in a
+// suite run (the spec keys `strategies`/`strategy`, `conservative` and
+// `paper_ttp` do those jobs there).
 //
 // SIGINT/SIGTERM drain the run gracefully: in-flight jobs see the stop
 // flag at their next cancellation poll and are discarded as `pending`,
@@ -196,11 +201,24 @@ bool parse_count_flag(const char* flag, const char* text,
 
 /// Returns 0 when parsing succeeded, or the process exit code to use:
 /// 2 for a usage error (unknown flag / wrong mode combination; caller
-/// prints usage), 3 for a malformed flag value (one-line error already
-/// printed, no usage spam).
+/// prints usage), 3 for a malformed flag value or a flag the selected
+/// mode does not read (one-line error already printed, no usage spam).
 int parse_args(int argc, char** argv, Options& options) {
+  // The first flag seen that only single-system mode reads, and the first
+  // run flag (read only by --campaign/--validate): given in the other
+  // mode, either would be silently ignored.
+  std::string system_flag;
+  std::string run_flag;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--strategy" || arg == "--conservative" || arg == "--paper-ttp" ||
+        arg == "--simulate" || arg == "--sim-trace" || arg == "--dump-config" ||
+        arg == "--stats") {
+      if (system_flag.empty()) system_flag = arg;
+    } else if (arg == "--jobs" || arg == "--report-json" || arg == "--report-csv" ||
+               arg == "--job-timeout-ms" || arg == "--journal" || arg == "--resume") {
+      if (run_flag.empty()) run_flag = arg;
+    }
     if (arg == "--version") {
       std::printf("mcs_synth %s (analysis kernel: %s)\n", kVersion,
                   core::kernel_name(core::kernel_from_env()));
@@ -296,9 +314,37 @@ int parse_args(int argc, char** argv, Options& options) {
                  "(--resume keeps appending to the journal it resumes)\n");
     return 3;
   }
-  if ((!options.journal.empty() || !options.resume.empty()) && !options.path.empty()) {
-    std::fprintf(stderr,
-                 "error: --journal/--resume need --campaign or --validate mode\n");
+  if (!options.path.empty()) {
+    if (!run_flag.empty()) {
+      std::fprintf(stderr, "error: %s needs --campaign or --validate mode\n",
+                   run_flag.c_str());
+      return 3;
+    }
+    return 0;
+  }
+  if (!system_flag.empty()) {
+    // Suite runs take these settings from their spec file.
+    const char* key = nullptr;
+    if (system_flag == "--conservative") {
+      key = "conservative";
+    } else if (system_flag == "--paper-ttp") {
+      key = "paper_ttp";
+    } else if (system_flag == "--strategy") {
+      key = options.campaign.empty() ? "strategy" : "strategies";
+    }
+    if (key != nullptr) {
+      std::fprintf(stderr,
+                   "error: %s applies to a system file; set the spec key '%s' "
+                   "instead\n",
+                   system_flag.c_str(), key);
+    } else {
+      std::fprintf(stderr, "error: %s applies only to a system file\n",
+                   system_flag.c_str());
+    }
+    return 3;
+  }
+  if (!options.campaign.empty() && !options.faults.empty()) {
+    std::fprintf(stderr, "error: --faults needs a system file or --validate mode\n");
     return 3;
   }
   return 0;
@@ -558,8 +604,6 @@ void print_stats(const core::MoveContext& ctx,
   std::printf("  delta checks           %llu checked, %llu mismatches\n",
               static_cast<unsigned long long>(d.checked),
               static_cast<unsigned long long>(d.mismatches));
-  std::printf("  schedule memo hits     %llu\n",
-              static_cast<unsigned long long>(d.schedule_memo_hits));
   std::printf("  elided mcs iterations  %llu\n",
               static_cast<unsigned long long>(d.elided_iterations));
   std::printf("  pass components        %llu replayed from earlier runs, %llu "
@@ -577,8 +621,7 @@ void print_stats(const core::MoveContext& ctx,
               static_cast<unsigned long long>(d.p1_graph_skips));
   std::printf("  scratch footprint      %zu bytes (stable per workspace)\n",
               ws.scratch_footprint_bytes());
-  std::printf("  record store           %zu bytes (component slots + schedule "
-              "records)\n",
+  std::printf("  record store           %zu bytes (component slots)\n",
               ws.record_bytes());
 }
 
