@@ -195,6 +195,21 @@ void AnalysisWorkspace::build() {
         can_pool_.block[mi * n + ji] = block;
       }
     }
+    can_pool_.by_tx.resize(n);
+    for (std::size_t x = 0; x < n; ++x) {
+      can_pool_.by_tx[x] = static_cast<std::uint32_t>(x);
+    }
+    std::ranges::sort(can_pool_.by_tx, [&](std::uint32_t a, std::uint32_t b) {
+      return can_pool_.tx[a] != can_pool_.tx[b] ? can_pool_.tx[a] > can_pool_.tx[b] : a < b;
+    });
+  }
+
+  ttp_pool_.mids = et_to_tt_;
+  for (const MessageId m : et_to_tt_) {
+    ttp_pool_.size.push_back(app.message(m).size_bytes);
+    ttp_pool_.tx.push_back(can_tx_[m.index()]);
+    ttp_pool_.period.push_back(app.period_of(m));
+    ttp_pool_.can.push_back(can_pool_.index[m.index()]);
   }
 
   packed_scratch_.o.resize(max_pool);
@@ -203,6 +218,7 @@ void AnalysisWorkspace::build() {
   packed_scratch_.w.resize(max_pool);
   packed_scratch_.r.resize(max_pool);
   packed_scratch_.d.resize(max_pool);
+  packed_scratch_.wait.resize(max_pool);
   packed_scratch_.prio.resize(max_pool);
   packed_scratch_.key.resize(std::max(max_pool, kTtpKey));
   packed_scratch_.survivors.resize(max_pool);
@@ -217,17 +233,17 @@ void AnalysisWorkspace::build() {
     const std::size_t n = proc_pools_[pi].pids.size();
     proc_cand_cache_[pi].prio.resize(n);
     proc_cand_cache_[pi].list.resize(n * n);
-    proc_cand_cache_[pi].cls.resize(n * n);
+    proc_cand_cache_[pi].always.resize(n * n);
     proc_cand_cache_[pi].len.resize(n);
   }
   {
     const std::size_t n = can_pool_.mids.size();
     can_cand_cache_.prio.resize(n);
     can_cand_cache_.list.resize(n * n);
-    can_cand_cache_.cls.resize(n * n);
+    can_cand_cache_.always.resize(n * n);
     can_cand_cache_.len.resize(n);
     can_cand_cache_.blk_list.resize(n * n);
-    can_cand_cache_.blk_cls.resize(n * n);
+    can_cand_cache_.blk_always.resize(n * n);
     can_cand_cache_.blk_len.resize(n);
   }
 
@@ -243,23 +259,100 @@ void AnalysisWorkspace::build() {
   offset += record_size(et_to_tt_.size(), kTtpKey, kTtpEntry, kTtpLeft);
   record_layout_.slot_size = offset;
 
-  // Pass-1 per-graph activity (propagate skip) plus the member -> graph
-  // maps the passes use to re-arm a graph when they change its state.
-  p1_active_.assign(app.num_graphs(), std::uint8_t{1});
+  compile_pass1();
+}
+
+void AnalysisWorkspace::compile_pass1() {
+  const Application& app = *app_;
+  const arch::Platform& platform = *platform_;
   const std::size_t np = app.num_processes();
-  proc_graph_.resize(np);
-  for (std::size_t i = 0; i < np; ++i) {
-    proc_graph_[i] = static_cast<std::uint32_t>(
-        app.process(ProcessId(static_cast<ProcessId::underlying_type>(i)))
-            .graph.index());
+  Pass1Program& prog = pass1_;
+  prog.msg_src.reserve(app.num_messages());
+  prog.msg_dst.reserve(app.num_messages());
+  prog.arcs.reserve(app.num_messages());
+  for (const model::Message& m : app.messages()) {
+    prog.msg_src.push_back(static_cast<std::uint32_t>(m.src.index()));
+    prog.msg_dst.push_back(static_cast<std::uint32_t>(m.dst.index()));
   }
-  const std::size_t nm = app.num_messages();
-  msg_graph_.resize(nm);
-  for (std::size_t i = 0; i < nm; ++i) {
-    msg_graph_[i] = static_cast<std::uint32_t>(
-        app.message(MessageId(static_cast<MessageId::underlying_type>(i)))
-            .graph.index());
+  prog.ops.reserve(np);
+  prog.outs.reserve(app.num_messages());
+  for (const std::vector<ProcessId>& order : topo_) {
+    for (const ProcessId pid : order) {
+      const model::Process& p = app.process(pid);
+      const bool tt = platform.is_tt(p.node);
+      Pass1Program::Op op{static_cast<std::uint32_t>(pid.index()), tt, p.wcet,
+                          static_cast<std::uint32_t>(prog.arcs.size()), 0,
+                          static_cast<std::uint32_t>(prog.outs.size()), 0};
+      if (!tt) {
+        for (const MessageId mid : p.in_messages) {
+          const model::Message& m = app.message(mid);
+          const auto mi = static_cast<std::uint32_t>(mid.index());
+          switch (routes_[mid.index()]) {
+            case MessageRoute::Local:
+              prog.arcs.push_back({Pass1Program::kFromSender,
+                                   static_cast<std::uint32_t>(m.src.index()), mi,
+                                   app.process(m.src).wcet});
+              break;
+            case MessageRoute::EtToEt:
+              prog.arcs.push_back({Pass1Program::kFromCan, mi, mi, can_tx_[mid.index()]});
+              break;
+            default:
+              // TT->ET: available at the end of the TTP slot (EtToTt /
+              // TtToTt arcs never target an ET process).
+              prog.arcs.push_back({Pass1Program::kFromOffset, mi, mi, 0});
+              break;
+          }
+        }
+        for (const ProcessId pred : p.predecessors) {
+          const bool via_message = std::ranges::any_of(
+              p.in_messages, [&](MessageId mid) { return app.message(mid).src == pred; });
+          if (via_message) continue;
+          prog.arcs.push_back({Pass1Program::kFromPredecessor,
+                               static_cast<std::uint32_t>(pred.index()), 0,
+                               app.process(pred).wcet});
+        }
+      }
+      for (const MessageId mid : p.out_messages) {
+        prog.outs.push_back(
+            {routes_[mid.index()], static_cast<std::uint32_t>(mid.index())});
+      }
+      op.arcs_end = static_cast<std::uint32_t>(prog.arcs.size());
+      op.outs_end = static_cast<std::uint32_t>(prog.outs.size());
+      prog.ops.push_back(op);
+    }
   }
+
+  // Readers: each arc makes its receiving process a reader of the arc's
+  // source process.  Pure-precedence readers go first: they also read the
+  // predecessor's r, which pass 2 writes (mark_process).
+  const auto source_of = [&](const Pass1Program::Arc& arc) -> std::uint32_t {
+    return arc.kind == Pass1Program::kFromPredecessor ? arc.source
+                                                      : prog.msg_src[arc.message];
+  };
+  std::vector<std::uint32_t> prec(np, 0);
+  prog.reader_begin.assign(np + 1, 0);
+  for (const Pass1Program::Arc& arc : prog.arcs) {
+    ++prog.reader_begin[source_of(arc) + 1];
+    if (arc.kind == Pass1Program::kFromPredecessor) ++prec[arc.source];
+  }
+  for (std::size_t p = 0; p < np; ++p) prog.reader_begin[p + 1] += prog.reader_begin[p];
+  prog.prec_end.resize(np);
+  std::vector<std::uint32_t> next(prog.reader_begin.begin(), prog.reader_begin.end() - 1);
+  for (std::size_t p = 0; p < np; ++p) {
+    prog.prec_end[p] = prog.reader_begin[p] + prec[p];
+    prec[p] = prog.reader_begin[p];  // cursor of the pure-precedence readers
+    next[p] = prog.prec_end[p];      // cursor of the others
+  }
+  prog.readers.resize(prog.arcs.size());
+  for (const Pass1Program::Op& op : prog.ops) {
+    for (std::uint32_t a = op.arcs_begin; a < op.arcs_end; ++a) {
+      const Pass1Program::Arc& arc = prog.arcs[a];
+      const std::uint32_t src = source_of(arc);
+      std::uint32_t& at = arc.kind == Pass1Program::kFromPredecessor ? prec[src] : next[src];
+      prog.readers[at++] = op.pid;
+    }
+  }
+  prog.dirty.assign(np, std::uint8_t{1});
 }
 
 const std::vector<Time>& AnalysisWorkspace::critical_path() {
@@ -319,6 +412,7 @@ AnalysisWorkspace::State& AnalysisWorkspace::reset_state() {
   state_.d_m.assign(nm, 0);
   state_.ttp_wait.assign(nm, 0);
   state_.i_m.assign(nm, 0);
+  std::ranges::fill(pass1_.dirty, std::uint8_t{1});
   return state_;
 }
 

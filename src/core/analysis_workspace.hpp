@@ -10,14 +10,16 @@
 //
 //   * message routes (classify_route) and per-message CAN frame times,
 //   * the activity pools (CAN-borne, ET->TT, TT->ET, per-node OutNi),
-//   * topological orders per graph,
+//   * topological orders per graph, and pass 1 compiled from them into
+//     flat per-process op lists (the Packed kernel's sweep),
 //   * the precedence reachability closure,
 //   * the gateway transfer WCET and the divergence cap,
 //   * an empty TTC schedule for pure-ET analyses,
 //   * structure-of-arrays pools for the quadratic recurrence passes
 //     (WCETs/periods/frame times packed contiguously, plus precomputed
 //     interference-pair classes so the inner loops never chase the
-//     reachability index),
+//     reachability index; the OutTTP FIFO pool gathers its members' classes
+//     the same way),
 //   * the layout of the pass-component records.
 //
 // The critical-path priorities list scheduling orders TT processes by are
@@ -99,7 +101,7 @@ struct DeltaStats {
   std::uint64_t cand_cache_rebuilds = 0;  ///< kernel calls that (re)built lists
   std::uint64_t intra_skips = 0;          ///< members of intra-run record replays
   std::uint64_t iteration_skips = 0;      ///< previous-MCS-iteration record replays
-  std::uint64_t p1_graph_skips = 0;       ///< pass-1 sweeps elided for quiescent graphs
+  std::uint64_t p1_process_skips = 0;     ///< pass-1 visits elided for clean processes
   /// MCS runs by iteration count: bucket b counts the runs of at most
   /// kIterationBounds[b] iterations no earlier bucket counts; the last
   /// bucket counts the rest.  A Check-mode run counts both of its legs.
@@ -210,17 +212,33 @@ public:
     std::vector<std::uint8_t> interfere;
     /// block[m*n + k]: class of k blocking m (lp non-preemptive start).
     std::vector<std::uint8_t> block;
+    /// Pool indices by frame time, largest first (ties by index): the
+    /// order of the cached blocking lists.
+    std::vector<std::uint32_t> by_tx;
+  };
+
+  /// The OutTTP FIFO pool (the ET->TT messages, in et_to_tt() order) with
+  /// its members' static quantities packed.  Every member rides the CAN
+  /// bus, so its interfere classes are CanPool::interfere's, read through
+  /// its position there.
+  struct TtpPool {
+    std::vector<util::MessageId> mids;
+    std::vector<util::Time> size;  ///< bytes
+    std::vector<util::Time> tx;
+    std::vector<util::Time> period;
+    std::vector<std::size_t> can;  ///< position in CanPool::mids
   };
 
   [[nodiscard]] const std::vector<ProcPool>& proc_pools() const noexcept {
     return proc_pools_;
   }
   [[nodiscard]] const CanPool& can_pool() const noexcept { return can_pool_; }
+  [[nodiscard]] const TtpPool& ttp_pool() const noexcept { return ttp_pool_; }
 
   /// Reusable gather buffers for the packed kernel (sized to the largest
   /// pool at build time; see DESIGN.md §2 "Analysis kernels").
   struct PackedScratch {
-    std::vector<util::Time> o, e, j, w, r, d;
+    std::vector<util::Time> o, e, j, w, r, d, wait;
     std::vector<Priority> prio;
     std::vector<util::Time> key;  ///< a component's record key (run_component)
     /// Per-member compacted interference candidates.  The pruning
@@ -238,7 +256,8 @@ public:
     /// memory-stability test asserts this stops growing after warmup.
     [[nodiscard]] std::size_t footprint_bytes() const noexcept {
       return (o.capacity() + e.capacity() + j.capacity() + w.capacity() +
-              r.capacity() + d.capacity() + key.capacity() + cand_a.capacity() +
+              r.capacity() + d.capacity() + wait.capacity() + key.capacity() +
+              cand_a.capacity() +
               cand_period.capacity() + cand_cost.capacity()) *
                  sizeof(util::Time) +
              prio.capacity() * sizeof(Priority) +
@@ -247,51 +266,97 @@ public:
   };
   [[nodiscard]] PackedScratch& packed_scratch() noexcept { return packed_scratch_; }
 
-  // Per-graph pass-1 activity bytes: propagate sweeps a graph only while
-  // its byte is set.  The byte clears when a sweep fires no raise and no
-  // divergence attempt (such a sweep is provably a no-op next pass: every
-  // write is either an idempotent schedule-constant assign or a raise
-  // whose target is a deterministic function of the sweep-order state,
-  // and the model forbids cross-graph arcs), and re-arms whenever a pass-2
-  // or pass-3 writeback changes a member's w, r or d (pass 4 writes no
-  // pass-1 input).
-  [[nodiscard]] std::vector<std::uint8_t>& p1_active() noexcept {
-    return p1_active_;
-  }
-  /// Graph index of each process / message (dense, built once).
-  [[nodiscard]] const std::vector<std::uint32_t>& proc_graph() const noexcept {
-    return proc_graph_;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& msg_graph() const noexcept {
-    return msg_graph_;
-  }
-  /// Re-arms every graph (run start).
-  void arm_all_graphs() noexcept {
-    std::fill(p1_active_.begin(), p1_active_.end(), std::uint8_t{1});
-  }
+  /// Pass 1 compiled for the Packed kernel (DESIGN.md §2 "Analysis
+  /// kernels"): one op per process in sweep order (graphs by index, each
+  /// in topological order) over flat arc and out-message lists, so the
+  /// sweep never reads the application model.  Input arcs are classified
+  /// by route, and pure-precedence arcs (predecessors no input message
+  /// comes from) are resolved once here.
+  struct Pass1Program {
+    /// How an input arc's release and latest arrival are read:
+    ///   kFromSender       sender's o + C (local message); the message's d
+    ///   kFromPredecessor  pure-precedence predecessor's o + C; its o + r
+    ///   kFromOffset       the message's o (TTP delivery); its d
+    ///   kFromCan          the message's e + C on CAN; its d
+    enum ArcKind : std::uint8_t { kFromSender, kFromPredecessor, kFromOffset, kFromCan };
+    struct Arc {
+      ArcKind kind;
+      std::uint32_t source;   ///< sender/predecessor process, or the message
+      std::uint32_t message;  ///< the message (unused for kFromPredecessor)
+      util::Time add;         ///< the C above: source WCET or CAN frame time
+    };
+    struct Out {
+      MessageRoute route;
+      std::uint32_t message;
+    };
+    struct Op {
+      std::uint32_t pid;
+      bool tt;
+      util::Time wcet;
+      std::uint32_t arcs_begin, arcs_end, outs_begin, outs_end;
+    };
+    std::vector<Op> ops;
+    std::vector<Arc> arcs;
+    std::vector<Out> outs;
+    /// readers[reader_begin[p] .. reader_begin[p + 1]): the ETC processes
+    /// whose visit reads p's values, pure-precedence successors (which
+    /// read r_p) first, up to prec_end[p].
+    std::vector<std::uint32_t> readers, reader_begin, prec_end;
+    /// Sender and receiver process index of each message.
+    std::vector<std::uint32_t> msg_src, msg_dst;
+    /// Per-process dirty byte: the sweep visits a process only while it is
+    /// set.  A visit clears it unless it attempted an over-cap raise (so
+    /// `diverged` keeps counting); a visit that changed a value marks the
+    /// process's readers; pass-2 writebacks and replays mark the process
+    /// and its pure-precedence successors, pass-3 ones the message's sender
+    /// and receiver (pass 4 writes no pass-1 input).
+    std::vector<std::uint8_t> dirty;
+
+    void mark_process(std::size_t p) noexcept {
+      dirty[p] = 1;
+      for (std::uint32_t r = reader_begin[p]; r < prec_end[p]; ++r) {
+        dirty[readers[r]] = 1;
+      }
+    }
+    void mark_message(std::size_t m) noexcept {
+      dirty[msg_src[m]] = 1;
+      dirty[msg_dst[m]] = 1;
+    }
+    void mark_readers(std::size_t p) noexcept {
+      for (std::uint32_t r = reader_begin[p]; r < reader_begin[p + 1]; ++r) {
+        dirty[readers[r]] = 1;
+      }
+    }
+  };
+  [[nodiscard]] Pass1Program& pass1() noexcept { return pass1_; }
 
   /// Cached priority-compacted candidate lists, reused across evaluations.
   /// The static candidate relation of a pool member depends only on the
-  /// pool's priority vector (pair classes are baked at build time), so the
-  /// lists stay valid until a priority inside the pool changes, which
-  /// rebuilds them all.  `prio` is the fingerprint the kernels revalidate
-  /// against on entry.
+  /// pool's priority vector and on offset_pruning (pair classes are baked
+  /// at build time), so the lists stay valid until a priority inside the
+  /// pool or the pruning flag changes, which rebuilds them all.  `prio`
+  /// and `pruned` are the fingerprint the kernels revalidate against on
+  /// entry.  Under pruning the lists hold no kPairPruned pair.
   struct CandidateCache {
     bool valid = false;
+    bool pruned = false;              ///< offset_pruning the lists were built under
     std::vector<Priority> prio;       ///< priorities the lists were built under
     std::vector<std::uint32_t> list;  ///< stride-n: hp candidates of member x
-    std::vector<std::uint8_t> cls;    ///< pair class of each stored candidate
+    /// 1 when the candidate needs no window check (no pruning, or class
+    /// kPairAlways), 0 for a kPairWindow candidate.
+    std::vector<std::uint8_t> always;
     std::vector<std::uint32_t> len;   ///< candidate count per member
-    /// CAN pool only: the non-higher-priority blocking candidates.
+    /// CAN pool only: the non-higher-priority blocking candidates, by frame
+    /// time, largest first (CanPool::by_tx order).
     std::vector<std::uint32_t> blk_list;
-    std::vector<std::uint8_t> blk_cls;
+    std::vector<std::uint8_t> blk_always;
     std::vector<std::uint32_t> blk_len;
 
     [[nodiscard]] std::size_t footprint_bytes() const noexcept {
       return (list.capacity() + blk_list.capacity() + len.capacity() +
               blk_len.capacity()) *
                  sizeof(std::uint32_t) +
-             cls.capacity() + blk_cls.capacity() +
+             always.capacity() + blk_always.capacity() +
              prio.capacity() * sizeof(Priority);
     }
   };
@@ -321,7 +386,8 @@ public:
   };
 
   /// Zeroes the state (std::vector::assign keeps capacity: no allocation
-  /// after the first call) and returns it.
+  /// after the first call), marks every process dirty for pass 1 and
+  /// returns the state.
   [[nodiscard]] State& reset_state();
 
   // --- component records (DESIGN.md §2 "Component records") ------------
@@ -415,6 +481,7 @@ public:
 
 private:
   void build();
+  void compile_pass1();
 
   const model::Application* app_;
   const arch::Platform* platform_;
@@ -442,8 +509,8 @@ private:
   std::vector<CandidateCache> proc_cand_cache_;
   CandidateCache can_cand_cache_;
 
-  std::vector<std::uint8_t> p1_active_;
-  std::vector<std::uint32_t> proc_graph_, msg_graph_;
+  Pass1Program pass1_;
+  TtpPool ttp_pool_;
 
   State state_;
 

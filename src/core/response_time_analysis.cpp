@@ -166,8 +166,7 @@ void raise(Ctx& ctx, Time& slot, Time value) {
 /// fixedness) pre-resolved to a pair-class byte from the workspace's CAN
 /// interfere matrix; only the window comparison reads state.  `latest_m`
 /// must be the caller-hoisted o+j+w+tx of m.  Bit-identical to the scalar
-/// predicate above — used by the packed paths of passes that scan message
-/// (sub)pools quadratically.
+/// predicate above — used by the Packed kernel's buffer bounds.
 [[nodiscard]] bool message_can_interfere_cls(const Ctx& ctx, const State& s,
                                              std::uint8_t cls, MessageId j,
                                              Time e_m, Time latest_m) {
@@ -223,50 +222,98 @@ void raise(Ctx& ctx, Time& slot, Time value) {
 ///
 /// Topological order guarantees every predecessor's current (monotone)
 /// values are available.  TT quantities are pinned by the schedule; ET
-/// quantities derive from their inputs.
-///
-/// Per-graph skip: the model forbids cross-graph messages and precedence
-/// arcs, so a graph's sweep reads only its own members plus per-run
-/// schedule constants.  A sweep that fired no raise and attempted no
-/// over-cap value is therefore a guaranteed no-op on the next pass
-/// (plain assigns write schedule constants and are consumed downstream
-/// within the same sweep), UNLESS passes 2-4 changed one of the graph's
-/// members in between — those paths re-arm the graph's activity byte.
+/// quantities derive from their inputs.  The two kernels share the
+/// per-process updates below and differ only in how a sweep reaches them.
+
+/// A TT process: pinned by the static schedule; deterministic start.
+void visit_tt(Ctx& ctx, State& s, std::size_t pi, Time start, Time wcet) {
+  raise(ctx, s.o_p[pi], start);
+  raise(ctx, s.e_p[pi], start);
+  s.j_p[pi] = 0;
+  s.w_p[pi] = 0;
+  raise(ctx, s.r_p[pi], wcet);
+}
+
+/// An ET process, given its earliest release (all inputs present) and the
+/// worst-case arrival of its latest input: jitter spans between them.
+void visit_et(Ctx& ctx, State& s, std::size_t pi, Time release, Time latest,
+              Time wcet) {
+  raise(ctx, s.o_p[pi], release);
+  raise(ctx, s.e_p[pi], release);
+  raise(ctx, s.j_p[pi], std::max<Time>(0, latest - s.o_p[pi]));
+  // s.w_p is the full busy window (>= wcet once the recurrence ran).
+  raise(ctx, s.r_p[pi], s.j_p[pi] + std::max(s.w_p[pi], wcet));
+}
+
+/// Outgoing message `mi` of process `pi` (WCET `wcet`).
+void visit_out(Ctx& ctx, State& s, std::size_t pi, Time wcet, std::size_t mi,
+               MessageRoute route) {
+  switch (route) {
+    case MessageRoute::Local: {
+      raise(ctx, s.o_m[mi], s.o_p[pi]);
+      raise(ctx, s.e_m[mi], s.o_p[pi] + wcet);
+      s.j_m[mi] = 0;
+      s.w_m[mi] = 0;
+      raise(ctx, s.r_m[mi], s.r_p[pi]);
+      raise(ctx, s.d_m[mi], s.o_m[mi] + s.r_m[mi]);
+      break;
+    }
+    case MessageRoute::TtToTt:
+    case MessageRoute::TtToEt: {
+      const auto& assignment = ctx.ttc.message_slot[mi];
+      if (!assignment) {
+        // Infeasible schedule: treat as diverged.
+        raise(ctx, s.d_m[mi], ctx.cap);
+        raise(ctx, s.r_m[mi], ctx.cap);
+        break;
+      }
+      if (route == MessageRoute::TtToTt) {
+        s.o_m[mi] = assignment->tx_start;
+        s.e_m[mi] = assignment->delivery;
+        s.j_m[mi] = 0;
+        s.w_m[mi] = 0;
+        raise(ctx, s.r_m[mi], assignment->delivery - assignment->tx_start);
+        raise(ctx, s.d_m[mi], assignment->delivery);
+      } else {
+        // CAN leg starts at the TTP delivery into the gateway MBI.
+        s.o_m[mi] = assignment->delivery;
+        s.e_m[mi] = assignment->delivery;
+        s.j_m[mi] = ctx.r_transfer;  // r_T of the transfer process
+        raise(ctx, s.r_m[mi], s.j_m[mi] + s.w_m[mi] + ctx.can_tx[mi]);
+        raise(ctx, s.d_m[mi], s.o_m[mi] + s.r_m[mi]);
+      }
+      break;
+    }
+    case MessageRoute::EtToEt:
+    case MessageRoute::EtToTt: {
+      raise(ctx, s.o_m[mi], s.o_p[pi]);
+      raise(ctx, s.e_m[mi], s.o_p[pi] + wcet);
+      raise(ctx, s.j_m[mi], s.r_p[pi]);
+      if (route == MessageRoute::EtToEt) {
+        raise(ctx, s.r_m[mi], s.j_m[mi] + s.w_m[mi] + ctx.can_tx[mi]);
+        raise(ctx, s.d_m[mi], s.o_m[mi] + s.r_m[mi]);
+      }
+      // EtToTt: r/d are finalized by the OutTTP drain pass.
+      break;
+    }
+  }
+}
+
+/// Reference pass 1: sweeps every process, reading the application model.
 void propagate(Ctx& ctx, State& s) {
   const Application& app = ctx.app;
-  // The Reference kernel does not re-arm graphs, so it always sweeps.
-  const bool allow_skip = ctx.opt.kernel != AnalysisKernel::Reference;
-  std::uint8_t* active = ctx.ws.p1_active().data();
-  for (std::size_t gi = 0; gi < ctx.topo.size(); ++gi) {
-    if (allow_skip && active[gi] == 0) {
-      ++ctx.ws.delta_stats().p1_graph_skips;
-      continue;
-    }
-    const bool outer_changed = ctx.changed;
-    const int div_before = ctx.diverged;
-    ctx.changed = false;
-    const auto& order = ctx.topo[gi];
+  for (const std::vector<ProcessId>& order : ctx.topo) {
     for (const ProcessId pid : order) {
       const Process& p = app.process(pid);
-      const bool tt = ctx.platform.is_tt(p.node);
-
-      if (tt) {
-        // Pinned by the static schedule; deterministic start.
-        const Time start = ctx.cfg.process_offset(pid);
-        raise(ctx, s.o_p[pid.index()], start);
-        raise(ctx, s.e_p[pid.index()], start);
-        s.j_p[pid.index()] = 0;
-        s.w_p[pid.index()] = 0;
-        raise(ctx, s.r_p[pid.index()], p.wcet);
+      const std::size_t pi = pid.index();
+      if (ctx.platform.is_tt(p.node)) {
+        visit_tt(ctx, s, pi, ctx.cfg.process_offset(pid), p.wcet);
       } else {
-        // Earliest release = all inputs present (earliest); jitter spans to
-        // the worst-case arrival of the latest input.
-        Time release = 0;      // earliest release (accounting offset O)
-        Time latest = 0;       // latest arrival over all inputs
+        Time release = 0;  // earliest release (accounting offset O)
+        Time latest = 0;   // latest arrival over all inputs
         for (const MessageId mid : p.in_messages) {
-          const MessageRoute route = ctx.route[mid.index()];
           Time arc_release = 0;
-          switch (route) {
+          switch (ctx.route[mid.index()]) {
             case MessageRoute::Local: {
               const Process& sp = app.process(app.message(mid).src);
               arc_release = s.o_p[app.message(mid).src.index()] + sp.wcet;
@@ -300,76 +347,78 @@ void propagate(Ctx& ctx, State& s) {
           release = std::max(release, s.o_p[pred.index()] + app.process(pred).wcet);
           latest = std::max(latest, s.o_p[pred.index()] + s.r_p[pred.index()]);
         }
-        raise(ctx, s.o_p[pid.index()], release);
-        raise(ctx, s.e_p[pid.index()], release);
-        raise(ctx, s.j_p[pid.index()],
-              std::max<Time>(0, latest - s.o_p[pid.index()]));
-        // s.w_p is the full busy window (>= wcet once the recurrence ran).
-        raise(ctx, s.r_p[pid.index()],
-              s.j_p[pid.index()] + std::max(s.w_p[pid.index()], p.wcet));
+        visit_et(ctx, s, pi, release, latest, p.wcet);
       }
-
-      // Outgoing messages of this process.
       for (const MessageId mid : p.out_messages) {
-        const std::size_t mi = mid.index();
-        switch (ctx.route[mi]) {
-          case MessageRoute::Local: {
-            raise(ctx, s.o_m[mi], s.o_p[pid.index()]);
-            raise(ctx, s.e_m[mi], s.o_p[pid.index()] + p.wcet);
-            s.j_m[mi] = 0;
-            s.w_m[mi] = 0;
-            raise(ctx, s.r_m[mi], s.r_p[pid.index()]);
-            raise(ctx, s.d_m[mi], s.o_m[mi] + s.r_m[mi]);
-            break;
-          }
-          case MessageRoute::TtToTt:
-          case MessageRoute::TtToEt: {
-            const auto& assignment = ctx.ttc.message_slot[mi];
-            if (!assignment) {
-              // Infeasible schedule: treat as diverged.
-              raise(ctx, s.d_m[mi], ctx.cap);
-              raise(ctx, s.r_m[mi], ctx.cap);
-              break;
-            }
-            if (ctx.route[mi] == MessageRoute::TtToTt) {
-              s.o_m[mi] = assignment->tx_start;
-              s.e_m[mi] = assignment->delivery;
-              s.j_m[mi] = 0;
-              s.w_m[mi] = 0;
-              raise(ctx, s.r_m[mi], assignment->delivery - assignment->tx_start);
-              raise(ctx, s.d_m[mi], assignment->delivery);
-            } else {
-              // CAN leg starts at the TTP delivery into the gateway MBI.
-              s.o_m[mi] = assignment->delivery;
-              s.e_m[mi] = assignment->delivery;
-              s.j_m[mi] = ctx.r_transfer;  // r_T of the transfer process
-              raise(ctx, s.r_m[mi], s.j_m[mi] + s.w_m[mi] + ctx.can_tx[mi]);
-              raise(ctx, s.d_m[mi], s.o_m[mi] + s.r_m[mi]);
-            }
-            break;
-          }
-          case MessageRoute::EtToEt:
-          case MessageRoute::EtToTt: {
-            raise(ctx, s.o_m[mi], s.o_p[pid.index()]);
-            raise(ctx, s.e_m[mi], s.o_p[pid.index()] + p.wcet);
-            raise(ctx, s.j_m[mi], s.r_p[pid.index()]);
-            if (ctx.route[mi] == MessageRoute::EtToEt) {
-              raise(ctx, s.r_m[mi], s.j_m[mi] + s.w_m[mi] + ctx.can_tx[mi]);
-              raise(ctx, s.d_m[mi], s.o_m[mi] + s.r_m[mi]);
-            }
-            // EtToTt: r/d are finalized by the OutTTP drain pass.
-            break;
-          }
-        }
+        visit_out(ctx, s, pi, p.wcet, mid.index(), ctx.route[mid.index()]);
       }
     }
-    // Quiescent iff nothing moved AND nothing re-attempted an over-cap
-    // raise (the divergence count must keep growing while a member sits
-    // at the cap, so such graphs keep sweeping).
-    active[gi] = (ctx.changed || ctx.diverged != div_before) ? std::uint8_t{1}
-                                                            : std::uint8_t{0};
-    ctx.changed = ctx.changed || outer_changed;
   }
+}
+
+/// Packed pass 1: runs the workspace's compiled program and visits only
+/// dirty processes (AnalysisWorkspace::Pass1Program).  A visit reads only
+/// its process's inputs, its own values and per-run constants, and each
+/// of its raises reads values the visit wrote before it, so a visit whose
+/// inputs and own values have not changed since its last visit this run
+/// repeats it exactly: same values, no raise fires.  Skipping it is exact
+/// unless that visit attempted an over-cap raise, which must count again
+/// (such a process stays dirty).  A visit that raised anything marks the
+/// processes that read the values it writes; they follow it in the sweep.
+void propagate_packed(Ctx& ctx, State& s) {
+  AnalysisWorkspace::Pass1Program& prog = ctx.ws.pass1();
+  std::uint8_t* dirty = prog.dirty.data();
+  const std::vector<Time>& offsets = ctx.cfg.process_offsets();
+  const bool outer_changed = ctx.changed;
+  bool any_changed = false;
+  std::uint64_t skips = 0;
+  for (const AnalysisWorkspace::Pass1Program::Op& op : prog.ops) {
+    const std::size_t pi = op.pid;
+    if (dirty[pi] == 0) {
+      ++skips;
+      continue;
+    }
+    ctx.changed = false;
+    const int div_before = ctx.diverged;
+    if (op.tt) {
+      visit_tt(ctx, s, pi, offsets[pi], op.wcet);
+    } else {
+      Time release = 0;
+      Time latest = 0;
+      for (std::uint32_t a = op.arcs_begin; a < op.arcs_end; ++a) {
+        const AnalysisWorkspace::Pass1Program::Arc& arc = prog.arcs[a];
+        switch (arc.kind) {
+          case AnalysisWorkspace::Pass1Program::kFromSender:
+            release = std::max(release, s.o_p[arc.source] + arc.add);
+            latest = std::max(latest, s.d_m[arc.message]);
+            break;
+          case AnalysisWorkspace::Pass1Program::kFromPredecessor:
+            release = std::max(release, s.o_p[arc.source] + arc.add);
+            latest = std::max(latest, s.o_p[arc.source] + s.r_p[arc.source]);
+            break;
+          case AnalysisWorkspace::Pass1Program::kFromOffset:
+            release = std::max(release, s.o_m[arc.source]);
+            latest = std::max(latest, s.d_m[arc.message]);
+            break;
+          case AnalysisWorkspace::Pass1Program::kFromCan:
+            release = std::max(release, s.e_m[arc.source] + arc.add);
+            latest = std::max(latest, s.d_m[arc.message]);
+            break;
+        }
+      }
+      visit_et(ctx, s, pi, release, latest, op.wcet);
+    }
+    for (std::uint32_t o = op.outs_begin; o < op.outs_end; ++o) {
+      visit_out(ctx, s, pi, op.wcet, prog.outs[o].message, prog.outs[o].route);
+    }
+    dirty[pi] = ctx.diverged != div_before ? std::uint8_t{1} : std::uint8_t{0};
+    if (ctx.changed) {
+      prog.mark_readers(pi);
+      any_changed = true;
+    }
+  }
+  ctx.ws.delta_stats().p1_process_skips += skips;
+  ctx.changed = outer_changed || any_changed;
 }
 
 /// ---- Pass 2: fixed-priority preemptive interference on each ETC node --
@@ -414,55 +463,79 @@ void pass2_pool_reference(Ctx& ctx, State& s,
 /// Refreshes one pool's cached candidate lists.  The static
 /// candidate relation of member x — "jj != x and prio(jj) < prio(x)",
 /// annotated with the baked pair class — depends only on the priority
-/// vector, so the lists survive every evaluation that leaves this pool's
-/// priorities untouched; any change rebuilds every member's list.  Pruned
-/// pairs are STORED with their class byte (the offset_pruning=false path
-/// must still see them); window-class entries keep their per-pass state
-/// checks in the kernel.  `rebuild` emits member x's list in ascending
-/// index order — the exact scan order of the scalar kernels, so candidate
-/// order (and thus every sum) is identical.
+/// vector and on offset_pruning, so the lists survive every evaluation
+/// that leaves both untouched; any change rebuilds every member's list.
+/// Under pruning a kPairPruned pair is dropped and a kPairAlways one
+/// stored as `always`; without it every pair is stored as `always`.
+/// Window-class entries keep their per-pass state checks in the kernel.
+/// `rebuild` emits member x's interference list in ascending index order
+/// — the exact scan order of the scalar kernels.
 template <typename Rebuild>
 void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
                         const Priority* prio, std::size_t n,
                         const Rebuild& rebuild) {
   DeltaStats& stats = ctx.ws.delta_stats();
-  if (cc.valid && std::equal(prio, prio + n, cc.prio.begin())) {
+  const bool prune = ctx.opt.offset_pruning;
+  if (cc.valid && cc.pruned == prune && std::equal(prio, prio + n, cc.prio.begin())) {
     ++stats.cand_cache_hits;
     return;
   }
   ++stats.cand_cache_rebuilds;
   for (std::size_t x = 0; x < n; ++x) rebuild(x);
   std::copy(prio, prio + n, cc.prio.begin());
+  cc.pruned = prune;
   cc.valid = true;
+}
+
+/// Stores candidate k of class `cls` at out[len] unless pruning drops it;
+/// returns the new length.
+[[nodiscard]] std::uint32_t store_candidate(std::uint32_t* out, std::uint8_t* always,
+                                            std::uint32_t len, std::size_t k,
+                                            std::uint8_t cls, bool prune) {
+  if (prune && cls == AnalysisWorkspace::kPairPruned) return len;
+  out[len] = static_cast<std::uint32_t>(k);
+  always[len] = !prune || cls == AnalysisWorkspace::kPairAlways;
+  return len + 1;
+}
+
+/// Phase of j relative to x, (O_j - O_x) mod T_j: almost every offset
+/// difference lies in [-T_j, T_j), so it is taken by comparison and
+/// divides only outside that range.
+[[nodiscard]] Time fast_phase(Time o_j, Time o_x, Time t_j) {
+  const Time d = o_j - o_x;
+  return (d >= -t_j && d < t_j) ? d + (d < 0 ? t_j : 0) : relative_phase(o_j, o_x, t_j);
+}
+
+/// The carry-in count of interfering_activations, ceil(v / T) for v > 0:
+/// almost always 0 or 1, so it divides only for v > T.
+[[nodiscard]] std::int64_t carry_in_count(Time v, Time t) {
+  return (v > 0) + (v > t ? util::ceil_div(v, t) - 1 : 0);
+}
+
+/// The activation count x < 0 ? 0 : x / T + 1, dividing only for x >= T.
+[[nodiscard]] std::int64_t activation_count(Time x, Time t) {
+  return (x >= 0) + (x >= t ? x / t : 0);
 }
 
 /// Writes interferer j into slot i of member x's compact candidate
 /// arrays.  The carry-in term of interfering_activations never reads the
 /// iterated w, so it is returned for the caller to sum once; the rest of
 /// the term is stored as the w-independent addend a = J_x + J_j - phase_j,
-/// the period and the cost.  Almost every phase difference lies in
-/// [-T_j, T_j) and almost every carry-in count is 0 or 1, so both are
-/// taken by comparison and divide only outside those ranges; the results
-/// equal relative_phase and the ceil_div of interfering_activations.
+/// the period and the cost.
 [[nodiscard]] Time push_candidate(AnalysisWorkspace::PackedScratch& ps,
                                   std::size_t i, Time j_x, Time o_x, Time o_j,
                                   Time j_j, Time span_j, Time t_j, Time c_j) {
-  const Time d = o_j - o_x;
-  const Time phase = (d >= -t_j && d < t_j) ? d + (d < 0 ? t_j : 0)
-                                            : relative_phase(o_j, o_x, t_j);
+  const Time phase = fast_phase(o_j, o_x, t_j);
   const Time distance = (phase == 0) ? t_j : t_j - phase;
-  const Time v = span_j + j_x - distance;
   ps.cand_a[i] = j_x + j_j - phase;
   ps.cand_period[i] = t_j;
   ps.cand_cost[i] = c_j;
-  return ((v > 0) + (v > t_j ? util::ceil_div(v, t_j) - 1 : 0)) * c_j;
+  return carry_in_count(span_j + j_x - distance, t_j) * c_j;
 }
 
 /// Iterates w = base + sum_i (w + a_i < 0 ? 0 : (w + a_i) / T_i + 1) * C_i
 /// over the first `m` candidates from `w` up to its least fixed point
 /// (clamped at the divergence cap), exactly like the Reference recurrence.
-/// Most activation counts are 0 or 1 (w + a_i < T_i), so the quotient is
-/// taken only when w + a_i >= T_i.
 [[nodiscard]] Time ceiling_sum_fixed_point(Ctx& ctx,
                                            const AnalysisWorkspace::PackedScratch& ps,
                                            std::size_t m, Time base, Time w) {
@@ -472,8 +545,7 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
   for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
     Time next = base;
     for (std::size_t i = 0; i < m; ++i) {
-      const Time x = w + a[i];
-      next += ((x >= 0) + (x >= period[i] ? x / period[i] : 0)) * cost[i];
+      next += activation_count(w + a[i], period[i]) * cost[i];
     }
     if (next > ctx.cap) {
       next = ctx.cap;
@@ -487,22 +559,21 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
 
 /// Stage 1 of a Packed candidate scan: writes each of the `len` cached
 /// candidates into ps.survivors and advances the count only for a survivor
-/// (every candidate without offset pruning; else one of class Always, or
-/// of class Window whose `in_window` test holds).  No branch depends on a
-/// candidate, because the window outcomes of a scan do not follow a
-/// pattern a branch predictor can learn.  Returns the survivor count.
+/// (one stored as `always`, or one whose `in_window` test holds).  No
+/// branch depends on a candidate, because the window outcomes of a scan do
+/// not follow a pattern a branch predictor can learn.  Returns the
+/// survivor count.
 template <typename InWindow>
 [[nodiscard]] std::size_t compact_survivors(AnalysisWorkspace::PackedScratch& ps,
                                             const std::uint32_t* cand,
-                                            const std::uint8_t* cls,
-                                            std::uint32_t len, bool prune,
+                                            const std::uint8_t* always,
+                                            std::uint32_t len,
                                             const InWindow& in_window) {
   std::uint32_t* out = ps.survivors.data();
   std::size_t m = 0;
   for (std::uint32_t t = 0; t < len; ++t) {
     out[m] = cand[t];
-    m += !prune | (cls[t] == AnalysisWorkspace::kPairAlways) |
-         ((cls[t] == AnalysisWorkspace::kPairWindow) & in_window(cand[t]));
+    m += always[t] | in_window(cand[t]);
   }
   return m;
 }
@@ -532,30 +603,25 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
     ps.prio[x] = ctx.cfg.process_priority(pool.pids[x]);
   }
   AnalysisWorkspace::CandidateCache& cc = ctx.ws.proc_cand_cache(pool_index);
+  const bool prune = ctx.opt.offset_pruning;
   refresh_candidates(ctx, cc, ps.prio.data(), n, [&](std::size_t x) {
     const std::uint8_t* pair = pool.pair.data() + x * n;
     std::uint32_t* out = cc.list.data() + x * n;
-    std::uint8_t* ocls = cc.cls.data() + x * n;
+    std::uint8_t* always = cc.always.data() + x * n;
     std::uint32_t len = 0;
     for (std::size_t jj = 0; jj < n; ++jj) {
-      if (jj == x) continue;
-      if (!(ps.prio[jj] < ps.prio[x])) continue;
-      out[len] = static_cast<std::uint32_t>(jj);
-      ocls[len] = pair[jj];
-      ++len;
+      if (jj == x || !(ps.prio[jj] < ps.prio[x])) continue;
+      len = store_candidate(out, always, len, jj, pair[jj], prune);
     }
     cc.len[x] = len;
   });
-  const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
     const Time c_i = pool.wcet[x];
     const Time j_x = ps.j[x];
     const Time latest_x = ps.o[x] + j_x + std::max(ps.w[x], c_i);
-    const std::uint32_t* cand = cc.list.data() + x * n;
-    const std::uint8_t* ccls = cc.cls.data() + x * n;
-    const std::uint32_t clen = cc.len[x];
     const std::size_t m = compact_survivors(
-        ps, cand, ccls, clen, prune, [&](std::size_t jj) {
+        ps, cc.list.data() + x * n, cc.always.data() + x * n, cc.len[x],
+        [&](std::size_t jj) {
           return (ps.o[jj] + ps.r[jj] > ps.e[x]) & (ps.e[jj] < latest_x);
         });
     Time carry_total = 0;
@@ -570,14 +636,13 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
     raise(ctx, ps.w[x], w);
     raise(ctx, ps.r[x], j_x + ps.w[x]);
   }
-  std::uint8_t* p1_active = ctx.ws.p1_active().data();
-  const std::uint32_t* proc_graph = ctx.ws.proc_graph().data();
+  AnalysisWorkspace::Pass1Program& p1 = ctx.ws.pass1();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
     if (ps.w[x] == s.w_p[pi] && ps.r[x] == s.r_p[pi]) continue;
     s.w_p[pi] = ps.w[x];
     s.r_p[pi] = ps.r[x];
-    p1_active[proc_graph[pi]] = 1;  // re-arm pass 1 for this graph
+    p1.mark_process(pi);
   }
 }
 
@@ -593,6 +658,11 @@ void pass2_pool_packed(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& po
 /// fields reproduces `changed` (the component itself only raises them, or
 /// assigns the first `assigned` of them), and adding the stored increment
 /// reproduces the divergence count.
+///
+/// Which pass-1 processes a member that grew marks dirty, as the kernel's
+/// writeback does (AnalysisWorkspace::Pass1Program).
+enum class Marks { kNone, kProcess, kMessage };
+
 template <std::size_t E, std::size_t L, typename Id>
 struct Component {
   const std::vector<Id>& ids;
@@ -600,8 +670,8 @@ struct Component {
   std::span<const Time> key;
   std::array<const std::vector<Time>*, E> entry;
   std::array<std::vector<Time>*, L> left;
-  std::size_t assigned;        ///< left fields assigned rather than raised
-  const std::uint32_t* graph;  ///< re-arms a changed member's graph, or null
+  std::size_t assigned;  ///< left fields assigned rather than raised
+  Marks marks;
 
   [[nodiscard]] std::size_t size() const noexcept {
     return AnalysisWorkspace::record_size(ids.size(), key.size(), E, L);
@@ -640,7 +710,8 @@ void replay_record(Ctx& ctx, const Time* rec, const Component<E, L, Id>& c) {
       } else if (stored[x] > slot) {
         slot = stored[x];
         ctx.changed = true;
-        if (c.graph != nullptr) ctx.ws.p1_active()[c.graph[c.ids[x].index()]] = 1;
+        if (c.marks == Marks::kProcess) ctx.ws.pass1().mark_process(c.ids[x].index());
+        if (c.marks == Marks::kMessage) ctx.ws.pass1().mark_message(c.ids[x].index());
       }
     }
   }
@@ -703,7 +774,7 @@ void pass2(Ctx& ctx, State& s) {
                        .entry = {&s.o_p, &s.e_p, &s.j_p, &s.w_p, &s.r_p},
                        .left = {&s.w_p, &s.r_p},
                        .assigned = 0,
-                       .graph = ctx.ws.proc_graph().data()};
+                       .marks = Marks::kProcess};
     run_component(ctx, pool_component, [&] {
       if (ctx.opt.kernel != AnalysisKernel::Reference) {
         pass2_pool_packed(ctx, s, pool, pool_index);
@@ -759,8 +830,9 @@ void can_message_recurrences(Ctx& ctx, State& s) {
 /// window anchors, the two-stage candidate scan, the same ceiling-sum)
 /// with cached candidate AND blocking lists, both keyed on the message
 /// priority vector and resolved through the precomputed pair-class
-/// matrices.  The blocking term is a masked max: a lower-priority frame
-/// that cannot block contributes tx & 0.
+/// matrices.  The blocking list is ordered by frame time, largest first,
+/// so the blocking term is the frame time of the first entry that can
+/// block.
 void can_recurrences_packed(Ctx& ctx, State& s) {
   const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
   const std::size_t n = cp.mids.size();
@@ -776,31 +848,25 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
     ps.prio[x] = ctx.cfg.message_priority(cp.mids[x]);
   }
   AnalysisWorkspace::CandidateCache& cc = ctx.ws.can_cand_cache();
+  const bool prune = ctx.opt.offset_pruning;
   refresh_candidates(ctx, cc, ps.prio.data(), n, [&](std::size_t x) {
     const std::uint8_t* interfere = cp.interfere.data() + x * n;
-    const std::uint8_t* block_cls = cp.block.data() + x * n;
-    std::uint32_t* out = cc.list.data() + x * n;
-    std::uint8_t* ocls = cc.cls.data() + x * n;
-    std::uint32_t* blk = cc.blk_list.data() + x * n;
-    std::uint8_t* bcls = cc.blk_cls.data() + x * n;
+    const std::uint8_t* block = cp.block.data() + x * n;
     std::uint32_t len = 0;
-    std::uint32_t blen = 0;
     for (std::size_t k = 0; k < n; ++k) {
-      if (k == x) continue;
-      if (ps.prio[k] < ps.prio[x]) {
-        out[len] = static_cast<std::uint32_t>(k);
-        ocls[len] = interfere[k];
-        ++len;
-      } else {
-        blk[blen] = static_cast<std::uint32_t>(k);
-        bcls[blen] = block_cls[k];
-        ++blen;
-      }
+      if (k == x || !(ps.prio[k] < ps.prio[x])) continue;
+      len = store_candidate(cc.list.data() + x * n, cc.always.data() + x * n, len, k,
+                            interfere[k], prune);
     }
     cc.len[x] = len;
+    std::uint32_t blen = 0;
+    for (const std::uint32_t k : cp.by_tx) {
+      if (k == x || ps.prio[k] < ps.prio[x]) continue;
+      blen = store_candidate(cc.blk_list.data() + x * n, cc.blk_always.data() + x * n,
+                             blen, k, block[k], prune);
+    }
     cc.blk_len[x] = blen;
   });
-  const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
     const Time latest_x = ps.o[x] + ps.j[x] + ps.w[x] + cp.tx[x];
     const Time arrival_x = ps.o[x] + ps.j[x];
@@ -808,22 +874,19 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
     Time blocking = 0;
     {
       const std::uint32_t* blk = cc.blk_list.data() + x * n;
-      const std::uint8_t* bcls = cc.blk_cls.data() + x * n;
+      const std::uint8_t* always = cc.blk_always.data() + x * n;
       const std::uint32_t blen = cc.blk_len[x];
       for (std::uint32_t t = 0; t < blen; ++t) {
         const std::size_t k = blk[t];
-        const bool can_block =
-            !prune | (bcls[t] == AnalysisWorkspace::kPairAlways) |
-            ((bcls[t] == AnalysisWorkspace::kPairWindow) & (ps.e[k] < arrival_x) &
-             (ps.d[k] > ps.e[x]));
-        blocking = std::max(blocking, cp.tx[k] & -Time{can_block});
+        if (always[t] || (ps.e[k] < arrival_x && ps.d[k] > ps.e[x])) {
+          blocking = cp.tx[k];
+          break;
+        }
       }
     }
-    const std::uint32_t* cand = cc.list.data() + x * n;
-    const std::uint8_t* ccls = cc.cls.data() + x * n;
-    const std::uint32_t clen = cc.len[x];
     const std::size_t m = compact_survivors(
-        ps, cand, ccls, clen, prune, [&](std::size_t jj) {
+        ps, cc.list.data() + x * n, cc.always.data() + x * n, cc.len[x],
+        [&](std::size_t jj) {
           return (ps.d[jj] > ps.e[x]) & (ps.e[jj] < latest_x);
         });
     Time carry_total = 0;
@@ -841,8 +904,7 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
       raise(ctx, ps.d[x], ps.o[x] + ps.r[x]);
     }
   }
-  std::uint8_t* p1_active = ctx.ws.p1_active().data();
-  const std::uint32_t* msg_graph = ctx.ws.msg_graph().data();
+  AnalysisWorkspace::Pass1Program& p1 = ctx.ws.pass1();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t mi = cp.mids[x].index();
     if (ps.w[x] == s.w_m[mi] && ps.r[x] == s.r_m[mi] && ps.d[x] == s.d_m[mi]) {
@@ -851,7 +913,7 @@ void can_recurrences_packed(Ctx& ctx, State& s) {
     s.w_m[mi] = ps.w[x];
     s.r_m[mi] = ps.r[x];
     s.d_m[mi] = ps.d[x];
-    p1_active[msg_graph[mi]] = 1;  // re-arm pass 1 for this graph
+    p1.mark_message(mi);
   }
 }
 
@@ -872,7 +934,7 @@ void pass3(Ctx& ctx, State& s) {
           .entry = {&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.d_m, &s.r_m},
           .left = {&s.w_m, &s.r_m, &s.d_m},
           .assigned = 0,
-          .graph = ctx.ws.msg_graph().data()};
+          .marks = Marks::kMessage};
   run_component(ctx, bus, [&] {
     if (ctx.opt.kernel != AnalysisKernel::Reference) {
       can_recurrences_packed(ctx, s);
@@ -883,17 +945,17 @@ void pass3(Ctx& ctx, State& s) {
 }
 
 /// ---- Pass 4: OutTTP FIFO drain through the gateway slot (§4.1.2) ------
-void out_ttp_drain(Ctx& ctx, State& s) {
-  if (ctx.et_to_tt.empty()) return;
-  if (!ctx.has_sg_slot) {
-    // No gateway slot: ET->TT traffic can never be delivered.
-    for (const MessageId mid : ctx.et_to_tt) {
-      if (s.d_m[mid.index()] < ctx.cap) ++ctx.diverged;
-      raise(ctx, s.d_m[mid.index()], ctx.cap);
-      raise(ctx, s.r_m[mid.index()], ctx.cap);
-    }
-    return;
+
+/// No gateway slot: ET->TT traffic can never be delivered.
+void out_ttp_undeliverable(Ctx& ctx, State& s) {
+  for (const MessageId mid : ctx.et_to_tt) {
+    if (s.d_m[mid.index()] < ctx.cap) ++ctx.diverged;
+    raise(ctx, s.d_m[mid.index()], ctx.cap);
+    raise(ctx, s.r_m[mid.index()], ctx.cap);
   }
+}
+
+void out_ttp_drain(Ctx& ctx, State& s) {
   const Application& app = ctx.app;
   for (const MessageId mid : ctx.et_to_tt) {
     const std::size_t mi = mid.index();
@@ -909,24 +971,10 @@ void out_ttp_drain(Ctx& ctx, State& s) {
     // jitter J_m + w_m + C_m; an instance of j arriving earlier still
     // counts while it can remain queued (ttp residency carry-in).
     const Time m_arrival_spread = s.j_m[mi] + s.w_m[mi] + ctx.can_tx[mi];
-    // Every ET->TT message rides the CAN bus, so the precomputed interfere
-    // classes apply; the packed kernel uses them, the reference kernel
-    // keeps the scalar predicate as the independent baseline.
-    const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
-    const std::uint8_t* cls_row =
-        ctx.opt.kernel != AnalysisKernel::Reference
-            ? cp.interfere.data() + cp.index[mi] * cp.mids.size()
-            : nullptr;
-    const Time latest_m = s.o_m[mi] + m_arrival_spread;
     std::int64_t bytes_ahead = 0;
     for (const MessageId j : ctx.et_to_tt) {
       if (j == mid) continue;
-      if (cls_row != nullptr
-              ? !message_can_interfere_cls(ctx, s, cls_row[cp.index[j.index()]],
-                                           j, s.e_m[mi], latest_m)
-              : !message_can_interfere(ctx, s, j, mid)) {
-        continue;
-      }
+      if (!message_can_interfere(ctx, s, j, mid)) continue;
       const Time arrival_jitter_j =
           s.j_m[j.index()] + s.w_m[j.index()] + ctx.can_tx[j.index()];
       const Time span_j = arrival_jitter_j + s.ttp_wait[j.index()];
@@ -949,16 +997,73 @@ void out_ttp_drain(Ctx& ctx, State& s) {
   }
 }
 
+/// Packed OutTTP drain: the members' state gathered into scratch in
+/// et_to_tt order, updated in place in the same Gauss-Seidel order as the
+/// Reference drain (a member's wait and delivery feed the members after
+/// it), with the static part of the interference predicate read from the
+/// CAN pool's interfere classes and the phase and both activation counts
+/// taken by compare-before-divide.
+void out_ttp_drain_packed(Ctx& ctx, State& s) {
+  const AnalysisWorkspace::TtpPool& tp = ctx.ws.ttp_pool();
+  const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
+  const std::size_t n = tp.mids.size();
+  AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
+  for (std::size_t x = 0; x < n; ++x) {
+    const std::size_t mi = tp.mids[x].index();
+    ps.o[x] = s.o_m[mi];
+    ps.e[x] = s.e_m[mi];
+    ps.j[x] = s.j_m[mi] + s.w_m[mi] + tp.tx[x];  // arrival spread J + w + C
+    ps.r[x] = s.r_m[mi];
+    ps.d[x] = s.d_m[mi];
+    ps.wait[x] = s.ttp_wait[mi];
+  }
+  const bool prune = ctx.opt.offset_pruning;
+  for (std::size_t x = 0; x < n; ++x) {
+    const Time spread_x = ps.j[x];
+    const Time latest_x = ps.o[x] + spread_x;
+    const std::uint8_t* cls = cp.interfere.data() + tp.can[x] * cp.mids.size();
+    std::int64_t bytes_ahead = 0;
+    for (std::size_t y = 0; y < n; ++y) {
+      if (y == x) continue;
+      const std::uint8_t c = cls[tp.can[y]];
+      if (prune && c != AnalysisWorkspace::kPairAlways &&
+          (c == AnalysisWorkspace::kPairPruned || ps.d[y] <= ps.e[x] ||
+           ps.e[y] >= latest_x)) {
+        continue;
+      }
+      const Time t_y = tp.period[y];
+      const Time phase = fast_phase(ps.o[y], ps.o[x], t_y);
+      const Time distance = (phase == 0) ? t_y : t_y - phase;
+      bytes_ahead += (activation_count(spread_x + ps.j[y] - phase, t_y) +
+                      carry_in_count(ps.j[y] + ps.wait[y] - distance, t_y)) *
+                     tp.size[y];
+    }
+    const TtpDrainResult drain =
+        ttp_drain(ctx.cfg.tdma(), ctx.sg_slot, std::min(latest_x, ctx.cap),
+                  tp.size[x] + bytes_ahead, ctx.opt.ttp_queue_model);
+    s.i_m[tp.mids[x].index()] = bytes_ahead;
+    ps.wait[x] = std::min(drain.wait, ctx.cap);
+    raise(ctx, ps.d[x], std::min(drain.delivery, ctx.cap));
+    raise(ctx, ps.r[x], ps.d[x] - ps.o[x]);
+  }
+  for (std::size_t x = 0; x < n; ++x) {
+    const std::size_t mi = tp.mids[x].index();
+    s.ttp_wait[mi] = ps.wait[x];
+    s.d_m[mi] = ps.d[x];
+    s.r_m[mi] = ps.r[x];
+  }
+}
+
 /// Pass-4 driver: the OutTTP FIFO is one component (arrival order couples
 /// all ET->TT messages).  Its key is the drain calendar: whether the
 /// gateway owns a slot, that slot's offset and length, and the round
 /// length.  Message priorities do NOT matter here: the FIFO count is
 /// priority-blind (message_can_interfere's state checks use none).
 ///
-/// Pass 4 never re-arms the pass-1 graph skip: it only writes i/ttp_wait/
-/// d/r of ET->TT messages, and none of those slots are pass-1 inputs (an
-/// ET->TT destination is a TT process, whose pinned branch reads no
-/// incoming-message state).
+/// Pass 4 marks no pass-1 process: it only writes i/ttp_wait/d/r of ET->TT
+/// messages, and pass 1 reads none of those slots (an ET->TT destination
+/// is a TT process, whose visit reads no incoming-message state, and the
+/// sender's visit writes only o/e/j of the message).
 void pass4(Ctx& ctx, State& s) {
   if (ctx.et_to_tt.empty()) return;
   const arch::TdmaRound& tdma = ctx.cfg.tdma();
@@ -975,8 +1080,16 @@ void pass4(Ctx& ctx, State& s) {
             .entry = {&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.r_m, &s.d_m, &s.ttp_wait},
             .left = {&s.i_m, &s.ttp_wait, &s.d_m, &s.r_m},
             .assigned = 2,
-            .graph = nullptr};
-  run_component(ctx, drain, [&] { out_ttp_drain(ctx, s); });
+            .marks = Marks::kNone};
+  run_component(ctx, drain, [&] {
+    if (!ctx.has_sg_slot) {
+      out_ttp_undeliverable(ctx, s);
+    } else if (ctx.opt.kernel != AnalysisKernel::Reference) {
+      out_ttp_drain_packed(ctx, s);
+    } else {
+      out_ttp_drain(ctx, s);
+    }
+  });
 }
 
 /// ---- Buffer bounds (§4.1.1 - §4.1.2) -----------------------------------
@@ -1094,7 +1207,6 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
   }
 
   State& s = workspace.reset_state();
-  workspace.arm_all_graphs();
   ctx.generation = workspace.record_generation(ctx.opt);
   const bool intra = ctx.opt.kernel != AnalysisKernel::Reference;
 
@@ -1125,9 +1237,13 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
                                  : nullptr};
 
     // Pass 1 is the conduit through which every cross-component effect
-    // travels; it sweeps every graph whose activity byte is armed and
-    // elides graphs proven quiescent (see propagate).
-    propagate(ctx, s);
+    // travels; the Packed kernel visits only dirty processes (see
+    // propagate_packed).
+    if (intra) {
+      propagate_packed(ctx, s);
+    } else {
+      propagate(ctx, s);
+    }
     pass2(ctx, s);
     pass3(ctx, s);
     pass4(ctx, s);

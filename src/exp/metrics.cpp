@@ -25,7 +25,7 @@ MetricsSnapshot engine_metrics(const core::AnalysisWorkspace& workspace,
         {"cand_cache_hits", d.cand_cache_hits},
         {"cand_cache_rebuilds", d.cand_cache_rebuilds},
         {"intra_skips", d.intra_skips}, {"iteration_skips", d.iteration_skips},
-        {"p1_graph_skips", d.p1_graph_skips}}) {
+        {"p1_process_skips", d.p1_process_skips}}) {
     s[std::string("delta.") + name] = MetricValue::counter(value);
   }
   s[std::string("kernel.jobs.") + core::kernel_name(kernel)] = MetricValue::counter(1);

@@ -23,6 +23,7 @@
 #include "mcs/core/optimize_resources.hpp"
 #include "mcs/core/simulated_annealing.hpp"
 #include "mcs/core/straightforward.hpp"
+#include "mcs/gen/cruise_control.hpp"
 #include "mcs/gen/generator.hpp"
 #include "mcs/gen/paper_example.hpp"
 #include "mcs/gen/suites.hpp"
@@ -108,6 +109,42 @@ graph G2 20 20
 process B1 G2 N2 3
 process B2 G2 N3 3
 message b1 B1 B2 4
+)";
+
+/// A multi-rate system whose ET->TT traffic drives the division fallbacks
+/// of the Packed OutTTP drain (pass 4): a3 (period 240), b1 (40) and c1
+/// (60) all cross the gateway into TT node N1.
+///  - Phase: a3 leaves A3 late in the G1 chain, so b1's and c1's offsets
+///    lie more than a period of theirs before a3's.
+///  - Activation count: a3's arrival spread (the jitter G1 accumulates plus
+///    its CAN queuing) exceeds 40, so b1 and c1 count at least twice.
+///  - Carry-in: b1 and c1 queue behind A2's and A3's traffic on N2, N3 and
+///    the bus, and then wait for the gateway slot, so an instance stays
+///    queued for more than a period.
+constexpr const char* kGatewayMultiRateSystem = R"(
+ttp 1 0
+can linear 10 0
+gateway_transfer 5 10
+node N1 tt
+node N2 et
+node N3 et
+node NG gateway
+graph G1 240 240
+process A1 G1 N1 30
+process A2 G1 N2 40
+process A3 G1 N3 20
+process A4 G1 N1 20
+message a1 A1 A2 8
+message a2 A2 A3 8
+message a3 A3 A4 8
+graph G2 40 40
+process B1 G2 N2 3
+process B2 G2 N1 3
+message b1 B1 B2 4
+graph G3 60 60
+process C1 G3 N3 3
+process C2 G3 N1 3
+message c1 C1 C2 6
 )";
 
 void expect_same_candidate(const Candidate& a, const Candidate& b) {
@@ -196,6 +233,11 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
     auto ex = gen::make_paper_example();
     systems.push_back({std::move(ex.app), std::move(ex.platform)});
   }
+  {
+    // The one shipped system with pure-precedence arcs (same-node chains).
+    auto cc = gen::make_cruise_controller();
+    systems.push_back({std::move(cc.app), std::move(cc.platform)});
+  }
   for (const auto& point : gen::tiny_suite(1)) {
     auto sys = gen::generate(point.params);
     systems.push_back({std::move(sys.app), std::move(sys.platform)});
@@ -204,7 +246,7 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
     auto sys = gen::generate(small_system(seed));
     systems.push_back({std::move(sys.app), std::move(sys.platform)});
   }
-  for (const char* text : {kPeriodOneSystem, kMultiRateSystem}) {
+  for (const char* text : {kPeriodOneSystem, kMultiRateSystem, kGatewayMultiRateSystem}) {
     std::istringstream in(text);
     auto sys = gen::parse_system(in);
     ASSERT_TRUE(model::validate(sys.app, sys.platform).ok());
@@ -257,6 +299,53 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
       }
       EXPECT_EQ(ws_reference.delta_stats().intra_skips, 0u);
     }
+  }
+}
+
+// The cached candidate lists drop pruned pairs under offset_pruning, so
+// they are keyed on the flag as well as on the priorities: one workspace
+// alternating the flag must rebuild them on every switch and match the
+// Reference oracle under both settings.
+TEST(SoaLayout, AlternatingOffsetPruningRebuildsTheCandidateLists) {
+  struct SystemUnderTest {
+    model::Application app;
+    arch::Platform platform;
+  };
+  std::vector<SystemUnderTest> systems;
+  {
+    auto sys = gen::generate(small_system(22));
+    systems.push_back({std::move(sys.app), std::move(sys.platform)});
+  }
+  for (const char* text : {kMultiRateSystem, kGatewayMultiRateSystem}) {
+    std::istringstream in(text);
+    auto sys = gen::parse_system(in);
+    systems.push_back({std::move(sys.app), std::move(sys.platform)});
+  }
+  for (const SystemUnderTest& sys : systems) {
+    const MoveContext ctx(sys.app, sys.platform, McsOptions{});
+    const std::vector<Candidate> family = walk_family(ctx, 40);
+    AnalysisWorkspace ws_packed(sys.app, sys.platform);
+    AnalysisWorkspace ws_reference(sys.app, sys.platform);
+    for (const Candidate& cand : family) {
+      for (const bool prune : {true, false}) {
+        McsOptions packed;
+        packed.analysis.kernel = AnalysisKernel::Packed;
+        packed.analysis.offset_pruning = prune;
+        McsOptions reference = packed;
+        reference.analysis.kernel = AnalysisKernel::Reference;
+        SystemConfig cfg_p = cand.to_config(sys.app);
+        const McsResult p = multi_cluster_scheduling(sys.app, sys.platform, cfg_p,
+                                                     cand.pins, packed, ws_packed);
+        SystemConfig cfg_r = cand.to_config(sys.app);
+        const McsResult r = multi_cluster_scheduling(sys.app, sys.platform, cfg_r,
+                                                     cand.pins, reference, ws_reference);
+        std::string why;
+        EXPECT_TRUE(bit_identical(p, r, &why))
+            << "packed vs reference (offset_pruning " << prune << "): " << why;
+      }
+    }
+    // Every run switches the flag, so its first pass rebuilds the lists.
+    EXPECT_GE(ws_packed.delta_stats().cand_cache_rebuilds, 2 * family.size());
   }
 }
 

@@ -133,6 +133,8 @@ TEST(StatsCli, PrintsEveryEngineCounter) {
 }
 
 // Single-system mode writes the engine metrics of its one MoveContext.
+// The child's delta mode and kernel are pinned whatever the test
+// environment sets: the counter names below are those of Packed.
 TEST(MetricsCli, SingleSystemWritesTheEngineCounters) {
   std::string dir = (fs::temp_directory_path() / "mcs_metrics_XXXXXX").string();
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
@@ -141,7 +143,7 @@ TEST(MetricsCli, SingleSystemWritesTheEngineCounters) {
   const int status = run_mcs_synth(
       std::string(MCS_TEST_DATA_DIR) + "/../../examples/paper_example.mcs --metrics " +
           metrics.string(),
-      text, "MCS_DELTA=on MCS_DELTA_CHECK=0 ");
+      text, "MCS_DELTA=on MCS_DELTA_CHECK=0 MCS_KERNEL=packed ");
   std::ifstream in(metrics);
   std::ostringstream json;
   json << in.rdbuf();

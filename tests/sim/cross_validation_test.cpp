@@ -4,6 +4,9 @@
 // analysis must never exceed the conservative one.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "mcs/core/hopa.hpp"
 #include "mcs/core/moves.hpp"
 #include "mcs/core/straightforward.hpp"
@@ -24,7 +27,14 @@ struct CrossValidationParam {
   }
 };
 
-class CrossValidation : public ::testing::TestWithParam<CrossValidationParam> {};
+/// One check on one grid point; the grid is registered below.
+class CrossValidation : public ::testing::Test {
+public:
+  explicit CrossValidation(CrossValidationParam param) : param_(param) {}
+
+protected:
+  CrossValidationParam param_;
+};
 
 gen::GeneratorParams small_system(std::uint64_t seed) {
   gen::GeneratorParams p;
@@ -39,13 +49,18 @@ gen::GeneratorParams small_system(std::uint64_t seed) {
   return p;
 }
 
-TEST_P(CrossValidation, AnalysisDominatesSimulation) {
-  const auto param = GetParam();
-  const auto sys = gen::generate(small_system(param.seed));
+class AnalysisDominatesSimulation : public CrossValidation {
+public:
+  using CrossValidation::CrossValidation;
+  void TestBody() override;
+};
+
+void AnalysisDominatesSimulation::TestBody() {
+  const auto sys = gen::generate(small_system(param_.seed));
 
   core::McsOptions mcs_options;
-  mcs_options.analysis.offset_pruning = param.offset_pruning;
-  mcs_options.analysis.ttp_queue_model = param.ttp_model;
+  mcs_options.analysis.offset_pruning = param_.offset_pruning;
+  mcs_options.analysis.ttp_queue_model = param_.ttp_model;
 
   // Straightforward configuration (deadline-monotonic priorities).
   const auto dm = core::initial_deadline_monotonic(sys.app, sys.platform);
@@ -90,10 +105,16 @@ TEST_P(CrossValidation, AnalysisDominatesSimulation) {
   }
 }
 
-TEST_P(CrossValidation, PrunedNeverExceedsConservative) {
-  const auto param = GetParam();
-  if (!param.offset_pruning) GTEST_SKIP() << "one comparison per seed";
-  const auto sys = gen::generate(small_system(param.seed));
+/// Compares both pruning settings itself, so it runs once per (seed, TTP
+/// model): on the pruned half of the grid.
+class PrunedNeverExceedsConservative : public CrossValidation {
+public:
+  using CrossValidation::CrossValidation;
+  void TestBody() override;
+};
+
+void PrunedNeverExceedsConservative::TestBody() {
+  const auto sys = gen::generate(small_system(param_.seed));
 
   const auto dm = core::initial_deadline_monotonic(sys.app, sys.platform);
   core::Candidate candidate = core::Candidate::initial(sys.app, sys.platform);
@@ -102,7 +123,7 @@ TEST_P(CrossValidation, PrunedNeverExceedsConservative) {
 
   core::McsOptions pruned_opt;
   pruned_opt.analysis.offset_pruning = true;
-  pruned_opt.analysis.ttp_queue_model = param.ttp_model;
+  pruned_opt.analysis.ttp_queue_model = param_.ttp_model;
   core::McsOptions cons_opt = pruned_opt;
   cons_opt.analysis.offset_pruning = false;
 
@@ -121,26 +142,36 @@ TEST_P(CrossValidation, PrunedNeverExceedsConservative) {
   }
 }
 
-std::vector<CrossValidationParam> cross_validation_grid() {
-  std::vector<CrossValidationParam> grid;
+/// Registers AnalysisDominatesSimulation on every (seed, pruning, TTP
+/// model) and PrunedNeverExceedsConservative on every (seed, TTP model),
+/// under the names a value-parameterized suite prints:
+/// RandomSystems/CrossValidation.<check>/<point>.
+template <typename Check>
+void register_check(const char* check, const CrossValidationParam& param) {
+  std::ostringstream point;
+  point << param;
+  ::testing::RegisterTest("RandomSystems/CrossValidation",
+                          (std::string(check) + "/" + point.str()).c_str(), nullptr,
+                          point.str().c_str(), __FILE__, __LINE__,
+                          [param]() -> CrossValidation* { return new Check(param); });
+}
+
+[[maybe_unused]] const bool kGridRegistered = [] {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     for (const bool pruning : {true, false}) {
       for (const auto model :
            {core::TtpQueueModel::Exact, core::TtpQueueModel::PaperFormula}) {
-        grid.push_back(CrossValidationParam{seed, pruning, model});
+        const CrossValidationParam param{seed, pruning, model};
+        register_check<AnalysisDominatesSimulation>("AnalysisDominatesSimulation", param);
+        if (pruning) {
+          register_check<PrunedNeverExceedsConservative>("PrunedNeverExceedsConservative",
+                                                         param);
+        }
       }
     }
   }
-  return grid;
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomSystems, CrossValidation,
-                         ::testing::ValuesIn(cross_validation_grid()),
-                         [](const auto& info) {
-                           std::ostringstream os;
-                           os << info.param;
-                           return os.str();
-                         });
+  return true;
+}();
 
 }  // namespace
 }  // namespace mcs

@@ -616,9 +616,9 @@ void print_stats(const core::MoveContext& ctx,
               static_cast<unsigned long long>(d.cand_cache_hits),
               static_cast<unsigned long long>(d.cand_cache_rebuilds),
               pct(d.cand_cache_hits, d.cand_cache_hits + d.cand_cache_rebuilds));
-  std::printf("  fixed-point skips      %llu members, %llu pass-1 graphs\n",
+  std::printf("  fixed-point skips      %llu members, %llu pass-1 processes\n",
               static_cast<unsigned long long>(d.intra_skips),
-              static_cast<unsigned long long>(d.p1_graph_skips));
+              static_cast<unsigned long long>(d.p1_process_skips));
   std::printf("  scratch footprint      %zu bytes (stable per workspace)\n",
               ws.scratch_footprint_bytes());
   std::printf("  record store           %zu bytes (component slots)\n",
