@@ -30,7 +30,6 @@ ClimbOutcome hill_climb(const MoveContext& ctx, Candidate start, Evaluation star
     std::optional<Candidate> best_next;
     std::optional<Evaluation> best_next_eval;
     for (const Move& move : moves) {
-      if (options.schedule.cancel) options.schedule.cancel->throw_if_cancelled();
       Candidate neighbor = out.candidate;
       if (!ctx.apply(move, neighbor)) continue;
       Evaluation eval = ctx.evaluate(neighbor);

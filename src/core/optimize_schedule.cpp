@@ -62,7 +62,6 @@ OptimizeScheduleResult optimize_schedule(const MoveContext& ctx,
   // Evaluate a candidate: HOPA priorities for its beta; the analysis of
   // HOPA's winning round is the evaluation.
   auto evaluate_with_hopa = [&](Candidate& cand) -> Evaluation {
-    if (options.cancel) options.cancel->throw_if_cancelled();
     // Every trial starts as a copy of `current`, so an unchanged round
     // means `cand` is `current`, priorities included.
     if (bound_eval && std::ranges::equal(cand.tdma.slots(), current.tdma.slots())) {

@@ -13,7 +13,6 @@
 
 #include "mcs/core/hopa.hpp"
 #include "mcs/core/moves.hpp"
-#include "mcs/util/cancel.hpp"
 
 namespace mcs::core {
 
@@ -29,10 +28,6 @@ struct OptimizeScheduleOptions {
   std::size_t max_seeds = 8;    ///< seed_solutions list capacity
   /// Upper bound on slot lengths tried per (position, node) pair.
   std::size_t max_lengths_per_slot = 6;
-  /// Cooperative cancellation, polled before every candidate evaluation
-  /// (slot sweep and — via OptimizeResources — every hill-climb neighbor).
-  /// A fired token unwinds with util::CancelledError.  Not owned; may be null.
-  const util::CancelToken* cancel = nullptr;
 };
 
 struct OptimizeScheduleResult {

@@ -38,9 +38,6 @@ SaResult simulated_annealing(const MoveContext& ctx, const Candidate& start,
   // point each iteration runs.
   const auto start_time = std::chrono::steady_clock::now();
   auto out_of_time = [&] {
-    // The cancellation poll rides the same call sites as the budget check
-    // but throws instead of returning: see SaOptions::cancel.
-    if (options.cancel) options.cancel->throw_if_cancelled();
     if (options.max_milliseconds <= 0) return false;
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start_time);

@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "mcs/core/moves.hpp"
-#include "mcs/util/cancel.hpp"
 
 namespace mcs::core {
 
@@ -33,11 +32,6 @@ struct SaOptions {
   /// Early exit once the best cost reaches this value (used by
   /// examples/runtime_comparison.cpp: "time for SA to match OS quality").
   std::optional<double> target_cost;
-  /// Cooperative cancellation: polled once per evaluation alongside the
-  /// wall-clock budget; a fired token unwinds with util::CancelledError so
-  /// the suite driver records a deterministic row (no partial,
-  /// clock-dependent result escapes).  Not owned; may be null.
-  const util::CancelToken* cancel = nullptr;
   std::uint64_t seed = 1;
 };
 

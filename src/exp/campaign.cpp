@@ -17,9 +17,9 @@ constexpr const char* kSpecContext = "campaign spec";
 
 /// Runs the spec's strategies on one generated instance.
 void run_job(const CampaignSpec& spec, const gen::GeneratedSystem& sys, JobResult& job,
-             MetricsSnapshot& engine, const util::CancelToken& cancel) {
+             MetricsSnapshot& engine) {
   job.inter_cluster_messages = sys.inter_cluster_messages;
-  JobSynthesis synthesis(sys, spec, cancel);
+  JobSynthesis synthesis(sys, spec);
 
   // Annealing starts from the best candidate produced so far (the Figure 9
   // setup: SAS refines OS, SAR refines OR), falling back to the initial
@@ -27,7 +27,6 @@ void run_job(const CampaignSpec& spec, const gen::GeneratedSystem& sys, JobResul
   core::Candidate sa_start = core::Candidate::initial(sys.app, sys.platform);
 
   for (std::size_t si = 0; si < spec.strategies.size(); ++si) {
-    cancel.throw_if_cancelled();
     const Strategy strategy = spec.strategies[si];
     StrategyOutcome outcome;
     outcome.strategy = strategy;
@@ -48,7 +47,6 @@ void run_job(const CampaignSpec& spec, const gen::GeneratedSystem& sys, JobResul
         // No wall-clock budget: a time limit would make the trajectory —
         // and thus the result — depend on machine load (DESIGN.md §4).
         sa.max_milliseconds = 0;
-        sa.cancel = &cancel;
         sa.seed = derive_seed(spec.campaign_seed, job.job_index, si);
         const auto sar = core::simulated_annealing(synthesis.ctx(), sa_start, sa);
         outcome.schedulable = sar.best_eval.schedulable;
@@ -339,7 +337,7 @@ void write_csv(const CampaignResult& result, std::ostream& out) {
       return out << ',' << job.inter_cluster_messages;
     };
     if (job.state != RunState::Done) {
-      // One row per degraded job (timeout/failed/pending) so the
+      // One row per degraded job (failed/pending) so the
       // disposition is visible in the report.
       prefix() << ",-,0,0," << to_string(job.state) << ','
                << csv_escape(job.error) << ",0,0,0,0,0";

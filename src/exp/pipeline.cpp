@@ -1,9 +1,7 @@
 #include "mcs/exp/pipeline.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <ostream>
-#include <thread>
 
 #include "mcs/core/straightforward.hpp"
 #include "mcs/exp/suite_driver.hpp"
@@ -41,29 +39,6 @@ const char* to_string(RunState state) noexcept {
   return "unknown";
 }
 
-void inject_fault(const RunOptions& options, std::int64_t job_timeout_ms,
-                  std::size_t job_index, const util::CancelToken& cancel) {
-  for (const RuntimeFault& fault : options.faults) {
-    if (fault.job_index != job_index) continue;
-    const std::string where = " (job " + std::to_string(job_index) + ")";
-    switch (fault.kind) {
-      case RuntimeFault::Kind::ThrowPermanent:
-        throw std::runtime_error("injected permanent fault" + where);
-      case RuntimeFault::Kind::Stall:
-        // Spin until the deadline passes or shutdown is requested.  A
-        // stall with neither armed would hang forever — fail loudly instead.
-        if (job_timeout_ms <= 0 && options.stop == nullptr) {
-          throw std::runtime_error("injected stall without deadline or stop flag" +
-                                   where);
-        }
-        for (;;) {
-          cancel.throw_if_cancelled();
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-    }
-  }
-}
-
 core::McsOptions SpecBase::mcs_options() const {
   core::McsOptions options;
   options.analysis.offset_pruning = !conservative;
@@ -93,7 +68,13 @@ void parse_spec(std::istream& in, const char* context, SpecBase& spec,
     } else if (e.key == "jobs") {
       spec.jobs = static_cast<std::size_t>(util::kv_u64(e, context));
     } else if (e.key == "job_timeout_ms") {
-      spec.job_timeout_ms = static_cast<std::int64_t>(util::kv_u64(e, context));
+      // Retired: jobs are bounded by their budgets, not by a wall-clock
+      // deadline.  Only the old default (off) still parses, so older
+      // spec files that spell it out keep working.
+      if (util::kv_u64(e, context) != 0) {
+        util::kv_fail(context, e.line,
+                      "job_timeout_ms is retired; only 0 is accepted");
+      }
     } else if (e.key == "sa_max_evaluations") {
       spec.budgets.sa_max_evaluations = util::kv_int(e, context);
     } else if (e.key == "hopa_iterations") {
@@ -120,11 +101,9 @@ Strategy spec_strategy(const util::KvEntry& e, const std::string& name,
   }
 }
 
-JobSynthesis::JobSynthesis(const gen::GeneratedSystem& sys, const SpecBase& spec,
-                           const util::CancelToken& cancel)
+JobSynthesis::JobSynthesis(const gen::GeneratedSystem& sys, const SpecBase& spec)
     : ctx_(sys.app, sys.platform, spec.mcs_options()) {
   or_options_.schedule.hopa.max_iterations = spec.budgets.hopa_iterations;
-  or_options_.schedule.cancel = &cancel;
   or_options_.max_seed_starts = spec.budgets.or_max_seed_starts;
   or_options_.max_climb_iterations = spec.budgets.or_max_climb_iterations;
   or_options_.neighbors_per_step = spec.budgets.or_neighbors_per_step;
@@ -183,7 +162,6 @@ void sign_spec(util::Fnv1a& h, const char* kind, const SpecBase& spec) {
   h.update(static_cast<std::uint64_t>(spec.budgets.or_max_seed_starts));
   h.update(static_cast<std::int64_t>(spec.budgets.or_max_climb_iterations));
   h.update(static_cast<std::uint64_t>(spec.budgets.or_neighbors_per_step));
-  h.update(spec.job_timeout_ms);
 }
 
 void write_row(RecordWriter& w, const JobRow& row) {

@@ -36,23 +36,12 @@ enum class Strategy { Sf, Os, Or, Sas, Sar };
 /// 3 is retired and must not be reused.
 enum class RunState : std::uint8_t {
   Done = 0,     ///< body completed
-  Timeout = 1,  ///< wall-clock deadline passed (CancelledError unwound)
+  Timeout = 1,  ///< a simulation spent its event budget (validation only)
   Failed = 2,   ///< the body threw
-  Pending = 4,  ///< never finished (shutdown drained the run first)
+  Pending = 4,  ///< never started (shutdown drained the run first)
 };
 
 [[nodiscard]] const char* to_string(RunState state) noexcept;
-
-/// Test-only fault injection: the suite driver raises the configured
-/// failure for job `job_index` *before* invoking its body.
-struct RuntimeFault {
-  enum class Kind : std::uint8_t {
-    ThrowPermanent,  ///< std::runtime_error — the job fails
-    Stall,           ///< spin until the job's token cancels it
-  };
-  std::size_t job_index = 0;
-  Kind kind = Kind::ThrowPermanent;
-};
 
 /// Search budgets (laptop-sized defaults; paper scale needs larger SA budgets).
 struct CampaignBudgets {
@@ -76,8 +65,6 @@ struct SpecBase {
   bool paper_ttp = false;             ///< closed-form OutTTP model
   CampaignBudgets budgets{};
   std::size_t jobs = 1;  ///< worker threads (0 = one per hardware core)
-  /// Per-job wall-clock deadline in milliseconds (DESIGN.md §6; 0 = off).
-  std::int64_t job_timeout_ms = 0;
 
   /// The analysis options of the spec's keys; the kernel comes from
   /// core::kernel_from_env (MCS_KERNEL).
@@ -141,8 +128,8 @@ struct SuiteResult {
 };
 
 /// Execution-time knobs that do NOT affect which results a finished run
-/// contains — journaling, resume, shutdown, fault injection.  None of them
-/// enter the spec digest or the result signature.
+/// contains — journaling, resume, shutdown.  None of them enter the spec
+/// digest or the result signature.
 struct RunOptions {
   /// Append each settled row to this crash-safe journal (empty = no
   /// journaling).  See journal.hpp for the format.
@@ -152,10 +139,9 @@ struct RunOptions {
   /// signature equals an uninterrupted run's.  The journal's spec digest
   /// must match the spec (JournalError otherwise).
   bool resume = false;
-  /// Graceful shutdown flag (signal handlers set it).  Not owned.
+  /// Graceful shutdown flag (signal handlers set it): once it is up, no
+  /// further job starts.  Not owned.
   const std::atomic<bool>* stop = nullptr;
-  /// Test-only fault injection (see RuntimeFault).
-  std::vector<RuntimeFault> faults;
 };
 
 }  // namespace mcs::exp

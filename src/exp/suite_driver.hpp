@@ -19,7 +19,6 @@
 #include "mcs/gen/generator.hpp"
 #include "mcs/gen/suites.hpp"
 #include "mcs/obs/trace.hpp"
-#include "mcs/util/cancel.hpp"
 #include "mcs/util/kv_parse.hpp"
 #include "mcs/util/parallel.hpp"
 
@@ -52,8 +51,7 @@ struct StrategyRun {
 /// both job kinds share.
 class JobSynthesis {
 public:
-  JobSynthesis(const gen::GeneratedSystem& sys, const SpecBase& spec,
-               const util::CancelToken& cancel);
+  JobSynthesis(const gen::GeneratedSystem& sys, const SpecBase& spec);
 
   [[nodiscard]] const core::MoveContext& ctx() const noexcept { return ctx_; }
 
@@ -137,19 +135,14 @@ struct JournalCodec {
   Job (*decode)(const std::string&) = nullptr;
 };
 
-/// Raises the RuntimeFault `options` configures for job `job_index`, if
-/// any: a permanent fault throws, a stall spins until `cancel` fires.
-void inject_fault(const RunOptions& options, std::int64_t job_timeout_ms,
-                  std::size_t job_index, const util::CancelToken& cancel);
-
-/// Runs `body(sys, row, engine, cancel)` once for every point of the
-/// spec's suite, on `spec.jobs` worker threads.  The driver fills each
-/// row's identity and wall time, merges each completed body's `engine`
-/// metrics into the result, settles a body that throws into a degraded
-/// row (`timeout` for a passed deadline, `failed` otherwise, `pending`
-/// for a shutdown), and, with a journal_path, journals settled rows
-/// through `codec`.  Pending rows are never journaled: --resume re-runs
-/// exactly those.
+/// Runs `body(sys, row, engine)` once for every point of the spec's
+/// suite, on `spec.jobs` worker threads.  The driver fills each row's
+/// identity and wall time, merges each completed body's `engine` metrics
+/// into the result, settles a body that throws into a `failed` row, and,
+/// with a journal_path, journals settled rows through `codec`.  Once the
+/// stop flag is up no further job starts: jobs already running finish
+/// and are journaled, the rest stay `pending`.  Pending rows are never
+/// journaled: --resume re-runs exactly those.
 template <typename Result, typename Body>
 Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
                  const char* job_span,
@@ -171,7 +164,7 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
     job.system_seed = suite[i].params.seed;
     return job;
   };
-  // The row of a job that did not complete (timeout / failed / pending):
+  // The row of a job that did not complete (failed / pending):
   // attributable and replayable, with empty outcome fields.
   const auto degraded = [&identified](std::size_t i, RunState state,
                                       std::string error) {
@@ -211,25 +204,20 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
   std::mutex engine_mutex;
   util::parallel_for(result.workers, suite.size(), [&](std::size_t i) {
     // Everything mutable is local to this call and thus to the one worker
-    // thread executing it.  The slot holds a degraded row until the body
-    // completes, so a cancelled or failed job leaves no partial result.
+    // thread executing it.  The body fills a local row that reaches the
+    // slot only when it completes, so a failed job leaves no partial result.
     if (recovered[i]) return;
     Job& row = result.jobs[i];
-    row = degraded(i, RunState::Pending,
-                   "pending: shutdown requested before the job finished");
-    if (options.stop != nullptr && options.stop->load()) return;
-
-    std::optional<util::CancelToken::Clock::time_point> deadline;
-    if (spec.job_timeout_ms > 0) {
-      deadline = util::CancelToken::Clock::now() +
-                 std::chrono::milliseconds(spec.job_timeout_ms);
+    if (options.stop != nullptr && options.stop->load()) {
+      row = degraded(i, RunState::Pending,
+                     "pending: shutdown requested before the job started");
+      return;
     }
-    const util::CancelToken cancel(deadline, options.stop);
+
     try {
       // Inside the try block: stack unwinding on any failure path closes
       // the spans, keeping B/E events balanced.
       const obs::Span attempt("job.attempt", static_cast<std::uint64_t>(i));
-      inject_fault(options, spec.job_timeout_ms, i, cancel);
       const obs::Span span(job_span, static_cast<std::uint64_t>(i));
       const auto job_start = std::chrono::steady_clock::now();
       Job job = identified(i);
@@ -237,19 +225,11 @@ Result run_suite(const decltype(Result::spec)& spec, const RunOptions& options,
       job.processes = sys.app.num_processes();
       job.messages = sys.app.num_messages();
       MetricsSnapshot engine;
-      body(sys, job, engine, cancel);
+      body(sys, job, engine);
       job.seconds = seconds_since(job_start);
       row = std::move(job);
       const std::lock_guard lock(engine_mutex);
       merge(result.engine, engine);
-    } catch (const util::CancelledError& error) {
-      // A shutdown leaves the job pending (result discarded, the resume
-      // re-runs it); a deadline is a terminal timeout.
-      if (error.reason() == util::CancelReason::Shutdown) return;
-      obs::instant("job.timeout", static_cast<std::uint64_t>(i));
-      row = degraded(i, RunState::Timeout,
-                     "timeout: watchdog deadline " +
-                         std::to_string(spec.job_timeout_ms) + " ms exceeded");
     } catch (const std::exception& error) {
       row = degraded(i, RunState::Failed, error.what());
     }

@@ -95,8 +95,8 @@ constexpr std::array<const char*, 9> kFaultFieldNames = {
 /// One instance end to end: synthesize, soundness-check the fault-free
 /// run, then sweep the fault scenarios.
 void run_job(const ValidationSpec& spec, const gen::GeneratedSystem& sys,
-             ValidationJob& job, MetricsSnapshot& engine, const util::CancelToken& cancel) {
-  JobSynthesis synthesis(sys, spec, cancel);
+             ValidationJob& job, MetricsSnapshot& engine) {
+  JobSynthesis synthesis(sys, spec);
   const StrategyRun run = synthesis.step(spec.strategy);
   job.evals = static_cast<std::uint64_t>(run.evaluations);
   job.converged = run.eval.mcs.converged;
@@ -126,7 +126,6 @@ void run_job(const ValidationSpec& spec, const gen::GeneratedSystem& sys,
   // Degradation sweep.  Under faults the bounds need not hold; we record
   // what actually broke (and how badly) per scenario.
   for (std::size_t si = 0; si < spec.scenarios.size(); ++si) {
-    cancel.throw_if_cancelled();
     sim::FaultSpec scenario = spec.scenarios[si];
     scenario.seed = scenario_seed(scenario, spec.campaign_seed, job.job_index, si);
     const sim::SimResult faulted = sim::simulate(
@@ -327,8 +326,7 @@ ValidationJob decode_validation_job(const std::string& payload) {
 
 ValidationResult run_validation(const ValidationSpec& spec, const RunOptions& options) {
   // Graceful degradation via the suite driver: a throwing job becomes a
-  // `failed` row, a deadline overrun a `timeout` row — never an abort
-  // (same contract as run_campaign).
+  // `failed` row — never an abort (same contract as run_campaign).
   const JournalCodec<ValidationJob> codec{validation_spec_digest(spec),
                                           encode_validation_job,
                                           decode_validation_job};

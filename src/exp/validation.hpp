@@ -80,9 +80,8 @@ struct ScenarioOutcome {
 
 /// One instance: synthesis verdict, soundness check, degradation rows.
 /// The row's `state` is Done ("ok" in reports) when synthesis and every
-/// simulation ran to the end; Timeout covers both the deterministic event
-/// budget and the per-job wall-clock deadline (error/skip_reason tell them
-/// apart).
+/// simulation ran to the end; Timeout means a simulation, fault-free or
+/// under a scenario, spent its deterministic event budget.
 struct ValidationJob : JobRow {
   bool converged = false;
   bool schedulable = false;

@@ -64,7 +64,7 @@ private:
   const char* name_ = nullptr;  ///< non-null while armed
 };
 
-/// Point-in-time ('i' phase) event: retries, timeouts, shed decisions.
+/// Point-in-time ('i' phase) event.
 void instant(const char* name) noexcept;
 void instant(const char* name, std::uint64_t arg) noexcept;
 

@@ -232,27 +232,50 @@ TEST(CampaignSpecParser, RejectsUnknownKeysAndBadValues) {
                std::invalid_argument);
 }
 
+/// Parses `text` as a campaign or a validation spec.
+void parse_spec_text(const std::string& text, bool campaign) {
+  std::istringstream in(text);
+  if (campaign) {
+    (void)parse_campaign_spec(in);
+  } else {
+    (void)parse_validation_spec(in);
+  }
+}
+
+/// Expects both spec kinds to refuse `text` with an error naming `key`
+/// and line 2.
+void expect_line_2_error(const std::string& text, const char* key) {
+  for (const bool campaign : {true, false}) {
+    try {
+      parse_spec_text(text, campaign);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+      EXPECT_NE(message.find(key), std::string::npos) << message;
+    }
+  }
+}
+
 // The retired retry and admission-shedding keys are unknown keys now: an
 // old spec holding one fails loudly with its line number instead of being
 // silently ignored.
 TEST(CampaignSpecParser, RejectsRetiredRuntimeKeys) {
   for (const char* key : {"max_retries", "queue_limit"}) {
-    const std::string text = std::string("name = old\n") + key + " = 2\n";
-    for (const bool campaign : {true, false}) {
-      std::istringstream in(text);
-      try {
-        if (campaign) {
-          (void)parse_campaign_spec(in);
-        } else {
-          (void)parse_validation_spec(in);
-        }
-        ADD_FAILURE() << key << " was accepted";
-      } catch (const std::invalid_argument& e) {
-        const std::string message = e.what();
-        EXPECT_NE(message.find("line 2"), std::string::npos) << message;
-        EXPECT_NE(message.find(key), std::string::npos) << message;
-      }
-    }
+    expect_line_2_error(std::string("name = old\n") + key + " = 2\n", key);
+  }
+}
+
+// Jobs are bounded by their budgets, not by a wall-clock deadline: the
+// retired job_timeout_ms key still parses at its old default 0 (off), and
+// any deadline it would arm is a line-numbered error naming the key.
+TEST(CampaignSpecParser, AcceptsJobTimeoutMsOnlyAtZero) {
+  for (const bool campaign : {true, false}) {
+    EXPECT_NO_THROW(parse_spec_text("name = old\njob_timeout_ms = 0\n", campaign));
+  }
+  for (const char* value : {"1", "60000"}) {
+    expect_line_2_error(std::string("name = old\njob_timeout_ms = ") + value + "\n",
+                        "job_timeout_ms");
   }
 }
 

@@ -1,8 +1,7 @@
 // Job-runtime tests: the suite driver's one job loop (run_suite) under a
-// test body — deadlines, failed jobs, graceful drain, journal-recovered
-// jobs — and, at the campaign and validation level, fault-injected runs
-// staying bit-identical across thread counts and a partial journal
-// resuming to the exact uninterrupted signature.
+// test body — failed jobs, graceful drain, journal-recovered jobs — and,
+// at the campaign and validation level, a partial journal resuming to the
+// exact uninterrupted signature.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +9,7 @@
 #include <filesystem>
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,17 +51,28 @@ CampaignSpec bodies_spec(std::size_t workers, std::size_t count) {
   return spec;
 }
 
-/// Runs the suite driver with `body(job_index, cancel)` in place of a
-/// synthesis job.
-CampaignResult run_bodies(
-    const CampaignSpec& spec, const RunOptions& options,
-    const std::function<void(std::size_t, const util::CancelToken&)>& body) {
+/// Runs the suite driver with `body(job_index)` in place of a synthesis
+/// job.
+CampaignResult run_bodies(const CampaignSpec& spec, const RunOptions& options,
+                          const std::function<void(std::size_t)>& body) {
   const JournalCodec<JobResult> codec{campaign_spec_digest(spec), encode_job_result,
                                       decode_job_result};
   return run_suite<CampaignResult>(
       spec, options, "test.job", codec,
-      [&body](const gen::GeneratedSystem&, JobResult& job, MetricsSnapshot&,
-              const util::CancelToken& cancel) { body(job.job_index, cancel); });
+      [&body](const gen::GeneratedSystem&, JobResult& job, MetricsSnapshot&) {
+        body(job.job_index);
+      });
+}
+
+/// A body that throws for the jobs in `failing` and counts every run.
+std::function<void(std::size_t)> failing_body(std::vector<std::atomic<int>>& runs,
+                                              std::set<std::size_t> failing) {
+  return [&runs, failing = std::move(failing)](std::size_t i) {
+    runs[i].fetch_add(1);
+    if (failing.contains(i)) {
+      throw std::runtime_error("permanent fault (job " + std::to_string(i) + ")");
+    }
+  };
 }
 
 std::vector<std::size_t> journaled_jobs(const fs::path& journal) {
@@ -76,7 +87,7 @@ TEST_F(JobRuntime, HappyPathRunsEveryJobExactlyOnce) {
   std::vector<std::atomic<int>> runs(16);
   const CampaignResult result =
       run_bodies(bodies_spec(2, runs.size()), {},
-                 [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); });
+                 [&](std::size_t i) { runs[i].fetch_add(1); });
   ASSERT_EQ(result.jobs.size(), runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     EXPECT_EQ(runs[i].load(), 1) << "job " << i;
@@ -90,31 +101,13 @@ TEST_F(JobRuntime, HappyPathRunsEveryJobExactlyOnce) {
 
 TEST_F(JobRuntime, PermanentFaultIsNeverRetried) {
   std::vector<std::atomic<int>> runs(2);
-  RunOptions options;
-  options.faults = {{0, RuntimeFault::Kind::ThrowPermanent}};
   const CampaignResult result =
-      run_bodies(bodies_spec(2, runs.size()), options,
-                 [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); });
+      run_bodies(bodies_spec(2, runs.size()), {}, failing_body(runs, {0}));
   EXPECT_EQ(result.jobs[0].state, RunState::Failed);
-  EXPECT_EQ(result.jobs[0].error, "injected permanent fault (job 0)");
-  EXPECT_EQ(runs[0].load(), 0);  // the fault fired before the body, once
+  EXPECT_EQ(result.jobs[0].error, "permanent fault (job 0)");
+  EXPECT_EQ(runs[0].load(), 1);  // the failing body ran once
   EXPECT_EQ(result.jobs[1].state, RunState::Done);
   EXPECT_EQ(runs[1].load(), 1);
-}
-
-TEST_F(JobRuntime, WatchdogDeadlineYieldsTimeoutRow) {
-  CampaignSpec spec = bodies_spec(2, 2);
-  spec.job_timeout_ms = 40;
-  RunOptions options;
-  options.faults = {{0, RuntimeFault::Kind::Stall}};
-  std::atomic<int> body_runs{0};
-  const CampaignResult result =
-      run_bodies(spec, options, [&](std::size_t, const util::CancelToken&) { ++body_runs; });
-  EXPECT_EQ(result.jobs[0].state, RunState::Timeout);
-  EXPECT_EQ(result.jobs[0].error, "timeout: watchdog deadline 40 ms exceeded");
-  EXPECT_EQ(result.jobs[1].state, RunState::Done);
-  EXPECT_EQ(result.count(RunState::Timeout), 1u);
-  EXPECT_EQ(body_runs.load(), 1);  // the stalled job never reached the body
   EXPECT_FALSE(result.interrupted());
 }
 
@@ -124,14 +117,14 @@ TEST_F(JobRuntime, PreSetStopFlagLeavesEverythingPending) {
   options.stop = &stop;
   options.journal_path = (dir_ / "stopped.journal").string();
   std::atomic<int> body_runs{0};
-  const CampaignResult result = run_bodies(
-      bodies_spec(2, 4), options, [&](std::size_t, const util::CancelToken&) { ++body_runs; });
+  const CampaignResult result =
+      run_bodies(bodies_spec(2, 4), options, [&](std::size_t) { ++body_runs; });
   ASSERT_EQ(result.jobs.size(), 4u);
   for (std::size_t i = 0; i < result.jobs.size(); ++i) {
     EXPECT_EQ(result.jobs[i].job_index, i);
     EXPECT_EQ(result.jobs[i].state, RunState::Pending) << "job " << i;
     EXPECT_EQ(result.jobs[i].error,
-              "pending: shutdown requested before the job finished");
+              "pending: shutdown requested before the job started");
   }
   EXPECT_EQ(body_runs.load(), 0);
   EXPECT_TRUE(result.interrupted());
@@ -140,35 +133,30 @@ TEST_F(JobRuntime, PreSetStopFlagLeavesEverythingPending) {
   EXPECT_TRUE(read_journal(options.journal_path).records.empty());
 }
 
-// A body that raises the stop flag and then polls its own token unwinds
-// at once: the token reads the flag itself, no other thread is involved.
-// The job ends pending, and the jobs after it never start.
+// A stop flag raised while a job runs lets that job finish: it settles
+// `done` and is journaled.  The jobs after it never start and stay
+// pending, unjournaled, for a --resume to run.
 TEST_F(JobRuntime, MidRunStopDrainsRemainingJobs) {
   std::atomic<bool> stop{false};
   RunOptions options;
   options.stop = &stop;
   options.journal_path = (dir_ / "drained.journal").string();
   std::vector<std::atomic<int>> runs(4);
-  bool polled_through = false;
   const CampaignResult result =  // one worker: jobs run in order 0, 1, 2, ...
-      run_bodies(bodies_spec(1, runs.size()), options,
-                 [&](std::size_t i, const util::CancelToken& cancel) {
-                   runs[i].fetch_add(1);
-                   if (i != 1) return;
-                   stop.store(true);
-                   cancel.throw_if_cancelled();
-                   polled_through = true;
-                 });
-  EXPECT_FALSE(polled_through);
-  EXPECT_EQ(result.jobs[0].state, RunState::Done);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(result.jobs[i].state, RunState::Pending) << "job " << i;
-    EXPECT_EQ(runs[i].load(), i == 1 ? 1 : 0) << "job " << i;
+      run_bodies(bodies_spec(1, runs.size()), options, [&](std::size_t i) {
+        runs[i].fetch_add(1);
+        if (i == 1) stop.store(true);
+      });
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(result.jobs[i].state, i <= 1 ? RunState::Done : RunState::Pending)
+        << "job " << i;
+    EXPECT_EQ(runs[i].load(), i <= 1 ? 1 : 0) << "job " << i;
   }
+  EXPECT_TRUE(result.jobs[1].error.empty());
   EXPECT_TRUE(result.interrupted());
-  EXPECT_EQ(result.count(RunState::Done), 1u);
-  EXPECT_EQ(result.count(RunState::Pending), 3u);
-  EXPECT_EQ(journaled_jobs(options.journal_path), std::vector<std::size_t>{0});
+  EXPECT_EQ(result.count(RunState::Done), 2u);
+  EXPECT_EQ(result.count(RunState::Pending), 2u);
+  EXPECT_EQ(journaled_jobs(options.journal_path), (std::vector<std::size_t>{0, 1}));
 }
 
 // A shutdown request that lands after the last job settled drains
@@ -178,7 +166,7 @@ TEST_F(JobRuntime, StopAfterTheLastJobSettledIsNotAnInterruption) {
   RunOptions options;
   options.stop = &stop;
   const CampaignResult result =
-      run_bodies(bodies_spec(1, 4), options, [&](std::size_t i, const util::CancelToken&) {
+      run_bodies(bodies_spec(1, 4), options, [&](std::size_t i) {
         if (i == 3) stop.store(true);
       });
   EXPECT_EQ(result.count(RunState::Done), 4u);
@@ -190,7 +178,7 @@ TEST_F(JobRuntime, AlreadyDoneJobsAreSkippedAndNotResettled) {
   const fs::path journal = dir_ / "recovered.journal";
   RunOptions journal_options;
   journal_options.journal_path = journal.string();
-  (void)run_bodies(spec, journal_options, [](std::size_t, const util::CancelToken&) {});
+  (void)run_bodies(spec, journal_options, [](std::size_t) {});
   // Keep only the records of jobs 0 and 2, as if the run died after them.
   const JournalContents full = read_journal(journal);
   {
@@ -206,8 +194,7 @@ TEST_F(JobRuntime, AlreadyDoneJobsAreSkippedAndNotResettled) {
   resume_options.resume = true;
   std::vector<std::atomic<int>> runs(4);
   const CampaignResult result =
-      run_bodies(spec, resume_options,
-                 [&](std::size_t i, const util::CancelToken&) { runs[i].fetch_add(1); });
+      run_bodies(spec, resume_options, [&](std::size_t i) { runs[i].fetch_add(1); });
   EXPECT_EQ(runs[0].load(), 0);  // recovered, not re-run
   EXPECT_EQ(runs[1].load(), 1);
   EXPECT_EQ(runs[2].load(), 0);
@@ -224,24 +211,25 @@ TEST_F(JobRuntime, AlreadyDoneJobsAreSkippedAndNotResettled) {
 
 TEST_F(JobRuntime, FaultDispositionsAreWorkerCountInvariant) {
   CampaignSpec spec = bodies_spec(1, 8);
-  spec.job_timeout_ms = 40;
-  RunOptions options;
-  options.faults = {{2, RuntimeFault::Kind::ThrowPermanent},
-                    {3, RuntimeFault::Kind::Stall},
-                    {5, RuntimeFault::Kind::ThrowPermanent}};
-  const auto body = [](std::size_t, const util::CancelToken&) {};
+  std::vector<std::atomic<int>> serial_runs(8);
+  std::vector<std::atomic<int>> parallel_runs(8);
 
-  const CampaignResult serial = run_bodies(spec, options, body);
+  const CampaignResult serial =
+      run_bodies(spec, {}, failing_body(serial_runs, {2, 3, 5}));
   spec.jobs = 4;
-  const CampaignResult parallel = run_bodies(spec, options, body);
+  const CampaignResult parallel =
+      run_bodies(spec, {}, failing_body(parallel_runs, {2, 3, 5}));
 
   ASSERT_EQ(serial.jobs.size(), parallel.jobs.size());
   for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
     EXPECT_EQ(serial.jobs[i].state, parallel.jobs[i].state) << "job " << i;
     EXPECT_EQ(serial.jobs[i].error, parallel.jobs[i].error) << "job " << i;
+    EXPECT_EQ(serial_runs[i].load(), 1) << "job " << i;
+    EXPECT_EQ(parallel_runs[i].load(), 1) << "job " << i;
   }
   EXPECT_EQ(serial.jobs[2].state, RunState::Failed);
-  EXPECT_EQ(serial.jobs[3].state, RunState::Timeout);
+  EXPECT_EQ(serial.jobs[3].state, RunState::Failed);
+  EXPECT_EQ(serial.jobs[3].error, "permanent fault (job 3)");
   EXPECT_EQ(serial.jobs[5].state, RunState::Failed);
   EXPECT_EQ(serial.count(RunState::Done), 5u);
   EXPECT_EQ(parallel.workers, 4u);
@@ -263,63 +251,15 @@ CampaignSpec resilience_spec(std::size_t jobs) {
 
 class CampaignResilienceTest : public TempDirTest {};
 
-// Fault-injected campaigns obey the same thread-count bit-identity
-// contract as clean ones: failed and timed-out rows included.
-TEST_F(CampaignResilienceTest, FaultInjectedRunsAreThreadCountInvariant) {
-  CampaignSpec spec = resilience_spec(1);
-  spec.job_timeout_ms = 200;
-  RunOptions options;
-  options.faults = {{1, RuntimeFault::Kind::ThrowPermanent},
-                    {2, RuntimeFault::Kind::Stall}};
-
-  const CampaignResult serial = run_campaign(spec, options);
-  spec.jobs = 4;
-  const CampaignResult parallel = run_campaign(spec, options);
-
-  ASSERT_GT(serial.jobs.size(), 2u);
-  EXPECT_EQ(serial.jobs[0].state, RunState::Done);
-  EXPECT_EQ(serial.jobs[1].state, RunState::Failed);
-  EXPECT_EQ(serial.jobs[1].error, "injected permanent fault (job 1)");
-  EXPECT_TRUE(serial.jobs[1].outcomes.empty());
-  EXPECT_EQ(serial.jobs[2].state, RunState::Timeout);
-  EXPECT_TRUE(serial.jobs[2].outcomes.empty());
-  EXPECT_EQ(serial.signature(), parallel.signature());
-  for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
-    EXPECT_EQ(serial.jobs[i].signature(), parallel.jobs[i].signature())
-        << "job " << i;
-  }
-}
-
-// A stalled job degrades to a `timeout` row and the campaign carries on.
-TEST_F(CampaignResilienceTest, StalledJobBecomesTimeoutRow) {
-  CampaignSpec spec = resilience_spec(2);
-  spec.job_timeout_ms = 50;
-  RunOptions options;
-  options.faults = {{0, RuntimeFault::Kind::Stall}};
-
-  const CampaignResult result = run_campaign(spec, options);
-  ASSERT_GT(result.jobs.size(), 1u);
-  EXPECT_EQ(result.jobs[0].state, RunState::Timeout);
-  EXPECT_EQ(result.jobs[0].error, "timeout: watchdog deadline 50 ms exceeded");
-  EXPECT_TRUE(result.jobs[0].outcomes.empty());
-  EXPECT_EQ(result.jobs[1].state, RunState::Done);
-  EXPECT_FALSE(result.interrupted());
-}
-
 // The crash-safety acceptance property: a campaign resumed from a PARTIAL
 // journal — only some jobs checkpointed — reproduces the uninterrupted
-// run's signature exactly, re-running only the missing jobs.  The
-// resilience layers themselves must not touch a signed field either: a
-// fully journaled run and a run under a deadline generous enough never
-// to pass both sign like the bare run.
+// run's signature exactly, re-running only the missing jobs.  Journaling
+// itself must not touch a signed field either: a fully journaled run
+// signs like the bare run.
 TEST_F(CampaignResilienceTest, PartialJournalResumeMatchesUninterruptedRun) {
   const CampaignSpec spec = resilience_spec(2);
   const CampaignResult uninterrupted = run_campaign(spec);
   ASSERT_GE(uninterrupted.jobs.size(), 3u);
-
-  CampaignSpec watched = spec;
-  watched.job_timeout_ms = 60000;
-  EXPECT_EQ(run_campaign(watched).signature(), uninterrupted.signature());
 
   // Journal a full run, then rewrite the journal keeping only the first
   // two records — the deterministic equivalent of a crash after two jobs.
@@ -389,9 +329,9 @@ TEST_F(CampaignResilienceTest, SpecDigestIgnoresNameAndJobs) {
   b.name = "renamed";
   b.jobs = 8;
   EXPECT_EQ(campaign_spec_digest(a), campaign_spec_digest(b));
-  CampaignSpec c = a;
-  c.job_timeout_ms = 5000;  // the deadline decides which rows time out
-  EXPECT_NE(campaign_spec_digest(a), campaign_spec_digest(c));
+  CampaignSpec budget = a;
+  budget.budgets.sa_max_evaluations += 1;
+  EXPECT_NE(campaign_spec_digest(a), campaign_spec_digest(budget));
 }
 
 // A journal of one job kind never resumes under the other: both spec

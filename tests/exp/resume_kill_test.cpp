@@ -188,9 +188,9 @@ TEST_F(ResumeKillTest, ValidationResumeAfterSigkillReproducesTheSignature) {
   EXPECT_NE(cross.text.find("journal"), std::string::npos) << cross.text;
 }
 
-// SIGINT drains the run gracefully: in-flight jobs are discarded as
-// pending, settled ones are journaled, and the exit code is 4 — or 0 when
-// the signal landed after the last job settled.  The journal holds only
+// SIGINT drains the run gracefully: jobs already running finish and are
+// journaled, unstarted ones stay pending, and the exit code is 4 — or 0
+// when every job had started before the signal.  The journal holds only
 // whole records, and --resume finishes the run to the uninterrupted
 // signature.
 TEST_F(ResumeKillTest, ResumeAfterSigintReproducesTheSignature) {

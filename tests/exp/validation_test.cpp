@@ -116,9 +116,10 @@ TEST(Validation, FaultFreeSoundnessSweepOver200Systems) {
 // Graceful degradation 1: an exception inside a job (here: an invalid
 // fault probability rejected by the injector) becomes a `failed` report
 // row with the captured message — the campaign itself never throws and
-// the other fields still identify the instance.
+// the other fields still identify the instance.  Failed rows obey the
+// thread-count contract: one worker and four sign alike, row by row.
 TEST(Validation, ExceptionsBecomeFailedRowsNotAborts) {
-  ValidationSpec spec = small_spec(2);
+  ValidationSpec spec = small_spec(1);
   sim::FaultSpec bad;
   bad.name = "bad";
   bad.can_drop_p = 2.0;  // out of range: FaultInjector rejects it
@@ -132,8 +133,17 @@ TEST(Validation, ExceptionsBecomeFailedRowsNotAborts) {
     EXPECT_GT(job.system_seed, 0u);  // still attributable and replayable
     EXPECT_TRUE(job.scenarios.empty());
   }
-  // Failure capture is deterministic too.
-  EXPECT_EQ(result.signature(), run_validation(spec).signature());
+
+  spec.jobs = 4;
+  const ValidationResult parallel = run_validation(spec);
+  EXPECT_EQ(parallel.workers, 4u);
+  EXPECT_EQ(result.signature(), parallel.signature());
+  ASSERT_EQ(result.jobs.size(), parallel.jobs.size());
+  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+    EXPECT_EQ(result.jobs[i].state, parallel.jobs[i].state) << "job " << i;
+    EXPECT_EQ(result.jobs[i].error, parallel.jobs[i].error) << "job " << i;
+    EXPECT_EQ(result.jobs[i].signature(), parallel.jobs[i].signature()) << "job " << i;
+  }
 }
 
 // Graceful degradation 2: exhausting the per-simulation event budget is a

@@ -12,12 +12,14 @@
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "mcs/core/analysis_workspace.hpp"
 #include "mcs/exp/campaign.hpp"
+#include "mcs/exp/suite_driver.hpp"
 #include "mcs/exp/validation.hpp"
 #include "mcs/sim/fault.hpp"
 
@@ -114,18 +116,26 @@ TEST(MetricsTest, MergeSumsCountersAndKeepsTheGaugeMax) {
   EXPECT_EQ(total.at("only.later").value, 9u);
 }
 
+// Every body writes an engine counter; job 1's body then throws.  The
+// row states are counted, and the failed job's counter never reaches the
+// totals.
 TEST(MetricsTest, RuntimeCountersCountRowStates) {
-  RunOptions options;
-  options.faults = {{1, RuntimeFault::Kind::ThrowPermanent}};
-  const CampaignResult result = run_campaign(campaign_spec(2), options);
+  const CampaignSpec spec = campaign_spec(2);
+  const JournalCodec<JobResult> codec{campaign_spec_digest(spec), encode_job_result,
+                                      decode_job_result};
+  const CampaignResult result = run_suite<CampaignResult>(
+      spec, {}, "test.job", codec,
+      [](const gen::GeneratedSystem&, JobResult& job, MetricsSnapshot& engine) {
+        engine["test.bodies"] = MetricValue::counter(1);
+        if (job.job_index == 1) throw std::runtime_error("job 1 fails");
+      });
   const MetricsSnapshot snapshot = metrics_snapshot(result);
   ASSERT_EQ(result.count(RunState::Failed), 1u);
   EXPECT_EQ(value(snapshot, "runtime.jobs_done"), result.count(RunState::Done));
   EXPECT_EQ(value(snapshot, "runtime.jobs_done"), result.jobs.size() - 1);
   EXPECT_EQ(value(snapshot, "runtime.jobs_failed"), 1u);
   EXPECT_EQ(value(snapshot, "runtime.jobs_timeout"), 0u);
-  // The failed job's workspace never reached the totals.
-  EXPECT_EQ(value(snapshot, kernel_jobs()), result.jobs.size() - 1);
+  EXPECT_EQ(value(snapshot, "test.bodies"), result.jobs.size() - 1);
 }
 
 TEST(MetricsTest, FaultCountersSumTheScenarios) {

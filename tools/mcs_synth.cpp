@@ -71,19 +71,18 @@
 //   --resume <file>         resume from a journal written by --journal:
 //                           recovered jobs are not re-run and the merged
 //                           report signature equals an uninterrupted run's
-//   --job-timeout-ms N      per-job wall-clock deadline (overrides the spec;
-//                           0 = off): overruns become `timeout` rows
 //
 // A flag the selected mode does not read is an error (exit 3): run flags
 // with a system file, single-system flags and --campaign's --faults in a
 // suite run (the spec keys `strategies`/`strategy`, `conservative` and
 // `paper_ttp` do those jobs there).
 //
-// SIGINT/SIGTERM drain the run gracefully: in-flight jobs see the stop
-// flag at their next cancellation poll and are discarded as `pending`,
-// settled rows are journaled, a partial report is written, and the exit
-// code is 4 (resume with --resume) — or 0 when every job had already
-// settled.  A second signal kills immediately.
+// SIGINT/SIGTERM drain the run gracefully: no further job starts, jobs
+// already running finish and are journaled, the unstarted ones stay
+// `pending`, a partial report is written, and the exit code is 4 (resume
+// with --resume) — or 0 when every job had already started.  Every job is
+// bounded by its search budgets, so the drain waits at most one job per
+// worker.  A second signal kills immediately.
 //
 // Reads a plain-text system description (see src/gen/textio.hpp for the
 // grammar and examples/paper_example.mcs for a sample), synthesizes a
@@ -120,10 +119,9 @@ namespace {
 
 constexpr const char* kVersion = "0.8.0";
 
-/// Graceful-shutdown flag the signal handler raises; every job's cancel
-/// token polls it, and the suite driver starts no job once it is up
-/// (std::atomic<bool> is lock-free on every target we build for, so the
-/// store below is async-signal-safe).
+/// Graceful-shutdown flag the signal handler raises; the suite driver
+/// starts no job once it is up (std::atomic<bool> is lock-free on every
+/// target we build for, so the store below is async-signal-safe).
 std::atomic<bool> g_stop{false};
 
 extern "C" void handle_shutdown_signal(int) { g_stop.store(true); }
@@ -159,7 +157,6 @@ struct Options {
   std::string report_csv;
   std::string journal;  ///< checkpoint journal to write
   std::string resume;   ///< journal to resume from (implies journal)
-  std::optional<std::int64_t> job_timeout_ms;
 };
 
 void usage() {
@@ -173,8 +170,7 @@ void usage() {
                "       mcs_synth --validate <spec> [--faults <spec>] [run flags]\n"
                "       run flags: [--jobs N] [--report-json <file>] "
                "[--report-csv <file>]\n"
-               "                  [--journal <file> | --resume <file>] "
-               "[--job-timeout-ms N]\n"
+               "                  [--journal <file> | --resume <file>]\n"
                "       mcs_synth --version\n"
                "exit codes: 0 ok/schedulable, 1 unschedulable or bound "
                "violations or runtime error, 2 usage,\n"
@@ -216,7 +212,7 @@ int parse_args(int argc, char** argv, Options& options) {
         arg == "--stats") {
       if (system_flag.empty()) system_flag = arg;
     } else if (arg == "--jobs" || arg == "--report-json" || arg == "--report-csv" ||
-               arg == "--job-timeout-ms" || arg == "--journal" || arg == "--resume") {
+               arg == "--journal" || arg == "--resume") {
       if (run_flag.empty()) run_flag = arg;
     }
     if (arg == "--version") {
@@ -245,14 +241,6 @@ int parse_args(int argc, char** argv, Options& options) {
     } else if (arg == "--resume") {
       if (++i >= argc) return 2;
       options.resume = argv[i];
-    } else if (arg == "--job-timeout-ms") {
-      if (++i >= argc) return 2;
-      unsigned long long ms = 0;
-      // A week-long bound keeps the deadline arithmetic safe.
-      if (!parse_count_flag("--job-timeout-ms", argv[i], 604'800'000ULL, ms)) {
-        return 3;
-      }
-      options.job_timeout_ms = static_cast<std::int64_t>(ms);
     } else if (arg == "--report-json") {
       if (++i >= argc) return 2;
       options.report_json = argv[i];
@@ -354,7 +342,6 @@ int parse_args(int argc, char** argv, Options& options) {
 /// and returns the run's execution-time options.
 exp::RunOptions apply_run_flags(const Options& options, exp::SpecBase& spec) {
   if (options.jobs) spec.jobs = *options.jobs;
-  if (options.job_timeout_ms) spec.job_timeout_ms = *options.job_timeout_ms;
   exp::RunOptions run;
   run.journal_path = options.resume.empty() ? options.journal : options.resume;
   run.resume = !options.resume.empty();
