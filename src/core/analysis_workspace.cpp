@@ -355,11 +355,11 @@ void AnalysisWorkspace::compile_pass1() {
   prog.dirty.assign(np, std::uint8_t{1});
 }
 
-const std::vector<Time>& AnalysisWorkspace::critical_path() {
-  if (critical_path_.size() != app_->num_processes()) {
-    critical_path_ = sched::critical_path_priorities(*app_);
+sched::ListProgram& AnalysisWorkspace::list_program() {
+  if (!list_program_) {
+    list_program_.emplace(*app_, *platform_, sched::critical_path_priorities(*app_));
   }
-  return critical_path_;
+  return *list_program_;
 }
 
 namespace {

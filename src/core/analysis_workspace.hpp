@@ -22,8 +22,9 @@
 //     the same way),
 //   * the layout of the pass-component records.
 //
-// The critical-path priorities list scheduling orders TT processes by are
-// computed on the first MultiClusterScheduling run and kept for the rest.
+// The TTC list schedule is compiled into a sched::ListProgram (TT processes
+// in critical-path order, flat successor and out-message arcs) on the first
+// MultiClusterScheduling run and kept for the rest.
 //
 // The workspace additionally owns the fixed-point State buffers (13
 // vectors over processes/messages) which are RESET, not reallocated, on
@@ -57,6 +58,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mcs/arch/ttp.hpp"
@@ -176,9 +178,9 @@ public:
   [[nodiscard]] const sched::TtcSchedule& empty_ttc_schedule() const noexcept {
     return empty_ttc_;
   }
-  /// sched::critical_path_priorities of the application, the order
-  /// list_schedule places TT processes in.  Computed on first use.
-  [[nodiscard]] const std::vector<util::Time>& critical_path();
+  /// StaticScheduling compiled for this application and platform
+  /// (critical-path order; DESIGN.md §1).  Compiled on first use.
+  [[nodiscard]] sched::ListProgram& list_program();
 
   // --- structure-of-arrays recurrence pools ---------------------------
   /// Interference-pair classification, decided from statics alone (graph
@@ -389,6 +391,8 @@ public:
   /// after the first call), marks every process dirty for pass 1 and
   /// returns the state.
   [[nodiscard]] State& reset_state();
+  /// The state the last analysis run left.
+  [[nodiscard]] const State& state() const noexcept { return state_; }
 
   // --- component records (DESIGN.md §2 "Component records") ------------
   /// Passes at or past this index share the last record slot of their MCS
@@ -501,7 +505,7 @@ private:
   util::Time r_transfer_ = 0;
   util::Time cap_ = 0;
   sched::TtcSchedule empty_ttc_;
-  std::vector<util::Time> critical_path_;
+  std::optional<sched::ListProgram> list_program_;
 
   std::vector<ProcPool> proc_pools_;
   CanPool can_pool_;

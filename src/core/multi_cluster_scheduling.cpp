@@ -64,6 +64,14 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
   std::optional<obs::Span> run_span;
   if (sampled) run_span.emplace("mcs.run", run_index);
 
+  AnalysisInput input;
+  input.app = &app;
+  input.platform = &platform;
+  input.config = &config;
+  input.ttc_schedule = &result.schedule;
+  input.options = options.analysis;
+  PassLoopResult loop;
+
   std::vector<util::Time> previous_offsets;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -72,8 +80,7 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
 
     // phi = StaticScheduling(Gamma, rho, beta): list scheduling under the
     // current worst-case ETC->TTC delivery constraints.
-    result.schedule = sched::list_schedule(app, platform, config.tdma(), constraints,
-                                           workspace.critical_path());
+    workspace.list_program().run(config.tdma(), constraints, result.schedule);
     for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
       const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
       if (platform.is_tt(app.process(p).node)) {
@@ -84,23 +91,19 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
       sink->push_back({iter, -1, schedule_hash(result.schedule)});
     }
 
-    // rho = ResponseTimeAnalysis(Gamma, phi, pi).
-    AnalysisInput input;
-    input.app = &app;
-    input.platform = &platform;
-    input.config = &config;
-    input.ttc_schedule = &result.schedule;
-    input.options = options.analysis;
-    result.analysis = response_time_analysis(
-        input, workspace, static_cast<std::size_t>(iter), replay);
+    // rho = ResponseTimeAnalysis(Gamma, phi, pi): the pass loop only; the
+    // result is exported once, from the final iteration's state.
+    loop = response_time_analysis(input, workspace, static_cast<std::size_t>(iter),
+                                  replay);
 
     // Feed worst-case ETC->TTC deliveries back as TT release constraints.
     // Only gateway-bound (ET->TT) messages can generate constraints; the
     // workspace precomputed that pool, so the scan skips everything else.
     bool constraints_changed = false;
+    const std::vector<util::Time>& delivered = workspace.state().d_m;
     for (const util::MessageId m : workspace.et_to_tt()) {
       const util::ProcessId dst = app.message(m).dst;
-      const util::Time delivery = result.analysis.message_delivery[m.index()];
+      const util::Time delivery = delivered[m.index()];
       if (delivery > constraints.process_release[dst.index()]) {
         constraints.process_release[dst.index()] = delivery;
         constraints_changed = true;
@@ -110,7 +113,7 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     // phi fixed point: schedule offsets stable and no new constraints.
     if (!constraints_changed &&
         result.schedule.process_start == previous_offsets) {
-      result.converged = result.analysis.converged;
+      result.converged = loop.converged;
       break;
     }
 
@@ -122,12 +125,14 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     // Check oracle still run it, so the seed path stays untouched.
     if (replay && !constraints_changed && iter + 1 < options.max_iterations) {
       result.iterations = iter + 2;
-      result.converged = result.analysis.converged;
+      result.converged = loop.converged;
       ++stats.elided_iterations;
       break;
     }
     previous_offsets = result.schedule.process_start;
   }
+
+  if (result.iterations > 0) result.analysis = export_analysis(input, workspace, loop);
 
   // Publish the derived offsets (ET releases, message offsets) into phi.
   for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {

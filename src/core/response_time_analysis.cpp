@@ -1159,27 +1159,21 @@ BufferBounds buffer_bounds(const Ctx& ctx, const State& s) {
   return bounds;
 }
 
-}  // namespace
-
-AnalysisResult response_time_analysis(const AnalysisInput& input,
-                                      AnalysisWorkspace& workspace,
-                                      std::size_t iteration, bool replay) {
+/// The per-call view of `input` over `workspace` (validated).
+[[nodiscard]] Ctx make_ctx(const AnalysisInput& input, AnalysisWorkspace& workspace) {
   if (input.app == nullptr || input.platform == nullptr || input.config == nullptr) {
     throw std::invalid_argument("response_time_analysis: null input");
   }
-  const Application& app = *input.app;
-  const arch::Platform& platform = *input.platform;
-  if (!workspace.matches(app, platform)) {
+  if (!workspace.matches(*input.app, *input.platform)) {
     throw std::invalid_argument(
         "response_time_analysis: workspace built for a different system");
   }
-
   // Fallback empty TTC schedule for pure-ET systems.
   const sched::TtcSchedule* ttc = input.ttc_schedule;
   if (ttc == nullptr) ttc = &workspace.empty_ttc_schedule();
 
-  Ctx ctx{app,
-          platform,
+  Ctx ctx{*input.app,
+          *input.platform,
           *input.config,
           *ttc,
           input.options,
@@ -1198,19 +1192,25 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
           workspace.divergence_cap(),
           0,
           false};
-
   // The gateway slot depends on beta (part of the candidate), so it is the
   // one piece of setup resolved per call.
   if (workspace.has_gateway() && ctx.cfg.tdma().owns_slot(workspace.gateway())) {
     ctx.has_sg_slot = true;
     ctx.sg_slot = ctx.cfg.tdma().slot_of(workspace.gateway());
   }
+  return ctx;
+}
 
+}  // namespace
+
+PassLoopResult response_time_analysis(const AnalysisInput& input,
+                                      AnalysisWorkspace& workspace,
+                                      std::size_t iteration, bool replay) {
+  Ctx ctx = make_ctx(input, workspace);
   State& s = workspace.reset_state();
   ctx.generation = workspace.record_generation(ctx.opt);
   const bool intra = ctx.opt.kernel != AnalysisKernel::Reference;
 
-  AnalysisResult result;
   int iterations = 0;
   int passes_run = 0;
   for (; iterations < ctx.opt.max_outer_iterations; ++iterations) {
@@ -1255,11 +1255,24 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
     }
     if (!ctx.changed) break;
   }
-  result.converged =
+  PassLoopResult loop;
+  loop.converged =
       (iterations < ctx.opt.max_outer_iterations) && (ctx.diverged == 0);
-  result.outer_iterations = iterations;
-  result.diverged_activities = ctx.diverged;
+  loop.outer_iterations = iterations;
+  loop.diverged_activities = ctx.diverged;
+  return loop;
+}
 
+AnalysisResult export_analysis(const AnalysisInput& input, AnalysisWorkspace& workspace,
+                               const PassLoopResult& loop) {
+  const Ctx ctx = make_ctx(input, workspace);
+  const State& s = workspace.state();
+  const Application& app = ctx.app;
+
+  AnalysisResult result;
+  result.converged = loop.converged;
+  result.outer_iterations = loop.outer_iterations;
+  result.diverged_activities = loop.diverged_activities;
   result.buffers = buffer_bounds(ctx, s);
 
   // Graph responses: completion of the latest process (sinks dominate, but
@@ -1297,7 +1310,8 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
 
 AnalysisResult response_time_analysis(const AnalysisInput& input,
                                       AnalysisWorkspace& workspace) {
-  return response_time_analysis(input, workspace, 0, false);
+  const PassLoopResult loop = response_time_analysis(input, workspace, 0, false);
+  return export_analysis(input, workspace, loop);
 }
 
 AnalysisResult response_time_analysis(const AnalysisInput& input) {

@@ -53,15 +53,32 @@ struct AnalysisInput {
 [[nodiscard]] AnalysisResult response_time_analysis(const AnalysisInput& input,
                                                     AnalysisWorkspace& workspace);
 
-/// Record-rule overload (DESIGN.md §2 "Component records"): the run
-/// reads and writes the component records of MCS iteration `iteration`
-/// and replays the ones an earlier run left there only when `replay` is
-/// set.  Every record validates itself, so the result is bit-identical to
-/// a cold run either way.  The workspace overload forwards here with
-/// {0, false}.
-[[nodiscard]] AnalysisResult response_time_analysis(const AnalysisInput& input,
+/// What the pass loop reports besides the State it leaves in the
+/// workspace.
+struct PassLoopResult {
+  bool converged = false;
+  int outer_iterations = 0;
+  int diverged_activities = 0;
+};
+
+/// Record-rule overload (DESIGN.md §2 "Component records"): runs only the
+/// pass loop and leaves its state in `workspace.state()` (export it with
+/// export_analysis).  The run reads and writes the component records of
+/// MCS iteration `iteration` and replays the ones an earlier run left
+/// there only when `replay` is set.  Every record validates itself, so
+/// the state is bit-identical to a cold run's either way.  The workspace
+/// overload runs this with {0, false} and exports.
+[[nodiscard]] PassLoopResult response_time_analysis(const AnalysisInput& input,
                                                     AnalysisWorkspace& workspace,
                                                     std::size_t iteration,
                                                     bool replay);
+
+/// Builds the full result (buffer bounds, graph responses, the per-activity
+/// vectors) from the state the last pass loop on `input` left in
+/// `workspace`.  MultiClusterScheduling calls it once per run, after its
+/// final iteration.
+[[nodiscard]] AnalysisResult export_analysis(const AnalysisInput& input,
+                                             AnalysisWorkspace& workspace,
+                                             const PassLoopResult& loop);
 
 }  // namespace mcs::core

@@ -24,7 +24,7 @@ struct Event {
   const char* name;
   std::int64_t ts_us;
   std::uint64_t arg;
-  char phase;  ///< 'B' | 'E' | 'i'
+  char phase;  ///< 'B' | 'E'
   bool has_arg;
 };
 
@@ -87,16 +87,6 @@ void begin_span(const char*& name_out, const char* name, std::uint64_t arg,
   name_out = name;
 }
 
-void record_instant(const char* name, std::uint64_t arg, bool has_arg) noexcept {
-  if (!tracing_enabled()) return;
-  TraceBuffer& buffer = local_buffer();
-  if (buffer.events.size() >= kMaxEventsPerThread) {
-    ++buffer.dropped;
-    return;
-  }
-  buffer.events.push_back({name, now_us(), arg, 'i', has_arg});
-}
-
 }  // namespace
 
 bool tracing_enabled() noexcept {
@@ -132,12 +122,6 @@ Span::~Span() {
   t_buffer->events.push_back({name_, now_us(), 0, 'E', false});
 }
 
-void instant(const char* name) noexcept { record_instant(name, 0, false); }
-
-void instant(const char* name, std::uint64_t arg) noexcept {
-  record_instant(name, arg, true);
-}
-
 std::size_t trace_event_count() {
   TraceState& s = state();
   const std::lock_guard lock(s.mutex);
@@ -159,7 +143,6 @@ void write_chrome_trace(std::ostream& out) {
       first = false;
       out << "{\"name\":\"" << e.name << "\",\"ph\":\"" << e.phase
           << "\",\"ts\":" << e.ts_us << ",\"pid\":1,\"tid\":" << buffer->tid;
-      if (e.phase == 'i') out << ",\"s\":\"t\"";
       if (e.has_arg) out << ",\"args\":{\"v\":" << e.arg << "}";
       out << "}";
     }

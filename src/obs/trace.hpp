@@ -64,8 +64,4 @@ private:
   const char* name_ = nullptr;  ///< non-null while armed
 };
 
-/// Point-in-time ('i' phase) event.
-void instant(const char* name) noexcept;
-void instant(const char* name, std::uint64_t arg) noexcept;
-
 }  // namespace mcs::obs

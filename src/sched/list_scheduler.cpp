@@ -1,6 +1,7 @@
 #include "mcs/sched/list_scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -110,34 +111,29 @@ std::vector<Time> critical_path_priorities(const Application& app) {
   return cp;
 }
 
-TtcSchedule list_schedule(const Application& app, const arch::Platform& platform,
-                          const arch::TdmaRound& tdma,
-                          const ScheduleConstraints& constraints,
-                          const std::vector<Time>& cp) {
-  TtcSchedule out;
-  out.process_start.assign(app.num_processes(), 0);
-  out.message_slot.assign(app.num_messages(), std::nullopt);
-
+ListProgram::ListProgram(const Application& app, const arch::Platform& platform,
+                         const std::vector<Time>& cp)
+    : app_(&app), platform_(&platform) {
   // Only TT processes are scheduled here.  A TT process becomes ready when
-  // every predecessor constraint is resolved: TT predecessors must have
-  // been scheduled (their finish / message delivery is known); ET
-  // predecessors contribute through `constraints.process_release` (the
-  // MultiClusterScheduling fixed point supplies worst-case deliveries).
-  std::vector<std::size_t> unresolved(app.num_processes(), 0);
-  std::vector<bool> is_tt_proc(app.num_processes(), false);
-  std::vector<Time> release(app.num_processes(), 0);
-  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    const ProcessId p(static_cast<ProcessId::underlying_type>(pi));
-    const model::Process& proc = app.process(p);
+  // every TT predecessor has been placed (its finish / message delivery is
+  // known); ET predecessors contribute through the process_release
+  // constraints.  Replaying the ready heap once yields the order every run
+  // places processes in.
+  const std::size_t np = app.num_processes();
+  std::vector<std::uint8_t> is_tt(np, 0);
+  std::vector<std::size_t> unresolved(np, 0);
+  for (std::size_t pi = 0; pi < np; ++pi) {
+    const model::Process& proc = app.processes()[pi];
     if (!platform.is_tt(proc.node)) continue;
-    is_tt_proc[pi] = true;
-    release[pi] = constraints.process_lb(p);
-    std::size_t n = 0;
-    for (const ProcessId pred : proc.predecessors) {
-      if (platform.is_tt(app.process(pred).node)) ++n;
-    }
-    unresolved[pi] = n;
+    is_tt[pi] = 1;
+    ++tt_count_;
+    unresolved[pi] = static_cast<std::size_t>(
+        std::ranges::count_if(proc.predecessors, [&](ProcessId pred) {
+          return platform.is_tt(app.process(pred).node);
+        }));
   }
+
+  steps_.reserve(tt_count_);
 
   // Ready heap: the root is the longest critical path, ties by lowest id.
   const auto after = [&cp](ProcessId a, ProcessId b) {
@@ -147,105 +143,143 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
   std::vector<ProcessId> ready;
   const auto make_ready = [&](ProcessId p) {
     ready.push_back(p);
-    std::push_heap(ready.begin(), ready.end(), after);
+    std::ranges::push_heap(ready, after);
   };
-  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    if (is_tt_proc[pi] && unresolved[pi] == 0) {
+  for (std::size_t pi = 0; pi < np; ++pi) {
+    if (is_tt[pi] != 0 && unresolved[pi] == 0) {
       make_ready(ProcessId(static_cast<ProcessId::underlying_type>(pi)));
     }
   }
 
-  std::vector<Time> node_free(platform.num_nodes(), 0);
-  std::vector<SlotLoad> frame_load(tdma.num_slots());
-  std::vector<Time> finish(app.num_processes(), 0);
-  std::size_t scheduled = 0;
-
-  auto resolve_successor = [&](ProcessId succ) {
-    if (!is_tt_proc[succ.index()]) return;
-    if (--unresolved[succ.index()] == 0) make_ready(succ);
-  };
-
   while (!ready.empty()) {
-    std::pop_heap(ready.begin(), ready.end(), after);
+    std::ranges::pop_heap(ready, after);
     const ProcessId p = ready.back();
     ready.pop_back();
     const model::Process& proc = app.process(p);
-    Time& free_at = node_free[proc.node.index()];
-
-    const Time start = std::max(release[p.index()], free_at);
-    out.process_start[p.index()] = start;
-    finish[p.index()] = start + proc.wcet;
-    free_at = finish[p.index()];
-    out.makespan = std::max(out.makespan, finish[p.index()]);
-    ++scheduled;
-
-    // Pure precedence arcs to same-cluster successors.
+    Step step{static_cast<std::uint32_t>(p.index()),
+              static_cast<std::uint32_t>(proc.node.index()),
+              proc.wcet,
+              static_cast<std::uint32_t>(succs_.size()),
+              0,
+              static_cast<std::uint32_t>(outs_.size()),
+              0};
+    // Every arc (message-carried or pure precedence) resolves one
+    // predecessor entry of its successor.
     for (const ProcessId succ : proc.successors) {
-      // Message-carried arcs are handled below; a successor connected by
-      // both kinds still ends up with the max of the lower bounds.
-      release[succ.index()] = std::max(release[succ.index()], finish[p.index()]);
+      if (is_tt[succ.index()] == 0) continue;
+      const auto s = static_cast<std::uint32_t>(succ.index());
+      if (std::find(succs_.begin() + step.succ_begin, succs_.end(), s) == succs_.end()) {
+        succs_.push_back(s);
+      }
+      if (--unresolved[succ.index()] == 0) make_ready(succ);
     }
-    // Outgoing messages: place remote ones on the TTP bus.
     for (const MessageId mid : proc.out_messages) {
       const model::Message& msg = app.message(mid);
-      const NodeId dst_node = app.process(msg.dst).node;
-      if (dst_node == proc.node) {
-        // Local: receiver can start right after the sender.
-        release[msg.dst.index()] =
-            std::max(release[msg.dst.index()], finish[p.index()]);
-      } else {
-        if (!tdma.owns_slot(proc.node)) {
-          out.feasible = false;
-          out.problems.push_back("node '" + platform.node(proc.node).name +
-                                 "' sends message '" + msg.name +
-                                 "' but owns no TDMA slot");
-          continue;
-        }
-        const Time earliest =
-            std::max(finish[p.index()], constraints.message_lb(mid));
-        const std::size_t slot = tdma.slot_of(proc.node);
-        const auto assignment = place_message(tdma, slot, earliest,
-                                              msg.size_bytes, frame_load[slot]);
-        out.message_slot[mid.index()] = assignment;
-        out.makespan = std::max(out.makespan, assignment.delivery);
-        if (platform.is_tt(dst_node)) {
-          release[msg.dst.index()] =
-              std::max(release[msg.dst.index()], assignment.delivery);
-        }
-        // TT->ET: the delivery instant becomes the message offset on the
-        // CAN side; nothing to do here (the analysis reads message_slot).
-      }
-      resolve_successor(msg.dst);
+      if (app.process(msg.dst).node == proc.node) continue;  // local
+      outs_.push_back({static_cast<std::uint32_t>(mid.index()),
+                       static_cast<std::uint32_t>(msg.dst.index()),
+                       is_tt[msg.dst.index()] != 0, msg.size_bytes});
     }
-    // Dependencies without a message.  Each successor entry corresponds to
-    // exactly one arc; message-carried arcs were resolved above, so here we
-    // resolve the remaining (pure-precedence) arcs, handling the corner
-    // case of parallel arcs (message + explicit dependency) correctly: the
-    // first k entries for a successor that k messages go to are the
-    // message arcs.
-    const auto& succs = proc.successors;
-    for (auto it = succs.begin(); it != succs.end(); ++it) {
-      const ProcessId succ = *it;
-      const auto earlier = std::count(succs.begin(), it, succ);
-      const auto messages =
-          std::count_if(proc.out_messages.begin(), proc.out_messages.end(),
-                        [&](MessageId m) { return app.message(m).dst == succ; });
-      if (earlier < messages) continue;  // a message arc, already resolved
-      resolve_successor(succ);
+    step.succ_end = static_cast<std::uint32_t>(succs_.size());
+    step.out_end = static_cast<std::uint32_t>(outs_.size());
+    steps_.push_back(step);
+  }
+
+  release_.assign(np, 0);
+  blocked_.assign(np, 0);
+}
+
+void ListProgram::run(const arch::TdmaRound& tdma,
+                      const ScheduleConstraints& constraints, TtcSchedule& out) {
+  const Application& app = *app_;
+  out.process_start.assign(app.num_processes(), 0);
+  out.message_slot.assign(app.num_messages(), std::nullopt);
+  out.makespan = 0;
+  out.feasible = true;
+  out.problems.clear();
+
+  constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+  slot_of_node_.assign(platform_->num_nodes(), kNoSlot);
+  for (std::size_t i = 0; i < tdma.num_slots(); ++i) {
+    const std::size_t owner = tdma.slot(i).owner.index();
+    if (owner < slot_of_node_.size()) slot_of_node_[owner] = i;
+  }
+  frame_load_.resize(tdma.num_slots());
+  for (SlotLoad& load : frame_load_) load.clear();
+  node_free_.assign(platform_->num_nodes(), 0);
+  for (const Step& step : steps_) {
+    release_[step.pid] =
+        constraints.process_lb(ProcessId(static_cast<ProcessId::underlying_type>(step.pid)));
+    blocked_[step.pid] = 0;
+  }
+
+  std::size_t scheduled = 0;
+  for (const Step& step : steps_) {
+    if (blocked_[step.pid] != 0) {
+      // Never ready: nothing downstream of it is either.
+      for (std::uint32_t s = step.succ_begin; s < step.succ_end; ++s) {
+        blocked_[succs_[s]] = 1;
+      }
+      continue;
+    }
+    Time& free_at = node_free_[step.node];
+    const Time start = std::max(release_[step.pid], free_at);
+    const Time finish = start + step.wcet;
+    out.process_start[step.pid] = start;
+    free_at = finish;
+    out.makespan = std::max(out.makespan, finish);
+    ++scheduled;
+
+    // Same-cluster successors start after the sender finished; a remote
+    // receiver additionally waits for the message delivery below.
+    for (std::uint32_t s = step.succ_begin; s < step.succ_end; ++s) {
+      release_[succs_[s]] = std::max(release_[succs_[s]], finish);
+    }
+    // Outgoing remote messages go on the TTP bus in the sender's slot.
+    const std::size_t slot = slot_of_node_[step.node];
+    for (std::uint32_t o = step.out_begin; o < step.out_end; ++o) {
+      const Out& msg = outs_[o];
+      const MessageId mid(static_cast<MessageId::underlying_type>(msg.message));
+      if (slot == kNoSlot) {
+        out.feasible = false;
+        out.problems.push_back("node '" +
+                               platform_->node(NodeId(static_cast<NodeId::underlying_type>(
+                                                   step.node)))
+                                   .name +
+                               "' sends message '" + app.message(mid).name +
+                               "' but owns no TDMA slot");
+        if (msg.dst_tt) blocked_[msg.dst] = 1;
+        continue;
+      }
+      const Time earliest = std::max(finish, constraints.message_lb(mid));
+      const auto assignment =
+          place_message(tdma, slot, earliest, msg.bytes, frame_load_[slot]);
+      out.message_slot[msg.message] = assignment;
+      out.makespan = std::max(out.makespan, assignment.delivery);
+      // TT->ET: the delivery instant becomes the message offset on the
+      // CAN side; the analysis reads it from message_slot.
+      if (msg.dst_tt) {
+        release_[msg.dst] = std::max(release_[msg.dst], assignment.delivery);
+      }
     }
   }
 
-  // All TT processes must have been placed (otherwise a dependency cycle
-  // or an arc from an unscheduled predecessor remained).
-  std::size_t tt_count = 0;
-  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    if (is_tt_proc[pi]) ++tt_count;
-  }
-  if (scheduled != tt_count) {
+  // All TT processes must have been placed (otherwise a sender without a
+  // slot, a dependency cycle or an arc from an unscheduled predecessor
+  // held some back).
+  if (scheduled != tt_count_) {
     out.feasible = false;
     out.problems.push_back("list_schedule: not all TT processes could be scheduled "
                            "(dependency cycle?)");
   }
+}
+
+TtcSchedule list_schedule(const Application& app, const arch::Platform& platform,
+                          const arch::TdmaRound& tdma,
+                          const ScheduleConstraints& constraints,
+                          const std::vector<Time>& cp) {
+  TtcSchedule out;
+  ListProgram(app, platform, cp).run(tdma, constraints, out);
   return out;
 }
 

@@ -69,9 +69,57 @@ struct TtcSchedule {
 /// cyclic graphs.
 [[nodiscard]] std::vector<Time> critical_path_priorities(const Application& app);
 
+/// List scheduling compiled for one application and platform.  The
+/// ready-list order (longest critical path first, ties by lowest
+/// ProcessId; a TT process is ready once every TT predecessor is placed)
+/// depends only on graph structure, the priorities and which nodes are
+/// TT, never on times, constraints or slot lengths, so the constructor
+/// fixes it once and run() is one linear sweep over reused scratch.
+/// A sender whose node owns no slot in `tdma` leaves the receivers of its
+/// remote messages, and everything downstream of them, unscheduled.
+/// Keeps references to `app` and `platform`; single-threaded.
+class ListProgram {
+public:
+  ListProgram() = default;
+  ListProgram(const Application& app, const arch::Platform& platform,
+              const std::vector<Time>& critical_path);
+
+  /// Schedules the TT processes under `tdma` and `constraints` into
+  /// `out`, reusing its buffers.
+  void run(const arch::TdmaRound& tdma, const ScheduleConstraints& constraints,
+           TtcSchedule& out);
+
+private:
+  struct Step {
+    std::uint32_t pid;
+    std::uint32_t node;
+    Time wcet;
+    std::uint32_t succ_begin, succ_end;  ///< TT successors, deduplicated
+    std::uint32_t out_begin, out_end;    ///< remote out-messages
+  };
+  struct Out {
+    std::uint32_t message;
+    std::uint32_t dst;
+    bool dst_tt;
+    std::int64_t bytes;
+  };
+
+  const Application* app_ = nullptr;
+  const arch::Platform* platform_ = nullptr;
+  std::vector<Step> steps_;  ///< TT processes in ready-list order
+  std::vector<std::uint32_t> succs_;
+  std::vector<Out> outs_;
+  std::size_t tt_count_ = 0;
+
+  // Per-run scratch.
+  std::vector<Time> release_, node_free_;
+  std::vector<std::uint8_t> blocked_;
+  std::vector<std::size_t> slot_of_node_;
+  std::vector<std::vector<std::int64_t>> frame_load_;  ///< bytes per slot occurrence
+};
+
 /// List scheduling ordered by `critical_path` =
-/// critical_path_priorities(app).  Deterministic: ties are broken by
-/// ProcessId.
+/// critical_path_priorities(app): builds a ListProgram and runs it once.
 [[nodiscard]] TtcSchedule list_schedule(const Application& app,
                                         const arch::Platform& platform,
                                         const arch::TdmaRound& tdma,
